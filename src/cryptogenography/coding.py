@@ -6,10 +6,22 @@ symbol j emits uniformly from the size-a window {(j-1)a+1, ..., ja} taken
 mod d into {1..d}. The window geometry is chosen so the posterior leak
 probability is exactly c inside the window and exactly 0 outside, which
 makes per-trial safety checks rational identities rather than estimates.
+
+Maximum-likelihood decoding counts, per codeword, the received symbols
+that fall outside its windows. A codebook caches ceil(log2 d) bit-planes of
+its symbols minus one, packed 64 positions to a uint64 word; a received
+message m is accepted by exactly a codeword symbols, so a transcript
+becomes a bit patterns per plane, and the mismatch count of a codeword is
+popcount(AND_u OR_k (plane_k XOR pattern_uk)) summed over its words. The
+experiments draw every trial's messages first and decode the whole batch
+in one pass over cache-sized blocks of codewords, keeping per transcript
+the fewest mismatches, the first codeword reaching it and how many do, so
+a tie is reported exactly as with one decode at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -21,14 +33,15 @@ import numpy as np
 from .probability import (
     FiniteDist,
     JointDist,
+    LOG2_E,
     ZERO,
-    ONE,
     as_probability,
     fraction_to_jsonable,
     log2_fraction,
 )
 from .protocols import LeakScenario, ProtocolNode, ProtocolTree
 from .seeds import AUX_STREAM_OFFSET, derive_seed
+from .suspicion import general_upper_bound
 
 __all__ = [
     "WindowChannel",
@@ -53,8 +66,6 @@ __all__ = [
     "window_scenario",
     "exact_rate",
 ]
-
-LOG2_E = math.log2(math.e)
 
 
 def exact_rate(value) -> Fraction:
@@ -125,12 +136,9 @@ def in_window(ch: WindowChannel, message: int, x_symbol: int) -> bool:
 
 
 def indep_capacity(b, c) -> float:
-    """Safe per-player capacity (-b log(1-c) + c log(1-b)) / c bits; 0 at b=c."""
-    b = as_probability(b)
-    c = as_probability(c)
-    if not 0 < b <= c < 1:
-        raise ValueError("need 0 < b <= c < 1, got b=%s c=%s" % (b, c))
-    return (-float(b) * log2_fraction(1 - c) + float(c) * log2_fraction(1 - b)) / float(c)
+    """Safe per-player capacity (-b log(1-c) + c log(1-b)) / c bits; 0 at b=c.
+    This is the one-player case of ``suspicion.general_upper_bound``."""
+    return general_upper_bound(b, c, 1)
 
 
 def fixed_capacity(c) -> float:
@@ -142,15 +150,22 @@ def fixed_capacity(c) -> float:
     return -log2_fraction(1 - c) / float(c) - LOG2_E
 
 
-def leak_message(x_symbol: int, leaking: bool, ch: WindowChannel, rng) -> int:
-    """One channel use: uniform over {1..d} if innocent, uniform over the
-    window of x_symbol if leaking. rng is a numpy Generator."""
-    if not 1 <= x_symbol <= ch.d:
+def leak_message(x_symbol, leaking, ch: WindowChannel, rng):
+    """Channel uses: uniform over {1..d} where innocent, uniform over the
+    window of x_symbol where leaking. x_symbol (in 1..d) and leaking are
+    scalars or arrays of one shape; rng is a numpy Generator.
+
+    Every position's innocent message is drawn first, then every window
+    offset, so a trial's stream does not depend on who leaks. A scalar call
+    returns an int."""
+    x = np.asarray(x_symbol, dtype=np.int64)
+    if x.size and (x.min() < 1 or x.max() > ch.d):
         raise ValueError("symbol must be in 1..%d" % ch.d)
-    if not leaking:
-        return int(rng.integers(1, ch.d + 1))
-    u = int(rng.integers(1, ch.a + 1))
-    return ((x_symbol - 1) * ch.a + u - 1) % ch.d + 1
+    size = x.shape or None
+    innocent = rng.integers(1, ch.d + 1, size=size)
+    u = rng.integers(0, ch.a, size=size)
+    msgs = np.where(leaking, ((x - 1) * ch.a + u) % ch.d + 1, innocent)
+    return int(msgs) if msgs.ndim == 0 else msgs
 
 
 def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
@@ -162,6 +177,44 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # codebooks and ML decoding
+
+# uint64 words per (transcripts x codewords) block of the decoder: 1 MiB per
+# scratch buffer, small enough to stay in cache
+_BLOCK_WORDS = 1 << 17
+# transcripts decoded together in one pass over the codebook
+_GROUP = 64
+# codebook symbols turned into bit-planes at a time
+_PLANE_BLOCK_SYMBOLS = 1 << 20
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """(rows, n) array, nonzero meaning a set bit -> (rows, ceil(n/64))
+    uint64 words, padding bits zero. Codebook planes and transcript
+    patterns share this packing, so the bit order inside a word never
+    matters."""
+    rows, n = bits.shape
+    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64)
+
+
+@functools.cache
+def _halfword_bits() -> np.ndarray:
+    """Set bits of every 16-bit value, built on first use: only numpy
+    without bitwise_count needs it."""
+    byte_bits = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+    return (byte_bits[:, None] + byte_bits[None, :]).ravel()
+
+
+def _popcount(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Set bits of every uint64 word, written into the uint8 array out."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(words, out=out)
+    # numpy < 2.0: one table lookup per 16 bits; multiplying by 0x01010101
+    # sums a word's four counts (each at most 16) into the top byte
+    counts = _halfword_bits()[words.view(np.uint16)].view(np.uint32)
+    np.copyto(out, (counts * np.uint32(0x01010101)) >> np.uint32(24), casting="unsafe")
+    return out
 
 
 @dataclass
@@ -181,15 +234,24 @@ class Codebook:
     def row(self, x: int) -> np.ndarray:
         return self.symbols[x]
 
-    def packed_bits(self) -> np.ndarray:
-        # cached bit-packing for the binary channel's popcount decoder
-        if self.d != 2:
-            raise ValueError("packed bits only exist for d = 2")
-        cached = getattr(self, "_packed", None)
-        if cached is None:
-            cached = np.packbits(self.symbols - 1, axis=1)
-            object.__setattr__(self, "_packed", cached)
-        return cached
+    def bit_planes(self) -> np.ndarray:
+        """Cached (ceil(log2 d), ceil(n/64), message_count) uint64 array:
+        plane k holds bit k of every symbol minus one, packed by
+        ``_pack_words``. Words are the middle axis, so a block of codewords
+        is one contiguous slice per (plane, word). For d = 2 the single
+        plane is the packed bits themselves."""
+        planes = getattr(self, "_planes", None)
+        if planes is None:
+            depth = max(1, (self.d - 1).bit_length())
+            count = self.message_count
+            planes = np.empty((depth, -(-self.n // 64), count), dtype=np.uint64)
+            step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
+            for start in range(0, count, step):
+                block = self.symbols[start : start + step] - 1
+                for k in range(depth):
+                    planes[k, :, start : start + step] = _pack_words(block & (1 << k)).T
+            self._planes = planes
+        return planes
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
@@ -212,32 +274,66 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     return Codebook(float(h_bits), n, d, seed, symbols)
 
 
-def _popcount_rows(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).sum(axis=1, dtype=np.int64)
-    lut = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-    return lut[arr].sum(axis=1, dtype=np.int64)
+def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:
+    """(a, depth, words, T) uint64 patterns of T transcripts of messages in
+    1..d. Codeword symbol s accepts message m iff m - 1 = (s-1) a + u mod d
+    for one offset u < a, i.e. s - 1 = (m - 1 - u) a^-1 mod d; pattern
+    (u, k) packs bit k of that s - 1 at every position."""
+    msgs = transcripts.astype(np.int64) - 1
+    accepted = [(msgs - u) * pow(ch.a, -1, ch.d) % ch.d for u in range(ch.a)]
+    return np.array([[_pack_words(s & (1 << k)).T for k in range(depth)] for s in accepted])
 
 
-def _match_scores(book: Codebook, transcript: np.ndarray, ch: WindowChannel) -> np.ndarray:
-    """Per-codeword count of in-window received symbols."""
-    if ch.a == 1 and ch.d == 2:
-        # binary symmetric case: matches = n - popcount(xor of packed bits)
-        packed = book.packed_bits()
-        t_packed = np.packbits((transcript - 1).astype(np.uint8))
-        mismatches = _popcount_rows(packed ^ t_packed[None, :])
-        return book.n - mismatches
-    inw = np.zeros((ch.d, ch.d), dtype=np.int8)
-    for j in range(1, ch.d + 1):
-        for t in range(1, ch.d + 1):
-            inw[j - 1, t - 1] = 1 if in_window(ch, t, j) else 0
-    scores = np.zeros(book.message_count, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(book.n, 1))
-    t0 = transcript - 1
-    for start in range(0, book.message_count, chunk):
-        block = book.symbols[start : start + chunk].astype(np.int64) - 1
-        scores[start : start + chunk] = inw[block, t0[None, :]].sum(axis=1)
-    return scores
+def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) -> list:
+    """``ml_decode`` of every row of transcripts, each group of ``_GROUP``
+    in one pass over the codebook's bit-planes.
+
+    Mismatches are summed word by word over a block of codewords for the
+    whole group; per transcript the pass keeps the fewest mismatches seen,
+    the first codeword with that count and how many codewords have it.
+    """
+    planes = book.bit_planes()
+    depth, words, count = planes.shape
+    acc_dtype = np.uint16 if book.n < 1 << 16 else np.uint32
+    guesses = []
+    for g0 in range(0, len(transcripts), _GROUP):
+        patterns = _accepted_patterns(transcripts[g0 : g0 + _GROUP], ch, depth)
+        t = patterns.shape[-1]
+        fewest = np.full(t, book.n + 1, dtype=np.int64)
+        first = np.zeros(t, dtype=np.int64)
+        ties = np.zeros(t, dtype=np.int64)
+        rows = max(1, _BLOCK_WORDS // t)
+        scratch = [np.empty(t * rows, dtype=np.uint64) for _ in range(3)]
+        bits_buf = np.empty(t * rows, dtype=np.uint8)
+        misses_buf = np.empty(t * rows, dtype=acc_dtype)
+        for start in range(0, count, rows):
+            width = min(rows, count - start)
+            miss, diff, tmp = (buf[: t * width].reshape(t, width) for buf in scratch)
+            bits = bits_buf[: t * width].reshape(t, width)
+            misses = misses_buf[: t * width].reshape(t, width)
+            misses[...] = 0
+            block = planes[:, :, None, start : start + width]
+            for w in range(words):
+                for u in range(ch.a):
+                    # diff: positions where the codeword symbol is not the
+                    # one accepting the message at offset u
+                    dst = miss if u == 0 else diff
+                    np.bitwise_xor(block[0, w], patterns[u, 0, w, :, None], out=dst)
+                    for k in range(1, depth):
+                        np.bitwise_xor(block[k, w], patterns[u, k, w, :, None], out=tmp)
+                        np.bitwise_or(dst, tmp, out=dst)
+                    if u:
+                        np.bitwise_and(miss, diff, out=miss)
+                np.add(misses, _popcount(miss, bits), out=misses)
+            arg = misses.argmin(axis=1)
+            low = misses[np.arange(t), arg].astype(np.int64)
+            hits = np.count_nonzero(misses == low[:, None], axis=1)
+            better = low < fewest
+            ties = np.where(better, hits, np.where(low == fewest, ties + hits, ties))
+            first = np.where(better, start + arg, first)
+            fewest = np.minimum(fewest, low)
+        guesses += [int(x) if k == 1 else None for x, k in zip(first, ties)]
+    return guesses
 
 
 def ml_decode(book: Codebook, transcript, ch: WindowChannel) -> Optional[int]:
@@ -249,14 +345,16 @@ def ml_decode(book: Codebook, transcript, ch: WindowChannel) -> Optional[int]:
     exactly maximizing the integer in-window match count. Integer counts
     avoid float underflow at any block length.
     """
+    if book.d != ch.d:
+        raise ValueError(
+            "codebook alphabet d=%d does not match the channel's d=%d" % (book.d, ch.d)
+        )
     transcript = np.asarray(transcript, dtype=np.int64)
     if transcript.shape != (book.n,):
         raise ValueError("transcript length %d does not match n=%d" % (transcript.size, book.n))
-    scores = _match_scores(book, transcript, ch)
-    best = int(scores.argmax())
-    if np.count_nonzero(scores == scores[best]) > 1:
-        return None
-    return best
+    if np.any((transcript < 1) | (transcript > ch.d)):
+        raise ValueError("transcript messages must be in 1..%d" % ch.d)
+    return _decode_batch(book, transcript[None, :], ch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +393,12 @@ class ExperimentReport:
         }
 
 
+def _decode_failures(guesses: list, xs) -> tuple:
+    """(wrong guesses, ties) of a decoded batch against the sent indices."""
+    ties = guesses.count(None)
+    return sum(g is not None and g != x for g, x in zip(guesses, xs)), ties
+
+
 def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> ExperimentReport:
     """Reliable leakage for independent leakers: random codebook at the given
     rate (bits per player), window-channel messages, ML decoding, and exact
@@ -306,36 +410,31 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     book = random_codebook(
         float(h), n, ch.d, derive_seed(seed, AUX_STREAM_OFFSET)
     )
+    # every in-window hit has this posterior and every other symbol 0, so
+    # one exact identity covers every player of every trial
+    post_in = posterior_leak(1, 1, ch)
+    if post_in != ch.c:
+        raise ArithmeticError("in-window posterior %s differs from c = %s" % (post_in, ch.c))
     bf = float(ch.b)
-    decode_errors = 0
-    tie_errors = 0
-    violations = 0
-    max_post = ZERO
-    post_in = posterior_leak(1, 1, ch)  # in-window posterior, equals c exactly
+    xs = []
+    transcripts = np.empty((trials, n), dtype=book.symbols.dtype)
+    hits = 0
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
         x = int(rng.integers(book.message_count))
         row = book.row(x).astype(np.int64)
-        leaking = rng.random(n) < bf
-        innocent_msgs = rng.integers(1, ch.d + 1, size=n)
-        u = rng.integers(0, ch.a, size=n)
-        leak_msgs = ((row - 1) * ch.a + u) % ch.d + 1
-        msgs = np.where(leaking, leak_msgs, innocent_msgs)
-        guess = ml_decode(book, msgs, ch)
-        if guess is None:
-            tie_errors += 1
-        elif guess != x:
-            decode_errors += 1
-        inw = ((msgs - 1 - (row - 1) * ch.a) % ch.d) < ch.a
-        for hit in np.flatnonzero(inw):
-            post = posterior_leak(int(msgs[hit]), int(row[hit]), ch)
-            assert post == post_in
-            if post > max_post:
-                max_post = post
-            if post > ch.c:
-                violations += 1
+        msgs = leak_message(row, rng.random(n) < bf, ch, rng)
+        hits += int(np.count_nonzero(in_window(ch, msgs, row)))
+        xs.append(x)
+        transcripts[trial] = msgs
+    decode_errors, tie_errors = _decode_failures(_decode_batch(book, transcripts, ch), xs)
     return ExperimentReport(
-        trials, decode_errors, tie_errors, max_post, violations, time.perf_counter() - started
+        trials,
+        decode_errors,
+        tie_errors,
+        post_in if hits else ZERO,
+        0,  # no posterior exceeds c: the identity above holds
+        time.perf_counter() - started,
     )
 
 
@@ -365,67 +464,45 @@ def fixed_two_group_run(
     if not b < c_prime <= c:
         raise ValueError("need l/n < c_prime <= c")
     rate = exact_rate(rate)
-    if l > 0 and float(rate) >= fixed_capacity(c):
+    if l == 0:
+        # no leakers: zero bits per group, so each one-codeword book decodes
+        # trivially, and nobody is consistent with a secret
+        return ExperimentReport(trials, 0, 0, ZERO, 0, time.perf_counter() - started)
+    if float(rate) >= fixed_capacity(c):
         raise ValueError("rate must stay below the per-leaker capacity")
-    ch = window_channel(b, c_prime) if l > 0 else None
-    d = ch.d if ch is not None else 2
+    ch = window_channel(b, c_prime)
     h = rate * l
     books = [
-        random_codebook(float(h), n, d, derive_seed(seed, AUX_STREAM_OFFSET + g))
+        random_codebook(float(h), n, ch.d, derive_seed(seed, AUX_STREAM_OFFSET + g))
         for g in range(2)
     ]
-    decode_errors = 0
-    tie_errors = 0
-    violation_trials = 0
-    max_post = ZERO
+    xs = []
+    transcripts = np.empty((2, trials, n), dtype=books[0].symbols.dtype)
+    consistent = []
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
         leakers = np.zeros(2 * n, dtype=bool)
-        if l > 0:
-            leakers[rng.permutation(2 * n)[: 2 * l]] = True
-        xs = [int(rng.integers(books[g].message_count)) for g in range(2)]
-        consistent = 0
-        failed = False
-        tied = False
-        for g in range(2):
-            book = books[g]
-            row = book.row(xs[g]).astype(np.int64)
-            group_leak = leakers[g * n : (g + 1) * n]
-            innocent_msgs = rng.integers(1, d + 1, size=n)
-            if ch is not None:
-                u = rng.integers(0, ch.a, size=n)
-                leak_msgs = ((row - 1) * ch.a + u) % ch.d + 1
-                msgs = np.where(group_leak, leak_msgs, innocent_msgs)
-                inw = ((msgs - 1 - (row - 1) * ch.a) % ch.d) < ch.a
-            else:
-                msgs = innocent_msgs
-                inw = np.zeros(n, dtype=bool)
-            consistent += int(inw.sum())
-            if ch is not None:
-                guess = ml_decode(book, msgs, ch)
-            else:
-                # no leakers: every codeword is equally likely
-                guess = 0 if book.message_count == 1 else None
-            if guess is None:
-                tied = True
-            elif guess != xs[g]:
-                failed = True
-        if tied:
-            tie_errors += 1
-        elif failed:
-            decode_errors += 1
-        if consistent > 0 and l > 0:
-            post = Fraction(2 * l, consistent)
-            if post > max_post:
-                max_post = post
-            if post > c:
-                violation_trials += 1
+        leakers[rng.permutation(2 * n)[: 2 * l]] = True
+        x_pair = tuple(int(rng.integers(book.message_count)) for book in books)
+        hits = 0
+        for g, book in enumerate(books):
+            row = book.row(x_pair[g]).astype(np.int64)
+            msgs = leak_message(row, leakers[g * n : (g + 1) * n], ch, rng)
+            hits += int(np.count_nonzero(in_window(ch, msgs, row)))
+            transcripts[g, trial] = msgs
+        xs.append(x_pair)
+        consistent.append(hits)
+    guesses = zip(*(_decode_batch(book, transcripts[g], ch) for g, book in enumerate(books)))
+    # a trial is a tie if either group ties, else an error if either is wrong
+    outcomes = [None if None in pair else pair for pair in guesses]
+    decode_errors, tie_errors = _decode_failures(outcomes, xs)
+    posteriors = [Fraction(2 * l, k) for k in consistent if k > 0]
     return ExperimentReport(
         trials,
         decode_errors,
         tie_errors,
-        max_post,
-        violation_trials,
+        max(posteriors, default=ZERO),
+        sum(post > c for post in posteriors),
         time.perf_counter() - started,
     )
 
@@ -458,40 +535,34 @@ def ratio_bound_check(n: int, l: int) -> RatioBound:
     2l leakers (hypergeometric); S_indep is Binomial(n, l/n). The maximum
     sits at k = l and never exceeds 2.
 
-    Every per-k statement is decided by integer cross-multiplication, so
-    the sweep is exact without per-k gcd normalization: ratio(k) <= 2 iff
-    hyper_num(k) * n^n <= 2 * C(2n,n) * binom_num(k), and the neighbour
-    comparison ratio(k+1) vs ratio(k) reduces to the small-integer test
-    (2l-k)(n-l) vs (n-2l+k+1) l.
+    ratio(k+1) / ratio(k) = (2l-k)(n-l) / ((n-2l+k+1) l), so comparing
+    those two small integers orders every pair of neighbours exactly. That
+    gives the shape of the sequence: unique_peak, and its local maxima (the
+    first k of each rise that stops rising). The exact ratio is evaluated
+    only there, since the global maximum and its first k are among them;
+    all_at_most_two is that maximum <= 2.
     """
     if not 0 < l < n:
         raise ValueError("need 0 < l < n")
-    total = math.comb(2 * n, n)
     lo = max(0, 2 * l - n)
     hi = min(2 * l, n)
-    n_pow = n**n
-    two_total = 2 * total
-
-    all_le_two = True
-    pow_l = l**lo
-    pow_nl = (n - l) ** (n - lo)
-    for k in range(lo, hi + 1):
-        hyper_num = math.comb(2 * l, k) * math.comb(2 * (n - l), n - k)
-        binom_num = math.comb(n, k) * pow_l * pow_nl
-        if hyper_num * n_pow > two_total * binom_num:
-            all_le_two = False
-        if k < hi:
-            pow_l *= l
-            pow_nl //= n - l
     unique_peak = True
+    peaks = []
+    rising = True  # ratio(k) > ratio(k - 1); true at k = lo
     for k in range(lo, hi):
         step_up = (2 * l - k) * (n - l)
         step_down = (n - 2 * l + k + 1) * l
-        if k < l and step_up <= step_down:
+        if not (step_up > step_down if k < l else step_up < step_down):
             unique_peak = False
-        if k >= l and step_up >= step_down:
-            unique_peak = False
-    return RatioBound(hyper_binom_ratio(n, l, l), l, all_le_two, unique_peak)
+        if rising and step_up <= step_down:
+            peaks.append(k)
+        rising = step_up > step_down
+    if rising:
+        peaks.append(hi)
+    ratios = {k: hyper_binom_ratio(n, l, k) for k in peaks}
+    argmax_k = max(peaks, key=ratios.__getitem__)
+    max_ratio = ratios[argmax_k]
+    return RatioBound(max_ratio, argmax_k, max_ratio <= 2, unique_peak)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .probability import JointDist, ZERO, as_probability, log2_fraction
+from .probability import LOG2_E, JointDist, ZERO, as_probability, log2_fraction
 from .protocols import (
     DEFAULT_ENUMERATION_BUDGET,
     LeakScenario,
@@ -37,8 +37,6 @@ __all__ = [
     "asymptotic_upper",
     "asymptotic_lower_rate",
 ]
-
-LOG2_E = math.log2(math.e)
 
 
 @dataclass

@@ -31,6 +31,7 @@ __all__ = [
     "fano_lower_bound",
     "neg_log2",
     "log2_fraction",
+    "LOG2_E",
     "as_probability",
     "fraction_to_jsonable",
     "fraction_from_jsonable",
@@ -40,6 +41,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+LOG2_E = math.log2(math.e)
 
 
 def as_probability(value) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -48,6 +49,14 @@ def run_cli(args, out_path=None):
     if out_path is not None:
         argv += ["--out", str(out_path)]
     return main(argv)
+
+
+def decode_argv(tmp_path, name, book_json, messages, b, c):
+    cb = tmp_path / ("%s-book.json" % name)
+    tr = tmp_path / ("%s-transcript.json" % name)
+    cb.write_text(json.dumps(book_json))
+    tr.write_text(json.dumps({"messages": messages}))
+    return ["decode", "--codebook", str(cb), "--transcript", str(tr), "--b", b, "--c", c]
 
 
 class TestCapacity:
@@ -218,6 +227,67 @@ class TestDecode:
              "--transcript", str(tmp_path / "nope2.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "book_json,messages,b,c",
+        [
+            # messages below, above and (on d=2) just past the alphabet
+            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [0] * 6, "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1, 2, 3, 7, 1, 2], "1/4", "1/2"),
+            ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 3, 1, 2], "1/2", "2/3"),
+            # a binary book read through the d=3 channel
+            ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 2, 1, 2], "1/4", "1/2"),
+        ],
+    )
+    def test_invalid_transcript_or_alphabet_exits_2(self, tmp_path, book_json, messages, b, c):
+        argv = decode_argv(tmp_path, "bad", book_json, messages, b, c)
+        out = tmp_path / "decode.json"
+        assert run_cli(argv, out_path=out) == 2
+        assert not out.exists()
+
+
+def golden_cases(tmp_path):
+    """name -> argv of the small runs whose reports are pinned below."""
+    from cryptogenography.coding import random_codebook, window
+
+    ch = window_channel(F(2, 5), F(1, 2))  # a=2, d=3
+    noisy = [window(ch, int(s))[0] for s in random_codebook(8, 70, 3, seed=12).row(37)]
+    noisy[:20] = [i % 3 + 1 for i in range(20)]
+    indep = ["leak", "--mode", "indep", "--b"]
+    book_d3 = {"seed": 12, "h": 8, "n": 70, "d": 3}
+    book_tie = {"seed": 15, "h": 3, "n": 4, "d": 2}
+    return {
+        "leak-indep-d2": indep + ["1/2", "--c", "2/3", "--n", "70", "--rate", "1/10",
+                                  "--trials", "30", "--seed", "2"],
+        "leak-indep-d3": indep + ["2/5", "--c", "1/2", "--n", "13", "--rate", "1/5",
+                                  "--trials", "40", "--seed", "1"],
+        "leak-indep-d9": indep + ["1/10", "--c", "1/2", "--n", "65", "--rate", "1/10",
+                                  "--trials", "20", "--seed", "3"],
+        "leak-fixed": ["leak", "--mode", "fixed", "--l", "3", "--n", "17", "--c", "1/2",
+                       "--rate", "1/4", "--trials", "30", "--seed", "7"],
+        "decode-d3": decode_argv(tmp_path, "d3", book_d3, noisy, "2/5", "1/2"),
+        "decode-tie": decode_argv(tmp_path, "tie", book_tie, [1, 2, 1, 2], "1/2", "2/3"),
+    }
+
+
+# sha256 of each report, recorded with the one-transcript-at-a-time
+# decoder: a change to any report, or to the random streams behind it,
+# fails here
+GOLDEN = {
+    "leak-indep-d2": "078b5a0f800d902aa1cf9b62f9c5a034cc0beee8ea64fcb10e0c0cf359caf1fe",
+    "leak-indep-d3": "a76e48f9e3c7bfc41d62e89255eceec38dbd70f69c290f2d7e930268aabd934c",
+    "leak-indep-d9": "b0375c1f51bd4c3f97fde70e7f1a290d0d76999fe68238ffbd043bb75b495c87",
+    "leak-fixed": "2e5fab6d4061afc4b8849b0dadb27389b52c1c1f0e0adc91b17256477fa10323",
+    "decode-d3": "0a30c9e5e74dd673bebf3aa608118e7977aee9af6165529e8405b44860810904",
+    "decode-tie": "d98e2f6edbf241decd745856a66f414e9883dc228566e9dd1c7cf458f53a0f25",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_digest(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert run_cli(golden_cases(tmp_path)[name], out_path=out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
 
 
 class TestBudgetErrors:

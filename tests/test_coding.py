@@ -2,10 +2,14 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cryptogenography import coding
 from cryptogenography.coding import (
     Codebook,
     WindowChannel,
@@ -263,6 +267,98 @@ class TestMlDecode:
                 assert got == winners[0]
 
 
+# (a, d) = (1, 2), (1, 3), (2, 3), (1, 9)
+DECODE_CHANNELS = [
+    (F(1, 2), F(2, 3)),
+    (F(1, 4), F(1, 2)),
+    (F(1, 2), F(3, 5)),
+    (F(1, 10), F(1, 2)),
+]
+
+
+def brute_force_decode(book, transcript, ch):
+    """Per-codeword in-window match count; first maximizer, None on a tie."""
+    t = np.asarray(transcript, dtype=np.int64)
+    scores = [int(np.count_nonzero(in_window(ch, t, row.astype(np.int64)))) for row in book.symbols]
+    best = max(scores)
+    return scores.index(best) if scores.count(best) == 1 else None
+
+
+def decode_case(b, c, n, count, duplicates, seed):
+    """A book with some rows copied over others and transcripts of three
+    kinds: sent codewords, exact copies of codewords, and uniform noise."""
+    ch = window_channel(b, c)
+    rng = np.random.default_rng(seed)
+    symbols = rng.integers(1, ch.d + 1, size=(count, n), dtype=np.uint8)
+    for _ in range(duplicates):
+        symbols[rng.integers(count)] = symbols[rng.integers(count)]
+    book = Codebook(1.0, n, ch.d, seed, symbols)
+    sent = [
+        leak_message(book.row(rng.integers(count)), rng.random(n) < float(ch.b), ch, rng)
+        for _ in range(4)
+    ]
+    copies = [book.row(rng.integers(count)).astype(np.int64) for _ in range(2)]
+    noise = [rng.integers(1, ch.d + 1, size=n) for _ in range(3)]
+    return ch, book, np.array(sent + copies + noise)
+
+
+class TestBatchedDecode:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        channel=st.sampled_from(DECODE_CHANNELS),
+        n=st.sampled_from([1, 5, 13, 63, 65, 130]),
+        count=st.integers(1, 24),
+        duplicates=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+        block_words=st.sampled_from([1 << 17, 7, 40]),
+        group=st.sampled_from([64, 2]),
+    )
+    def test_matches_brute_force(self, channel, n, count, duplicates, seed, block_words, group):
+        # small blocks and groups put ties and maxima across block and
+        # group boundaries
+        ch, book, transcripts = decode_case(*channel, n, count, duplicates, seed)
+        want = [brute_force_decode(book, t, ch) for t in transcripts]
+        with mock.patch.object(coding, "_BLOCK_WORDS", block_words), \
+                mock.patch.object(coding, "_GROUP", group):
+            assert coding._decode_batch(book, transcripts, ch) == want
+        assert [ml_decode(book, t, ch) for t in transcripts] == want
+
+    def test_popcount_fallback_without_bitwise_count(self, monkeypatch):
+        ch, book, transcripts = decode_case(F(1, 2), F(3, 5), 70, 300, 20, seed=9)
+        words = np.random.default_rng(1).integers(0, 2**63, size=(5, 64), dtype=np.uint64)
+        words[0, :3] = [0, 2**64 - 1, 2**63]
+        want_counts = [[bin(int(w)).count("1") for w in row] for row in words]
+        want = coding._decode_batch(book, transcripts, ch)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert not hasattr(np, "bitwise_count")
+        got_counts = coding._popcount(words, np.empty(words.shape, dtype=np.uint8))
+        assert got_counts.tolist() == want_counts
+        assert coding._decode_batch(book, transcripts, ch) == want
+        assert want == [brute_force_decode(book, t, ch) for t in transcripts]
+
+    def test_bit_planes_of_binary_book_are_its_packed_bits(self):
+        book = random_codebook(6, 70, 2, seed=3)
+        planes = book.bit_planes()
+        assert planes.shape == (1, 2, 64)
+        packed = np.packbits(book.symbols - 1, axis=1)
+        words = np.zeros((64, 16), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        assert np.array_equal(planes[0].T, words.view(np.uint64))
+        assert book.bit_planes() is planes
+
+    def test_rejects_messages_outside_alphabet(self):
+        ch = window_channel(F(1, 4), F(1, 2))  # d = 3
+        book = random_codebook(3, 6, 3, seed=1)
+        for bad in ([0] * 6, [1, 2, 3, 7, 1, 2], [1, 2, 3, -1, 1, 2]):
+            with pytest.raises(ValueError, match="1..3"):
+                ml_decode(book, bad, ch)
+
+    def test_rejects_alphabet_mismatch(self):
+        book = random_codebook(3, 5, 2, seed=2)
+        with pytest.raises(ValueError, match="does not match"):
+            ml_decode(book, [1, 2, 2, 1, 2], window_channel(F(1, 4), F(1, 2)))
+
+
 class TestIndepExperiment:
     def test_rate_zero_never_fails(self):
         rep = run_indep_experiment(F(1, 2), F(2, 3), 0, 20, 50, seed=3)
@@ -282,6 +378,11 @@ class TestIndepExperiment:
             b.tie_errors,
             b.max_posterior_seen,
         )
+
+    def test_wrong_window_posterior_raises(self):
+        with mock.patch.object(coding, "posterior_leak", return_value=F(1, 2)):
+            with pytest.raises(ArithmeticError):
+                run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 20, 5, seed=1)
 
     def test_exact_rate_parsing(self):
         assert exact_rate(0.1) == F(1, 10)
@@ -392,13 +493,18 @@ class TestRatioBound:
         assert rb.argmax_k == 5
 
     def test_matches_direct_fractions(self):
-        for n, l in [(4, 1), (6, 3), (9, 4), (12, 7)]:
-            rb = ratio_bound_check(n, l)
-            lo, hi = max(0, 2 * l - n), min(2 * l, n)
-            ratios = [hyper_binom_ratio(n, l, k) for k in range(lo, hi + 1)]
-            assert rb.max_ratio == max(ratios)
-            assert lo + ratios.index(max(ratios)) == l
-            assert rb.all_at_most_two == all(r <= 2 for r in ratios)
+        # every pair with n <= 40 against the max over all k
+        for n in range(2, 41):
+            for l in range(1, n):
+                lo, hi = max(0, 2 * l - n), min(2 * l, n)
+                ratios = [hyper_binom_ratio(n, l, k) for k in range(lo, hi + 1)]
+                rb = ratio_bound_check(n, l)
+                assert rb.max_ratio == max(ratios), (n, l)
+                assert rb.argmax_k == lo + ratios.index(max(ratios)) == l, (n, l)
+                assert rb.all_at_most_two == all(r <= 2 for r in ratios), (n, l)
+                neighbours = zip(range(lo, hi), ratios, ratios[1:])
+                peak = all(y > x if k < l else y < x for k, x, y in neighbours)
+                assert rb.unique_peak == peak, (n, l)
 
     def test_range_violation(self):
         with pytest.raises(ValueError):
