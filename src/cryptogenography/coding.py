@@ -227,6 +227,14 @@ class Codebook:
     seed: int
     symbols: np.ndarray  # shape (message_count, n), values 1..d
 
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (
+            (self.h_bits, self.n, self.d, self.seed) == (other.h_bits, other.n, other.d, other.seed)
+            and np.array_equal(self.symbols, other.symbols)
+        )
+
     @property
     def message_count(self) -> int:
         return self.symbols.shape[0]

@@ -15,10 +15,7 @@ All interval arithmetic is exact; intervals are half-open [lo, hi).
 
 from __future__ import annotations
 
-import math
 import random
-import statistics
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -37,10 +34,10 @@ from .protocols import (
     LeakScenario,
     ProtocolNode,
     ProtocolTree,
+    _conditional_vector,
+    iter_prefixes,
     non_revealing,
-    prefix_conditionals,
 )
-from .seeds import derive_seed
 
 __all__ = [
     "NO_MESSAGE",
@@ -270,29 +267,21 @@ def informativeness_estimate(
     trials: int,
     seed: int,
 ) -> InformativenessReport:
-    """Monte Carlo decay of the running best-guess product for one player.
+    """Decay of the running best-guess product for one player.
 
     Informative chatter drives prod_k max_m Pr(message_k = m) to zero; a
-    player whose rounds are all point masses keeps it at 1.
+    player whose rounds are all point masses keeps it at 1. Chatter laws
+    are memoryless, so every sampled trajectory has the same product: it is
+    computed once, exactly, and reported as the median, max and min over
+    the trials (``seed`` does not change it).
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    products = []
-    for trial in range(trials):
-        rng = random.Random(derive_seed(seed, trial))
-        prod = 1.0
-        for k in range(horizon):
-            law = channel.law(player, k)
-            prod *= float(max(law.probs))
-            _sample_law(rng, law)  # trajectory draw; laws here are memoryless
-        products.append(prod)
-    return InformativenessReport(
-        trials,
-        horizon,
-        statistics.median(products),
-        max(products),
-        min(products),
-    )
+    product = ONE
+    for k in range(horizon):
+        product *= max(channel.law(player, k).probs)
+    value = float(product)
+    return InformativenessReport(trials, horizon, value, value, value)
 
 
 def _sample_law(rng, law: FiniteDist):
@@ -470,9 +459,6 @@ def equivalence_audit(
     if not non_revealing(tree, scenario):
         raise ValueError("the protocol must be non-revealing to hide among innocents")
 
-    reference = prefix_conditionals(tree, scenario)
-    outcome_keys = scenario.outcome_keys()
-
     decoded: dict = {}
     mismatches = 0
     terminal_paths = 0
@@ -480,6 +466,17 @@ def equivalence_audit(
     if tree.root is None:
         decoded[()] = ONE
         return AuditReport(ONE, ZERO, 0, 1, 0, True, decoded)
+
+    # the protocol's own conditional at every prefix, and the probability
+    # of every complete transcript, from one walk
+    outcome_keys = scenario.outcome_keys()
+    reference = {}
+    transcript_mass = {}
+    for prefix, node, weights in iter_prefixes(tree, scenario):
+        total = sum(weights.values())
+        reference[prefix] = _conditional_vector(weights, outcome_keys, total)
+        if node is None:
+            transcript_mass[prefix] = total
 
     def fresh_entries(node, base):
         entries = {}
@@ -550,8 +547,7 @@ def equivalence_audit(
                     assert commit is None or commit == emitted
                     collapsed[(x, lvec)] = collapsed.get((x, lvec), ZERO) + w2
                 total = sum(collapsed.values())
-                vec = tuple(collapsed.get(k, ZERO) / total for k in outcome_keys)
-                if vec != reference[new_prefix]:
+                if _conditional_vector(collapsed, outcome_keys, total) != reference[new_prefix]:
                     mismatches += 1
                 child = node_cache[prefix].children[emitted]
                 if child is None:
@@ -568,7 +564,7 @@ def equivalence_audit(
     undecoded = sum(sum(e.values()) for e in states.values())
     decoded_total = sum(decoded.values()) if decoded else ZERO
     mass_ok = True
-    for t, p_ref in _full_transcript_masses(tree, scenario).items():
+    for t, p_ref in transcript_mass.items():
         got = decoded.get(t, ZERO)
         if got > p_ref or got < p_ref - undecoded:
             mass_ok = False
@@ -589,13 +585,3 @@ def equivalence_audit(
         err.report = report
         raise err
     return report
-
-
-def _full_transcript_masses(tree: ProtocolTree, scenario: LeakScenario) -> dict:
-    from .protocols import iter_prefixes
-
-    masses: dict = {}
-    for prefix, node, weights in iter_prefixes(tree, scenario):
-        if node is None:
-            masses[prefix] = masses.get(prefix, ZERO) + sum(weights.values())
-    return masses

@@ -25,6 +25,8 @@ from .protocols import (
     DEFAULT_ENUMERATION_BUDGET,
     LeakScenario,
     ProtocolTree,
+    _Tally,
+    _transcript_weights,
     enumerate_joint,
 )
 
@@ -65,45 +67,26 @@ class GameValue:
         }
 
 
-def game_value_from_joint(
-    joint: JointDist,
-    n_players: int,
-    x_axis: str = "X",
-    t_axis: str = "T",
-) -> GameValue:
+def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
     """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly."""
-    t_idx = joint.axis_index(t_axis)
-    x_idx = joint.axis_index(x_axis)
-    l_idx = [joint.axis_index("L%d" % i) for i in range(1, n_players + 1)]
-    x_support = joint.axis_supports[x_idx]
-
-    cell: dict = {}  # (t, x) -> mass
-    leak: dict = {}  # (t, x, i) -> leaking mass
-    for key, p in joint.table.items():
-        t = key[t_idx]
-        x = key[x_idx]
-        cell[(t, x)] = cell.get((t, x), ZERO) + p
-        for i, li in enumerate(l_idx):
-            if key[li] == 1:
-                leak[(t, x, i)] = leak.get((t, x, i), ZERO) + p
-
-    transcripts = tuple(dict.fromkeys(key[t_idx] for key in joint.table))
+    x_support = joint.axis_supports[joint.axis_index("X")]
     succ = ZERO
     frank: dict = {}
     eve: dict = {}
     win_mass: dict = {}
-    for t in transcripts:
+    for t, weights in _transcript_weights(joint, n_players).items():
+        tally = _Tally(weights)
         best_val = None
         best_x = None
         best_eve = None
         for x in x_support:
-            mass = cell.get((t, x), ZERO)
-            if mass == 0:
+            mass = tally.x_mass.get(x)
+            if not mass:
                 continue
-            worst_i = 0
+            worst_i = 1
             worst_post = ZERO
-            for i in range(n_players):
-                post = leak.get((t, x, i), ZERO) / mass
+            for i in range(1, n_players + 1):
+                post = tally.posterior(i, x)
                 if post > worst_post:
                     worst_post = post
                     worst_i = i
@@ -111,7 +94,7 @@ def game_value_from_joint(
             if best_val is None or val > best_val:
                 best_val = val
                 best_x = x
-                best_eve = worst_i + 1
+                best_eve = worst_i
         frank[t] = best_x
         eve[t] = best_eve
         win_mass[t] = best_val

@@ -6,6 +6,12 @@ a leaking speaker uses. Everything downstream (posteriors, equivalence,
 the hunting game, embeddings) is computed from the exact rational joint
 that a (protocol, scenario) pair induces.
 
+The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
+``_Tally``: one pass over a prefix's weights sums the x-mass and the
+per-(player, x) leaking mass, and a lookup divides. ``posteriors``,
+``safety_report``, the transformations and their checks here, and the game
+and the general upper bound elsewhere, all read it from there.
+
 Player indices are 1-based throughout, matching the axis names
 "L1".."Ln". Transcripts are plain tuples of message labels.
 """
@@ -347,6 +353,57 @@ def _descend(node: ProtocolNode, weights: dict, m) -> dict:
     return out
 
 
+class _Tally:
+    """One pass over a prefix's weights: x-mass and per-(player, x) leaking
+    mass, from which ``posterior`` reads Pr(L_i=1 | X=x, prefix).
+
+    Every posterior in the package is read from here. Key order follows
+    the weights, so scans over ``leak_mass`` are deterministic.
+    """
+
+    __slots__ = ("x_mass", "leak_mass")
+
+    def __init__(self, weights: Weights):
+        x_mass: dict = {}
+        leak_mass: dict = {}
+        for (x, lvec), p in weights.items():
+            x_mass[x] = x_mass[x] + p if x in x_mass else p
+            for i, li in enumerate(lvec, 1):
+                if li:
+                    pair = (i, x)
+                    leak_mass[pair] = leak_mass[pair] + p if pair in leak_mass else p
+        self.x_mass = x_mass
+        self.leak_mass = leak_mass
+
+    def posterior(self, player: int, x) -> Optional[Fraction]:
+        """Pr(L_player=1 | X=x, prefix), or None when x has no mass here."""
+        mass = self.x_mass.get(x)
+        if not mass:
+            return None
+        return self.leak_mass.get((player, x), ZERO) / mass
+
+
+def _conditional_vector(weights: Weights, keys, total=None) -> tuple:
+    """The weights normalized over ``keys`` (zero where a key is absent)."""
+    if total is None:
+        total = sum(weights.values())
+    return tuple(weights.get(k, ZERO) / total for k in keys)
+
+
+def _transcript_weights(joint: JointDist, n_players: int) -> dict:
+    """Group an (X, L1..Ln, T) joint by transcript, in first-seen order:
+    t -> {(x, lvec): mass}."""
+    x_idx = joint.axis_index("X")
+    l_idx = tuple(joint.axis_index("L%d" % i) for i in range(1, n_players + 1))
+    t_idx = joint.axis_index("T")
+    groups: dict = {}
+    for key, p in joint.table.items():
+        slot = groups.setdefault(key[t_idx], {})
+        outcome = (key[x_idx], tuple(key[j] for j in l_idx))
+        slot[outcome] = slot[outcome] + p if outcome in slot else p
+    return groups
+
+
 def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario):
     """Depth-first walk over positive-probability prefixes.
 
@@ -414,23 +471,16 @@ def _weights_at_prefix(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple
 
 
 def posteriors(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple) -> PosteriorView:
-    weights = _weights_at_prefix(tree, scenario, prefix)
-    total = sum(weights.values())
-    n = scenario.n_players
+    tally = _Tally(_weights_at_prefix(tree, scenario, prefix))
+    total = sum(tally.x_mass.values())
+    players = range(1, scenario.n_players + 1)
     x_support = scenario.x_support
-    x_mass = {x: ZERO for x in x_support}
-    leak_mass = [ZERO] * n
-    leak_mass_x = {x: [ZERO] * n for x in x_support}
-    for (x, lvec), p in weights.items():
-        x_mass[x] += p
-        for i, li in enumerate(lvec):
-            if li:
-                leak_mass[i] += p
-                leak_mass_x[x][i] += p
-    x_posterior = FiniteDist(x_support, tuple(x_mass[x] / total for x in x_support))
-    leak_probs = tuple(m / total for m in leak_mass)
+    x_posterior = FiniteDist(x_support, tuple(tally.x_mass.get(x, ZERO) / total for x in x_support))
+    leak_probs = tuple(
+        sum(tally.leak_mass.get((i, x), ZERO) for x in tally.x_mass) / total for i in players
+    )
     leak_given_x = {
-        x: tuple(m / x_mass[x] for m in leak_mass_x[x]) for x in x_support if x_mass[x] > 0
+        x: tuple(tally.posterior(i, x) for i in players) for x in x_support if tally.x_mass.get(x)
     }
     return PosteriorView(x_posterior, leak_probs, leak_given_x)
 
@@ -439,11 +489,10 @@ def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     """Map every positive-probability prefix (incl. complete transcripts) to
     the normalized conditional vector over scenario outcomes, canonical order."""
     keys = scenario.outcome_keys()
-    out = {}
-    for prefix, _node, weights in iter_prefixes(tree, scenario):
-        total = sum(weights.values())
-        out[prefix] = tuple(weights.get(k, ZERO) / total for k in keys)
-    return out
+    return {
+        prefix: _conditional_vector(weights, keys)
+        for prefix, _node, weights in iter_prefixes(tree, scenario)
+    }
 
 
 def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
@@ -488,17 +537,10 @@ def posterior_measure(
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     keys = scenario.outcome_keys()
-    t_index = joint.axis_index("T")
-    by_t: dict = {}
-    for key, p in joint.table.items():
-        t = key[t_index]
-        outcome = (key[0], key[1:t_index])
-        slot = by_t.setdefault(t, {})
-        slot[outcome] = slot.get(outcome, ZERO) + p
     measure: dict = {}
-    for t, masses in by_t.items():
+    for masses in _transcript_weights(joint, scenario.n_players).values():
         total = sum(masses.values())
-        vec = tuple(masses.get(k, ZERO) / total for k in keys)
+        vec = _conditional_vector(masses, keys, total)
         measure[vec] = measure.get(vec, ZERO) + total
     return measure
 
@@ -539,18 +581,12 @@ def safety_report(
     for prefix, node, weights in iter_prefixes(tree, scenario):
         if node is not None and not include_prefixes:
             continue
-        x_mass: dict = {}
-        leak_mass: dict = {}
-        for (x, lvec), p in weights.items():
-            x_mass[x] = x_mass.get(x, ZERO) + p
-            for i, li in enumerate(lvec):
-                if li:
-                    leak_mass[(x, i)] = leak_mass.get((x, i), ZERO) + p
-        for (x, i), mass in leak_mass.items():
-            post = mass / x_mass[x]
+        tally = _Tally(weights)
+        for i, x in tally.leak_mass:
+            post = tally.posterior(i, x)
             if post > best:
                 best = post
-                witness = (i + 1, prefix, x)
+                witness = (i, prefix, x)
             if post > c:
                 ok = False
     return SafetyReport(ok, best, witness)
@@ -751,6 +787,21 @@ def bit_probability_report(tree: ProtocolTree, scenario: LeakScenario) -> list:
 # stop-at-c: land posteriors exactly on c before they may cross it
 
 
+def _check_priors(scenario: LeakScenario, cap, cap_name: str) -> None:
+    """Reject a scenario whose prior Pr(L_i=1 | X=x) already exceeds the cap."""
+    prior = _Tally(_scenario_weights(scenario))
+    for i, x in _player_secret_pairs(scenario):
+        post = prior.posterior(i, x)
+        if post is not None and post > cap:
+            raise ValueError(
+                "prior Pr(L%d=1|X=%r) = %s already exceeds %s = %s" % (i, x, post, cap_name, cap)
+            )
+
+
+def _player_secret_pairs(scenario: LeakScenario) -> tuple:
+    return tuple((i, x) for i in range(1, scenario.n_players + 1) for x in scenario.x_support)
+
+
 def stop_at_c(
     tree: ProtocolTree,
     scenario: LeakScenario,
@@ -768,17 +819,8 @@ def stop_at_c(
     c = as_probability(c)
     if not 0 < c < 1:
         raise ValueError("c must be in (0, 1)")
-    n = scenario.n_players
-    xs = scenario.x_support
-    root_weights = _scenario_weights(scenario)
-    for i in range(1, n + 1):
-        for x in xs:
-            prior = _posterior_from_weights(root_weights, i, x)
-            if prior is not None and prior > c:
-                raise ValueError(
-                    "prior Pr(L%d=1|X=%r) = %s exceeds c = %s; no landing prefix can exist"
-                    % (i, x, prior, c)
-                )
+    _check_priors(scenario, c, "c")
+    pairs = _player_secret_pairs(scenario)
     budget = [max_gadgets]
     outcome_order = scenario.outcome_keys()
     memo: dict = {}
@@ -789,77 +831,59 @@ def stop_at_c(
         if len(node.alphabet) != 2:
             raise ValueError("stop_at_c requires binary messages; run binarize first")
         # posteriors only depend on weights up to scale, so normalized
-        # weights key a memo that collapses the gadget's shared subtrees
-        total = sum(weights.values())
-        vec = tuple(weights.get(k, ZERO) / total for k in outcome_order)
-        key = (id(node), landed, vec)
+        # weights key a memo that collapses the gadget's shared subtrees;
+        # each entry holds its node so that the id cannot be reused
+        key = (id(node), landed, _conditional_vector(weights, outcome_order))
         if key in memo:
-            return memo[key]
-        here = set(landed)
-        for i in range(1, n + 1):
-            for x in xs:
-                if _posterior_from_weights(weights, i, x) == c:
-                    here.add((i, x))
-        landed = frozenset(here)
+            return memo[key][1]
+        source = node
+        tally = _Tally(weights)
+        landed = landed.union(pair for pair in tally.leak_mass if tally.posterior(*pair) == c)
         while True:
-            found = _first_problem(node, weights, n, xs, c, landed)
+            found = _first_problem(node, weights, tally, pairs, c, landed)
             if found is None:
                 break
             budget[0] -= 1
             if budget[0] < 0:
                 raise BudgetExceededError("stop_at_c exceeded %d gadget insertions" % max_gadgets)
-            node = _insert_gadget(node, weights, found, c)
+            node = _insert_gadget(node, tally, found, c)
         children = {}
         for m in node.alphabet:
             children[m] = transform(node.children[m], _descend(node, weights, m), landed)
         result = replace(node, children=children)
-        memo[key] = result
+        memo[key] = (source, result)
         return result
 
-    root = transform(tree.root, root_weights, frozenset())
+    root = transform(tree.root, _scenario_weights(scenario), frozenset())
     return ProtocolTree(root, tree_depth(root))
 
 
-def _posterior_from_weights(weights, player, x):
-    num = ZERO
-    den = ZERO
-    for (xx, lvec), p in weights.items():
-        if xx != x:
+def _first_problem(node, weights, tally, pairs, c, landed):
+    """The first unlanded (player, x) below c here that some message pushes
+    above c, as ((player, x, message), children's tallies); None if none.
+    The children are tallied only once some pair is still a candidate."""
+    children = None
+    for i, x in pairs:
+        if (i, x) in landed:
             continue
-        den += p
-        if lvec[player - 1]:
-            num += p
-    if den == 0:
-        return None
-    return num / den
-
-
-def _first_problem(node, weights, n, xs, c, landed=frozenset()):
-    child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-    for i in range(1, n + 1):
-        for x in xs:
-            if (i, x) in landed:
-                continue
-            now = _posterior_from_weights(weights, i, x)
-            if now is None or now >= c:
-                continue
-            for m in node.alphabet:
-                post = _posterior_from_weights(child_weights[m], i, x)
-                if post is not None and post > c:
-                    return (i, x, m)
+        now = tally.posterior(i, x)
+        if now is None or now >= c:
+            continue
+        if children is None:
+            children = {m: _Tally(_descend(node, weights, m)) for m in node.alphabet}
+        for m, child in children.items():
+            post = child.posterior(i, x)
+            if post is not None and post > c:
+                return (i, x, m), children
     return None
 
 
-def _insert_gadget(node, weights, problem, c):
-    i, x, m_star = problem
+def _insert_gadget(node, tally, problem, c):
+    (i, x, m_star), children = problem
     m_low = next(m for m in node.alphabet if m != m_star)
-    w_star = _descend(node, weights, m_star)
-    w_low = _descend(node, weights, m_low)
-    c_star = _posterior_from_weights(w_star, i, x)
-    c_low = _posterior_from_weights(w_low, i, x)
-    mass_x = sum(p for (xx, _), p in weights.items() if xx == x)
-    mass_star = sum(p for (xx, _), p in w_star.items() if xx == x)
-    p_star = mass_star / mass_x
+    c_star = children[m_star].posterior(i, x)
+    c_low = children[m_low].posterior(i, x)
+    p_star = children[m_star].x_mass[x] / tally.x_mass[x]
     q = (c - c_low) / (c_star - c_low)
     assert 0 < p_star < q < 1
     fwd = p_star * (1 - q) / (q * (1 - p_star))
@@ -897,27 +921,28 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
     """Exhaustive scan: every prefix with posterior > c has an ancestor prefix
     (possibly the empty one) with posterior exactly c, for every (player, x)."""
     c = as_probability(c)
-    n = scenario.n_players
+    pairs = _player_secret_pairs(scenario)
     ok = True
 
     def visit(node, weights, landed):
         nonlocal ok
-        posts = {}
-        for i in range(1, n + 1):
-            for x in scenario.x_support:
-                post = _posterior_from_weights(weights, i, x)
-                if post is None:
-                    continue
-                posts[(i, x)] = post
-                if post > c and (i, x) not in landed:
-                    ok = False
-        new_landed = landed | {k for k, v in posts.items() if v == c}
+        tally = _Tally(weights)
+        here = set()
+        for pair in pairs:
+            post = tally.posterior(*pair)
+            if post is None:
+                continue
+            if post > c and pair not in landed:
+                ok = False
+            if post == c:
+                here.add(pair)
+        landed = landed | here
         if node is None:
             return
         for m in node.alphabet:
             w2 = _descend(node, weights, m)
             if w2:
-                visit(node.children[m], w2, new_landed)
+                visit(node.children[m], w2, landed)
 
     visit(tree.root, _scenario_weights(scenario), frozenset())
     return ok
@@ -925,6 +950,26 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
 
 # ---------------------------------------------------------------------------
 # pretend ignorance: absorbing switch to innocent play before a crossing
+
+
+def _ignorance_step(node, weights, ignoring, c_prime, players):
+    """One node of the ignorance switch: the children's weights and, per
+    secret x, whether x's knowers play innocently from this node on. The
+    switch is absorbing and fires when some message would push some
+    Pr(L_i=1 | T, X=x) strictly above c'."""
+    child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
+    tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
+    switch = {
+        x: ignored
+        or any(
+            tally.posterior(i, x) > c_prime
+            for tally in tallies
+            if tally.x_mass.get(x)
+            for i in players
+        )
+        for x, ignored in ignoring.items()
+    }
+    return child_weights, switch
 
 
 def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
@@ -940,48 +985,18 @@ def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> Pr
     c_prime = as_probability(c_prime)
     if not 0 < c_prime < 1:
         raise ValueError("c_prime must be in (0, 1)")
-    n = scenario.n_players
-    xs = scenario.x_support
-    root_weights = _scenario_weights(scenario)
-    for i in range(1, n + 1):
-        for x in xs:
-            prior = _posterior_from_weights(root_weights, i, x)
-            if prior is not None and prior > c_prime:
-                raise ValueError(
-                    "prior Pr(L%d=1|X=%r) = %s already exceeds c' = %s" % (i, x, prior, c_prime)
-                )
+    _check_priors(scenario, c_prime, "c'")
+    players = range(1, scenario.n_players + 1)
 
     def build(node, weights, ignoring):
         if node is None:
             return None
-        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-        new_ignoring = {}
-        for x in xs:
-            if ignoring.get(x, False):
-                new_ignoring[x] = True
-                continue
-            trigger = False
-            for m in node.alphabet:
-                w2 = child_weights[m]
-                if not any(xx == x for (xx, _) in w2):
-                    continue
-                for i in range(1, n + 1):
-                    post = _posterior_from_weights(w2, i, x)
-                    if post is not None and post > c_prime:
-                        trigger = True
-                        break
-                if trigger:
-                    break
-            new_ignoring[x] = trigger
-        p_leak = {
-            x: (node.p_innocent if new_ignoring.get(x, False) else node.p_leak[x]) for x in xs
-        }
-        children = {
-            m: build(node.children[m], child_weights[m], new_ignoring) for m in node.alphabet
-        }
+        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
+        p_leak = {x: node.p_innocent if off else node.p_leak[x] for x, off in switch.items()}
+        children = {m: build(node.children[m], child_weights[m], switch) for m in node.alphabet}
         return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
 
-    root = build(tree.root, root_weights, {})
+    root = build(tree.root, _scenario_weights(scenario), dict.fromkeys(scenario.x_support, False))
     return ProtocolTree(root, tree_depth(root))
 
 
@@ -993,37 +1008,21 @@ def pretend_ignorance_trigger_mass(tree: ProtocolTree, scenario: LeakScenario, c
     the extra decode-failure mass of the safe variant.
     """
     c_prime = as_probability(c_prime)
-    n = scenario.n_players
+    players = range(1, scenario.n_players + 1)
     xs = scenario.x_support
     fired = {x: ZERO for x in xs}
-    x_prior = {x: scenario.joint.prob_event({"X": x}) for x in xs}
+    root_weights = _scenario_weights(scenario)
+    x_prior = _Tally(root_weights).x_mass
 
     def visit(node, weights, ignoring):
         if node is None:
             return
-        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-        new_ignoring = {}
+        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
         for x in xs:
-            if ignoring.get(x, False):
-                new_ignoring[x] = True
-                continue
-            trigger = False
-            for m in node.alphabet:
-                w2 = child_weights[m]
-                if not any(xx == x for (xx, _) in w2):
-                    continue
-                for i in range(1, n + 1):
-                    post = _posterior_from_weights(w2, i, x)
-                    if post is not None and post > c_prime:
-                        trigger = True
-                        break
-                if trigger:
-                    break
-            if trigger:
+            if switch[x] and not ignoring[x]:
                 fired[x] += sum(p for (xx, _), p in weights.items() if xx == x)
-            new_ignoring[x] = trigger
         for m in node.alphabet:
-            visit(node.children[m], child_weights[m], new_ignoring)
+            visit(node.children[m], child_weights[m], switch)
 
-    visit(tree.root, _scenario_weights(scenario), {})
-    return {x: (fired[x] / x_prior[x] if x_prior[x] > 0 else ZERO) for x in xs}
+    visit(tree.root, root_weights, dict.fromkeys(xs, False))
+    return {x: (fired[x] / x_prior[x] if x_prior.get(x) else ZERO) for x in xs}

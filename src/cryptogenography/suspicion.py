@@ -30,6 +30,9 @@ from .protocols import (
     DEFAULT_ENUMERATION_BUDGET,
     LeakScenario,
     ProtocolTree,
+    _Tally,
+    _scenario_weights,
+    _transcript_weights,
     enumerate_joint,
     iter_prefixes,
 )
@@ -358,14 +361,13 @@ def check_general_upper_bound(
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
+    prior = _Tally(_scenario_weights(scenario))
     b = None
     for i in range(1, n + 1):
-        axis = "L%d" % i
         for x in scenario.x_support:
-            x_mass = joint.prob_event({"X": x})
-            if x_mass == 0:
+            bx = prior.posterior(i, x)
+            if bx is None:
                 continue
-            bx = joint.prob_event({"X": x, axis: 1}) / x_mass
             if b is None:
                 b = bx
             elif bx != b:
@@ -374,16 +376,11 @@ def check_general_upper_bound(
                 )
     if b is None or b == 0:
         raise ValueError("premise violated: no leaking mass")
-    t_idx = joint.axis_index("T")
-    cell: dict = {}
-    leak: dict = {}
-    for key, p in joint.table.items():
-        for i in range(1, n + 1):
-            tx = (key[t_idx], key[0], i)
-            cell[tx] = cell.get(tx, ZERO) + p
-            if key[i] == 1:
-                leak[tx] = leak.get(tx, ZERO) + p
-    max_post = max((leak[tx] / cell[tx] for tx in leak), default=ZERO)
+    max_post = ZERO
+    for weights in _transcript_weights(joint, n).values():
+        tally = _Tally(weights)
+        for pair in tally.leak_mass:
+            max_post = max(max_post, tally.posterior(*pair))
     if c is None:
         c = max_post
     else:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,8 @@ from cryptogenography.coding import window_channel, window_protocol, window_scen
 from cryptogenography.embedding import InnocentChannel
 from cryptogenography.probability import FiniteDist
 from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree
+
+from genutil import random_protocol, random_scenario
 
 F = Fraction
 
@@ -288,6 +291,49 @@ def test_golden_report_digest(tmp_path, name):
     out = tmp_path / "report.json"
     assert run_cli(golden_cases(tmp_path)[name], out_path=out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]
+
+
+def protocol_golden_cases(tmp_path):
+    """name -> argv of `verify --c` and `game` runs on the n=3 window instance
+    and two seeded random deep protocols, one on a random scenario and one
+    on an independent scenario (so the general upper bound is not skipped)."""
+    ch = window_channel(F(1, 2), F(2, 3))
+    instances = {"window3": (window_protocol(ch, 3), window_scenario(ch, 3))}
+    rng = random.Random(31)
+    sc = random_scenario(rng, n_players=3)
+    instances["deep-random"] = (random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    rng = random.Random(34)
+    sc = LeakScenario.independent(FiniteDist.uniform((0, 1, 2)), 3, F(1, 3))
+    instances["deep-indep"] = (random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    cases = {}
+    for name, (pi, sc) in instances.items():
+        p = tmp_path / ("%s-protocol.json" % name)
+        s = tmp_path / ("%s-scenario.json" % name)
+        p.write_text(json.dumps(pi.to_jsonable()))
+        s.write_text(json.dumps(sc.to_jsonable()))
+        files = ["--protocol", str(p), "--scenario", str(s)]
+        cases["verify-" + name] = ["verify"] + files + ["--c", "3/4"]
+        cases["game-" + name] = ["game"] + files
+    return cases
+
+
+# sha256 of each report, recorded before the posterior tallies were folded
+# into one helper: the verify and game reports must not move
+PROTOCOL_GOLDEN = {
+    "game-deep-indep": "f5995909efc034c08737c110fc77bc59c067dfbaa63eaee63978f01e01bd1f3e",
+    "game-deep-random": "839ee5f1c67fcbca648fe3232c787a137375b2291f3e3e814b965140bb01063f",
+    "game-window3": "e32b30168d18b93a88d94e54954811b68480ba3543ec5bccb46253f07a8fcb0a",
+    "verify-deep-indep": "8e0618371ded090eb93e12192c9b442025e84eb8f1e3656a935bfca89ad9bbed",
+    "verify-deep-random": "1b5bde25defb7c0896100454c6f9b535e46e95a8c2a49910611f7f41909d1f19",
+    "verify-window3": "5f80dba40657eacfafea38817100a788275651f1172c4c44e35ef397d8ef86b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_GOLDEN))
+def test_protocol_golden_report_digest(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert run_cli(protocol_golden_cases(tmp_path)[name], out_path=out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PROTOCOL_GOLDEN[name]
 
 
 class TestBudgetErrors:

@@ -216,6 +216,19 @@ class TestCodebook:
         again = Codebook.from_jsonable(data)
         assert np.array_equal(book.symbols, again.symbols)
 
+    def test_equality(self):
+        # the dataclass default compared the symbol arrays inside a tuple
+        # comparison and raised "truth value of an array is ambiguous"
+        book = random_codebook(3, 5, 2, 1)
+        assert book == random_codebook(3, 5, 2, 1)
+        assert book != random_codebook(3, 5, 2, 2)
+        assert book != random_codebook(3, 6, 2, 1)
+        flipped = random_codebook(3, 5, 2, 1)
+        flipped.symbols[0, 0] = 3 - flipped.symbols[0, 0]
+        assert book != flipped
+        assert book != "book"
+        assert Codebook.from_jsonable(book.to_jsonable()) == book
+
 
 class TestMlDecode:
     def test_exact_codeword(self):

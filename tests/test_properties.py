@@ -3,6 +3,8 @@ small-denominator rationals so every generated case keeps knife-edge
 comparisons decidable."""
 
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -18,9 +20,18 @@ from cryptogenography.coding import (
     window_params,
 )
 from cryptogenography.embedding import Interval, f_partition, g_partition
-from cryptogenography.game import asymptotic_lower_rate
+from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information
+from cryptogenography.protocols import (
+    ProtocolTree,
+    enumerate_joint,
+    iter_prefixes,
+    posteriors,
+    safety_report,
+)
 from cryptogenography.suspicion import check_listener_monotone, check_single_message
+
+from genutil import random_protocol, random_scenario
 
 F = Fraction
 
@@ -150,3 +161,79 @@ def test_game_rate_identity(k):
     assert math.isclose(
         asymptotic_lower_rate(p), fixed_capacity(1 - p), rel_tol=0, abs_tol=1e-12
     )
+
+
+def _truncated(node, depth):
+    """The protocol cut after ``depth`` messages."""
+    if node is None or depth == 0:
+        return None
+    return replace(node, children={m: _truncated(c, depth - 1) for m, c in node.children.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=2, max_value=3),
+    st.sampled_from([F(1, 2), F(2, 3), F(3, 4)]),
+)
+def test_posterior_tally_matches_brute_force(seed, n_players, n_x, c):
+    """posteriors at every prefix, the safety maximum and the game's
+    decisions agree with the same quantities read off the enumerated joint
+    one event at a time. A prefix of length k is a complete transcript of
+    the protocol cut after k messages."""
+    rng = random.Random(seed)
+    sc = random_scenario(rng, n_players=n_players, n_x=n_x)
+    pi = random_protocol(rng, sc, max_depth=3, non_revealing_only=rng.random() < 0.5)
+    players = range(1, n_players + 1)
+    joints = {}
+
+    def leak_given_x(joint, t, i, x):
+        mass = joint.prob_event({"T": t, "X": x})
+        return None if mass == 0 else joint.prob_event({"T": t, "X": x, "L%d" % i: 1}) / mass
+
+    worst = F(0)
+    worst_complete = F(0)
+    for prefix, node, _weights in iter_prefixes(pi, sc):
+        k = len(prefix)
+        if k not in joints:
+            joints[k] = enumerate_joint(ProtocolTree(_truncated(pi.root, k)), sc)
+        joint = joints[k]
+        p_t = joint.prob_event({"T": prefix})
+        view = posteriors(pi, sc, prefix)
+        for x in sc.x_support:
+            assert view.x_posterior.prob(x) == joint.prob_event({"T": prefix, "X": x}) / p_t
+            given_x = tuple(leak_given_x(joint, prefix, i, x) for i in players)
+            if given_x[0] is None:
+                assert x not in view.leak_probs_given_x
+                continue
+            assert view.leak_probs_given_x[x] == given_x
+            worst = max(worst, *given_x)
+            if node is None:
+                worst_complete = max(worst_complete, *given_x)
+        for i in players:
+            assert view.leak_probs[i - 1] == joint.prob_event({"T": prefix, "L%d" % i: 1}) / p_t
+    every = safety_report(pi, sc, c, include_prefixes=True)
+    assert every.max_posterior == worst and every.ok == (worst <= c)
+    assert safety_report(pi, sc, c).max_posterior == worst_complete
+
+    joint = enumerate_joint(pi, sc)
+    value = game_value_from_joint(joint, n_players)
+    transcripts = joint.axis_supports[joint.axis_index("T")]
+    assert list(value.frank_guess) == list(transcripts)
+
+    def win(t, x):
+        mass = joint.prob_event({"T": t, "X": x})
+        if mass == 0:
+            return None
+        return mass * (1 - max(leak_given_x(joint, t, i, x) for i in players))
+
+    for t in transcripts:
+        wins = [w for w in (win(t, x) for x in sc.x_support) if w is not None]
+        frank = value.frank_guess[t]
+        assert value.win_by_transcript[t] == win(t, frank) == max(wins)
+        eve = value.eve_guess[t]
+        assert leak_given_x(joint, t, eve, frank) == max(
+            leak_given_x(joint, t, i, frank) for i in players
+        )
+    assert value.succ == sum(value.win_by_transcript.values())

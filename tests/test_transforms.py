@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.game import succ_of_protocol
-from cryptogenography.probability import FiniteDist, mutual_information
+from cryptogenography.probability import FiniteDist, fraction_to_jsonable, mutual_information
 from cryptogenography.protocols import (
     LeakScenario,
     ProtocolNode,
@@ -288,3 +290,58 @@ class TestEquivalentProtocolsSameGameValue:
                 succ_of_protocol(pi, coin_scenario).succ
                 == succ_of_protocol(out, coin_scenario).succ
             )
+
+
+def distinct_nodes(tree):
+    seen = {}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.children.values())
+    return len(seen)
+
+
+def test_stop_at_c_sharing_repeats():
+    # the memo must key on nodes it keeps alive: a memo entry for a freed
+    # gadget node whose id is reused would share a subtree that a fresh
+    # call builds anew, so the output's node objects would vary by call
+    rng = random.Random(8)
+    sc = random_scenario(rng, n_players=2)
+    pi = binarize(random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    first = stop_at_c(pi, sc, F(3, 5))
+    # free some node-sized blocks and keep others, so that the second call
+    # allocates its gadget nodes at other addresses than the first
+    kept = [binarize(pi, sc) for _ in range(5)][::2]
+    second = stop_at_c(pi, sc, F(3, 5))
+    assert len(kept) == 3 and equivalent(first, second, sc)
+    assert distinct_nodes(first) == distinct_nodes(second) == 57
+
+
+def transform_golden_batch():
+    """Canonical JSON of stop_at_c and pretend_ignorance outputs and the
+    trigger masses on a fixed batch of small random protocols."""
+    rng = random.Random(2024)
+    caps = [F(3, 5), F(2, 3), F(3, 4), F(4, 5)]
+    records = []
+    for k in range(20):
+        sc = random_scenario(rng, n_players=2 + k % 2)
+        pi = binarize(random_protocol(rng, sc, max_depth=3), sc)
+        c = caps[k % len(caps)]
+        record = {}
+        for name, transform in (("stop_at_c", stop_at_c), ("pretend_ignorance", pretend_ignorance)):
+            try:
+                record[name] = transform(pi, sc, c).to_jsonable()
+            except ValueError:
+                record[name] = "prior above cap"
+        mass = pretend_ignorance_trigger_mass(pi, sc, c)
+        record["trigger_mass"] = [[x, fraction_to_jsonable(m)] for x, m in mass.items()]
+        records.append(record)
+    return json.dumps(records, sort_keys=True)
+
+
+def test_transform_golden_digest():
+    # recorded before the posterior tallies were folded into one helper
+    digest = hashlib.sha256(transform_golden_batch().encode()).hexdigest()
+    assert digest == "ba62f42f861428a260f95249547fb09c9875225a04272e6dcbc2cb68cebd84ce"
