@@ -24,7 +24,8 @@ from .probability import (
     FiniteDist,
     ZERO,
     ONE,
-    as_probability,
+    _sample,
+    fraction_from_jsonable,
     fraction_to_jsonable,
     label_to_jsonable,
     label_from_jsonable,
@@ -35,6 +36,7 @@ from .protocols import (
     ProtocolNode,
     ProtocolTree,
     _conditional_vector,
+    _scenario_weights,
     iter_prefixes,
     non_revealing,
 )
@@ -147,7 +149,7 @@ class InnocentChannel:
         def law_of(entry):
             return int(entry["player"]), FiniteDist(
                 tuple(label_from_jsonable(m) for m in entry["alphabet"]),
-                tuple(Fraction(p["num"], p["den"]) for p in entry["probs"]),
+                tuple(fraction_from_jsonable(p) for p in entry["probs"]),
             )
 
         rounds = []
@@ -212,34 +214,38 @@ def interpret_step(
     if innocent_law.prob(message) == 0:
         raise ValueError("message %r is not in the speaker's current alphabet" % (message,))
     cell = g_partition(state.interval, innocent_law)[message]
+    emitted = _emitted(f_cells, cell)
+    if emitted is None:
+        return replace(state, interval=cell)
+    return replace(state, pi_transcript=state.pi_transcript + (emitted,), interval=UNIT)
+
+
+def _emitted(f_cells: Mapping, cell: Interval):
+    """The protocol message whose f-cell contains ``cell``, or None."""
     for protocol_message, f_cell in f_cells.items():
         if f_cell.contains(cell):
-            return replace(
-                state,
-                pi_transcript=state.pi_transcript + (protocol_message,),
-                interval=UNIT,
-            )
-    return replace(state, interval=cell)
+            return protocol_message
+    return None
+
+
+def _leaker_law(alpha: Interval, g_cells: Mapping) -> dict:
+    """A leaking speaker's next chatter message given the alpha interval:
+    message -> (|cell & alpha| / |alpha|, cell & alpha), for every g-cell
+    that meets alpha. ``compose_run`` samples it; the audit expands it."""
+    law = {}
+    for message, cell in g_cells.items():
+        overlap = cell.intersect(alpha)
+        if overlap is not None:
+            law[message] = (overlap.length / alpha.length, overlap)
+    return law
 
 
 def embed_leaker_step(rng, alpha: Interval, g_cells: Mapping):
     """One chatter message from a leaking speaker, lazily conditioned on the
     never-materialized uniform point alpha. Returns (message, new alpha)."""
-    weights = []
-    for message, cell in g_cells.items():
-        overlap = cell.intersect(alpha)
-        if overlap is not None:
-            weights.append((message, overlap))
-    if not weights:
-        raise AssertionError("alpha interval has no overlap with any g-cell")
-    total = alpha.length
-    r = rng.random()
-    acc = 0.0
-    for message, overlap in weights:
-        acc += float(overlap.length / total)
-        if r < acc:
-            return message, overlap
-    return weights[-1]
+    law = _leaker_law(alpha, g_cells)
+    message = _sample(rng, ((m, q) for m, (q, _overlap) in law.items()))
+    return message, law[message][1]
 
 
 @dataclass
@@ -284,16 +290,6 @@ def informativeness_estimate(
     return InformativenessReport(trials, horizon, value, value, value)
 
 
-def _sample_law(rng, law: FiniteDist):
-    r = rng.random()
-    acc = 0.0
-    for label, p in law.items():
-        acc += float(p)
-        if r < acc:
-            return label
-    return law.support[-1]
-
-
 @dataclass
 class ComposeResult:
     x: object
@@ -320,7 +316,7 @@ def compose_run(
     if not non_revealing(tree, scenario):
         raise ValueError("the protocol must be non-revealing to hide among innocents")
     rng = random.Random(seed)
-    x, lvec = _sample_outcome(rng, scenario)
+    x, lvec = _sample(rng, scenario.outcomes())
 
     node = tree.root
     state = InterpreterState(
@@ -348,7 +344,7 @@ def compose_run(
                 g_cells = g_partition(state.interval, law)
                 message, alpha = embed_leaker_step(rng, alpha, g_cells)
             else:
-                message = _sample_law(rng, law)
+                message = _sample(rng, law.items())
             if player == state.speaker:
                 speaker_message = message
             row.append(message)
@@ -374,22 +370,8 @@ def compose_run(
     )
 
 
-def _sample_outcome(rng, scenario: LeakScenario):
-    r = rng.random()
-    acc = 0.0
-    last = None
-    for (x, lvec), p in scenario.outcomes():
-        last = (x, lvec)
-        acc += float(p)
-        if r < acc:
-            return x, lvec
-    return last
-
-
 def _draw_commitment(rng, node: ProtocolNode, x, f_cells) -> Interval:
-    law = node.p_leak[x]
-    a = _sample_law(rng, law)
-    return f_cells[a]
+    return f_cells[_sample(rng, node.p_leak[x].items())]
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +462,16 @@ def equivalence_audit(
 
     def fresh_entries(node, base):
         entries = {}
-        f_cells = f_partition(node.p_innocent)
         for (x, lvec), w in base.items():
-            if w == 0:
-                continue
             if lvec[node.speaker - 1]:
-                law = node.p_leak[x]
-                for a, q in law.items():
+                for a, q in node.p_leak[x].items():
                     if q > 0:
-                        entries[(x, lvec, a)] = entries.get((x, lvec, a), ZERO) + w * q
+                        entries[(x, lvec, a)] = w * q
             else:
-                entries[(x, lvec, None)] = entries.get((x, lvec, None), ZERO) + w
-        return entries, f_cells
+                entries[(x, lvec, None)] = w
+        return entries, f_partition(node.p_innocent)
 
-    base = {(x, lvec): p for (x, lvec), p in scenario.outcomes()}
-    root_entries, root_cells = fresh_entries(tree.root, base)
+    root_entries, root_cells = fresh_entries(tree.root, _scenario_weights(scenario))
     # state key: (pi prefix, interval); value: {(x, lvec, commitment): mass}
     states = {((), UNIT): root_entries}
     f_cache = {(): root_cells}
@@ -511,26 +488,23 @@ def equivalence_audit(
             f_cells = f_cache[prefix]
             law = channel.law(node.speaker, r)
             g_cells = g_partition(interval, law)
+            # a committed entry only reaches a state through a positive
+            # overlap, so its alpha (f-cell & interval) is never empty
+            leaker_laws = {}
+            for _x, _lvec, commit in entries:
+                if commit is not None and commit not in leaker_laws:
+                    alpha = f_cells[commit].intersect(interval)
+                    leaker_laws[commit] = _leaker_law(alpha, g_cells)
             for message, cell in g_cells.items():
-                emitted = None
-                for a, f_cell in f_cells.items():
-                    if f_cell.contains(cell):
-                        emitted = a
-                        break
+                emitted = _emitted(f_cells, cell)
+                innocent_q = law.prob(message)
                 moved: dict = {}
-                for (x, lvec, commit), w in entries.items():
+                for key, w in entries.items():
+                    commit = key[2]
                     if commit is None:
-                        q = law.prob(message)
-                    else:
-                        alpha = f_cells[commit].intersect(interval)
-                        overlap = cell.intersect(alpha) if alpha is not None else None
-                        if alpha is None or overlap is None:
-                            continue
-                        q = overlap.length / alpha.length
-                    w2 = w * q
-                    if w2 == 0:
-                        continue
-                    moved[(x, lvec, commit)] = moved.get((x, lvec, commit), ZERO) + w2
+                        moved[key] = w * innocent_q
+                    elif message in leaker_laws[commit]:
+                        moved[key] = w * leaker_laws[commit][message][0]
                 if not moved:
                     continue
                 if emitted is None:
@@ -549,7 +523,7 @@ def equivalence_audit(
                 total = sum(collapsed.values())
                 if _conditional_vector(collapsed, outcome_keys, total) != reference[new_prefix]:
                     mismatches += 1
-                child = node_cache[prefix].children[emitted]
+                child = node.children[emitted]
                 if child is None:
                     decoded[new_prefix] = decoded.get(new_prefix, ZERO) + total
                     continue

@@ -111,24 +111,11 @@ class FiniteDist:
         support = tuple(support)
         return cls(support, tuple(ONE if s == label else ZERO for s in support))
 
-    @classmethod
-    def from_weights(cls, weighted: Mapping) -> "FiniteDist":
-        """Normalize a label -> weight mapping (weights exact, not all zero)."""
-        labels = tuple(weighted)
-        weights = [Fraction(weighted[s]) for s in labels]
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        return cls(labels, tuple(w / total for w in weights))
-
     def prob(self, label) -> Fraction:
         try:
             return self.probs[self._index[label]]
         except KeyError:
             raise ValueError("label %r not in support" % (label,)) from None
-
-    def positive_support(self) -> tuple:
-        return tuple(s for s, p in zip(self.support, self.probs) if p > 0)
 
     def items(self):
         return zip(self.support, self.probs)
@@ -269,13 +256,27 @@ class JointDist:
         return self.condition(assignment).marginal_dist(axis)
 
     def to_jsonable(self) -> dict:
-        return {
+        """The positive entries, plus ``axis_supports`` when some label has
+        no positive entry, which reading the table alone would drop.
+
+        Files without zero-mass labels are written as before; a support
+        whose labels all have mass reads back in first-seen table order.
+        """
+        data = {
             "axes": list(self.axes),
             "table": [
                 {"key": [label_to_jsonable(x) for x in key], "p": fraction_to_jsonable(p)}
                 for key, p in self.table.items()
             ],
         }
+        implied = tuple(
+            tuple(dict.fromkeys(key[i] for key in self.table)) for i in range(len(self.axes))
+        )
+        if any(len(seen) < len(sup) for seen, sup in zip(implied, self.axis_supports)):
+            data["axis_supports"] = [
+                [label_to_jsonable(x) for x in sup] for sup in self.axis_supports
+            ]
+        return data
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "JointDist":
@@ -283,7 +284,10 @@ class JointDist:
             tuple(label_from_jsonable(x) for x in row["key"]): fraction_from_jsonable(row["p"])
             for row in data["table"]
         }
-        return cls(tuple(data["axes"]), table)
+        supports = data.get("axis_supports")
+        if supports is not None:
+            supports = [[label_from_jsonable(x) for x in sup] for sup in supports]
+        return cls(tuple(data["axes"]), table, axis_supports=supports)
 
 
 def _axes_tuple(axes) -> tuple:
@@ -366,6 +370,26 @@ def fano_lower_bound(h_cond: float, support_size: int) -> float:
 
 def fraction_to_jsonable(p: Fraction) -> dict:
     return {"num": p.numerator, "den": p.denominator}
+
+
+def _sample(rng, weighted):
+    """One exact draw from (label, weight) pairs, weights exact and >= 0.
+
+    The positive weights are scaled to integers over their common
+    denominator; one ``rng.randrange`` over their total picks the label by
+    integer cumulative sums, so a zero-weight label is never drawn. Every
+    draw from an exact law (``simulate``, ``compose_run``) goes through here.
+    """
+    pairs = [(label, w) for label, w in weighted if w > 0]
+    if not pairs:
+        raise ValueError("nothing to draw: no label has positive weight")
+    den = math.lcm(*(w.denominator for _, w in pairs))
+    scaled = [(label, w.numerator * (den // w.denominator)) for label, w in pairs]
+    r = rng.randrange(sum(n for _, n in scaled))
+    for label, n in scaled:
+        if r < n:
+            return label
+        r -= n
 
 
 def fraction_from_jsonable(data) -> Fraction:

@@ -29,6 +29,7 @@ from .probability import (
     JointDist,
     ZERO,
     ONE,
+    _sample,
     as_probability,
     fraction_to_jsonable,
     fraction_from_jsonable,
@@ -498,23 +499,11 @@ def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
 def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
     """Sample (x, lvec, transcript); deterministic for a given seed."""
     rng = random.Random(seed)
-
-    def draw(pairs):
-        r = rng.random()
-        acc = 0.0
-        pairs = list(pairs)
-        for label, p in pairs:
-            acc += float(p)
-            if r < acc:
-                return label
-        return pairs[-1][0]
-
-    x, lvec = draw(scenario.outcomes())
+    x, lvec = _sample(rng, scenario.outcomes())
     node = tree.root
     transcript = []
     while node is not None:
-        law = node.law(x, lvec[node.speaker - 1])
-        m = draw(law.items())
+        m = _sample(rng, node.law(x, lvec[node.speaker - 1]).items())
         transcript.append(m)
         node = node.children[m]
     return x, lvec, tuple(transcript)

@@ -204,6 +204,25 @@ class TestEmbed:
         assert data["audit"]["ok"] is True
         assert data["run"]["decoded"] is not None
 
+    def test_channel_probabilities_as_strings(self, tmp_path):
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        law = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
+        node = ProtocolNode(1, ("a1", "a2"), law, {0: law, 1: law}, {"a1": None, "a2": None})
+        p = tmp_path / "p.json"
+        s = tmp_path / "s.json"
+        c = tmp_path / "c.json"
+        p.write_text(json.dumps(ProtocolTree(node).to_jsonable()))
+        s.write_text(json.dumps(sc.to_jsonable()))
+        c.write_text(json.dumps({
+            "players": 1,
+            "rounds": [{"player": 1, "alphabet": ["m1", "m2"], "probs": ["1/3", "2/3"]}],
+        }))
+        out = tmp_path / "embed.json"
+        args = ["embed", "--protocol", str(p), "--scenario", str(s), "--channel", str(c),
+                "--audit-depth", "60"]
+        assert run_cli(args, out) == 0
+        assert json.loads(out.read_text())["audit"]["ok"] is True
+
 
 class TestDecode:
     def test_roundtrip(self, tmp_path):
@@ -334,6 +353,55 @@ def test_protocol_golden_report_digest(tmp_path, name):
     out = tmp_path / "report.json"
     assert run_cli(protocol_golden_cases(tmp_path)[name], out_path=out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PROTOCOL_GOLDEN[name]
+
+
+def embed_golden_cases(tmp_path):
+    """name -> argv of `embed --audit-depth` runs on the figure instance of
+    TestEmbed and on the n=2 window instance under (1/3, 2/3) chatter."""
+    sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+    p_inn = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
+    p0 = FiniteDist(("a1", "a2"), (F(1), F(0)))
+    p1 = FiniteDist(("a1", "a2"), (F(1, 5), F(4, 5)))
+    node = ProtocolNode(1, ("a1", "a2"), p_inn, {0: p0, 1: p1}, {"a1": None, "a2": None})
+    law = FiniteDist(("m1", "m2"), (F(3, 5), F(2, 5)))
+    ch = window_channel(F(1, 2), F(2, 3))
+    chatter = FiniteDist(("u", "v"), (F(1, 3), F(2, 3)))
+    instances = {
+        "figure": (ProtocolTree(node), sc, InnocentChannel(1, ({1: law},), True), "60"),
+        "window2": (
+            window_protocol(ch, 2),
+            window_scenario(ch, 2),
+            InnocentChannel(2, ({1: chatter, 2: chatter},), True),
+            "40",
+        ),
+    }
+    cases = {}
+    for name, (pi, scenario, channel, depth) in instances.items():
+        files = []
+        for part, obj in (("protocol", pi), ("scenario", scenario), ("channel", channel)):
+            path = tmp_path / ("%s-%s.json" % (name, part))
+            path.write_text(json.dumps(obj.to_jsonable()))
+            files += ["--" + part, str(path)]
+        cases[name] = ["embed"] + files + ["--seed", "5", "--audit-depth", depth]
+    return cases
+
+
+# sha256 of the `audit` object of each embed report, recorded before the
+# samplers and the leaker step law were folded: the sampled `run` may move
+# with the random stream, the exact audit must not
+EMBED_AUDIT_GOLDEN = {
+    "figure": "ae8c782b43c2ea023cc3b6b1fe281b9e99bb215e9e15185dca9f5f8a49aea5bf",
+    "window2": "adc1149d7fd5064948ffddf5a93159841cc3a509b7de2ec1c77a2552ca67fcce",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_AUDIT_GOLDEN))
+def test_embed_audit_golden_digest(tmp_path, name):
+    out = tmp_path / "report.json"
+    assert run_cli(embed_golden_cases(tmp_path)[name], out_path=out) == 0
+    audit = json.loads(out.read_text())["audit"]
+    text = json.dumps(audit, sort_keys=True, indent=2, ensure_ascii=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBED_AUDIT_GOLDEN[name]
 
 
 class TestBudgetErrors:

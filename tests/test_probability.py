@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cryptogenography.probability import (
     FiniteDist,
     JointDist,
+    _sample,
     conditional_mutual_information,
     cross_entropy_gap,
     entropy,
@@ -258,9 +259,61 @@ class TestJointDist:
         assert back == j
         assert back.axis_supports == j.axis_supports
 
+    def test_json_keeps_zero_mass_labels(self):
+        # X=2 and Y="b" carry no mass: the table alone would drop them
+        j = JointDist(
+            ("X", "Y"),
+            {(0, "a"): F(1, 2), (1, "a"): F(1, 2), (2, "b"): F(0)},
+            axis_supports=((0, 1, 2), ("a", "b")),
+        )
+        data = j.to_jsonable()
+        assert data["axis_supports"] == [[0, 1, 2], ["a", "b"]]
+        back = JointDist.from_jsonable(data)
+        assert back == j
+        assert back.axis_supports == j.axis_supports
+
+    def test_json_omits_supports_the_table_implies(self):
+        j = JointDist(("X", "Y"), {(0, "a"): F(1, 4), (1, "b"): F(3, 4)})
+        assert "axis_supports" not in j.to_jsonable()
+
     def test_neg_log2_inf_only_at_zero(self):
         assert neg_log2(F(0)) == math.inf
         assert neg_log2(F(1, 2)) == 1.0
+
+
+class StepRng:
+    """Stands in for random.Random: randrange returns the values it is given."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def randrange(self, stop):
+        r = next(self.values)
+        assert 0 <= r < stop
+        return r
+
+
+class TestSample:
+    def test_every_point_of_the_range(self):
+        # weights over the common denominator 12: 0, 3, 0, 2, 6, 1
+        weighted = [("z0", F(0)), ("a", F(1, 4)), ("z1", F(0)), ("b", F(1, 6)),
+                    ("c", F(1, 2)), ("d", F(1, 12))]
+        rng = StepRng(range(12))
+        drawn = [_sample(rng, weighted) for _ in range(12)]
+        assert drawn == ["a"] * 3 + ["b"] * 2 + ["c"] * 6 + ["d"]
+
+    def test_unnormalized_weights(self):
+        weighted = [("a", F(2, 15)), ("b", F(1, 5)), ("z", F(0))]  # 2 : 3 over 15
+        rng = StepRng(range(5))
+        assert [_sample(rng, weighted) for _ in range(5)] == ["a"] * 2 + ["b"] * 3
+
+    def test_top_of_range_skips_trailing_zero_mass(self):
+        weighted = [(k, F(1, 10)) for k in range(10)] + [("never", F(0))]
+        assert _sample(StepRng([9]), weighted) == 9
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ValueError):
+            _sample(StepRng([]), [("a", F(0)), ("b", F(0))])
 
 
 @settings(max_examples=60, deadline=None)

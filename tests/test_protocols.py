@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cryptogenography import protocols
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information
 from cryptogenography.protocols import (
@@ -56,6 +57,15 @@ class TestScenario:
         sc = LeakScenario.fixed(FiniteDist.uniform(("a", "b")), 1, 2)
         assert LeakScenario.from_jsonable(sc.to_jsonable()) == sc
 
+    def test_json_roundtrip_keeps_zero_mass_labels(self):
+        x_dist = FiniteDist((0, 1, 2), (F(1, 2), F(1, 2), F(0)))
+        for b in (F(0), F(1, 3)):
+            sc = LeakScenario.independent(x_dist, 2, b)
+            back = LeakScenario.from_jsonable(sc.to_jsonable())
+            assert back == sc
+            assert back.x_support == (0, 1, 2)
+            assert back.joint.axis_supports == sc.joint.axis_supports
+
 
 class TestValidate:
     def test_empty_tree_valid(self):
@@ -99,7 +109,32 @@ class TestNonRevealing:
         assert non_revealing(window_protocol(ch, 2), window_scenario(ch, 2))
 
 
+class TopRng:
+    """random.Random stand-in that always returns the top of its range."""
+
+    def __init__(self, seed=None):
+        pass
+
+    def random(self):
+        return 1 - 2.0**-53
+
+    def randrange(self, stop):
+        return stop - 1
+
+
 class TestSimulate:
+    def test_top_draw_skips_zero_mass_message(self, monkeypatch):
+        # ten messages of mass 1/10 then one of mass 0: float partial sums
+        # of the ten reach 1 - 2**-53, so a float CDF draw at that value
+        # fell through to the zero-mass message
+        labels = tuple(range(10)) + ("never",)
+        law = FiniteDist(labels, (F(1, 10),) * 10 + (F(0),))
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        pi = ProtocolTree(leaf_node(1, law, {0: law, 1: law}))
+        monkeypatch.setattr(protocols.random, "Random", TopRng)
+        _, _, transcript = simulate(pi, sc, seed=0)
+        assert transcript == (9,)
+
     def test_seed_replay(self, coin_scenario):
         rng = random.Random(3)
         pi = random_protocol(rng, coin_scenario)
