@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -33,7 +34,6 @@ from .protocols import (
     BudgetExceededError,
     LeakScenario,
     ProtocolTree,
-    enumerate_joint,
     non_revealing,
     safety_report,
     validate,
@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
         payload["general_upper_bound"] = {"skipped": str(exc)}
     if args.c is not None:
         c = _parse_fraction(args.c)
-        safety = safety_report(tree, scenario, c)
+        safety = safety_report(tree, scenario, c, budget=args.budget)
         payload["safety"] = {
             "c": str(c),
             "safe": safety.ok,
@@ -212,15 +212,8 @@ def cmd_game(args) -> int:
     tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
     scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
     value = succ_of_protocol(tree, scenario, budget=args.budget)
-    import math
-
     h = math.log2(len(scenario.x_support))
-    l = float(
-        sum(
-            scenario.joint.prob_event({"L%d" % i: 1})
-            for i in range(1, scenario.n_players + 1)
-        )
-    )
+    l = float(sum(scenario.prior_leak(i) for i in range(1, scenario.n_players + 1)))
     best_c, bound = best_upper_bound(h, l)
     protocol_id = hashlib.sha256(
         _canonical_json(tree.to_jsonable()).encode()

@@ -163,14 +163,7 @@ def f_partition(innocent_law: FiniteDist) -> dict:
     """Lay the protocol node's innocent law out on [0,1): cell lengths are
     exactly the innocent probabilities, in canonical support order.
     Zero-probability messages get no cell (they can never be decoded)."""
-    cells = {}
-    acc = ZERO
-    for label, p in innocent_law.items():
-        if p == 0:
-            continue
-        cells[label] = Interval(acc, acc + p)
-        acc += p
-    return cells
+    return g_partition(UNIT, innocent_law)
 
 
 def g_partition(current: Interval, innocent_law: FiniteDist) -> dict:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .probability import LOG2_E, JointDist, ZERO, as_probability, log2_fraction
 from .protocols import (
-    DEFAULT_ENUMERATION_BUDGET,
     LeakScenario,
     ProtocolTree,
     _Tally,
@@ -105,7 +104,7 @@ def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
 def succ_of_protocol(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> GameValue:
     joint = enumerate_joint(tree, scenario, budget=budget)
     return game_value_from_joint(joint, scenario.n_players)

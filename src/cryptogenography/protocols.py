@@ -156,7 +156,12 @@ class LeakScenario:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "LeakScenario":
-        return cls(int(data["n_players"]), JointDist.from_jsonable(data["joint"]))
+        joint = JointDist.from_jsonable(data["joint"])
+        # a file keeps first-seen table order; leak supports read back as (0, 1)
+        joint.axis_supports = joint.axis_supports[:1] + tuple(
+            tuple(li for li in (0, 1) if li in sup) for sup in joint.axis_supports[1:]
+        )
+        return cls(int(data["n_players"]), joint)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +191,19 @@ class ProtocolNode:
         return self.p_innocent
 
     def to_jsonable(self) -> dict:
+        if all(_match_str_key(str(x)) == x for x in self.p_leak):
+            p_leak = {str(x): law.to_jsonable() for x, law in self.p_leak.items()}
+        else:
+            # some secret's string form reads back as another label
+            p_leak = [
+                {"secret": label_to_jsonable(x), "law": law.to_jsonable()}
+                for x, law in self.p_leak.items()
+            ]
         return {
             "speaker": self.speaker,
             "alphabet": [label_to_jsonable(m) for m in self.alphabet],
             "p_innocent": self.p_innocent.to_jsonable(),
-            "p_leak": {str(x): self.p_leak[x].to_jsonable() for x in self.p_leak},
+            "p_leak": p_leak,
             "children": {
                 str(m): (None if self.children[m] is None else self.children[m].to_jsonable())
                 for m in self.alphabet
@@ -201,9 +214,11 @@ class ProtocolNode:
     def from_jsonable(cls, data: Mapping) -> "ProtocolNode":
         alphabet = tuple(label_from_jsonable(m) for m in data["alphabet"])
         leak_raw = data["p_leak"]
-        p_leak = {}
-        for key, sub in leak_raw.items():
-            p_leak[_match_str_key(key, None)] = FiniteDist.from_jsonable(sub)
+        if isinstance(leak_raw, list):
+            pairs = ((label_from_jsonable(e["secret"]), e["law"]) for e in leak_raw)
+        else:
+            pairs = ((_match_str_key(key), sub) for key, sub in leak_raw.items())
+        p_leak = {x: FiniteDist.from_jsonable(sub) for x, sub in pairs}
         children = {}
         for m in alphabet:
             sub = data["children"][str(m)]
@@ -217,7 +232,7 @@ class ProtocolNode:
         )
 
 
-def _match_str_key(key: str, _unused):
+def _match_str_key(key: str):
     # JSON object keys are strings; secrets are ints, strings or tuples.
     # Try int first, then a tuple literal, else keep the string.
     try:
@@ -405,16 +420,28 @@ def _transcript_weights(joint: JointDist, n_players: int) -> dict:
     return groups
 
 
-def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario):
+def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int] = None):
     """Depth-first walk over positive-probability prefixes.
 
     Yields (prefix, node_or_None, weights). ``node`` is None at terminal
     prefixes (complete transcripts). Weights are joint masses
     Pr(X=x, L=lvec, T^k = prefix).
+
+    Every exhaustive scan reads this walk, which keeps the one state budget:
+    BudgetExceededError once the outcome states yielded, internal and
+    terminal, pass ``budget`` (None: DEFAULT_ENUMERATION_BUDGET at start).
     """
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
+    states = 0
     stack = [((), tree.root, _scenario_weights(scenario))]
     while stack:
         prefix, node, weights = stack.pop()
+        states += len(weights)
+        if states > budget:
+            raise BudgetExceededError(
+                "enumeration exceeded %d outcome states; raise the budget explicitly" % budget
+            )
         yield prefix, node, weights
         if node is None:
             continue
@@ -427,21 +454,14 @@ def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario):
 def enumerate_joint(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> JointDist:
     """Exact joint of (X, L1..Ln, T) with T ranging over complete transcripts."""
     table = {}
-    states = 0
-    for prefix, node, weights in iter_prefixes(tree, scenario):
-        if node is not None:
-            continue
-        for (x, lvec), p in weights.items():
-            states += 1
-            if states > budget:
-                raise BudgetExceededError(
-                    "enumeration exceeded %d states; raise the budget explicitly" % budget
-                )
-            table[(x,) + lvec + (prefix,)] = table.get((x,) + lvec + (prefix,), ZERO) + p
+    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
+        if node is None:
+            for (x, lvec), p in weights.items():
+                table[(x,) + lvec + (prefix,)] = p
     axes = scenario.joint.axes + ("T",)
     supports = scenario.joint.axis_supports + (tuple(dict.fromkeys(k[-1] for k in table)),)
     return JointDist(axes, table, axis_supports=supports)
@@ -488,7 +508,8 @@ def posteriors(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple) -> Pos
 
 def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     """Map every positive-probability prefix (incl. complete transcripts) to
-    the normalized conditional vector over scenario outcomes, canonical order."""
+    the normalized conditional vector over scenario outcomes, canonical order.
+    The walk keeps the default state budget."""
     keys = scenario.outcome_keys()
     return {
         prefix: _conditional_vector(weights, keys)
@@ -516,7 +537,7 @@ def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
 def posterior_measure(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> dict:
     """Distribution of the end-of-protocol posterior over (X, L1..Ln).
 
@@ -524,13 +545,13 @@ def posterior_measure(
     over scenario outcomes in canonical order. Two protocols inducing the
     same measure are indistinguishable to any observer of the transcript.
     """
-    joint = enumerate_joint(tree, scenario, budget=budget)
     keys = scenario.outcome_keys()
     measure: dict = {}
-    for masses in _transcript_weights(joint, scenario.n_players).values():
-        total = sum(masses.values())
-        vec = _conditional_vector(masses, keys, total)
-        measure[vec] = measure.get(vec, ZERO) + total
+    for _prefix, node, weights in iter_prefixes(tree, scenario, budget):
+        if node is None:
+            total = sum(weights.values())
+            vec = _conditional_vector(weights, keys, total)
+            measure[vec] = measure.get(vec, ZERO) + total
     return measure
 
 
@@ -538,7 +559,7 @@ def equivalent(
     a: ProtocolTree,
     b: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> bool:
     """Exact comparison of the induced posterior-measure distributions."""
     return posterior_measure(a, scenario, budget) == posterior_measure(b, scenario, budget)
@@ -560,6 +581,7 @@ def safety_report(
     scenario: LeakScenario,
     c,
     include_prefixes: bool = False,
+    budget: Optional[int] = None,
 ) -> SafetyReport:
     """Check Pr(L_i=1 | T=t, X=x) <= c over all complete transcripts
     (and optionally all prefixes) with positive probability, exactly."""
@@ -567,7 +589,7 @@ def safety_report(
     best = ZERO
     witness = None
     ok = True
-    for prefix, node, weights in iter_prefixes(tree, scenario):
+    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
         if node is not None and not include_prefixes:
             continue
         tally = _Tally(weights)
@@ -911,30 +933,21 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
     (possibly the empty one) with posterior exactly c, for every (player, x)."""
     c = as_probability(c)
     pairs = _player_secret_pairs(scenario)
-    ok = True
-
-    def visit(node, weights, landed):
-        nonlocal ok
+    landed = {}  # prefix -> pairs at exactly c there or at an ancestor
+    for prefix, _node, weights in iter_prefixes(tree, scenario):
         tally = _Tally(weights)
+        above = landed[prefix[:-1]] if prefix else frozenset()
         here = set()
         for pair in pairs:
             post = tally.posterior(*pair)
             if post is None:
                 continue
-            if post > c and pair not in landed:
-                ok = False
+            if post > c and pair not in above:
+                return False
             if post == c:
                 here.add(pair)
-        landed = landed | here
-        if node is None:
-            return
-        for m in node.alphabet:
-            w2 = _descend(node, weights, m)
-            if w2:
-                visit(node.children[m], w2, landed)
-
-    visit(tree.root, _scenario_weights(scenario), frozenset())
-    return ok
+        landed[prefix] = above.union(here)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from .probability import (
     neg_log2,
 )
 from .protocols import (
-    BudgetExceededError,
-    DEFAULT_ENUMERATION_BUDGET,
     LeakScenario,
     ProtocolTree,
     _Tally,
@@ -91,19 +89,40 @@ def _certificate(lhs: float, rhs: float, equality: bool) -> SuspicionCertificate
     return SuspicionCertificate(lhs, rhs, rhs - lhs, equality)
 
 
+def _innocence_masses(joint: JointDist, player_axis: str, axes: Sequence[str]) -> dict:
+    """One pass over the joint: y -> [Pr(Y=y), Pr(Y=y, L=0)] for every
+    positive-probability value y of ``axes``, in first-seen order."""
+    idx = [joint.axis_index(a) for a in axes]
+    l_idx = joint.axis_index(player_axis)
+    masses: dict = {}
+    for key, p in joint.table.items():
+        y = tuple(key[i] for i in idx)
+        slot = masses.get(y)
+        if slot is None:
+            slot = masses[y] = [ZERO, ZERO]
+        slot[0] += p
+        if key[l_idx] == 0:
+            slot[1] += p
+    return masses
+
+
+def _expected(masses: Mapping) -> float:
+    """E_y -log2 Pr(L=0 | y) over an innocence grouping; +inf as soon as
+    some y is certainly guilty."""
+    result = 0.0
+    for py, innocent in masses.values():
+        if innocent == 0:
+            return math.inf
+        result += float(py) * -log2_fraction(innocent / py)
+    return result
+
+
 def suspicion_point(joint: JointDist, player_axis: str, given: Mapping) -> float:
     """-log2 Pr(L=0 | given), +inf when that conditional probability is 0."""
-    idx = [(joint.axis_index(a), v) for a, v in given.items()]
-    l_idx = joint.axis_index(player_axis)
-    total = ZERO
-    innocent = ZERO
-    for key, p in joint.table.items():
-        if all(key[i] == v for i, v in idx):
-            total += p
-            if key[l_idx] == 0:
-                innocent += p
-    if total == 0:
+    slot = _innocence_masses(joint, player_axis, tuple(given)).get(tuple(given.values()))
+    if slot is None:
         raise ValueError("conditioning event %r has probability zero" % (given,))
+    total, innocent = slot
     return neg_log2(innocent / total)
 
 
@@ -113,22 +132,7 @@ def expected_suspicion(joint: JointDist, player_axis: str, axes: Sequence[str]) 
     Returns +inf as soon as any positive-mass point is certainly guilty.
     """
     axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    idx = [joint.axis_index(a) for a in axes]
-    l_idx = joint.axis_index(player_axis)
-    totals: dict = {}
-    innocents: dict = {}
-    for key, p in joint.table.items():
-        y = tuple(key[i] for i in idx)
-        totals[y] = totals.get(y, ZERO) + p
-        if key[l_idx] == 0:
-            innocents[y] = innocents.get(y, ZERO) + p
-    result = 0.0
-    for y, py in totals.items():
-        innocent = innocents.get(y, ZERO)
-        if innocent == 0:
-            return math.inf
-        result += float(py) * -log2_fraction(innocent / py)
-    return result
+    return _expected(_innocence_masses(joint, player_axis, axes))
 
 
 def _law_matches_innocent_law(joint: JointDist, l_axis: str, a_axis: str) -> bool:
@@ -197,29 +201,20 @@ def check_listener_monotone(
     does not depend on B (exact rational test).
     """
     y_axes = (y_axes,) if isinstance(y_axes, str) else tuple(y_axes)
-    lhs = expected_suspicion(joint, player_axis, y_axes)
-    rhs = expected_suspicion(joint, player_axis, y_axes + (b_axis,))
-    equality = _listener_equality(joint, player_axis, y_axes, b_axis)
-    return _certificate(lhs, rhs, equality and not math.isinf(rhs))
-
-
-def _listener_equality(joint, player_axis, y_axes, b_axis) -> bool:
-    y_idx = [joint.axis_index(a) for a in y_axes]
-    b_idx = joint.axis_index(b_axis)
-    l_idx = joint.axis_index(player_axis)
-    totals: dict = {}
-    innocents: dict = {}
-    for key, p in joint.table.items():
-        yb = (tuple(key[i] for i in y_idx), key[b_idx])
-        totals[yb] = totals.get(yb, ZERO) + p
-        if key[l_idx] == 0:
-            innocents[yb] = innocents.get(yb, ZERO) + p
-    per_y: dict = {}
-    for yb, mass in totals.items():
-        y = yb[0]
-        ratio = innocents.get(yb, ZERO) / mass
-        per_y.setdefault(y, set()).add(ratio)
-    return all(len(ratios) == 1 for ratios in per_y.values())
+    fine = _innocence_masses(joint, player_axis, y_axes + (b_axis,))
+    coarse: dict = {}
+    for yb, (mass, innocent) in fine.items():
+        slot = coarse.setdefault(yb[:-1], [ZERO, ZERO])
+        slot[0] += mass
+        slot[1] += innocent
+    # B leaves the posterior alone iff every (y, b) cell has y's innocence
+    # ratio; cross-multiplied, so the test stays exact
+    equality = all(
+        innocent * coarse[yb[:-1]][0] == coarse[yb[:-1]][1] * mass
+        for yb, (mass, innocent) in fine.items()
+    )
+    rhs = _expected(fine)
+    return _certificate(_expected(coarse), rhs, equality and not math.isinf(rhs))
 
 
 @dataclass
@@ -240,18 +235,14 @@ class RoundCheck:
 def check_round_decomposition(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> list:
     """Certify, at every positive-probability node, the speaker bound
     I(X;A|prefix) <= delta susp_speaker and every listener's susp monotonicity."""
     checks = []
-    states = 0
-    for prefix, node, weights in iter_prefixes(tree, scenario):
+    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
         if node is None:
             continue
-        states += len(weights)
-        if states > budget:
-            raise BudgetExceededError("round decomposition exceeded %d states" % budget)
         total = sum(weights.values())
         cond = {
             (x, lvec): p / total for (x, lvec), p in weights.items()
@@ -286,7 +277,7 @@ def _node_message_joint(node, cond_weights, player) -> JointDist:
 def check_transcript_bound(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> SuspicionCertificate:
     """Whole-protocol bound: I(X;T) <= sum_i (susp_i(X,T) - susp_i(X)).
 
@@ -351,7 +342,7 @@ def check_general_upper_bound(
     tree: ProtocolTree,
     scenario: LeakScenario,
     c=None,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: Optional[int] = None,
 ) -> GeneralBoundCheck:
     """Verify the premises on the enumerated protocol and assert the cap.
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from cryptogenography import protocols
 from cryptogenography.cli import main
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.embedding import InnocentChannel
@@ -122,6 +123,24 @@ class TestVerify:
         run_cli(["verify", "--protocol", protocol, "--scenario", scenario, "--seed", "1"], a)
         run_cli(["verify", "--protocol", protocol, "--scenario", scenario, "--seed", "2"], b)
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_library_written_string_secrets(self, tmp_path):
+        # secrets whose JSON key would read back as ints
+        xs = FiniteDist.uniform(("7", "8"))
+        sc = LeakScenario.independent(xs, 1, F(1, 2))
+        p_inn = FiniteDist((0, 1), (F(1, 2), F(1, 2)))
+        p_leak = {
+            "7": FiniteDist((0, 1), (F(3, 4), F(1, 4))),
+            "8": FiniteDist((0, 1), (F(1, 4), F(3, 4))),
+        }
+        pi = ProtocolTree(ProtocolNode(1, (0, 1), p_inn, p_leak, {0: None, 1: None}))
+        p, s = tmp_path / "protocol.json", tmp_path / "scenario.json"
+        p.write_text(json.dumps(pi.to_jsonable()))
+        s.write_text(json.dumps(sc.to_jsonable()))
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--protocol", str(p), "--scenario", str(s)], out_path=out) == 0
+        assert json.loads(out.read_text())["all_rounds_hold"] is True
 
 
 class TestLeak:
@@ -415,6 +434,15 @@ class TestBudgetErrors:
         assert code == 1
         record = json.loads(out.read_text())
         assert record["error"]["kind"] == "budget"
+
+
+    def test_verify_budget_reaches_every_walk(self, window_files, tmp_path, monkeypatch):
+        # with the library default too small, only --budget lets verify finish
+        protocol, scenario = window_files
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 2)
+        argv = ["verify", "--protocol", protocol, "--scenario", scenario, "--c", "2/3"]
+        assert run_cli(argv, out_path=tmp_path / "verify.json") == 0
+        assert json.loads((tmp_path / "verify.json").read_text())["safety"]["safe"] is True
 
 
 class TestEntryPoint:

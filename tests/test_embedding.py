@@ -16,6 +16,7 @@ from cryptogenography.embedding import (
     informativeness_estimate,
     interpret_step,
 )
+from cryptogenography import protocols
 from cryptogenography.probability import FiniteDist
 from cryptogenography.protocols import (
     BudgetExceededError,
@@ -286,6 +287,14 @@ class TestEquivalenceAudit:
         with pytest.raises(BudgetExceededError) as err:
             equivalence_audit(pi, channel, sc, depth_budget=3)
         assert err.value.report.decoded_mass < F(999999, 1000000)
+
+    def test_reference_walk_keeps_the_state_budget(self, monkeypatch):
+        pi, channel, sc, _ = figure_instance()
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="exceeded 5 outcome states") as err:
+            equivalence_audit(pi, channel, sc, depth_budget=80)
+        # the walk stops before the first round, so there is no partial report
+        assert not hasattr(err.value, "report")
 
     def test_decoded_masses_never_exceed_protocol_masses(self):
         pi, channel, sc, _ = figure_instance()

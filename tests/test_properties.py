@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from cryptogenography.coding import (
 )
 from cryptogenography.embedding import Interval, f_partition, g_partition
 from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
-from cryptogenography.probability import FiniteDist, JointDist, mutual_information
+from cryptogenography.probability import FiniteDist, JointDist, mutual_information, neg_log2
 from cryptogenography.protocols import (
     ProtocolTree,
     enumerate_joint,
@@ -29,7 +30,12 @@ from cryptogenography.protocols import (
     posteriors,
     safety_report,
 )
-from cryptogenography.suspicion import check_listener_monotone, check_single_message
+from cryptogenography.suspicion import (
+    check_listener_monotone,
+    check_single_message,
+    expected_suspicion,
+    suspicion_point,
+)
 
 from genutil import random_protocol, random_scenario
 
@@ -98,6 +104,40 @@ def test_listener_suspicion_monotone(weights):
     joint = JointDist(("L", "Y", "B"), table)
     cert = check_listener_monotone(joint, "L", ("Y",), "B")
     assert cert.slack >= -1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(0, 1)),
+        st.integers(min_value=0, max_value=5),
+        min_size=1,
+    ).filter(lambda t: sum(t.values()) > 0)
+)
+def test_suspicion_reads_match_conditioning(weights):
+    """suspicion_point, expected_suspicion and the listener equality flag
+    agree with the same quantities built from JointDist.condition."""
+    total = sum(weights.values())
+    joint = JointDist(("L", "Y", "B"), {k: F(v, total) for k, v in weights.items() if v > 0})
+
+    def innocence(given):
+        return joint.condition(given).prob_event({"L": 0})
+
+    for axes in (("Y",), ("Y", "B")):
+        expected = 0.0
+        for key, p in joint.marginal(axes).table.items():
+            given = dict(zip(axes, key))
+            point = neg_log2(innocence(given))
+            assert suspicion_point(joint, "L", given) == point
+            expected += float(p) * point
+        assert expected_suspicion(joint, "L", axes) == pytest.approx(expected, rel=1e-12)
+
+    cells = joint.marginal(("Y", "B")).table
+    flat = all(innocence({"Y": y, "B": b}) == innocence({"Y": y}) for y, b in cells)
+    cert = check_listener_monotone(joint, "L", ("Y",), "B")
+    assert cert.equality == (flat and not math.isinf(cert.rhs_bits))
+    assert cert.lhs_bits == expected_suspicion(joint, "L", ("Y",))
+    assert cert.rhs_bits == expected_suspicion(joint, "L", ("Y", "B"))
 
 
 @settings(max_examples=150, deadline=None)

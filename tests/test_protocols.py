@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -14,9 +15,14 @@ from cryptogenography.protocols import (
     ProtocolNode,
     ProtocolTree,
     enumerate_joint,
+    equivalent,
+    iter_prefixes,
     non_revealing,
     posteriors,
+    prefix_conditionals,
+    safety_report,
     simulate,
+    stop_at_c_postcondition,
     validate,
 )
 
@@ -65,6 +71,13 @@ class TestScenario:
             assert back == sc
             assert back.x_support == (0, 1, 2)
             assert back.joint.axis_supports == sc.joint.axis_supports
+
+    def test_json_roundtrip_keeps_leak_support_order(self):
+        # the table lists L1=1 first, but the leak supports are (0, 1)
+        sc = LeakScenario.fixed(FiniteDist.uniform((0, 1)), 1, 2)
+        back = LeakScenario.from_jsonable(sc.to_jsonable())
+        assert back.joint.axis_supports == sc.joint.axis_supports
+        assert back.joint.marginal_dist("L1").support == (0, 1)
 
 
 class TestValidate:
@@ -193,12 +206,49 @@ class TestEnumerateJoint:
         with pytest.raises(BudgetExceededError):
             enumerate_joint(pi, coin_scenario, budget=3)
 
+    def test_walk_budget_counts_every_outcome_state(self):
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        states = sum(len(w) for _, _, w in iter_prefixes(pi, sc))
+        assert len(list(iter_prefixes(pi, sc, budget=states))) > 1
+        with pytest.raises(BudgetExceededError, match="exceeded %d " % (states - 1)):
+            list(iter_prefixes(pi, sc, budget=states - 1))
+
     def test_marginal_over_transcript_is_scenario(self, coin_scenario):
         rng = random.Random(21)
         for _ in range(20):
             pi = random_protocol(rng, coin_scenario, max_depth=3)
             joint = enumerate_joint(pi, coin_scenario)
             assert joint.marginal(("X", "L1", "L2")) == coin_scenario.joint
+
+
+class TestScanBudgets:
+    """Every exhaustive scan keeps the walk's default budget, read when the
+    walk starts."""
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda pi, sc: safety_report(pi, sc, F(2, 3), include_prefixes=True),
+            lambda pi, sc: stop_at_c_postcondition(pi, sc, F(2, 3)),
+            lambda pi, sc: prefix_conditionals(pi, sc),
+            lambda pi, sc: equivalent(pi, pi, sc),
+        ],
+        ids=["safety_report", "stop_at_c_postcondition", "prefix_conditionals", "equivalent"],
+    )
+    def test_default_budget_enforced(self, monkeypatch, scan):
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        scan(pi, sc)
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 20)
+        with pytest.raises(BudgetExceededError, match="exceeded 20 outcome states"):
+            scan(pi, sc)
+
+    def test_safety_report_budget_overrides_default(self, monkeypatch):
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 20)
+        assert safety_report(pi, sc, F(2, 3), budget=10**6).ok
 
 
 class TestPosteriors:
@@ -233,6 +283,16 @@ class TestProtocolJson:
         sc = window_scenario(ch, 2)
         assert ProtocolTree.from_jsonable(pi.to_jsonable()) == pi
         assert LeakScenario.from_jsonable(sc.to_jsonable()) == sc
+
+    @pytest.mark.parametrize("secrets", [("7", "8"), (7, "7"), ((1, 2), "(1, 2)")])
+    def test_roundtrip_secrets_whose_string_reads_back_differently(self, secrets):
+        sc = LeakScenario.independent(FiniteDist.uniform(secrets), 1, F(1, 2))
+        p_inn = FiniteDist((0, 1), (F(1, 2), F(1, 2)))
+        laws = (FiniteDist((0, 1), (F(3, 4), F(1, 4))), FiniteDist((0, 1), (F(1, 4), F(3, 4))))
+        pi = ProtocolTree(leaf_node(1, p_inn, dict(zip(secrets, laws))))
+        back = ProtocolTree.from_jsonable(json.loads(json.dumps(pi.to_jsonable())))
+        assert back == pi
+        assert validate(back, sc).ok
 
     def test_roundtrip_random(self, coin_scenario):
         rng = random.Random(41)
