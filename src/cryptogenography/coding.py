@@ -8,7 +8,7 @@ probability is exactly c inside the window and exactly 0 outside, which
 makes per-trial safety checks rational identities rather than estimates.
 
 Maximum-likelihood decoding counts, per codeword, the received symbols
-that fall outside its windows. A codebook caches ceil(log2 d) bit-planes of
+that fall outside its windows. A codebook holds ceil(log2 d) bit-planes of
 its symbols minus one, packed 64 positions to a uint64 word; a received
 message m is accepted by exactly a codeword symbols, so a transcript
 becomes a bit patterns per plane, and the mismatch count of a codeword is
@@ -17,6 +17,14 @@ experiments draw every trial's messages first and decode the whole batch
 in one pass over cache-sized blocks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
 a tie is reported exactly as with one decode at a time.
+
+``random_codebook`` streams the generator's draw straight into the planes,
+a block of codewords at a time, so the (count, n) symbol matrix is never
+built: for d = 2 the planes take an eighth of its bytes. For a
+power-of-two d, blocks of a multiple of 4 rows reproduce one draw of the
+whole book exactly; any other d is drawn as one block. ``Codebook.symbols``
+is unpacked from the planes only when read, for tests and brute-force
+checks; no experiment or decode reads it.
 """
 
 from __future__ import annotations
@@ -183,7 +191,7 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
 _GROUP = 64
-# codebook symbols turned into bit-planes at a time
+# codebook symbols drawn, packed or unpacked at a time
 _PLANE_BLOCK_SYMBOLS = 1 << 20
 
 
@@ -217,30 +225,102 @@ def _popcount(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class Codebook:
-    """2^ceil(h) i.i.d. uniform codewords over {1..d}, regenerable from the seed."""
+def _symbol_dtype(d: int):
+    return np.uint8 if d < 256 else np.uint16
 
-    h_bits: float
-    n: int
-    d: int
-    seed: int
-    symbols: np.ndarray  # shape (message_count, n), values 1..d
+
+def _block_rows(n: int) -> int:
+    """Codewords per packing block: about ``_PLANE_BLOCK_SYMBOLS`` symbols,
+    in a multiple of 4 rows so that a block of 8- or 16-bit symbols fills
+    whole 32-bit generator words."""
+    return max(4, _PLANE_BLOCK_SYMBOLS // max(n, 1) // 4 * 4)
+
+
+def _pack_planes(blocks, d: int, n: int, count: int) -> np.ndarray:
+    """Bit-planes (see ``Codebook.bit_planes``) of count codewords that
+    arrive as consecutive (rows, n) blocks of symbols in 1..d."""
+    depth = max(1, (d - 1).bit_length())
+    planes = np.empty((depth, -(-n // 64), count), dtype=np.uint64)
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        block = block - 1
+        for k in range(depth):
+            # symbols minus one are already bits when d <= 2
+            bits = block if depth == 1 else block & (1 << k)
+            planes[k, :, start:stop] = _pack_words(bits).T
+        start = stop
+    return planes
+
+
+def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
+    """(rows, n) symbols in 1..d of a (depth, words, rows) slice of planes;
+    the inverse of ``_pack_planes``."""
+    dtype = _symbol_dtype(d)
+    symbols = np.ones((planes.shape[2], n), dtype=dtype)
+    for k, plane in enumerate(planes):
+        packed = np.ascontiguousarray(plane.T).view(np.uint8)
+        bits = np.unpackbits(packed, axis=1, count=n).astype(dtype, copy=False)
+        symbols += bits << k
+    return symbols
+
+
+class Codebook:
+    """2^ceil(h) i.i.d. uniform codewords over {1..d}, regenerable from the seed.
+
+    A book drawn by ``random_codebook`` holds only its bit-planes; the
+    (message_count, n) ``symbols`` matrix is unpacked from them, block by
+    block, on first read and cached. A book built from a symbols matrix
+    packs its planes on first use instead. Either way the planes are the
+    decoder's copy: an in-place edit of ``symbols`` reaches ``==`` and
+    ``row`` but not planes that already exist.
+    """
+
+    def __init__(self, h_bits: float, n: int, d: int, seed: int, symbols=None, *, planes=None):
+        if (symbols is None) == (planes is None):
+            raise ValueError("a codebook needs exactly one of symbols and planes")
+        self.h_bits = h_bits
+        self.n = n
+        self.d = d
+        self.seed = seed
+        self._symbols = symbols
+        self._planes = planes
+
+    def __repr__(self):
+        return "Codebook(h_bits=%r, n=%r, d=%r, seed=%r)" % (self.h_bits, self.n, self.d, self.seed)
 
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
-        return (
-            (self.h_bits, self.n, self.d, self.seed) == (other.h_bits, other.n, other.d, other.seed)
-            and np.array_equal(self.symbols, other.symbols)
-        )
+        if (self.h_bits, self.n, self.d, self.seed) != (other.h_bits, other.n, other.d, other.seed):
+            return False
+        if self._symbols is None and other._symbols is None:
+            return np.array_equal(self._planes, other._planes)
+        return np.array_equal(self.symbols, other.symbols)
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """(message_count, n) array of symbols in 1..d."""
+        if self._symbols is None:
+            count = self.message_count
+            symbols = np.empty((count, self.n), dtype=_symbol_dtype(self.d))
+            step = _block_rows(self.n)
+            for start in range(0, count, step):
+                block = self._planes[:, :, start : start + step]
+                symbols[start : start + step] = _unpack_planes(block, self.n, self.d)
+            self._symbols = symbols
+        return self._symbols
 
     @property
     def message_count(self) -> int:
-        return self.symbols.shape[0]
+        if self._planes is not None:
+            return self._planes.shape[2]
+        return self._symbols.shape[0]
 
     def row(self, x: int) -> np.ndarray:
-        return self.symbols[x]
+        if self._symbols is not None:
+            return self._symbols[x]
+        return _unpack_planes(self._planes[:, :, [x]], self.n, self.d)[0]
 
     def bit_planes(self) -> np.ndarray:
         """Cached (ceil(log2 d), ceil(n/64), message_count) uint64 array:
@@ -248,18 +328,12 @@ class Codebook:
         ``_pack_words``. Words are the middle axis, so a block of codewords
         is one contiguous slice per (plane, word). For d = 2 the single
         plane is the packed bits themselves."""
-        planes = getattr(self, "_planes", None)
-        if planes is None:
-            depth = max(1, (self.d - 1).bit_length())
+        if self._planes is None:
             count = self.message_count
-            planes = np.empty((depth, -(-self.n // 64), count), dtype=np.uint64)
-            step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
-            for start in range(0, count, step):
-                block = self.symbols[start : start + step] - 1
-                for k in range(depth):
-                    planes[k, :, start : start + step] = _pack_words(block & (1 << k)).T
-            self._planes = planes
-        return planes
+            step = _block_rows(self.n)
+            blocks = (self._symbols[start : start + step] for start in range(0, count, step))
+            self._planes = _pack_planes(blocks, self.d, self.n, count)
+        return self._planes
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
@@ -267,19 +341,51 @@ class Codebook:
 
     @classmethod
     def from_jsonable(cls, data) -> "Codebook":
-        return random_codebook(data["h"], int(data["n"]), int(data["d"]), int(data["seed"]))
+        h = data["h"]
+        if isinstance(h, bool) or not isinstance(h, (int, float)):
+            raise ValueError("codebook h must be a number, got %r" % (h,))
+        n, d, seed = (_json_integer(data, key) for key in ("n", "d", "seed"))
+        return random_codebook(h, n, d, seed)
+
+
+def _json_integer(data, key: str) -> int:
+    """data[key] as an int; a fractional, non-numeric or boolean value
+    would silently name another codebook, so it is rejected."""
+    value = data[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("codebook %s must be an integer, got %r" % (key, value))
+    return value
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28) -> Codebook:
+    """The codebook ``rng.integers(1, d + 1, size=(2^ceil(h_bits), n))``
+    draws from ``default_rng(seed)``, packed into bit-planes block by block
+    so the symbol matrix is never built.
+
+    numpy draws 8- and 16-bit integers from buffered 32-bit words and drops
+    what is left of the last word at the end of each call. For a
+    power-of-two d no draw is rejected, so each block of ``_block_rows(n)``
+    codewords uses whole words, and the blocks reproduce one draw of the
+    whole book exactly. For any other d rejection makes the bytes a block
+    uses depend on its values, so the book is drawn as one block.
+    """
+    if not 0 <= h_bits < math.inf:
+        raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
     count = 2 ** math.ceil(h_bits)
     if count * n > max_entries:
         raise MemoryError(
             "codebook of %d x %d symbols exceeds the %d-entry budget" % (count, n, max_entries)
         )
-    dtype = np.uint8 if d < 256 else np.uint16
+    dtype = _symbol_dtype(d)
     rng = np.random.default_rng(seed)
-    symbols = rng.integers(1, d + 1, size=(count, n), dtype=dtype)
-    return Codebook(float(h_bits), n, d, seed, symbols)
+    step = _block_rows(n) if d & (d - 1) == 0 else count
+    blocks = (
+        rng.integers(1, d + 1, size=(min(step, count - start), n), dtype=dtype)
+        for start in range(0, count, step)
+    )
+    return Codebook(float(h_bits), n, d, seed, planes=_pack_planes(blocks, d, n, count))
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:
@@ -425,7 +531,7 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
         raise ArithmeticError("in-window posterior %s differs from c = %s" % (post_in, ch.c))
     bf = float(ch.b)
     xs = []
-    transcripts = np.empty((trials, n), dtype=book.symbols.dtype)
+    transcripts = np.empty((trials, n), dtype=_symbol_dtype(ch.d))
     hits = 0
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))
@@ -485,7 +591,7 @@ def fixed_two_group_run(
         for g in range(2)
     ]
     xs = []
-    transcripts = np.empty((2, trials, n), dtype=books[0].symbols.dtype)
+    transcripts = np.empty((2, trials, n), dtype=_symbol_dtype(ch.d))
     consistent = []
     for trial in range(trials):
         rng = np.random.default_rng(derive_seed(seed, trial))

@@ -286,6 +286,28 @@ class TestDecode:
         assert run_cli(argv, out_path=out) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # a fractional n or d used to be truncated and decode against
+            # another book with exit code 0
+            ("n", 4.9),
+            ("d", 2.5),
+            ("seed", 1.5),
+            ("n", "4"),
+            ("d", True),
+            # these used to end in an uncaught TypeError (exit code 1)
+            ("h", -2),
+            ("h", "3"),
+        ],
+    )
+    def test_malformed_codebook_exits_2(self, tmp_path, field, value):
+        book_json = dict({"seed": 2, "h": 3, "n": 4, "d": 2}, **{field: value})
+        argv = decode_argv(tmp_path, "malformed", book_json, [1, 2, 2, 1], "1/2", "2/3")
+        out = tmp_path / "decode.json"
+        assert run_cli(argv, out_path=out) == 2
+        assert not out.exists()
+
 
 def golden_cases(tmp_path):
     """name -> argv of the small runs whose reports are pinned below."""
@@ -443,6 +465,29 @@ class TestBudgetErrors:
         argv = ["verify", "--protocol", protocol, "--scenario", scenario, "--c", "2/3"]
         assert run_cli(argv, out_path=tmp_path / "verify.json") == 0
         assert json.loads((tmp_path / "verify.json").read_text())["safety"]["safe"] is True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
+def test_binary_leak_peak_memory():
+    """The 2^20 x 200 binary book of the window-leak benchmark streams into
+    34 MB of bit-planes; building its 210 MB symbol matrix first peaked at
+    about 270 MB. The run goes in a grandchild so that RUSAGE_CHILDREN of
+    the middle process sees it alone."""
+    leak = [sys.executable, "-m", "cryptogenography.cli", "leak", "--mode", "indep", "--b", "1/2",
+            "--c", "2/3", "--n", "200", "--rate", "1/10", "--trials", "16", "--seed", "3"]
+    probe = (
+        "import json, resource, subprocess, sys\n"
+        "proc = subprocess.run(json.loads(sys.argv[1]), capture_output=True, text=True)\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr,\n"
+        "                  resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(leak)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, stdout, stderr, maxrss_kib = json.loads(proc.stdout)
+    assert code == 0, stderr
+    assert json.loads(stdout)["report"]["trials"] == 16
+    assert maxrss_kib < 160 * 1024
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -228,6 +229,119 @@ class TestCodebook:
         assert book != flipped
         assert book != "book"
         assert Codebook.from_jsonable(book.to_jsonable()) == book
+
+
+def one_shot_book(h, n, d, seed):
+    """The whole book drawn by one generator call, as random_codebook once did."""
+    dtype = np.uint8 if d < 256 else np.uint16
+    count = 2 ** math.ceil(h)
+    return np.random.default_rng(seed).integers(1, d + 1, size=(count, n), dtype=dtype)
+
+
+def reference_planes(symbols, d):
+    """Bit k of every symbol minus one, packed per codeword into uint64
+    words with zero padding, as (planes, words, codewords)."""
+    count, n = symbols.shape
+    words = -(-n // 64)
+    depth = max(1, (d - 1).bit_length())
+    planes = np.empty((depth, words, count), dtype=np.uint64)
+    for k in range(depth):
+        packed = np.zeros((count, 8 * words), dtype=np.uint8)
+        packed[:, : -(-n // 8)] = np.packbits((symbols.astype(np.int64) - 1) >> k & 1, axis=1)
+        planes[k] = packed.view(np.uint64).T
+    return planes
+
+
+@pytest.fixture
+def no_symbol_matrix(monkeypatch):
+    """Fail any read of Codebook.symbols."""
+    def refuse(book):
+        raise AssertionError("the symbol matrix was built")
+
+    monkeypatch.setattr(Codebook, "symbols", property(refuse))
+
+
+class TestStreamedCodebook:
+    # with 64 symbols per block, a 2^6 x 5 book spans 6 blocks of 12 rows
+    # (the last one short) and a 2^6 x 70 book 16 blocks of 4 rows; d = 3
+    # and d = 9 must still come out as one draw
+    @pytest.mark.parametrize("d", [2, 4, 8, 512, 3, 9])
+    @pytest.mark.parametrize("n", [5, 70])
+    def test_matches_one_shot_draw(self, monkeypatch, d, n):
+        monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
+        want = one_shot_book(6, n, d, seed=2024)
+        book = random_codebook(6, n, d, seed=2024)
+        assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+        assert book.message_count == len(want)
+        for x in (0, 1, 11, 12, 37, len(want) - 1, -1):
+            row = book.row(x)
+            assert row.dtype == want.dtype and np.array_equal(row, want[x])
+        symbols = random_codebook(6, n, d, seed=2024).symbols
+        assert symbols.dtype == want.dtype and np.array_equal(symbols, want)
+
+    def test_symbols_are_unpacked_once(self):
+        book = random_codebook(4, 9, 4, seed=8)
+        with mock.patch.object(coding, "_unpack_planes", wraps=coding._unpack_planes) as spy:
+            assert book.symbols is book.symbols
+            assert np.array_equal(book.row(3), book.symbols[3])
+        assert spy.call_count == 1
+
+    def test_equality_reads_planes_only(self, no_symbol_matrix):
+        book = random_codebook(5, 33, 4, seed=1)
+        assert book == random_codebook(5, 33, 4, seed=1)
+        assert book != random_codebook(5, 33, 4, seed=2)
+        assert book != random_codebook(5, 33, 8, seed=1)
+
+    def test_explicit_and_streamed_books_agree(self):
+        book = random_codebook(5, 70, 8, seed=6)
+        explicit = Codebook(book.h_bits, 70, 8, 6, one_shot_book(5, 70, 8, seed=6))
+        assert explicit == book and book == explicit
+        assert np.array_equal(explicit.bit_planes(), book.bit_planes())
+
+    def test_needs_exactly_one_representation(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            Codebook(1.0, 2, 2, 0)
+        symbols = np.ones((2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError, match="exactly one"):
+            Codebook(1.0, 2, 2, 0, symbols, planes=Codebook(1.0, 2, 2, 0, symbols).bit_planes())
+
+    def test_experiments_never_build_the_symbol_matrix(self, no_symbol_matrix):
+        rep = run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 40, 5, seed=4)
+        assert rep.trials == 5
+        rep = fixed_two_group_run(2, 20, F(1, 2), F(1, 10), 5, seed=4)
+        assert rep.trials == 5
+        ch = window_channel(F(1, 4), F(1, 2))
+        book = random_codebook(4, 30, ch.d, seed=9)
+        assert ml_decode(book, book.row(7), ch) == 7
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.floats(0, 6),
+        n=st.integers(1, 130),
+        d=st.sampled_from([2, 3, 4, 5, 9, 16, 256, 300]),
+        seed=st.integers(0, 2**64),
+    )
+    def test_json_round_trip(self, h, n, d, seed):
+        book = random_codebook(h, n, d, seed)
+        again = Codebook.from_jsonable(json.loads(json.dumps(book.to_jsonable())))
+        assert again == book
+        assert (again.h_bits, again.n, again.d, again.seed) == (book.h_bits, n, d, seed)
+        assert np.array_equal(again.symbols, one_shot_book(h, n, d, seed))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", 4.9), ("d", 2.5), ("seed", 1.5), ("seed", "1"), ("n", None), ("d", False),
+         ("h", -2), ("h", -0.5), ("h", "3"), ("h", float("inf")), ("h", float("nan")),
+         ("h", True)],
+    )
+    def test_from_jsonable_rejects_malformed_fields(self, field, value):
+        data = dict({"seed": 2, "h": 3, "n": 4, "d": 2}, **{field: value})
+        with pytest.raises(ValueError, match="codebook " + field):
+            Codebook.from_jsonable(data)
+
+    def test_from_jsonable_accepts_integral_floats(self):
+        data = {"seed": 2.0, "h": 3, "n": 4.0, "d": 2.0}
+        assert Codebook.from_jsonable(data) == random_codebook(3, 4, 2, 2)
 
 
 class TestMlDecode:
