@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""sha256 of the exact reports on a fixed set of instances.
+
+Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
+`game` on the n=3 window instance and two seeded deep random protocols,
+`embed --audit-depth` (the whole report file) on the one-speaker figure
+instance and the n=2 window instance under (1/3, 2/3) chatter, and the
+canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
+trigger masses over a seeded batch of small random protocols. Run it in two
+checkouts and diff the output to see whether a change moved any report:
+
+    PYTHONPATH=src python scripts/report_digests.py > after.txt
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+
+from cryptogenography.cli import main as cli_main
+from cryptogenography.coding import window_channel, window_protocol, window_scenario
+from cryptogenography.embedding import InnocentChannel
+from cryptogenography.probability import FiniteDist, fraction_to_jsonable
+from cryptogenography.protocols import (
+    LeakScenario,
+    ProtocolNode,
+    ProtocolTree,
+    binarize,
+    pretend_ignorance,
+    pretend_ignorance_trigger_mass,
+    stop_at_c,
+)
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
+from genutil import random_protocol, random_scenario  # noqa: E402
+
+F = Fraction
+
+
+def protocol_instances():
+    ch = window_channel(F(1, 2), F(2, 3))
+    instances = {"window3": (window_protocol(ch, 3), window_scenario(ch, 3))}
+    rng = random.Random(31)
+    sc = random_scenario(rng, n_players=3)
+    instances["deep-random"] = (random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    rng = random.Random(34)
+    sc = LeakScenario.independent(FiniteDist.uniform((0, 1, 2)), 3, F(1, 3))
+    instances["deep-indep"] = (random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    return instances
+
+
+def embed_instances():
+    sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+    p_inn = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
+    p0 = FiniteDist(("a1", "a2"), (F(1), F(0)))
+    p1 = FiniteDist(("a1", "a2"), (F(1, 5), F(4, 5)))
+    node = ProtocolNode(1, ("a1", "a2"), p_inn, {0: p0, 1: p1}, {"a1": None, "a2": None})
+    law = FiniteDist(("m1", "m2"), (F(3, 5), F(2, 5)))
+    ch = window_channel(F(1, 2), F(2, 3))
+    chatter = FiniteDist(("u", "v"), (F(1, 3), F(2, 3)))
+    return {
+        "figure": (ProtocolTree(node), sc, InnocentChannel(1, ({1: law},), True), "60"),
+        "window2": (
+            window_protocol(ch, 2),
+            window_scenario(ch, 2),
+            InnocentChannel(2, ({1: chatter, 2: chatter},), True),
+            "40",
+        ),
+    }
+
+
+def write(workdir, name, obj) -> str:
+    path = os.path.join(workdir, name + ".json")
+    with open(path, "w") as fh:
+        json.dump(obj.to_jsonable(), fh)
+    return path
+
+
+def cli_digest(workdir, argv) -> str:
+    out = os.path.join(workdir, "report.json")
+    code = cli_main(argv + ["--out", out])
+    if code != 0:
+        raise SystemExit("%s exited %d" % (" ".join(argv[:1]), code))
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def transform_records(count: int, seed: int) -> str:
+    rng = random.Random(seed)
+    caps = [F(3, 5), F(2, 3), F(3, 4), F(4, 5)]
+    records = []
+    for k in range(count):
+        sc = random_scenario(rng, n_players=2 + k % 2)
+        pi = binarize(random_protocol(rng, sc, max_depth=3), sc)
+        c = caps[k % len(caps)]
+        record = {"binarize": pi.to_jsonable()}
+        for name, transform in (("stop_at_c", stop_at_c), ("pretend_ignorance", pretend_ignorance)):
+            try:
+                record[name] = transform(pi, sc, c).to_jsonable()
+            except ValueError:
+                record[name] = "prior above cap"
+        mass = pretend_ignorance_trigger_mass(pi, sc, c)
+        record["trigger_mass"] = [[x, fraction_to_jsonable(m)] for x, m in mass.items()]
+        records.append(record)
+    return json.dumps(records, sort_keys=True)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--transforms", type=int, default=40, help="random protocols to transform")
+    parser.add_argument("--seed", type=int, default=2024, help="seed of the transform batch")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (pi, sc) in protocol_instances().items():
+            files = ["--protocol", write(workdir, "protocol", pi)]
+            files += ["--scenario", write(workdir, "scenario", sc)]
+            print("%s  verify-%s" % (cli_digest(workdir, ["verify"] + files + ["--c", "3/4"]), name))
+            print("%s  game-%s" % (cli_digest(workdir, ["game"] + files), name))
+        for name, (pi, sc, channel, depth) in embed_instances().items():
+            files = []
+            for part, obj in (("protocol", pi), ("scenario", sc), ("channel", channel)):
+                files += ["--" + part, write(workdir, part, obj)]
+            argv = ["embed"] + files + ["--seed", "5", "--audit-depth", depth]
+            print("%s  embed-%s" % (cli_digest(workdir, argv), name))
+    text = transform_records(args.transforms, args.seed)
+    print("%s  transforms" % hashlib.sha256(text.encode()).hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,12 +11,16 @@ the lazy realization keeps the interval of still-possible alphas and emits
 each chatter message with probability |g-cell intersect alpha| / |alpha|.
 
 All interval arithmetic is exact; intervals are half-open [lo, hi).
+The audit carries each state's masses as ints over one denominator and
+compares conditionals by cross-multiplication; intervals, step laws and
+reported masses are Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -33,9 +37,7 @@ from .probability import (
 from .protocols import (
     BudgetExceededError,
     LeakScenario,
-    ProtocolNode,
     ProtocolTree,
-    _conditional_vector,
     _scenario_weights,
     iter_prefixes,
     non_revealing,
@@ -250,13 +252,7 @@ class InformativenessReport:
     min_product: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "trials": self.trials,
-            "horizon": self.horizon,
-            "median_product": self.median_product,
-            "max_product": self.max_product,
-            "min_product": self.min_product,
-        }
+        return asdict(self)
 
 
 def informativeness_estimate(
@@ -306,22 +302,25 @@ def compose_run(
     alpha scheme biases their chatter. Returns the decoded protocol
     transcript when interpretation completes within max_rounds.
     """
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be >= 0, got %d" % max_rounds)
     if not non_revealing(tree, scenario):
         raise ValueError("the protocol must be non-revealing to hide among innocents")
     rng = random.Random(seed)
     x, lvec = _sample(rng, scenario.outcomes())
 
+    def enter(node, state):
+        """(state, f-cells, alpha) on reaching ``node``; a leaking speaker
+        commits to the f-cell of a message drawn from their leak law."""
+        if node is None:
+            return replace(state, finished=True, speaker=None), None, None
+        f_cells = f_partition(node.p_innocent)
+        leaking = lvec[node.speaker - 1]
+        alpha = f_cells[_sample(rng, node.p_leak[x].items())] if leaking else None
+        return replace(state, speaker=node.speaker), f_cells, alpha
+
     node = tree.root
-    state = InterpreterState(
-        pi_transcript=(),
-        interval=UNIT,
-        speaker=None if node is None else node.speaker,
-        finished=node is None,
-    )
-    f_cells = None if node is None else f_partition(node.p_innocent)
-    alpha = None
-    if node is not None and lvec[node.speaker - 1]:
-        alpha = _draw_commitment(rng, node, x, f_cells)
+    state, f_cells, alpha = enter(node, InterpreterState())
 
     rows = []
     rounds_used = 0
@@ -330,41 +329,23 @@ def compose_run(
             break
         rounds_used = r + 1
         row = []
-        speaker_message = None
         for player in range(1, scenario.n_players + 1):
             law = channel.law(player, r)
             if player == state.speaker and alpha is not None:
-                g_cells = g_partition(state.interval, law)
-                message, alpha = embed_leaker_step(rng, alpha, g_cells)
+                message, alpha = embed_leaker_step(rng, alpha, g_partition(state.interval, law))
             else:
                 message = _sample(rng, law.items())
-            if player == state.speaker:
-                speaker_message = message
             row.append(message)
         rows.append(tuple(row))
         before = len(state.pi_transcript)
-        state = interpret_step(state, speaker_message, channel.law(state.speaker, r), f_cells)
+        speaker_law = channel.law(state.speaker, r)
+        state = interpret_step(state, row[state.speaker - 1], speaker_law, f_cells)
         if len(state.pi_transcript) > before:
             node = node.children[state.pi_transcript[-1]]
-            if node is None:
-                state = replace(state, finished=True, speaker=None)
-                f_cells = None
-                alpha = None
-            else:
-                state = replace(state, speaker=node.speaker)
-                f_cells = f_partition(node.p_innocent)
-                alpha = (
-                    _draw_commitment(rng, node, x, f_cells)
-                    if lvec[node.speaker - 1]
-                    else None
-                )
+            state, f_cells, alpha = enter(node, state)
     return ComposeResult(
         x, lvec, tuple(rows), state.pi_transcript if state.finished else None, rounds_used
     )
-
-
-def _draw_commitment(rng, node: ProtocolNode, x, f_cells) -> Interval:
-    return f_cells[_sample(rng, node.p_leak[x].items())]
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +393,20 @@ class AuditReport:
         }
 
 
+def _merge_state(states: dict, key, entries: dict, den: int) -> None:
+    """Add ``entries`` (int masses over ``den``) into ``states[key]``, over
+    the lcm of the two denominators, divided by the gcd of the result."""
+    if key in states:
+        old, old_den = states[key]
+        common = math.lcm(old_den, den)
+        merged = {k: w * (common // old_den) for k, w in old.items()}
+        for k, w in entries.items():
+            merged[k] = merged.get(k, 0) + w * (common // den)
+        entries, den = merged, common
+    g = math.gcd(den, *entries.values())
+    states[key] = ({k: w // g for k, w in entries.items()}, den // g) if g > 1 else (entries, den)
+
+
 def equivalence_audit(
     tree: ProtocolTree,
     channel: InnocentChannel,
@@ -422,15 +417,22 @@ def equivalence_audit(
     """Exhaustively expand the composed process and verify it leaks exactly
     the protocol transcript.
 
-    Checks, all in exact rationals: (i) decoded mass reaches the target
-    within the round budget; (ii) at every message boundary and at every
-    complete decode, the conditional law of (X, L) given the chatter path
-    equals the protocol's conditional given the decoded transcript; (iii)
-    each decoded transcript's mass never exceeds its protocol probability
-    and falls short by at most the total undecoded mass.
+    Checks, all exact: (i) decoded mass reaches the target within the round
+    budget; (ii) at every message boundary and at every complete decode, the
+    conditional law of (X, L) given the chatter path equals the protocol's
+    conditional given the decoded transcript, decided by cross-multiplying
+    the two int weightings against each other's totals; (iii) each decoded
+    transcript's mass never exceeds its protocol probability and falls
+    short by at most the total undecoded mass.
+
+    Each state's masses are ints over one denominator, so the innocent and
+    leaker step factors are int multiplications; only the interval
+    arithmetic and the reported masses are Fractions.
 
     Raises BudgetExceededError when the budget runs out first.
     """
+    if depth_budget < 0:
+        raise ValueError("depth_budget must be >= 0, got %d" % depth_budget)
     if not non_revealing(tree, scenario):
         raise ValueError("the protocol must be non-revealing to hide among innocents")
 
@@ -439,35 +441,37 @@ def equivalence_audit(
     terminal_paths = 0
 
     if tree.root is None:
-        decoded[()] = ONE
-        return AuditReport(ONE, ZERO, 0, 1, 0, True, decoded)
+        return AuditReport(ONE, ZERO, 0, 1, 0, True, {(): ONE})
 
-    # the protocol's own conditional at every prefix, and the probability
-    # of every complete transcript, from one walk
-    outcome_keys = scenario.outcome_keys()
+    # the protocol's own weights at every prefix with their total, and the
+    # probability of every complete transcript, from one walk
+    keys = scenario.outcome_keys()
     reference = {}
     transcript_mass = {}
-    for prefix, node, weights in iter_prefixes(tree, scenario):
+    for prefix, node, weights, scale in iter_prefixes(tree, scenario):
         total = sum(weights.values())
-        reference[prefix] = _conditional_vector(weights, outcome_keys, total)
+        reference[prefix] = (weights, total)
         if node is None:
-            transcript_mass[prefix] = total
+            transcript_mass[prefix] = Fraction(total, scale)
 
-    def fresh_entries(node, base):
+    def fresh_entries(node, base, den):
+        # the speaker commits to a protocol message when leaking
+        law_scale, _innocent, leak = node.int_laws
         entries = {}
         for (x, lvec), w in base.items():
             if lvec[node.speaker - 1]:
-                for a, q in node.p_leak[x].items():
-                    if q > 0:
+                for a, q in zip(node.alphabet, leak[x]):
+                    if q:
                         entries[(x, lvec, a)] = w * q
             else:
-                entries[(x, lvec, None)] = w
-        return entries, f_partition(node.p_innocent)
+                entries[(x, lvec, None)] = w * law_scale
+        return entries, den * law_scale
 
-    root_entries, root_cells = fresh_entries(tree.root, _scenario_weights(scenario))
-    # state key: (pi prefix, interval); value: {(x, lvec, commitment): mass}
-    states = {((), UNIT): root_entries}
-    f_cache = {(): root_cells}
+    # state key: (pi prefix, interval); value: ({(x, lvec, commitment): int}, den),
+    # each mass an int over the state's one denominator
+    base, scale = _scenario_weights(scenario)
+    states = {((), UNIT): fresh_entries(tree.root, base, scale)}
+    f_cache = {(): f_partition(tree.root.p_innocent)}
     node_cache = {(): tree.root}
 
     rounds_used = 0
@@ -476,7 +480,7 @@ def equivalence_audit(
             break
         rounds_used = r + 1
         new_states: dict = {}
-        for (prefix, interval), entries in states.items():
+        for (prefix, interval), (entries, den) in states.items():
             node = node_cache[prefix]
             f_cells = f_cache[prefix]
             law = channel.law(node.speaker, r)
@@ -489,60 +493,48 @@ def equivalence_audit(
                     alpha = f_cells[commit].intersect(interval)
                     leaker_laws[commit] = _leaker_law(alpha, g_cells)
             for message, cell in g_cells.items():
-                emitted = _emitted(f_cells, cell)
-                innocent_q = law.prob(message)
-                moved: dict = {}
-                for key, w in entries.items():
-                    commit = key[2]
-                    if commit is None:
-                        moved[key] = w * innocent_q
-                    elif message in leaker_laws[commit]:
-                        moved[key] = w * leaker_laws[commit][message][0]
+                # this message's step factors as ints over one denominator
+                steps = {k: lk[message][0] for k, lk in leaker_laws.items() if message in lk}
+                steps[None] = law.prob(message)
+                step_den = math.lcm(*(q.denominator for q in steps.values()))
+                factor = {k: q.numerator * (step_den // q.denominator) for k, q in steps.items()}
+                moved = {key: w * factor[key[2]] for key, w in entries.items() if key[2] in factor}
                 if not moved:
                     continue
+                moved_den = den * step_den
+                emitted = _emitted(f_cells, cell)
                 if emitted is None:
-                    slot = new_states.setdefault((prefix, cell), {})
-                    for k, w2 in moved.items():
-                        slot[k] = slot.get(k, ZERO) + w2
+                    _merge_state(new_states, (prefix, cell), moved, moved_den)
                     continue
-                # message boundary: collapse commitments and verify the
-                # conditional against the protocol's own conditional
+                # message boundary: collapse commitments and check that the
+                # conditional is proportional to the protocol's own
                 terminal_paths += 1
                 new_prefix = prefix + (emitted,)
                 collapsed: dict = {}
                 for (x, lvec, commit), w2 in moved.items():
                     assert commit is None or commit == emitted
-                    collapsed[(x, lvec)] = collapsed.get((x, lvec), ZERO) + w2
+                    collapsed[(x, lvec)] = collapsed.get((x, lvec), 0) + w2
                 total = sum(collapsed.values())
-                if _conditional_vector(collapsed, outcome_keys, total) != reference[new_prefix]:
+                ref, ref_total = reference[new_prefix]
+                if any(collapsed.get(k, 0) * ref_total != ref.get(k, 0) * total for k in keys):
                     mismatches += 1
                 child = node.children[emitted]
                 if child is None:
-                    decoded[new_prefix] = decoded.get(new_prefix, ZERO) + total
+                    decoded[new_prefix] = decoded.get(new_prefix, ZERO) + Fraction(total, moved_den)
                     continue
                 node_cache[new_prefix] = child
-                entries2, cells2 = fresh_entries(child, collapsed)
-                f_cache[new_prefix] = cells2
-                slot = new_states.setdefault((new_prefix, UNIT), {})
-                for k, w2 in entries2.items():
-                    slot[k] = slot.get(k, ZERO) + w2
+                f_cache[new_prefix] = f_partition(child.p_innocent)
+                entries2, den2 = fresh_entries(child, collapsed, moved_den)
+                _merge_state(new_states, (new_prefix, UNIT), entries2, den2)
         states = new_states
 
-    undecoded = sum(sum(e.values()) for e in states.values())
+    undecoded = sum(Fraction(sum(e.values()), den) for e, den in states.values())
     decoded_total = sum(decoded.values()) if decoded else ZERO
-    mass_ok = True
-    for t, p_ref in transcript_mass.items():
-        got = decoded.get(t, ZERO)
-        if got > p_ref or got < p_ref - undecoded:
-            mass_ok = False
+    mass_ok = all(
+        p_ref - undecoded <= decoded.get(t, ZERO) <= p_ref for t, p_ref in transcript_mass.items()
+    )
     report = AuditReport(
-        decoded_total,
-        undecoded,
-        rounds_used,
-        terminal_paths,
-        mismatches,
-        mass_ok,
-        decoded,
+        decoded_total, undecoded, rounds_used, terminal_paths, mismatches, mass_ok, decoded
     )
     if decoded_total < decoded_target:
         err = BudgetExceededError(

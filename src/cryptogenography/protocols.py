@@ -6,11 +6,18 @@ a leaking speaker uses. Everything downstream (posteriors, equivalence,
 the hunting game, embeddings) is computed from the exact rational joint
 that a (protocol, scenario) pair induces.
 
+The exact walk carries joint masses as ints over an implicit per-prefix
+scale: a child's weights are the parent's times the node's ``int_laws``
+(each probability times the lcm of the node's law denominators). Every test
+a scan makes is scale-free and decided by integer cross-multiplication; a
+``Fraction`` is made only where a probability leaves the walk.
+
 The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
-``_Tally``: one pass over a prefix's weights sums the x-mass and the
-per-(player, x) leaking mass, and a lookup divides. ``posteriors``,
-``safety_report``, the transformations and their checks here, and the game
-and the general upper bound elsewhere, all read it from there.
+``_Tally``: one pass over a prefix's weights (the walk's ints, or a
+JointDist's Fractions) sums the x-mass and the per-(player, x) leaking
+mass; ``posterior`` divides and ``compare`` cross-multiplies against a cap.
+``posteriors``, ``safety_report``, the transformations and their checks
+here, and the game and the general upper bound elsewhere, all read it.
 
 Player indices are 1-based throughout, matching the axis names
 "L1".."Ln". Transcripts are plain tuples of message labels.
@@ -18,9 +25,12 @@ Player indices are 1-based throughout, matching the axis names
 
 from __future__ import annotations
 
+import ast
 import itertools
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -139,9 +149,7 @@ class LeakScenario:
         """X independent of L; the leaker set is a uniformly random l-subset of n."""
         if not 0 <= l <= n:
             raise ValueError("need 0 <= l <= n")
-        import math as _math
-
-        subsets = _math.comb(n, l)
+        subsets = math.comb(n, l)
         table = {}
         for x, px in x_dist.items():
             for ones in itertools.combinations(range(n), l):
@@ -189,6 +197,15 @@ class ProtocolNode:
             except KeyError:
                 raise ValueError("node has no leak law for secret %r" % (x,)) from None
         return self.p_innocent
+
+    @cached_property
+    def int_laws(self) -> tuple:
+        """(scale, innocent, {secret: leak}): each law as ints in alphabet order,
+        every probability times ``scale``, the lcm of the node's denominators."""
+        laws = (self.p_innocent, *self.p_leak.values())
+        scale = math.lcm(*(p.denominator for law in laws for p in law.probs))
+        ints = [tuple(int(law.prob(m) * scale) for m in self.alphabet) for law in laws]
+        return scale, ints[0], dict(zip(self.p_leak, ints[1:]))
 
     def to_jsonable(self) -> dict:
         if all(_match_str_key(str(x)) == x for x in self.p_leak):
@@ -240,8 +257,6 @@ def _match_str_key(key: str):
     except ValueError:
         pass
     if key.startswith("(") and key.endswith(")"):
-        import ast
-
         try:
             val = ast.literal_eval(key)
             if isinstance(val, tuple):
@@ -349,32 +364,63 @@ def non_revealing(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -
 # ---------------------------------------------------------------------------
 # exact enumeration
 
-Weights = Mapping  # (x, lvec) -> Fraction, joint mass of outcome AND current prefix
+# (x, lvec) -> int, Pr(X=x, L=lvec, T^k = prefix) times the prefix's scale
+Weights = Mapping
 
 
-def _scenario_weights(scenario: LeakScenario) -> dict:
-    return {(x, lvec): p for (x, lvec), p in scenario.outcomes()}
-
-
-def _message_prob(node: ProtocolNode, x, lvec, m) -> Fraction:
-    return node.law(x, lvec[node.speaker - 1]).prob(m)
+def _scenario_weights(scenario: LeakScenario) -> tuple:
+    """(weights, scale): the scenario's masses as ints over the lcm of their
+    denominators."""
+    outcomes = list(scenario.outcomes())
+    scale = math.lcm(*(p.denominator for _, p in outcomes))
+    return {key: p.numerator * (scale // p.denominator) for key, p in outcomes}, scale
 
 
 def _descend(node: ProtocolNode, weights: dict, m) -> dict:
+    """The weights after message m, at the parent's scale times the node's."""
+    _scale, innocent, leak = node.int_laws
+    j = node.alphabet.index(m)
+    q_innocent = innocent[j]
+    speaker = node.speaker - 1
     out = {}
-    for (x, lvec), p in weights.items():
-        q = _message_prob(node, x, lvec, m)
-        if q > 0:
-            out[(x, lvec)] = p * q
+    try:
+        for (x, lvec), w in weights.items():
+            q = leak[x][j] if lvec[speaker] else q_innocent
+            if q:
+                out[(x, lvec)] = w * q
+    except KeyError as exc:
+        raise ValueError("node has no leak law for secret %r" % exc.args) from None
     return out
+
+
+class _StateBudget:
+    """Outcome states charged against one budget: every walk and every
+    transformation recursion charges the weights of each prefix it reads,
+    internal and terminal. BudgetExceededError once they pass ``budget``
+    (None: DEFAULT_ENUMERATION_BUDGET, read when the budget is made)."""
+
+    __slots__ = ("limit", "states")
+
+    def __init__(self, budget: Optional[int]):
+        self.limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+        self.states = 0
+
+    def charge(self, weights) -> None:
+        self.states += len(weights)
+        if self.states > self.limit:
+            raise BudgetExceededError(
+                "enumeration exceeded %d outcome states; raise the budget explicitly" % self.limit
+            )
 
 
 class _Tally:
     """One pass over a prefix's weights: x-mass and per-(player, x) leaking
-    mass, from which ``posterior`` reads Pr(L_i=1 | X=x, prefix).
+    mass, from which ``posterior`` reads Pr(L_i=1 | X=x, prefix) and
+    ``compare`` decides it against a cap.
 
-    Every posterior in the package is read from here. Key order follows
-    the weights, so scans over ``leak_mass`` are deterministic.
+    Every posterior in the package is read from here. Weights are the
+    walk's ints or a JointDist's Fractions; both tests are scale-free. Key
+    order follows the weights, so scans over ``leak_mass`` are deterministic.
     """
 
     __slots__ = ("x_mass", "leak_mass")
@@ -396,14 +442,24 @@ class _Tally:
         mass = self.x_mass.get(x)
         if not mass:
             return None
-        return self.leak_mass.get((player, x), ZERO) / mass
+        return Fraction(self.leak_mass.get((player, x), 0), mass)
+
+    def compare(self, player: int, x, c: Fraction) -> Optional[int]:
+        """Sign of Pr(L_player=1 | X=x, prefix) - c, by cross-multiplication;
+        None when x has no mass here."""
+        mass = self.x_mass.get(x)
+        if not mass:
+            return None
+        lhs = self.leak_mass.get((player, x), 0) * c.denominator
+        rhs = mass * c.numerator
+        return (lhs > rhs) - (lhs < rhs)
 
 
 def _conditional_vector(weights: Weights, keys, total=None) -> tuple:
     """The weights normalized over ``keys`` (zero where a key is absent)."""
     if total is None:
         total = sum(weights.values())
-    return tuple(weights.get(k, ZERO) / total for k in keys)
+    return tuple(Fraction(weights.get(k, 0), total) for k in keys)
 
 
 def _transcript_weights(joint: JointDist, n_players: int) -> dict:
@@ -423,32 +479,28 @@ def _transcript_weights(joint: JointDist, n_players: int) -> dict:
 def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int] = None):
     """Depth-first walk over positive-probability prefixes.
 
-    Yields (prefix, node_or_None, weights). ``node`` is None at terminal
-    prefixes (complete transcripts). Weights are joint masses
-    Pr(X=x, L=lvec, T^k = prefix).
+    Yields (prefix, node_or_None, weights, scale). ``node`` is None at
+    terminal prefixes (complete transcripts). Weights are ints: the joint
+    mass Pr(X=x, L=lvec, T^k = prefix) is ``Fraction(w, scale)``.
 
-    Every exhaustive scan reads this walk, which keeps the one state budget:
+    Every exhaustive scan reads this walk, which keeps the state budget:
     BudgetExceededError once the outcome states yielded, internal and
     terminal, pass ``budget`` (None: DEFAULT_ENUMERATION_BUDGET at start).
     """
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    states = 0
-    stack = [((), tree.root, _scenario_weights(scenario))]
+    states = _StateBudget(budget)
+    weights, scale = _scenario_weights(scenario)
+    stack = [((), tree.root, weights, scale)]
     while stack:
-        prefix, node, weights = stack.pop()
-        states += len(weights)
-        if states > budget:
-            raise BudgetExceededError(
-                "enumeration exceeded %d outcome states; raise the budget explicitly" % budget
-            )
-        yield prefix, node, weights
+        prefix, node, weights, scale = stack.pop()
+        states.charge(weights)
+        yield prefix, node, weights, scale
         if node is None:
             continue
+        child_scale = scale * node.int_laws[0]
         for m in reversed(node.alphabet):
             w2 = _descend(node, weights, m)
             if w2:
-                stack.append((prefix + (m,), node.children[m], w2))
+                stack.append((prefix + (m,), node.children[m], w2, child_scale))
 
 
 def enumerate_joint(
@@ -458,10 +510,10 @@ def enumerate_joint(
 ) -> JointDist:
     """Exact joint of (X, L1..Ln, T) with T ranging over complete transcripts."""
     table = {}
-    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
+    for prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
         if node is None:
-            for (x, lvec), p in weights.items():
-                table[(x,) + lvec + (prefix,)] = p
+            for (x, lvec), w in weights.items():
+                table[(x,) + lvec + (prefix,)] = Fraction(w, scale)
     axes = scenario.joint.axes + ("T",)
     supports = scenario.joint.axis_supports + (tuple(dict.fromkeys(k[-1] for k in table)),)
     return JointDist(axes, table, axis_supports=supports)
@@ -478,7 +530,7 @@ class PosteriorView:
 
 def _weights_at_prefix(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple) -> dict:
     node = tree.root
-    weights = _scenario_weights(scenario)
+    weights = _scenario_weights(scenario)[0]
     for m in prefix:
         if node is None:
             raise ValueError("prefix %r runs past the end of the protocol" % (prefix,))
@@ -496,9 +548,10 @@ def posteriors(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple) -> Pos
     total = sum(tally.x_mass.values())
     players = range(1, scenario.n_players + 1)
     x_support = scenario.x_support
-    x_posterior = FiniteDist(x_support, tuple(tally.x_mass.get(x, ZERO) / total for x in x_support))
+    x_mass = tuple(tally.x_mass.get(x, 0) for x in x_support)
+    x_posterior = FiniteDist(x_support, tuple(Fraction(w, total) for w in x_mass))
     leak_probs = tuple(
-        sum(tally.leak_mass.get((i, x), ZERO) for x in tally.x_mass) / total for i in players
+        Fraction(sum(tally.leak_mass.get((i, x), 0) for x in tally.x_mass), total) for i in players
     )
     leak_given_x = {
         x: tuple(tally.posterior(i, x) for i in players) for x in x_support if tally.x_mass.get(x)
@@ -513,7 +566,7 @@ def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     keys = scenario.outcome_keys()
     return {
         prefix: _conditional_vector(weights, keys)
-        for prefix, _node, weights in iter_prefixes(tree, scenario)
+        for prefix, _node, weights, _scale in iter_prefixes(tree, scenario)
     }
 
 
@@ -547,11 +600,11 @@ def posterior_measure(
     """
     keys = scenario.outcome_keys()
     measure: dict = {}
-    for _prefix, node, weights in iter_prefixes(tree, scenario, budget):
+    for _prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
         if node is None:
             total = sum(weights.values())
             vec = _conditional_vector(weights, keys, total)
-            measure[vec] = measure.get(vec, ZERO) + total
+            measure[vec] = measure.get(vec, ZERO) + Fraction(total, scale)
     return measure
 
 
@@ -589,16 +642,15 @@ def safety_report(
     best = ZERO
     witness = None
     ok = True
-    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
+    for prefix, node, weights, _scale in iter_prefixes(tree, scenario, budget):
         if node is not None and not include_prefixes:
             continue
         tally = _Tally(weights)
         for i, x in tally.leak_mass:
-            post = tally.posterior(i, x)
-            if post > best:
-                best = post
+            if tally.compare(i, x, best) == 1:
+                best = tally.posterior(i, x)
                 witness = (i, prefix, x)
-            if post > c:
+            if tally.compare(i, x, c) == 1:
                 ok = False
     return SafetyReport(ok, best, witness)
 
@@ -649,30 +701,32 @@ def binarize(
         left, right = shape
         lab_left = _leaves(left)
         lab_right = _leaves(right)
-        inn_l = sum(node.p_innocent.prob(m) for m in lab_left)
-        inn_r = sum(node.p_innocent.prob(m) for m in lab_right)
-        inn_total = inn_l + inn_r
-        p0 = inn_l / inn_total if inn_total > 0 else HALF
-        per_x = {}
-        for x in xs:
-            dist = node.p_leak[x]
-            wl = sum(dist.prob(m) for m in lab_left)
-            wr = sum(dist.prob(m) for m in lab_right)
-            tot = wl + wr
-            per_x[x] = wl / tot if tot > 0 else p0
+
+        def share_of_one(dist, default):
+            one = sum(dist.prob(m) for m in lab_right)
+            total = one + sum(dist.prob(m) for m in lab_left)
+            return one / total if total > 0 else default
+
+        p_one = share_of_one(node.p_innocent, HALF)
+        leak_one = {x: share_of_one(node.p_leak[x], p_one) for x in xs}
         child0 = emit_bits(node, left)
         child1 = emit_bits(node, right)
-        bit_node = ProtocolNode(
-            node.speaker,
-            (0, 1),
-            FiniteDist((0, 1), (p0, 1 - p0)),
-            {x: FiniteDist((0, 1), (per_x[x], 1 - per_x[x])) for x in xs},
-            {0: child0, 1: child1},
-        )
+        bit_node = _bit_node(node.speaker, p_one, leak_one, child0, child1)
         return _range_fix(bit_node, max_doubling_rounds)
 
     root = convert(tree.root)
     return ProtocolTree(root, tree_depth(root))
+
+
+def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> ProtocolNode:
+    """A node over {0, 1} from the innocent and per-secret probabilities of
+    sending 1."""
+
+    def law(p):
+        return FiniteDist((0, 1), (1 - p, p))
+
+    leak = {x: law(p) for x, p in leak_one.items()}
+    return ProtocolNode(speaker, (0, 1), law(p_one), leak, {0: child0, 1: child1})
 
 
 def _leaves(shape):
@@ -742,21 +796,13 @@ def _doubling_chain(bit_node: ProtocolNode, rare, max_rounds: int) -> ProtocolNo
         pc = 1 - pr
         reach = pr + pc * (scale - p_r) / (1 - p_r)
         leak_rare[x] = pr / reach if reach > 0 else inn_rare
-    reveal = ProtocolNode(
-        bit_node.speaker,
-        (0, 1),
-        FiniteDist((0, 1), (inn_rare, 1 - inn_rare) if rare == 0 else (1 - inn_rare, inn_rare)),
-        {
-            x: FiniteDist(
-                (0, 1),
-                (leak_rare[x], 1 - leak_rare[x]) if rare == 0 else (1 - leak_rare[x], leak_rare[x]),
-            )
-            for x in xs
-        },
-        {rare: child_rare, common: child_common},
-    )
 
-    node = reveal
+    def one(p):  # the probability of sending 1, from that of the rare bit
+        return p if rare else 1 - p
+
+    children = (child_common, child_rare) if rare else (child_rare, child_common)
+    reveal_leak = {x: one(p) for x, p in leak_rare.items()}
+    node = _bit_node(bit_node.speaker, one(inn_rare), reveal_leak, *children)
     for j in range(levels - 1, -1, -1):
         two_j = Fraction(1, 2**j)
         leak_one = {}
@@ -767,13 +813,7 @@ def _doubling_chain(bit_node: ProtocolNode, rare, max_rounds: int) -> ProtocolNo
             said_one = pc * (two_j / 2) / (1 - p_r)
             leak_one[x] = said_one / reach if reach > 0 else HALF
         # digit 1 proves the common bit; digit 0 keeps doubling
-        node = ProtocolNode(
-            bit_node.speaker,
-            (0, 1),
-            FiniteDist((0, 1), (HALF, HALF)),
-            {x: FiniteDist((0, 1), (1 - leak_one[x], leak_one[x])) for x in xs},
-            {0: node, 1: child_common},
-        )
+        node = _bit_node(bit_node.speaker, HALF, leak_one, node, child_common)
     return node
 
 
@@ -800,7 +840,7 @@ def bit_probability_report(tree: ProtocolTree, scenario: LeakScenario) -> list:
 
 def _check_priors(scenario: LeakScenario, cap, cap_name: str) -> None:
     """Reject a scenario whose prior Pr(L_i=1 | X=x) already exceeds the cap."""
-    prior = _Tally(_scenario_weights(scenario))
+    prior = _Tally(_scenario_weights(scenario)[0])
     for i, x in _player_secret_pairs(scenario):
         post = prior.posterior(i, x)
         if post is not None and post > cap:
@@ -818,6 +858,7 @@ def stop_at_c(
     scenario: LeakScenario,
     c,
     max_gadgets: int = 10_000,
+    budget: Optional[int] = None,
 ) -> ProtocolTree:
     """Equivalent protocol where no per-(player, x) posterior jumps past c:
     any prefix with posterior above c is preceded by one landing exactly on c.
@@ -826,36 +867,43 @@ def stop_at_c(
     Problematic nodes get a two-bit split: with mixing weight q solving
     c = q * c_high + (1 - q) * c_low, a sender who would send the safe bit
     forwards into the split with probability p(1-q)/(q(1-p)).
+
+    Every prefix the recursion reads charges its outcome states to
+    ``budget``, with ``iter_prefixes``' meaning; ``max_gadgets`` caps the
+    insertions separately.
     """
     c = as_probability(c)
     if not 0 < c < 1:
         raise ValueError("c must be in (0, 1)")
     _check_priors(scenario, c, "c")
     pairs = _player_secret_pairs(scenario)
-    budget = [max_gadgets]
+    gadgets_left = [max_gadgets]
+    states = _StateBudget(budget)
     outcome_order = scenario.outcome_keys()
     memo: dict = {}
 
     def transform(node, weights, landed):
+        states.charge(weights)
         if node is None or not weights:
             return node
         if len(node.alphabet) != 2:
             raise ValueError("stop_at_c requires binary messages; run binarize first")
-        # posteriors only depend on weights up to scale, so normalized
-        # weights key a memo that collapses the gadget's shared subtrees;
+        # posteriors only depend on weights up to scale, so the weights over
+        # their gcd key a memo that collapses the gadget's shared subtrees;
         # each entry holds its node so that the id cannot be reused
-        key = (id(node), landed, _conditional_vector(weights, outcome_order))
+        g = math.gcd(*weights.values())
+        key = (id(node), landed, tuple(weights.get(k, 0) // g for k in outcome_order))
         if key in memo:
             return memo[key][1]
         source = node
         tally = _Tally(weights)
-        landed = landed.union(pair for pair in tally.leak_mass if tally.posterior(*pair) == c)
+        landed = landed.union(pair for pair in tally.leak_mass if tally.compare(*pair, c) == 0)
         while True:
             found = _first_problem(node, weights, tally, pairs, c, landed)
             if found is None:
                 break
-            budget[0] -= 1
-            if budget[0] < 0:
+            gadgets_left[0] -= 1
+            if gadgets_left[0] < 0:
                 raise BudgetExceededError("stop_at_c exceeded %d gadget insertions" % max_gadgets)
             node = _insert_gadget(node, tally, found, c)
         children = {}
@@ -865,7 +913,7 @@ def stop_at_c(
         memo[key] = (source, result)
         return result
 
-    root = transform(tree.root, _scenario_weights(scenario), frozenset())
+    root = transform(tree.root, _scenario_weights(scenario)[0], frozenset())
     return ProtocolTree(root, tree_depth(root))
 
 
@@ -877,14 +925,13 @@ def _first_problem(node, weights, tally, pairs, c, landed):
     for i, x in pairs:
         if (i, x) in landed:
             continue
-        now = tally.posterior(i, x)
-        if now is None or now >= c:
+        now = tally.compare(i, x, c)
+        if now is None or now >= 0:
             continue
         if children is None:
             children = {m: _Tally(_descend(node, weights, m)) for m in node.alphabet}
         for m, child in children.items():
-            post = child.posterior(i, x)
-            if post is not None and post > c:
+            if child.compare(i, x, c) == 1:
                 return (i, x, m), children
     return None
 
@@ -894,7 +941,8 @@ def _insert_gadget(node, tally, problem, c):
     m_low = next(m for m in node.alphabet if m != m_star)
     c_star = children[m_star].posterior(i, x)
     c_low = children[m_low].posterior(i, x)
-    p_star = children[m_star].x_mass[x] / tally.x_mass[x]
+    # the children's weights carry the node's law scale on top of the tally's
+    p_star = Fraction(children[m_star].x_mass[x], tally.x_mass[x] * node.int_laws[0])
     q = (c - c_low) / (c_star - c_low)
     assert 0 < p_star < q < 1
     fwd = p_star * (1 - q) / (q * (1 - p_star))
@@ -908,24 +956,10 @@ def _insert_gadget(node, tally, problem, c):
         return go, inner
 
     go_inn, inner_inn = two_step(node.p_innocent)
-    go_x = {}
-    inner_x = {}
-    for xx, dist in node.p_leak.items():
-        go_x[xx], inner_x[xx] = two_step(dist)
-    inner_node = ProtocolNode(
-        node.speaker,
-        (0, 1),
-        FiniteDist((0, 1), (1 - inner_inn, inner_inn)),
-        {xx: FiniteDist((0, 1), (1 - inner_x[xx], inner_x[xx])) for xx in node.p_leak},
-        {0: node.children[m_low], 1: node.children[m_star]},
-    )
-    return ProtocolNode(
-        node.speaker,
-        (0, 1),
-        FiniteDist((0, 1), (1 - go_inn, go_inn)),
-        {xx: FiniteDist((0, 1), (1 - go_x[xx], go_x[xx])) for xx in node.p_leak},
-        {0: node.children[m_low], 1: inner_node},
-    )
+    steps = {xx: two_step(dist) for xx, dist in node.p_leak.items()}
+    low, star = node.children[m_low], node.children[m_star]
+    inner = _bit_node(node.speaker, inner_inn, {xx: s[1] for xx, s in steps.items()}, low, star)
+    return _bit_node(node.speaker, go_inn, {xx: s[0] for xx, s in steps.items()}, low, inner)
 
 
 def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bool:
@@ -934,17 +968,15 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
     c = as_probability(c)
     pairs = _player_secret_pairs(scenario)
     landed = {}  # prefix -> pairs at exactly c there or at an ancestor
-    for prefix, _node, weights in iter_prefixes(tree, scenario):
+    for prefix, _node, weights, _scale in iter_prefixes(tree, scenario):
         tally = _Tally(weights)
         above = landed[prefix[:-1]] if prefix else frozenset()
         here = set()
         for pair in pairs:
-            post = tally.posterior(*pair)
-            if post is None:
-                continue
-            if post > c and pair not in above:
+            sign = tally.compare(*pair, c)
+            if sign == 1 and pair not in above:
                 return False
-            if post == c:
+            if sign == 0:
                 here.add(pair)
         landed[prefix] = above.union(here)
     return True
@@ -954,27 +986,42 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
 # pretend ignorance: absorbing switch to innocent play before a crossing
 
 
-def _ignorance_step(node, weights, ignoring, c_prime, players):
-    """One node of the ignorance switch: the children's weights and, per
-    secret x, whether x's knowers play innocently from this node on. The
-    switch is absorbing and fires when some message would push some
-    Pr(L_i=1 | T, X=x) strictly above c'."""
-    child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-    tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
-    switch = {
-        x: ignored
-        or any(
-            tally.posterior(i, x) > c_prime
-            for tally in tallies
-            if tally.x_mass.get(x)
-            for i in players
-        )
-        for x, ignored in ignoring.items()
-    }
-    return child_weights, switch
+def _ignorance_switches(tree: ProtocolTree, scenario: LeakScenario, c_prime, budget) -> tuple:
+    """The ignorance switch on the input protocol's own joint, as (switches,
+    fired): ``switches[prefix][x]`` says whether x's knowers play innocently
+    from the node at ``prefix`` on, ``fired[x]`` is Pr(X=x, the switch fires
+    for x). The switch is absorbing and fires when some message would push
+    some Pr(L_i=1 | T, X=x) strictly above c'. Every prefix read charges its
+    outcome states to ``budget``, with ``iter_prefixes``' meaning."""
+    players = range(1, scenario.n_players + 1)
+    states = _StateBudget(budget)
+    switches: dict = {}
+    fired = dict.fromkeys(scenario.x_support, ZERO)
+
+    def visit(prefix, node, weights, scale, ignoring):
+        states.charge(weights)
+        if node is None:
+            return
+        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
+        tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
+        switch = switches[prefix] = {
+            x: ignored or any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players)
+            for x, ignored in ignoring.items()
+        }
+        for x, off in switch.items():
+            if off and not ignoring[x]:
+                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
+        child_scale = scale * node.int_laws[0]
+        for m in node.alphabet:
+            visit(prefix + (m,), node.children[m], child_weights[m], child_scale, switch)
+
+    visit((), tree.root, *_scenario_weights(scenario), dict.fromkeys(scenario.x_support, False))
+    return switches, fired
 
 
-def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
+def pretend_ignorance(
+    tree: ProtocolTree, scenario: LeakScenario, c_prime, budget: Optional[int] = None
+) -> ProtocolTree:
     """Safe-at-c' variant of the protocol.
 
     Whenever the next message could push some Pr(L_i=1 | T, X=x) strictly
@@ -982,49 +1029,40 @@ def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> Pr
     rest of the protocol (the switch is a function of the prefix and x, so
     an observer who knows x can compute it too). Posteriors are evaluated
     on the exact joint of the input protocol; a boundary hit (= c') does
-    not trigger the switch.
+    not trigger the switch. The walk keeps the state budget.
     """
     c_prime = as_probability(c_prime)
     if not 0 < c_prime < 1:
         raise ValueError("c_prime must be in (0, 1)")
     _check_priors(scenario, c_prime, "c'")
-    players = range(1, scenario.n_players + 1)
+    switches = _ignorance_switches(tree, scenario, c_prime, budget)[0]
 
-    def build(node, weights, ignoring):
+    def build(node, prefix):
         if node is None:
             return None
-        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
+        switch = switches[prefix]
         p_leak = {x: node.p_innocent if off else node.p_leak[x] for x, off in switch.items()}
-        children = {m: build(node.children[m], child_weights[m], switch) for m in node.alphabet}
+        children = {m: build(node.children[m], prefix + (m,)) for m in node.alphabet}
         return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
 
-    root = build(tree.root, _scenario_weights(scenario), dict.fromkeys(scenario.x_support, False))
+    root = build(tree.root, ())
     return ProtocolTree(root, tree_depth(root))
 
 
-def pretend_ignorance_trigger_mass(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> dict:
+def pretend_ignorance_trigger_mass(
+    tree: ProtocolTree, scenario: LeakScenario, c_prime, budget: Optional[int] = None
+) -> dict:
     """Per-secret probability that the ignorance switch fires somewhere.
 
     Measured on the original protocol's law: mass of (x, lvec, path) whose
     path reaches a node where the switch condition holds for x. This bounds
-    the extra decode-failure mass of the safe variant.
+    the extra decode-failure mass of the safe variant. The walk keeps the
+    state budget.
     """
-    c_prime = as_probability(c_prime)
-    players = range(1, scenario.n_players + 1)
-    xs = scenario.x_support
-    fired = {x: ZERO for x in xs}
-    root_weights = _scenario_weights(scenario)
-    x_prior = _Tally(root_weights).x_mass
-
-    def visit(node, weights, ignoring):
-        if node is None:
-            return
-        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
-        for x in xs:
-            if switch[x] and not ignoring[x]:
-                fired[x] += sum(p for (xx, _), p in weights.items() if xx == x)
-        for m in node.alphabet:
-            visit(node.children[m], child_weights[m], switch)
-
-    visit(tree.root, root_weights, dict.fromkeys(xs, False))
-    return {x: (fired[x] / x_prior[x] if x_prior.get(x) else ZERO) for x in xs}
+    fired = _ignorance_switches(tree, scenario, as_probability(c_prime), budget)[1]
+    weights, scale = _scenario_weights(scenario)
+    x_prior = _Tally(weights).x_mass
+    return {
+        x: (fired[x] / Fraction(x_prior[x], scale) if x_prior.get(x) else ZERO)
+        for x in scenario.x_support
+    }

@@ -240,12 +240,12 @@ def check_round_decomposition(
     """Certify, at every positive-probability node, the speaker bound
     I(X;A|prefix) <= delta susp_speaker and every listener's susp monotonicity."""
     checks = []
-    for prefix, node, weights in iter_prefixes(tree, scenario, budget):
+    for prefix, node, weights, _scale in iter_prefixes(tree, scenario, budget):
         if node is None:
             continue
         total = sum(weights.values())
         cond = {
-            (x, lvec): p / total for (x, lvec), p in weights.items()
+            (x, lvec): Fraction(w, total) for (x, lvec), w in weights.items()
         }
         speaker = node.speaker
         speaker_joint = _node_message_joint(node, cond, speaker)
@@ -352,7 +352,7 @@ def check_general_upper_bound(
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
-    prior = _Tally(_scenario_weights(scenario))
+    prior = _Tally(_scenario_weights(scenario)[0])
     b = None
     for i in range(1, n + 1):
         for x in scenario.x_support:

@@ -223,6 +223,24 @@ class TestEmbed:
         assert data["audit"]["ok"] is True
         assert data["run"]["decoded"] is not None
 
+    @pytest.mark.parametrize("flag, value", [("--audit-depth", "-3"), ("--max-rounds", "-2")])
+    def test_negative_round_counts_exit_2(self, tmp_path, flag, value):
+        """A negative audit depth or round budget is a usage error: exit 2,
+        with no report and no budget error record."""
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        law = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
+        node = ProtocolNode(1, ("a1", "a2"), law, {0: law, 1: law}, {"a1": None, "a2": None})
+        channel = InnocentChannel.iid_uniform(1, ("m1", "m2"))
+        files = {"protocol": ProtocolTree(node), "scenario": sc, "channel": channel}
+        args = ["embed"]
+        for name, obj in files.items():
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(obj.to_jsonable()))
+            args += ["--" + name, str(path)]
+        out = tmp_path / "embed.json"
+        assert run_cli(args + [flag, value], out) == 2
+        assert not out.exists()
+
     def test_channel_probabilities_as_strings(self, tmp_path):
         sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
         law = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))

@@ -214,6 +214,12 @@ class TestComposeRun:
         b = compose_run(pi, channel, sc, seed=9, max_rounds=300)
         assert a == b
 
+    @pytest.mark.parametrize("max_rounds", [-1, -2])
+    def test_negative_max_rounds_rejected(self, max_rounds):
+        pi, channel, sc, _ = figure_instance()
+        with pytest.raises(ValueError, match="max_rounds must be >= 0"):
+            compose_run(pi, channel, sc, seed=1, max_rounds=max_rounds)
+
     def test_revealing_protocol_rejected(self):
         sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
         p_inn = FiniteDist(("a", "b"), (F(1), F(0)))
@@ -295,6 +301,32 @@ class TestEquivalenceAudit:
             equivalence_audit(pi, channel, sc, depth_budget=80)
         # the walk stops before the first round, so there is no partial report
         assert not hasattr(err.value, "report")
+
+    @pytest.mark.parametrize("depth", [-1, -3])
+    def test_negative_depth_rejected(self, depth):
+        pi, channel, sc, _ = figure_instance()
+        with pytest.raises(ValueError, match="depth_budget must be >= 0"):
+            equivalence_audit(pi, channel, sc, depth_budget=depth)
+
+    def test_biased_leaker_law_is_a_mismatch(self, monkeypatch):
+        """The cross-multiplied check can say "different": a leaker who sends
+        every chatter message that meets alpha with equal probability,
+        rather than in proportion to the overlap, skews the conditional of
+        (X, L) at some message boundary."""
+        from cryptogenography import embedding
+
+        exact_law = embedding._leaker_law
+
+        def uniform_law(alpha, g_cells):
+            law = exact_law(alpha, g_cells)
+            return {m: (F(1, len(law)), overlap) for m, (_q, overlap) in law.items()}
+
+        pi, channel, sc, _ = figure_instance()
+        assert equivalence_audit(pi, channel, sc, depth_budget=80).ok
+        monkeypatch.setattr(embedding, "_leaker_law", uniform_law)
+        rep = equivalence_audit(pi, channel, sc, depth_budget=80)
+        assert rep.conditional_mismatches > 0
+        assert not rep.ok
 
     def test_decoded_masses_never_exceed_protocol_masses(self):
         pi, channel, sc, _ = figure_instance()

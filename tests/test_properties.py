@@ -25,6 +25,7 @@ from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information, neg_log2
 from cryptogenography.protocols import (
     ProtocolTree,
+    _Tally,
     enumerate_joint,
     iter_prefixes,
     posteriors,
@@ -234,7 +235,7 @@ def test_posterior_tally_matches_brute_force(seed, n_players, n_x, c):
 
     worst = F(0)
     worst_complete = F(0)
-    for prefix, node, _weights in iter_prefixes(pi, sc):
+    for prefix, node, _weights, _scale in iter_prefixes(pi, sc):
         k = len(prefix)
         if k not in joints:
             joints[k] = enumerate_joint(ProtocolTree(_truncated(pi.root, k)), sc)
@@ -277,3 +278,61 @@ def test_posterior_tally_matches_brute_force(seed, n_players, n_x, c):
             leak_given_x(joint, t, i, frank) for i in players
         )
     assert value.succ == sum(value.win_by_transcript.values())
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=12))
+        .filter(lambda nd: nd[0] <= nd[1])
+        .map(lambda nd: F(*nd)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_integer_walk_matches_fraction_oracle(seed, n_players, n_x, caps):
+    """At every prefix the walk yields, w / scale is the joint mass a
+    Fraction oracle builds from ``node.law``, and every tally comparison
+    with a cap (random caps plus the posterior itself, a knife edge) agrees
+    with comparing Fraction posteriors, for int and Fraction weights."""
+    rng = random.Random(seed)
+    sc = random_scenario(rng, n_players=n_players, n_x=n_x)
+    pi = random_protocol(rng, sc, max_depth=3, non_revealing_only=rng.random() < 0.5)
+    oracle = {(): {(x, lvec): p for (x, lvec), p in sc.outcomes()}}
+    seen = 0
+    for prefix, node, weights, scale in iter_prefixes(pi, sc):
+        seen += 1
+        if prefix:
+            parent, m = oracle[prefix[:-1]], prefix[-1]
+            at = pi.root
+            for step in prefix[:-1]:
+                at = at.children[step]
+            oracle[prefix] = {
+                (x, lvec): p * q
+                for (x, lvec), p in parent.items()
+                if (q := at.law(x, lvec[at.speaker - 1]).prob(m)) > 0
+            }
+        want = oracle[prefix]
+        assert all(isinstance(w, int) for w in weights.values())
+        assert {k: F(w, scale) for k, w in weights.items()} == want
+        tallies = (_Tally(weights), _Tally(want))
+        for i in range(1, n_players + 1):
+            for x in sc.x_support:
+                x_mass = sum(p for (xx, _), p in want.items() if xx == x)
+                if x_mass == 0:
+                    assert all(t.compare(i, x, F(1, 2)) is None for t in tallies)
+                    continue
+                leak = sum(p for (xx, lvec), p in want.items() if xx == x and lvec[i - 1])
+                post = leak / x_mass
+                for tally in tallies:
+                    assert tally.posterior(i, x) == post
+                    for cap in caps + [post]:
+                        assert tally.compare(i, x, cap) == _sign(post, cap)
+    assert seen == len(oracle)

@@ -20,8 +20,11 @@ from cryptogenography.protocols import (
     non_revealing,
     posteriors,
     prefix_conditionals,
+    pretend_ignorance,
+    pretend_ignorance_trigger_mass,
     safety_report,
     simulate,
+    stop_at_c,
     stop_at_c_postcondition,
     validate,
 )
@@ -209,7 +212,7 @@ class TestEnumerateJoint:
     def test_walk_budget_counts_every_outcome_state(self):
         ch = window_channel(F(1, 2), F(2, 3))
         pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
-        states = sum(len(w) for _, _, w in iter_prefixes(pi, sc))
+        states = sum(len(w) for _, _, w, _ in iter_prefixes(pi, sc))
         assert len(list(iter_prefixes(pi, sc, budget=states))) > 1
         with pytest.raises(BudgetExceededError, match="exceeded %d " % (states - 1)):
             list(iter_prefixes(pi, sc, budget=states - 1))
@@ -224,7 +227,8 @@ class TestEnumerateJoint:
 
 class TestScanBudgets:
     """Every exhaustive scan keeps the walk's default budget, read when the
-    walk starts."""
+    walk starts; the transformations' own recursions charge the same
+    counter."""
 
     @pytest.mark.parametrize(
         "scan",
@@ -233,8 +237,19 @@ class TestScanBudgets:
             lambda pi, sc: stop_at_c_postcondition(pi, sc, F(2, 3)),
             lambda pi, sc: prefix_conditionals(pi, sc),
             lambda pi, sc: equivalent(pi, pi, sc),
+            lambda pi, sc: stop_at_c(pi, sc, F(2, 3)),
+            lambda pi, sc: pretend_ignorance(pi, sc, F(2, 3)),
+            lambda pi, sc: pretend_ignorance_trigger_mass(pi, sc, F(2, 3)),
         ],
-        ids=["safety_report", "stop_at_c_postcondition", "prefix_conditionals", "equivalent"],
+        ids=[
+            "safety_report",
+            "stop_at_c_postcondition",
+            "prefix_conditionals",
+            "equivalent",
+            "stop_at_c",
+            "pretend_ignorance",
+            "pretend_ignorance_trigger_mass",
+        ],
     )
     def test_default_budget_enforced(self, monkeypatch, scan):
         ch = window_channel(F(1, 2), F(2, 3))
@@ -249,6 +264,19 @@ class TestScanBudgets:
         pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
         monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 20)
         assert safety_report(pi, sc, F(2, 3), budget=10**6).ok
+
+    def test_transform_budgets_count_what_the_walk_counts(self):
+        """On a protocol stop_at_c leaves alone, each transformation reads
+        exactly the outcome states the walk yields: that count passes and
+        one fewer raises."""
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        assert stop_at_c(pi, sc, F(2, 3)) == pi
+        states = sum(len(w) for _, _, w, _ in iter_prefixes(pi, sc))
+        for transform in (stop_at_c, pretend_ignorance, pretend_ignorance_trigger_mass):
+            transform(pi, sc, F(2, 3), budget=states)
+            with pytest.raises(BudgetExceededError, match="exceeded %d outcome" % (states - 1)):
+                transform(pi, sc, F(2, 3), budget=states - 1)
 
 
 class TestPosteriors:
