@@ -858,7 +858,6 @@ def stop_at_c(
     scenario: LeakScenario,
     c,
     max_gadgets: int = 10_000,
-    budget: Optional[int] = None,
 ) -> ProtocolTree:
     """Equivalent protocol where no per-(player, x) posterior jumps past c:
     any prefix with posterior above c is preceded by one landing exactly on c.
@@ -868,9 +867,9 @@ def stop_at_c(
     c = q * c_high + (1 - q) * c_low, a sender who would send the safe bit
     forwards into the split with probability p(1-q)/(q(1-p)).
 
-    Every prefix the recursion reads charges its outcome states to
-    ``budget``, with ``iter_prefixes``' meaning; ``max_gadgets`` caps the
-    insertions separately.
+    Every prefix the recursion reads charges its outcome states to the
+    walk's default state budget; ``max_gadgets`` caps the insertions
+    separately.
     """
     c = as_probability(c)
     if not 0 < c < 1:
@@ -878,7 +877,7 @@ def stop_at_c(
     _check_priors(scenario, c, "c")
     pairs = _player_secret_pairs(scenario)
     gadgets_left = [max_gadgets]
-    states = _StateBudget(budget)
+    states = _StateBudget(None)
     outcome_order = scenario.outcome_keys()
     memo: dict = {}
 
@@ -986,42 +985,21 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
 # pretend ignorance: absorbing switch to innocent play before a crossing
 
 
-def _ignorance_switches(tree: ProtocolTree, scenario: LeakScenario, c_prime, budget) -> tuple:
-    """The ignorance switch on the input protocol's own joint, as (switches,
-    fired): ``switches[prefix][x]`` says whether x's knowers play innocently
-    from the node at ``prefix`` on, ``fired[x]`` is Pr(X=x, the switch fires
-    for x). The switch is absorbing and fires when some message would push
-    some Pr(L_i=1 | T, X=x) strictly above c'. Every prefix read charges its
-    outcome states to ``budget``, with ``iter_prefixes``' meaning."""
-    players = range(1, scenario.n_players + 1)
-    states = _StateBudget(budget)
-    switches: dict = {}
-    fired = dict.fromkeys(scenario.x_support, ZERO)
-
-    def visit(prefix, node, weights, scale, ignoring):
-        states.charge(weights)
-        if node is None:
-            return
-        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-        tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
-        switch = switches[prefix] = {
-            x: ignored or any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players)
-            for x, ignored in ignoring.items()
-        }
-        for x, off in switch.items():
-            if off and not ignoring[x]:
-                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
-        child_scale = scale * node.int_laws[0]
-        for m in node.alphabet:
-            visit(prefix + (m,), node.children[m], child_weights[m], child_scale, switch)
-
-    visit((), tree.root, *_scenario_weights(scenario), dict.fromkeys(scenario.x_support, False))
-    return switches, fired
+def _ignorance_step(node, weights, ignoring, c_prime, players):
+    """One node of the ignorance switch: the children's weights and, per
+    secret x, whether x's knowers play innocently from this node on. The
+    switch is absorbing and fires when some message would push some
+    Pr(L_i=1 | T, X=x) strictly above c'."""
+    child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
+    tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
+    switch = {
+        x: ignored or any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players)
+        for x, ignored in ignoring.items()
+    }
+    return child_weights, switch
 
 
-def pretend_ignorance(
-    tree: ProtocolTree, scenario: LeakScenario, c_prime, budget: Optional[int] = None
-) -> ProtocolTree:
+def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
     """Safe-at-c' variant of the protocol.
 
     Whenever the next message could push some Pr(L_i=1 | T, X=x) strictly
@@ -1029,38 +1007,56 @@ def pretend_ignorance(
     rest of the protocol (the switch is a function of the prefix and x, so
     an observer who knows x can compute it too). Posteriors are evaluated
     on the exact joint of the input protocol; a boundary hit (= c') does
-    not trigger the switch. The walk keeps the state budget.
+    not trigger the switch. Every prefix read charges its outcome states
+    to the walk's default state budget.
     """
     c_prime = as_probability(c_prime)
     if not 0 < c_prime < 1:
         raise ValueError("c_prime must be in (0, 1)")
     _check_priors(scenario, c_prime, "c'")
-    switches = _ignorance_switches(tree, scenario, c_prime, budget)[0]
+    players = range(1, scenario.n_players + 1)
+    states = _StateBudget(None)
 
-    def build(node, prefix):
+    def build(node, weights, ignoring):
+        states.charge(weights)
         if node is None:
             return None
-        switch = switches[prefix]
+        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
         p_leak = {x: node.p_innocent if off else node.p_leak[x] for x, off in switch.items()}
-        children = {m: build(node.children[m], prefix + (m,)) for m in node.alphabet}
+        children = {m: build(node.children[m], child_weights[m], switch) for m in node.alphabet}
         return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
 
-    root = build(tree.root, ())
+    weights = _scenario_weights(scenario)[0]
+    root = build(tree.root, weights, dict.fromkeys(scenario.x_support, False))
     return ProtocolTree(root, tree_depth(root))
 
 
-def pretend_ignorance_trigger_mass(
-    tree: ProtocolTree, scenario: LeakScenario, c_prime, budget: Optional[int] = None
-) -> dict:
+def pretend_ignorance_trigger_mass(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> dict:
     """Per-secret probability that the ignorance switch fires somewhere.
 
     Measured on the original protocol's law: mass of (x, lvec, path) whose
     path reaches a node where the switch condition holds for x. This bounds
-    the extra decode-failure mass of the safe variant. The walk keeps the
-    state budget.
+    the extra decode-failure mass of the safe variant. Every prefix read
+    charges its outcome states to the walk's default state budget.
     """
-    fired = _ignorance_switches(tree, scenario, as_probability(c_prime), budget)[1]
+    c_prime = as_probability(c_prime)
+    players = range(1, scenario.n_players + 1)
+    states = _StateBudget(None)
+    fired = dict.fromkeys(scenario.x_support, ZERO)
+
+    def visit(node, weights, scale, ignoring):
+        states.charge(weights)
+        if node is None:
+            return
+        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
+        for x, off in switch.items():
+            if off and not ignoring[x]:
+                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
+        for m in node.alphabet:
+            visit(node.children[m], child_weights[m], scale * node.int_laws[0], switch)
+
     weights, scale = _scenario_weights(scenario)
+    visit(tree.root, weights, scale, dict.fromkeys(scenario.x_support, False))
     x_prior = _Tally(weights).x_mass
     return {
         x: (fired[x] / Fraction(x_prior[x], scale) if x_prior.get(x) else ZERO)

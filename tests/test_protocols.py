@@ -265,18 +265,20 @@ class TestScanBudgets:
         monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 20)
         assert safety_report(pi, sc, F(2, 3), budget=10**6).ok
 
-    def test_transform_budgets_count_what_the_walk_counts(self):
+    def test_transform_budgets_count_what_the_walk_counts(self, monkeypatch):
         """On a protocol stop_at_c leaves alone, each transformation reads
-        exactly the outcome states the walk yields: that count passes and
-        one fewer raises."""
+        exactly the outcome states the walk yields: that count passes as the
+        default budget and one fewer raises."""
         ch = window_channel(F(1, 2), F(2, 3))
         pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
         assert stop_at_c(pi, sc, F(2, 3)) == pi
         states = sum(len(w) for _, _, w, _ in iter_prefixes(pi, sc))
         for transform in (stop_at_c, pretend_ignorance, pretend_ignorance_trigger_mass):
-            transform(pi, sc, F(2, 3), budget=states)
+            monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", states)
+            transform(pi, sc, F(2, 3))
+            monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", states - 1)
             with pytest.raises(BudgetExceededError, match="exceeded %d outcome" % (states - 1)):
-                transform(pi, sc, F(2, 3), budget=states - 1)
+                transform(pi, sc, F(2, 3))
 
 
 class TestPosteriors:
