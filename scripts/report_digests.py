@@ -4,10 +4,13 @@
 Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `game` on the n=3 window instance and two seeded deep random protocols,
 `embed --audit-depth` (the whole report file) on the one-speaker figure
-instance and the n=2 window instance under (1/3, 2/3) chatter, and the
-canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
-trigger masses over a seeded batch of small random protocols. Run it in two
-checkouts and diff the output to see whether a change moved any report:
+instance and the n=2 window instance under (1/3, 2/3) chatter, `leak` at
+d = 2, 3 and 9 and in fixed mode, `decode` of a noisy d = 3 codeword and of
+a tie, and the canonical JSON of `binarize`, `stop_at_c`,
+`pretend_ignorance` and the trigger masses over a seeded batch of small
+random protocols. The codebooks behind `leak` and `decode` span several
+packing blocks. Run it in two checkouts and diff the output to see whether
+a change moved any report:
 
     PYTHONPATH=src python scripts/report_digests.py > after.txt
 """
@@ -21,8 +24,10 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
+
 from cryptogenography.cli import main as cli_main
-from cryptogenography.coding import window_channel, window_protocol, window_scenario
+from cryptogenography.coding import window, window_channel, window_protocol, window_scenario
 from cryptogenography.embedding import InnocentChannel
 from cryptogenography.probability import FiniteDist, fraction_to_jsonable
 from cryptogenography.protocols import (
@@ -71,6 +76,41 @@ def embed_instances():
             "40",
         ),
     }
+
+
+def window_cases(workdir) -> dict:
+    """name -> argv of the `leak` and `decode` runs."""
+    indep = ["leak", "--mode", "indep", "--b"]
+    cases = {
+        "leak-indep-d2": indep + ["1/2", "--c", "2/3", "--n", "200", "--rate", "1/10",
+                                  "--trials", "16", "--seed", "3"],
+        "leak-indep-d3": indep + ["1/4", "--c", "1/2", "--n", "300", "--rate", "1/20",
+                                  "--trials", "8", "--seed", "5"],
+        "leak-indep-d9": indep + ["1/10", "--c", "1/2", "--n", "100", "--rate", "1/8",
+                                  "--trials", "10", "--seed", "4"],
+        "leak-fixed": ["leak", "--mode", "fixed", "--l", "10", "--n", "40", "--c", "3/4",
+                       "--rate", "1/10", "--trials", "5", "--seed", "7"],
+    }
+    # the sent codeword is row 9999 of numpy's own one-call draw of the
+    # book, so decode finds it only if the package regenerates that stream
+    sent = np.random.default_rng(12).integers(1, 4, size=(2**14, 70), dtype=np.uint8)[9999]
+    ch = window_channel(F(2, 5), F(1, 2))  # a=2, d=3
+    noisy = [window(ch, int(s))[0] for s in sent]
+    noisy[:10] = [i % 3 + 1 for i in range(10)]
+    decodes = {
+        "decode-d3": ({"seed": 12, "h": 14, "n": 70, "d": 3}, noisy, "2/5", "1/2"),
+        # eight codewords of this book tie on the alternating transcript
+        "decode-tie": ({"seed": 16, "h": 14, "n": 16, "d": 2}, [1, 2] * 8, "1/2", "2/3"),
+    }
+    for name, (book, messages, b, c) in decodes.items():
+        files = []
+        for part, obj in (("codebook", book), ("transcript", {"messages": messages})):
+            path = os.path.join(workdir, "%s-%s.json" % (name, part))
+            with open(path, "w") as fh:
+                json.dump(obj, fh)
+            files += ["--" + part, path]
+        cases[name] = ["decode"] + files + ["--b", b, "--c", c]
+    return cases
 
 
 def write(workdir, name, obj) -> str:
@@ -126,6 +166,8 @@ def main():
                 files += ["--" + part, write(workdir, part, obj)]
             argv = ["embed"] + files + ["--seed", "5", "--audit-depth", depth]
             print("%s  embed-%s" % (cli_digest(workdir, argv), name))
+        for name, argv in window_cases(workdir).items():
+            print("%s  %s" % (cli_digest(workdir, argv), name))
     text = transform_records(args.transforms, args.seed)
     print("%s  transforms" % hashlib.sha256(text.encode()).hexdigest())
 

@@ -18,11 +18,11 @@ in one pass over cache-sized blocks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
 a tie is reported exactly as with one decode at a time.
 
-``random_codebook`` streams the generator's draw straight into the planes,
-a block of codewords at a time, so the (count, n) symbol matrix is never
-built: for d = 2 the planes take an eighth of its bytes. For a
-power-of-two d, blocks of a multiple of 4 rows reproduce one draw of the
-whole book exactly; any other d is drawn as one block. ``Codebook.symbols``
+``random_codebook`` applies numpy's bounded-integer rule (Lemire's
+multiply and rejection test) to the generator's raw words and packs the
+symbols into the planes a block at a time, reproducing one ``rng.integers``
+draw of the whole book for every d without building its (count, n) symbol
+matrix: for d = 2 the planes take an eighth of its bytes. ``Codebook.symbols``
 is unpacked from the planes only when read, for tests and brute-force
 checks; no experiment or decode reads it.
 """
@@ -191,8 +191,9 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
 _GROUP = 64
-# codebook symbols drawn, packed or unpacked at a time
-_PLANE_BLOCK_SYMBOLS = 1 << 20
+# codebook values drawn and packed, or symbols unpacked, at a time: a
+# block's temporaries then fit in cache
+_PLANE_BLOCK_SYMBOLS = 1 << 17
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -229,22 +230,40 @@ def _symbol_dtype(d: int):
     return np.uint8 if d < 256 else np.uint16
 
 
-def _block_rows(n: int) -> int:
-    """Codewords per packing block: about ``_PLANE_BLOCK_SYMBOLS`` symbols,
-    in a multiple of 4 rows so that a block of 8- or 16-bit symbols fills
-    whole 32-bit generator words."""
-    return max(4, _PLANE_BLOCK_SYMBOLS // max(n, 1) // 4 * 4)
+def _drawn_blocks(seed: int, d: int, n: int, count: int):
+    """(rows, n) blocks, in order, of the symbols minus one that
+    ``random_codebook`` draws, each from about ``_PLANE_BLOCK_SYMBOLS`` (at
+    least n) raw values; accepted values past the last whole row open the
+    next block."""
+    size = np.dtype(_symbol_dtype(d)).itemsize
+    value = np.dtype("<u%d" % size)
+    floor = (1 << 8 * size) % d
+    raw = np.random.default_rng(seed).bit_generator.random_raw
+    kept = np.empty(0, dtype=value)
+    rows_left = count
+    while rows_left and n:
+        wanted = min(max(_PLANE_BLOCK_SYMBOLS, n), rows_left * n - len(kept))
+        values = raw(-(-wanted * size // 8)).astype("<u8", copy=False).view(value)
+        if floor:  # a power-of-two d rejects nothing
+            # values * d wraps to the low half of the product
+            values = values[values * d >= floor]
+        products = np.multiply(values, d, dtype="<u%d" % (2 * size))
+        products >>= 8 * size
+        kept = np.concatenate((kept, products), dtype=value, casting="unsafe")
+        rows = min(len(kept) // n, rows_left)
+        yield kept[: rows * n].reshape(rows, n)
+        kept = kept[rows * n :]
+        rows_left -= rows
 
 
 def _pack_planes(blocks, d: int, n: int, count: int) -> np.ndarray:
     """Bit-planes (see ``Codebook.bit_planes``) of count codewords that
-    arrive as consecutive (rows, n) blocks of symbols in 1..d."""
+    arrive as consecutive (rows, n) blocks of symbols minus one."""
     depth = max(1, (d - 1).bit_length())
     planes = np.empty((depth, -(-n // 64), count), dtype=np.uint64)
     start = 0
     for block in blocks:
         stop = start + len(block)
-        block = block - 1
         for k in range(depth):
             # symbols minus one are already bits when d <= 2
             bits = block if depth == 1 else block & (1 << k)
@@ -302,12 +321,9 @@ class Codebook:
     def symbols(self) -> np.ndarray:
         """(message_count, n) array of symbols in 1..d."""
         if self._symbols is None:
-            count = self.message_count
-            symbols = np.empty((count, self.n), dtype=_symbol_dtype(self.d))
-            step = _block_rows(self.n)
-            for start in range(0, count, step):
-                block = self._planes[:, :, start : start + step]
-                symbols[start : start + step] = _unpack_planes(block, self.n, self.d)
+            symbols = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
+            for rows in self._row_blocks():
+                symbols[rows] = _unpack_planes(self._planes[:, :, rows], self.n, self.d)
             self._symbols = symbols
         return self._symbols
 
@@ -329,11 +345,14 @@ class Codebook:
         is one contiguous slice per (plane, word). For d = 2 the single
         plane is the packed bits themselves."""
         if self._planes is None:
-            count = self.message_count
-            step = _block_rows(self.n)
-            blocks = (self._symbols[start : start + step] for start in range(0, count, step))
-            self._planes = _pack_planes(blocks, self.d, self.n, count)
+            blocks = (self._symbols[rows] - 1 for rows in self._row_blocks())
+            self._planes = _pack_planes(blocks, self.d, self.n, self.message_count)
         return self._planes
+
+    def _row_blocks(self) -> list:
+        """Row slices of about ``_PLANE_BLOCK_SYMBOLS`` symbols each."""
+        step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
+        return [slice(start, start + step) for start in range(0, self.message_count, step)]
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
@@ -360,32 +379,28 @@ def _json_integer(data, key: str) -> int:
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28) -> Codebook:
-    """The codebook ``rng.integers(1, d + 1, size=(2^ceil(h_bits), n))``
-    draws from ``default_rng(seed)``, packed into bit-planes block by block
-    so the symbol matrix is never built.
+    """The book ``default_rng(seed).integers(1, d + 1, size=(2^ceil(h_bits), n),
+    dtype=_symbol_dtype(d))`` draws, packed into bit-planes block by block.
 
-    numpy draws 8- and 16-bit integers from buffered 32-bit words and drops
-    what is left of the last word at the end of each call. For a
-    power-of-two d no draw is rejected, so each block of ``_block_rows(n)``
-    codewords uses whole words, and the blocks reproduce one draw of the
-    whole book exactly. For any other d rejection makes the bytes a block
-    uses depend on its values, so the book is drawn as one block.
+    numpy takes each symbol by Lemire's method from the next B-bit value v
+    (B = 8, or 16 when d >= 256) of the raw 64-bit words read little-endian:
+    it rejects v if (v d) mod 2^B < 2^B mod d, else returns 1 + ((v d) >> B).
+    Applied to ``random_raw`` words, the rule reproduces that draw for every
+    d without building the symbol matrix; a power-of-two d rejects nothing.
     """
     if not 0 <= h_bits < math.inf:
         raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
+    if not 1 <= d < 1 << 16:
+        raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
+    if n < 0:
+        raise ValueError("codebook n must be >= 0, got %r" % (n,))
     count = 2 ** math.ceil(h_bits)
     if count * n > max_entries:
         raise MemoryError(
             "codebook of %d x %d symbols exceeds the %d-entry budget" % (count, n, max_entries)
         )
-    dtype = _symbol_dtype(d)
-    rng = np.random.default_rng(seed)
-    step = _block_rows(n) if d & (d - 1) == 0 else count
-    blocks = (
-        rng.integers(1, d + 1, size=(min(step, count - start), n), dtype=dtype)
-        for start in range(0, count, step)
-    )
-    return Codebook(float(h_bits), n, d, seed, planes=_pack_planes(blocks, d, n, count))
+    planes = _pack_planes(_drawn_blocks(seed, d, n, count), d, n, count)
+    return Codebook(float(h_bits), n, d, seed, planes=planes)
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:

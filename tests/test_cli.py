@@ -317,6 +317,11 @@ class TestDecode:
             # these used to end in an uncaught TypeError (exit code 1)
             ("h", -2),
             ("h", "3"),
+            # out of the range of a codebook, whichever way it is drawn
+            ("d", 0),
+            ("d", -3),
+            ("d", 65536),
+            ("n", -1),
         ],
     )
     def test_malformed_codebook_exits_2(self, tmp_path, field, value):
@@ -485,14 +490,10 @@ class TestBudgetErrors:
         assert json.loads((tmp_path / "verify.json").read_text())["safety"]["safe"] is True
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
-def test_binary_leak_peak_memory():
-    """The 2^20 x 200 binary book of the window-leak benchmark streams into
-    34 MB of bit-planes; building its 210 MB symbol matrix first peaked at
-    about 270 MB. The run goes in a grandchild so that RUSAGE_CHILDREN of
-    the middle process sees it alone."""
-    leak = [sys.executable, "-m", "cryptogenography.cli", "leak", "--mode", "indep", "--b", "1/2",
-            "--c", "2/3", "--n", "200", "--rate", "1/10", "--trials", "16", "--seed", "3"]
+def leak_peak_rss(args) -> tuple:
+    """(report, peak RSS in KiB) of one `leak` run. The run goes in a
+    grandchild so that RUSAGE_CHILDREN of the middle process sees it alone."""
+    leak = [sys.executable, "-m", "cryptogenography.cli", "leak"] + args
     probe = (
         "import json, resource, subprocess, sys\n"
         "proc = subprocess.run(json.loads(sys.argv[1]), capture_output=True, text=True)\n"
@@ -504,7 +505,28 @@ def test_binary_leak_peak_memory():
     assert proc.returncode == 0, proc.stderr
     code, stdout, stderr, maxrss_kib = json.loads(proc.stdout)
     assert code == 0, stderr
-    assert json.loads(stdout)["report"]["trials"] == 16
+    return json.loads(stdout)["report"], maxrss_kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
+def test_binary_leak_peak_memory():
+    """The 2^20 x 200 binary book of the window-leak benchmark streams into
+    34 MB of bit-planes; building its 210 MB symbol matrix first peaked at
+    about 270 MB."""
+    report, maxrss_kib = leak_peak_rss(["--mode", "indep", "--b", "1/2", "--c", "2/3", "--n", "200",
+                                        "--rate", "1/10", "--trials", "16", "--seed", "3"])
+    assert report["trials"] == 16
+    assert maxrss_kib < 160 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
+def test_ternary_leak_peak_memory():
+    """A 2^20 x 200 book over d = 3 streams into 67 MB of bit-planes; the
+    run peaks near 105 MB. Drawing its 210 MB symbol matrix in one call, as
+    was once done for every d that is not a power of two, peaked near 700 MB."""
+    report, maxrss_kib = leak_peak_rss(["--mode", "indep", "--b", "1/4", "--c", "1/2", "--n", "200",
+                                        "--rate", "1/10", "--trials", "8", "--seed", "3"])
+    assert report["trials"] == 8
     assert maxrss_kib < 160 * 1024
 
 

@@ -262,11 +262,11 @@ def no_symbol_matrix(monkeypatch):
 
 
 class TestStreamedCodebook:
-    # with 64 symbols per block, a 2^6 x 5 book spans 6 blocks of 12 rows
-    # (the last one short) and a 2^6 x 70 book 16 blocks of 4 rows; d = 3
-    # and d = 9 must still come out as one draw
-    @pytest.mark.parametrize("d", [2, 4, 8, 512, 3, 9])
-    @pytest.mark.parametrize("n", [5, 70])
+    # with 64 raw values per block, rows straddle blocks and 64-bit raw
+    # words, and for a d that is not a power of two the values accepted
+    # past a block's last whole row are carried into the next block
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300, 512])
+    @pytest.mark.parametrize("n", [5, 37, 70])
     def test_matches_one_shot_draw(self, monkeypatch, d, n):
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
         want = one_shot_book(6, n, d, seed=2024)
@@ -278,6 +278,30 @@ class TestStreamedCodebook:
             assert row.dtype == want.dtype and np.array_equal(row, want[x])
         symbols = random_codebook(6, n, d, seed=2024).symbols
         assert symbols.dtype == want.dtype and np.array_equal(symbols, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        h=st.floats(0, 5),
+        n=st.integers(0, 90),
+        d=st.integers(1, 600),
+        block=st.integers(1, 200),
+    )
+    def test_any_block_size_matches_one_shot_draw(self, seed, h, n, d, block):
+        with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
+            book = random_codebook(h, n, d, seed)
+        want = one_shot_book(h, n, d, seed)
+        assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+        assert np.array_equal(book.symbols, want)
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [(4, 0, "codebook d"), (4, -3, "codebook d"), (4, 65536, "codebook d"),
+         (-1, 2, "codebook n"), (-70, 3, "codebook n")],
+    )
+    def test_rejects_out_of_range_alphabet_and_length(self, n, d, message):
+        with pytest.raises(ValueError, match=message):
+            random_codebook(3, n, d, seed=1)
 
     def test_symbols_are_unpacked_once(self):
         book = random_codebook(4, 9, 4, seed=8)
