@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -390,6 +391,8 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     """
     if not 0 <= h_bits < math.inf:
         raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
+    n = _integral("n", n)
+    d = _integral("d", d)
     if not 1 <= d < 1 << 16:
         raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
     if n < 0:
@@ -401,6 +404,14 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
         )
     planes = _pack_planes(_drawn_blocks(seed, d, n, count), d, n, count)
     return Codebook(float(h_bits), n, d, seed, planes=planes)
+
+
+def _integral(field: str, value) -> int:
+    """``value`` as a Python int (numpy integers included), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("codebook %s must be an integer, got %r" % (field, value)) from None
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:

@@ -5,7 +5,9 @@ Two numeric regimes coexist on purpose:
 * probabilities, posteriors and distribution identities live in
   ``fractions.Fraction`` and are compared exactly (the equality cases of
   the bounds downstream are knife-edge, so float comparison would be
-  meaningless there);
+  meaningless there). Inside a ``JointDist`` every sum runs on int
+  numerators over the joint's lcm denominator, and a ``Fraction`` appears
+  only in a result: one per probability, marginal or conditional cell;
 * logarithmic quantities (entropy, mutual information, surprisal,
   suspicion) are IEEE doubles computed from those exact fractions, with
   0*log(0) = 0 and -log(0) = +inf.
@@ -45,15 +47,38 @@ LOG2_E = math.log2(math.e)
 
 
 def as_probability(value) -> Fraction:
-    """Coerce to an exact Fraction, refusing floats (no silent rounding)."""
-    if isinstance(value, float):
-        raise TypeError(
-            "probabilities must be exact (int, Fraction or string), got float %r" % value
-        )
-    p = Fraction(value)
-    if p < 0:
-        raise ValueError("probability must be >= 0, got %s" % p)
-    return p
+    """Coerce to an exact Fraction, refusing floats (no silent rounding).
+
+    A Fraction comes back unchanged once its sign is checked."""
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(
+                "probabilities must be exact (int, Fraction or string), got float %r" % value
+            )
+        value = Fraction(value)
+    if value.numerator < 0:
+        raise ValueError("probability must be >= 0, got %s" % value)
+    return value
+
+
+def _exact_total(probs) -> Fraction:
+    """The exact sum of Fractions: numerators summed as ints per
+    denominator, then once over the lcm of the denominators."""
+    by_den: dict = {}
+    for p in probs:
+        d = p.denominator
+        by_den[d] = by_den.get(d, 0) + p.numerator
+    den = math.lcm(*by_den)
+    return Fraction(sum(n * (den // d) for d, n in by_den.items()), den)
+
+
+def _grouped(nums: Mapping, idx) -> dict:
+    """Int masses summed by the sub-key at positions ``idx``, first-seen order."""
+    out: dict = {}
+    for key, n in nums.items():
+        sub = tuple(key[i] for i in idx)
+        out[sub] = out.get(sub, 0) + n
+    return out
 
 
 def log2_fraction(p: Fraction) -> float:
@@ -95,8 +120,9 @@ class FiniteDist:
             raise ValueError("support and probs length mismatch")
         if len(set(support)) != len(support):
             raise ValueError("support labels must be distinct")
-        if sum(probs) != 1:
-            raise ValueError("probabilities must sum to exactly 1, got %s" % (sum(probs),))
+        total = _exact_total(probs)
+        if total != 1:
+            raise ValueError("probabilities must sum to exactly 1, got %s" % (total,))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(support)})
@@ -141,9 +167,13 @@ class JointDist:
     entries are dropped at construction; per-axis canonical supports are
     recorded from the construction order (including labels whose whole
     slice is zero), so marginals and conditionals report stable orderings.
+
+    Every sum over the table runs on its int view (``_int_view``): the
+    entries as int numerators over the lcm of their denominators. A
+    Fraction is made only per result cell.
     """
 
-    __slots__ = ("axes", "table", "axis_supports", "_axis_index")
+    __slots__ = ("axes", "table", "axis_supports", "_axis_index", "_ints")
 
     def __init__(self, axes: Sequence[str], table: Mapping, axis_supports=None):
         axes = tuple(axes)
@@ -153,7 +183,6 @@ class JointDist:
             raise ValueError("need at least one axis")
         clean = {}
         seen = [dict() for _ in axes]  # dict used as an ordered set
-        total = ZERO
         for key, p in table.items():
             key = tuple(key)
             if len(key) != len(axes):
@@ -161,11 +190,11 @@ class JointDist:
             p = as_probability(p)
             for i, lab in enumerate(key):
                 seen[i].setdefault(lab)
-            total += p
-            if p > 0:
+            if p:
                 if key in clean:
                     raise ValueError("duplicate key %r" % (key,))
                 clean[key] = p
+        total = _exact_total(clean.values())
         if total != 1:
             raise ValueError("joint probabilities must sum to exactly 1, got %s" % total)
         if axis_supports is None:
@@ -180,6 +209,17 @@ class JointDist:
         self.table = clean
         self.axis_supports = axis_supports
         self._axis_index = {a: i for i, a in enumerate(axes)}
+        self._ints = None
+
+    def _int_view(self) -> tuple:
+        """(den, {key: numerator}): every entry is numerator / den, den the
+        lcm of the entries' denominators. Built on first read."""
+        if self._ints is None:
+            den = math.lcm(*{p.denominator for p in self.table.values()})
+            self._ints = den, {
+                key: p.numerator * (den // p.denominator) for key, p in self.table.items()
+            }
+        return self._ints
 
     def __eq__(self, other):
         return (
@@ -206,29 +246,27 @@ class JointDist:
     def prob_event(self, assignment: Mapping) -> Fraction:
         """Probability of the event {axis == value for every given axis}."""
         idx = [(self.axis_index(a), v) for a, v in assignment.items()]
-        total = ZERO
-        for key, p in self.table.items():
-            if all(key[i] == v for i, v in idx):
-                total += p
-        return total
+        den, nums = self._int_view()
+        return Fraction(
+            sum(n for key, n in nums.items() if all(key[i] == v for i, v in idx)), den
+        )
 
     def marginal(self, axes: Sequence[str]) -> "JointDist":
         axes = tuple(axes)
         idx = [self.axis_index(a) for a in axes]
-        out: dict = {}
-        for key, p in self.table.items():
-            sub = tuple(key[i] for i in idx)
-            out[sub] = out.get(sub, ZERO) + p
+        den, nums = self._int_view()
+        out = {sub: Fraction(n, den) for sub, n in _grouped(nums, idx).items()}
         supports = tuple(self.axis_supports[i] for i in idx)
         return JointDist(axes, out, axis_supports=supports)
 
     def marginal_dist(self, axis: str) -> FiniteDist:
         i = self.axis_index(axis)
         support = self.axis_supports[i]
-        acc = {s: ZERO for s in support}
-        for key, p in self.table.items():
-            acc[key[i]] += p
-        return FiniteDist(support, tuple(acc[s] for s in support))
+        den, nums = self._int_view()
+        acc = dict.fromkeys(support, 0)
+        for key, n in nums.items():
+            acc[key[i]] += n
+        return FiniteDist(support, tuple(Fraction(acc[s], den) for s in support))
 
     def condition(self, assignment: Mapping) -> "JointDist":
         """Condition on {axis == value}; returns a joint over the remaining axes."""
@@ -236,16 +274,17 @@ class JointDist:
         keep = [i for i in range(len(self.axes)) if i not in fixed]
         if not keep:
             raise ValueError("conditioning on every axis leaves nothing")
+        _den, nums = self._int_view()
         out: dict = {}
-        total = ZERO
-        for key, p in self.table.items():
+        total = 0
+        for key, n in nums.items():
             if all(key[i] == v for i, v in fixed.items()):
-                total += p
+                total += n
                 sub = tuple(key[i] for i in keep)
-                out[sub] = out.get(sub, ZERO) + p
+                out[sub] = out.get(sub, 0) + n
         if total == 0:
             raise ValueError("conditioning event has probability zero")
-        out = {k: v / total for k, v in out.items()}
+        out = {k: Fraction(n, total) for k, n in out.items()}
         return JointDist(
             tuple(self.axes[i] for i in keep),
             out,
@@ -305,11 +344,9 @@ def subset_entropy(j: JointDist, axes: Sequence[str]) -> float:
     """Entropy of the marginal over the given axes (all axes if equal set)."""
     axes = _axes_tuple(axes)
     idx = [j.axis_index(a) for a in axes]
-    acc: dict = {}
-    for key, p in j.table.items():
-        sub = tuple(key[i] for i in idx)
-        acc[sub] = acc.get(sub, ZERO) + p
-    return -sum(float(p) * log2_fraction(p) for p in acc.values() if p > 0) + 0.0
+    den, nums = j._int_view()
+    cells = (Fraction(n, den) for n in _grouped(nums, idx).values())
+    return -sum(float(p) * log2_fraction(p) for p in cells) + 0.0
 
 
 def mutual_information(j: JointDist, axes_a, axes_b) -> float:

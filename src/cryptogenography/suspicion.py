@@ -89,41 +89,45 @@ def _certificate(lhs: float, rhs: float, equality: bool) -> SuspicionCertificate
     return SuspicionCertificate(lhs, rhs, rhs - lhs, equality)
 
 
-def _innocence_masses(joint: JointDist, player_axis: str, axes: Sequence[str]) -> dict:
-    """One pass over the joint: y -> [Pr(Y=y), Pr(Y=y, L=0)] for every
-    positive-probability value y of ``axes``, in first-seen order."""
+def _innocence_masses(joint: JointDist, player_axis: str, axes: Sequence[str]) -> tuple:
+    """One pass over the joint's int view: (den, {y: [mass, innocent mass]})
+    for every positive-probability value y of ``axes``, in first-seen order,
+    where Pr(Y=y) = mass / den and Pr(Y=y, L=0) = innocent mass / den."""
     idx = [joint.axis_index(a) for a in axes]
     l_idx = joint.axis_index(player_axis)
+    den, nums = joint._int_view()
     masses: dict = {}
-    for key, p in joint.table.items():
+    for key, n in nums.items():
         y = tuple(key[i] for i in idx)
         slot = masses.get(y)
         if slot is None:
-            slot = masses[y] = [ZERO, ZERO]
-        slot[0] += p
+            slot = masses[y] = [0, 0]
+        slot[0] += n
         if key[l_idx] == 0:
-            slot[1] += p
-    return masses
+            slot[1] += n
+    return den, masses
 
 
-def _expected(masses: Mapping) -> float:
-    """E_y -log2 Pr(L=0 | y) over an innocence grouping; +inf as soon as
-    some y is certainly guilty."""
+def _expected(den: int, masses: Mapping) -> float:
+    """E_y -log2 Pr(L=0 | y) over an innocence grouping at denominator
+    ``den``; +inf as soon as some y is certainly guilty."""
     result = 0.0
     for py, innocent in masses.values():
         if innocent == 0:
             return math.inf
-        result += float(py) * -log2_fraction(innocent / py)
+        # int true division rounds correctly: this is float(Fraction(py, den))
+        result += py / den * -log2_fraction(Fraction(innocent, py))
     return result
 
 
 def suspicion_point(joint: JointDist, player_axis: str, given: Mapping) -> float:
     """-log2 Pr(L=0 | given), +inf when that conditional probability is 0."""
-    slot = _innocence_masses(joint, player_axis, tuple(given)).get(tuple(given.values()))
+    _den, masses = _innocence_masses(joint, player_axis, tuple(given))
+    slot = masses.get(tuple(given.values()))
     if slot is None:
         raise ValueError("conditioning event %r has probability zero" % (given,))
     total, innocent = slot
-    return neg_log2(innocent / total)
+    return neg_log2(Fraction(innocent, total))
 
 
 def expected_suspicion(joint: JointDist, player_axis: str, axes: Sequence[str]) -> float:
@@ -132,7 +136,7 @@ def expected_suspicion(joint: JointDist, player_axis: str, axes: Sequence[str]) 
     Returns +inf as soon as any positive-mass point is certainly guilty.
     """
     axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    return _expected(_innocence_masses(joint, player_axis, axes))
+    return _expected(*_innocence_masses(joint, player_axis, axes))
 
 
 def _law_matches_innocent_law(joint: JointDist, l_axis: str, a_axis: str) -> bool:
@@ -201,10 +205,10 @@ def check_listener_monotone(
     does not depend on B (exact rational test).
     """
     y_axes = (y_axes,) if isinstance(y_axes, str) else tuple(y_axes)
-    fine = _innocence_masses(joint, player_axis, y_axes + (b_axis,))
+    den, fine = _innocence_masses(joint, player_axis, y_axes + (b_axis,))
     coarse: dict = {}
     for yb, (mass, innocent) in fine.items():
-        slot = coarse.setdefault(yb[:-1], [ZERO, ZERO])
+        slot = coarse.setdefault(yb[:-1], [0, 0])
         slot[0] += mass
         slot[1] += innocent
     # B leaves the posterior alone iff every (y, b) cell has y's innocence
@@ -213,8 +217,8 @@ def check_listener_monotone(
         innocent * coarse[yb[:-1]][0] == coarse[yb[:-1]][1] * mass
         for yb, (mass, innocent) in fine.items()
     )
-    rhs = _expected(fine)
-    return _certificate(_expected(coarse), rhs, equality and not math.isinf(rhs))
+    rhs = _expected(den, fine)
+    return _certificate(_expected(den, coarse), rhs, equality and not math.isinf(rhs))
 
 
 @dataclass
@@ -243,35 +247,50 @@ def check_round_decomposition(
     for prefix, node, weights, _scale in iter_prefixes(tree, scenario, budget):
         if node is None:
             continue
-        total = sum(weights.values())
-        cond = {
-            (x, lvec): Fraction(w, total) for (x, lvec), w in weights.items()
-        }
+        laws = _int_law_items(node)
         speaker = node.speaker
-        speaker_joint = _node_message_joint(node, cond, speaker)
+        speaker_joint = _node_message_joint(node, laws, weights, speaker)
         speaker_cert = check_single_message(speaker_joint)
         listeners = {}
         for j in range(1, scenario.n_players + 1):
             if j == speaker:
                 continue
-            lj = _node_message_joint(node, cond, j)
+            lj = _node_message_joint(node, laws, weights, j)
             listeners[j] = check_listener_monotone(lj, "L", ("X",), "A")
         checks.append(RoundCheck(prefix, speaker, speaker_cert, listeners))
     return checks
 
 
-def _node_message_joint(node, cond_weights, player) -> JointDist:
-    """Joint of (X, L_player, next message) conditioned on the current prefix."""
+def _int_law_items(node) -> tuple:
+    """(innocent, {secret: leak}): each law as (message, q) pairs in its
+    support order, zeros dropped, q the probability times the node's
+    ``int_laws`` scale."""
+    scale = node.int_laws[0]
+
+    def items(law):
+        return tuple((a, p.numerator * (scale // p.denominator)) for a, p in law.items() if p)
+
+    return items(node.p_innocent), {x: items(law) for x, law in node.p_leak.items()}
+
+
+def _node_message_joint(node, laws, weights, player) -> JointDist:
+    """Joint of (X, L_player, next message) conditioned on the current prefix.
+
+    Reads the walk's int weights and the node's int laws (``_int_law_items``):
+    each cell is sum w*q over (sum of the weights) * the node's law scale."""
+    innocent, leak = laws
+    den = sum(weights.values()) * node.int_laws[0]
+    speaker = node.speaker - 1
     table: dict = {}
-    for (x, lvec), p in cond_weights.items():
-        law = node.law(x, lvec[node.speaker - 1])
-        li = lvec[player - 1]
-        for a, q in law.items():
-            if q == 0:
-                continue
-            key = (x, li, a)
-            table[key] = table.get(key, ZERO) + p * q
-    return JointDist(("X", "L", "A"), table)
+    try:
+        for (x, lvec), w in weights.items():
+            li = lvec[player - 1]
+            for a, q in leak[x] if lvec[speaker] else innocent:
+                key = (x, li, a)
+                table[key] = table.get(key, 0) + w * q
+    except KeyError as exc:
+        raise ValueError("node has no leak law for secret %r" % exc.args) from None
+    return JointDist(("X", "L", "A"), {key: Fraction(n, den) for key, n in table.items()})
 
 
 def check_transcript_bound(

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -301,6 +302,25 @@ class TestStreamedCodebook:
     )
     def test_rejects_out_of_range_alphabet_and_length(self, n, d, message):
         with pytest.raises(ValueError, match=message):
+            random_codebook(3, n, d, seed=1)
+
+    @pytest.mark.parametrize("d", [np.int64(3), np.uint8(3), np.int32(9)])
+    def test_numpy_integer_alphabet_and_length_match_python_ints(self, d):
+        book = random_codebook(3, np.int64(5), d, seed=1)
+        want = random_codebook(3, 5, int(d), seed=1)
+        assert type(book.d) is int and type(book.n) is int
+        assert (book.n, book.d) == (want.n, want.d)
+        assert np.array_equal(book.bit_planes(), want.bit_planes())
+
+    @pytest.mark.parametrize(
+        "n,d,message",
+        [(5, 3.5, "codebook d must be an integer, got 3.5"),
+         (5, "3", "codebook d must be an integer, got '3'"),
+         (5, 3.0, "codebook d must be an integer, got 3.0"),
+         (5.5, 3, "codebook n must be an integer, got 5.5")],
+    )
+    def test_rejects_non_integral_alphabet_and_length(self, n, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             random_codebook(3, n, d, seed=1)
 
     def test_symbols_are_unpacked_once(self):

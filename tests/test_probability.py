@@ -10,6 +10,7 @@ from cryptogenography.probability import (
     FiniteDist,
     JointDist,
     _sample,
+    as_probability,
     conditional_mutual_information,
     cross_entropy_gap,
     entropy,
@@ -279,6 +280,56 @@ class TestJointDist:
     def test_neg_log2_inf_only_at_zero(self):
         assert neg_log2(F(0)) == math.inf
         assert neg_log2(F(1, 2)) == 1.0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_rejects_totals_a_hair_off_one(self, sign):
+        # the hair lands on the entry with the largest denominator, so only
+        # the exact total over every denominator can tell
+        eps = sign * F(1, 10**40)
+        total = 1 + eps
+        table = {(0, "a"): F(1, 3), (1, "a"): F(1, 6), (2, "b"): F(1, 2) + eps}
+        with pytest.raises(ValueError, match="sum to exactly 1, got %s$" % total):
+            JointDist(("X", "Y"), table)
+        probs = (F(1, 3), F(1, 7), F(11, 21) + eps)
+        with pytest.raises(ValueError, match="sum to exactly 1, got %s$" % total):
+            FiniteDist((0, 1, 2), probs)
+
+    def test_accepts_mixed_denominators_summing_to_one(self):
+        j = JointDist(("X",), {(0,): F(1, 3), (1,): F(1, 6), (2,): F(1, 2)})
+        assert j.marginal_dist("X").probs == (F(1, 3), F(1, 6), F(1, 2))
+        assert j.prob_event({"X": 1}) == F(1, 6)
+
+    def test_construction_checks_still_hold(self):
+        with pytest.raises(ValueError, match="wrong arity"):
+            JointDist(("X", "Y"), {(0,): F(1)})
+        with pytest.raises(ValueError, match="probability must be >= 0"):
+            JointDist(("X",), {(0,): F(3, 2), (1,): F(-1, 2)})
+        with pytest.raises(TypeError):
+            JointDist(("X",), {(0,): 0.5, (1,): F(1, 2)})
+        with pytest.raises(ValueError, match="missing labels"):
+            JointDist(("X",), {(0,): F(1)}, axis_supports=((1,),))
+        with pytest.raises(ValueError, match="got 0$"):
+            JointDist(("X",), {(0,): F(0)})
+
+
+class TestAsProbability:
+    def test_exact_fraction_comes_back_unchanged(self):
+        p = F(2, 7)
+        assert as_probability(p) is p
+        assert as_probability(F(0)) == 0
+
+    def test_coerces_ints_and_strings(self):
+        assert as_probability(3) == F(3) and type(as_probability(3)) is F
+        assert as_probability("2/6") == F(1, 3)
+
+    def test_negative_fraction_rejected(self):
+        with pytest.raises(ValueError, match=r"^probability must be >= 0, got -1/3$"):
+            as_probability(F(-1, 3))
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, float("nan")])
+    def test_floats_rejected(self, value):
+        with pytest.raises(TypeError, match="got float"):
+            as_probability(value)
 
 
 class StepRng:

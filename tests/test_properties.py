@@ -2,6 +2,7 @@
 small-denominator rationals so every generated case keeps knife-edge
 comparisons decidable."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -22,8 +23,16 @@ from cryptogenography.coding import (
 )
 from cryptogenography.embedding import Interval, f_partition, g_partition
 from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
-from cryptogenography.probability import FiniteDist, JointDist, mutual_information, neg_log2
+from cryptogenography.probability import (
+    FiniteDist,
+    JointDist,
+    log2_fraction,
+    mutual_information,
+    neg_log2,
+    subset_entropy,
+)
 from cryptogenography.protocols import (
+    ProtocolNode,
     ProtocolTree,
     _Tally,
     enumerate_joint,
@@ -32,6 +41,8 @@ from cryptogenography.protocols import (
     safety_report,
 )
 from cryptogenography.suspicion import (
+    _int_law_items,
+    _node_message_joint,
     check_listener_monotone,
     check_single_message,
     expected_suspicion,
@@ -336,3 +347,168 @@ def test_integer_walk_matches_fraction_oracle(seed, n_players, n_x, caps):
                     for cap in caps + [post]:
                         assert tally.compare(i, x, cap) == _sign(post, cap)
     assert seen == len(oracle)
+
+
+@st.composite
+def mixed_tables(draw):
+    """A JointDist over 2-4 axes of 2-3 int labels each, entries with mixed
+    denominators, some zero and some cells absent, in a shuffled order."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=4))
+    cells = draw(st.permutations(list(itertools.product(*(range(k) for k in sizes)))))
+    entry = st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=12))
+    raw = draw(
+        st.lists(st.one_of(st.none(), entry.map(lambda nd: F(*nd))), min_size=len(cells), max_size=len(cells))
+        .filter(lambda ws: any(ws))
+    )
+    total = sum(w for w in raw if w is not None)
+    table = {key: w / total for key, w in zip(cells, raw) if w is not None}
+    return JointDist(tuple("A%d" % i for i in range(len(sizes))), table)
+
+
+def _ref_cells(joint, idx, keep=lambda key: True):
+    """Plain-Fraction sums of the table by sub-key, first-seen order."""
+    out = {}
+    for key, p in joint.table.items():
+        if keep(key):
+            sub = tuple(key[i] for i in idx)
+            out[sub] = out.get(sub, F(0)) + p
+    return out
+
+
+def _ref_entropy(cells):
+    return -sum(float(p) * log2_fraction(p) for p in cells.values() if p > 0) + 0.0
+
+
+def _ref_innocence(joint, idx):
+    masses = {}
+    for key, p in joint.table.items():
+        slot = masses.setdefault(tuple(key[i] for i in idx), [F(0), F(0)])
+        slot[0] += p
+        if key[0] == 0:
+            slot[1] += p
+    return masses
+
+
+def _ref_expected(masses):
+    result = 0.0
+    for py, innocent in masses.values():
+        if innocent == 0:
+            return math.inf
+        result += float(py) * -log2_fraction(innocent / py)
+    return result
+
+
+def _subsets(items):
+    return [c for r in range(1, len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_tables())
+def test_int_view_matches_fraction_reference(joint):
+    """Every reader of the joint's int view equals a plain-Fraction
+    reference: exact values, key and support order, and floats bit for bit
+    (axis A0 plays the leak indicator for the suspicion reads)."""
+    axes = joint.axes
+    for idx in _subsets(range(len(axes))):
+        names = tuple(axes[i] for i in idx)
+        want = _ref_cells(joint, idx)
+        if len(idx) < len(axes):
+            got = joint.marginal(names)
+            assert list(got.table.items()) == list(want.items())
+            assert got.axis_supports == tuple(joint.axis_supports[i] for i in idx)
+        assert subset_entropy(joint, names).hex() == _ref_entropy(want).hex()
+        for values in itertools.product(*(joint.axis_supports[i] for i in idx)):
+            assignment = dict(zip(names, values))
+            event = lambda key: all(key[i] == v for i, v in zip(idx, values))  # noqa: E731
+            mass = sum((p for key, p in joint.table.items() if event(key)), F(0))
+            assert joint.prob_event(assignment) == mass
+            if len(idx) == len(axes):
+                continue
+            keep = [i for i in range(len(axes)) if i not in idx]
+            if mass == 0:
+                with pytest.raises(ValueError, match="probability zero"):
+                    joint.condition(assignment)
+                continue
+            got = joint.condition(assignment)
+            want_cond = {k: p / mass for k, p in _ref_cells(joint, keep, event).items()}
+            assert list(got.table.items()) == list(want_cond.items())
+            assert got.axis_supports == tuple(joint.axis_supports[i] for i in keep)
+    for i, axis in enumerate(axes):
+        dist = joint.marginal_dist(axis)
+        want = _ref_cells(joint, (i,))
+        assert dist.support == joint.axis_supports[i]
+        assert dist.probs == tuple(want.get((s,), F(0)) for s in dist.support)
+    for a_idx in _subsets(range(len(axes))):
+        rest = [i for i in range(len(axes)) if i not in a_idx]
+        for b_idx in _subsets(rest):
+            a = tuple(axes[i] for i in a_idx)
+            b = tuple(axes[i] for i in b_idx)
+            want = (
+                _ref_entropy(_ref_cells(joint, a_idx))
+                + _ref_entropy(_ref_cells(joint, b_idx))
+                - _ref_entropy(_ref_cells(joint, a_idx + b_idx))
+            )
+            assert mutual_information(joint, a, b).hex() == want.hex()
+    others = range(1, len(axes))
+    for y_idx in _subsets(others):
+        y = tuple(axes[i] for i in y_idx)
+        fine_want = _ref_innocence(joint, y_idx)
+        assert expected_suspicion(joint, "A0", y).hex() == _ref_expected(fine_want).hex()
+        for b in others:
+            if b in y_idx:
+                continue
+            fine = _ref_innocence(joint, y_idx + (b,))
+            coarse = _ref_innocence(joint, y_idx)
+            cert = check_listener_monotone(joint, "A0", y, axes[b])
+            flat = all(
+                inn / mass == coarse[yb[:-1]][1] / coarse[yb[:-1]][0]
+                for yb, (mass, inn) in fine.items()
+            )
+            rhs = _ref_expected(fine)
+            assert cert.equality == (flat and not math.isinf(rhs))
+            assert cert.lhs_bits.hex() == _ref_expected(coarse).hex()
+            assert cert.rhs_bits.hex() == rhs.hex()
+
+
+def _reversed_laws(node):
+    """The same node with every law's support listed back to front."""
+    def rev(law):
+        return FiniteDist(law.support[::-1], law.probs[::-1])
+
+    return ProtocolNode(
+        node.speaker,
+        node.alphabet,
+        rev(node.p_innocent),
+        {x: rev(law) for x, law in node.p_leak.items()},
+        node.children,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_node_message_joint_matches_fraction_construction(seed, n_players, n_x):
+    """At every node of a random protocol, the int-built (X, L_j, A) joint
+    equals the one built from Fraction(w, total) times ``node.law``, in the
+    law's support order, also when that order is not the alphabet's."""
+    rng = random.Random(seed)
+    sc = random_scenario(rng, n_players=n_players, n_x=n_x)
+    pi = random_protocol(rng, sc, max_depth=3, non_revealing_only=rng.random() < 0.5)
+    for _prefix, node, weights, _scale in iter_prefixes(pi, sc):
+        if node is None:
+            continue
+        total = sum(weights.values())
+        for at in (node, _reversed_laws(node)):
+            for player in range(1, n_players + 1):
+                table = {}
+                for (x, lvec), w in weights.items():
+                    for a, q in at.law(x, lvec[at.speaker - 1]).items():
+                        if q:
+                            key = (x, lvec[player - 1], a)
+                            table[key] = table.get(key, F(0)) + F(w, total) * q
+                got = _node_message_joint(at, _int_law_items(at), weights, player)
+                assert list(got.table.items()) == list(table.items())
+                assert got.axis_supports == JointDist(("X", "L", "A"), table).axis_supports

@@ -226,6 +226,14 @@ class TestRoundDecomposition:
                 assert rc.speaker_cert.holds
                 assert all(c.holds for c in rc.listener_certs.values())
 
+    def test_missing_leak_law_is_a_value_error(self):
+        # secret 1 leaks with mass 1/4 but the node has a law for 0 only
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        law = FiniteDist.uniform(("a", "b"))
+        node = ProtocolNode(1, ("a", "b"), law, {0: law}, {"a": None, "b": None})
+        with pytest.raises(ValueError, match=r"no leak law for secret 1$"):
+            check_round_decomposition(ProtocolTree(node), sc)
+
 
 class TestGeneralUpperBound:
     def test_cancellation_at_b_equal_c(self):
