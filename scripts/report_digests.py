@@ -5,8 +5,8 @@ Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `game` on the n=3 window instance and two seeded deep random protocols,
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 window instance under (1/3, 2/3) chatter, `leak` at
-d = 2, 3 and 9 and in fixed mode, `decode` of a noisy d = 3 codeword and of
-a tie, and the canonical JSON of `binarize`, `stop_at_c`,
+d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3 codeword, of
+a noisy d = 2 codeword of length 37 and of a tie, and the canonical JSON of `binarize`, `stop_at_c`,
 `pretend_ignorance` and the trigger masses over a seeded batch of small
 random protocols. The codebooks behind `leak` and `decode` span several
 packing blocks. Run it in two checkouts and diff the output to see whether
@@ -86,6 +86,9 @@ def window_cases(workdir) -> dict:
                                   "--trials", "16", "--seed", "3"],
         "leak-indep-d3": indep + ["1/4", "--c", "1/2", "--n", "300", "--rate", "1/20",
                                   "--trials", "8", "--seed", "5"],
+        # a power of two above 2: two planes masked from the raw values
+        "leak-indep-d4": indep + ["1/4", "--c", "4/7", "--n", "160", "--rate", "1/10",
+                                  "--trials", "10", "--seed", "6"],
         "leak-indep-d9": indep + ["1/10", "--c", "1/2", "--n", "100", "--rate", "1/8",
                                   "--trials", "10", "--seed", "4"],
         "leak-fixed": ["leak", "--mode", "fixed", "--l", "10", "--n", "40", "--c", "3/4",
@@ -97,8 +100,12 @@ def window_cases(workdir) -> dict:
     ch = window_channel(F(2, 5), F(1, 2))  # a=2, d=3
     noisy = [window(ch, int(s))[0] for s in sent]
     noisy[:10] = [i % 3 + 1 for i in range(10)]
+    # a binary codeword whose length fills no whole byte, three bits flipped
+    sent = np.random.default_rng(21).integers(1, 3, size=(2**13, 37), dtype=np.uint8)[4321]
+    flipped = [3 - int(s) if i in (0, 8, 36) else int(s) for i, s in enumerate(sent)]
     decodes = {
         "decode-d3": ({"seed": 12, "h": 14, "n": 70, "d": 3}, noisy, "2/5", "1/2"),
+        "decode-d2-n37": ({"seed": 21, "h": 13, "n": 37, "d": 2}, flipped, "1/2", "2/3"),
         # eight codewords of this book tie on the alternating transcript
         "decode-tie": ({"seed": 16, "h": 14, "n": 16, "d": 2}, [1, 2] * 8, "1/2", "2/3"),
     }

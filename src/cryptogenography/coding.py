@@ -18,18 +18,17 @@ in one pass over cache-sized blocks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
 a tie is reported exactly as with one decode at a time.
 
-``random_codebook`` applies numpy's bounded-integer rule (Lemire's
-multiply and rejection test) to the generator's raw words and packs the
-symbols into the planes a block at a time, reproducing one ``rng.integers``
-draw of the whole book for every d without building its (count, n) symbol
-matrix: for d = 2 the planes take an eighth of its bytes. ``Codebook.symbols``
-is unpacked from the planes only when read, for tests and brute-force
-checks; no experiment or decode reads it.
+``random_codebook`` reproduces one ``rng.integers`` draw of the whole book
+from the generator's raw words without building its (count, n) symbol
+matrix: each plane of a block of values is one masked copy into a reused
+row-padded buffer and one flat ``packbits``. ``Codebook.symbols`` is
+unpacked from the planes only when read; no experiment or decode reads it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import time
@@ -197,15 +196,18 @@ _GROUP = 64
 _PLANE_BLOCK_SYMBOLS = 1 << 17
 
 
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """(rows, n) array, nonzero meaning a set bit -> (rows, ceil(n/64))
-    uint64 words, padding bits zero. Codebook planes and transcript
-    patterns share this packing, so the bit order inside a word never
-    matters."""
-    rows, n = bits.shape
-    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
-    return packed.view(np.uint64)
+def _pack_bit(values: np.ndarray, bit: int, buf: np.ndarray) -> np.ndarray:
+    """(words, rows) uint64 words of bit ``bit`` of a (rows, n) array of
+    unsigned values, padding bits zero: the bit is copied into buf (uint8, at
+    least rows by 64 words, zero past column n), packed by one ``packbits``.
+    Planes and patterns share it, so the bit order in a word never matters."""
+    rows, n = values.shape
+    if values.itemsize == 1:
+        np.bitwise_and(values, 1 << bit, out=buf[:rows, :n])
+    else:
+        np.right_shift(values, bit, out=buf[:rows, :n], casting="unsafe")
+        np.bitwise_and(buf[:rows], 1, out=buf[:rows])
+    return np.packbits(buf[:rows]).view(np.uint64).reshape(rows, buf.shape[1] // 64).T
 
 
 @functools.cache
@@ -232,44 +234,54 @@ def _symbol_dtype(d: int):
 
 
 def _drawn_blocks(seed: int, d: int, n: int, count: int):
-    """(rows, n) blocks, in order, of the symbols minus one that
-    ``random_codebook`` draws, each from about ``_PLANE_BLOCK_SYMBOLS`` (at
-    least n) raw values; accepted values past the last whole row open the
-    next block."""
+    """(block, bit) pairs, in order, of the codewords ``random_codebook``
+    draws, from about ``_PLANE_BLOCK_SYMBOLS`` (at least n) raw B-bit values
+    each: bit ``bit + k`` of a (rows, n) block is bit k of its symbols - 1."""
     size = np.dtype(_symbol_dtype(d)).itemsize
     value = np.dtype("<u%d" % size)
-    floor = (1 << 8 * size) % d
     raw = np.random.default_rng(seed).bit_generator.random_raw
-    kept = np.empty(0, dtype=value)
+    if d > 1 and not d & (d - 1) and n:
+        # nothing is rejected and a symbol minus one is the top log2 d bits of
+        # v: blocks of 8k whole rows end on a raw word and are read in place
+        step = -(-max(1, _PLANE_BLOCK_SYMBOLS // n) // 8) * 8
+        for start in range(0, count, step):
+            rows = min(step, count - start)
+            values = raw(-(-rows * n * size // 8)).astype("<u8", copy=False).view(value)
+            yield values[: rows * n].reshape(rows, n), 8 * size - d.bit_length() + 1
+        return
+    floor = (1 << 8 * size) % d
+    carried = np.empty(0, dtype=value)
     rows_left = count
     while rows_left and n:
-        wanted = min(max(_PLANE_BLOCK_SYMBOLS, n), rows_left * n - len(kept))
+        wanted = min(max(_PLANE_BLOCK_SYMBOLS, n), rows_left * n - len(carried))
         values = raw(-(-wanted * size // 8)).astype("<u8", copy=False).view(value)
-        if floor:  # a power-of-two d rejects nothing
-            # values * d wraps to the low half of the product
-            values = values[values * d >= floor]
+        # values * d wraps to the low half of the product
+        values = values[values * d >= floor]
+        symbols = np.empty(len(carried) + len(values), dtype=value)
+        symbols[: len(carried)] = carried
         products = np.multiply(values, d, dtype="<u%d" % (2 * size))
-        products >>= 8 * size
-        kept = np.concatenate((kept, products), dtype=value, casting="unsafe")
-        rows = min(len(kept) // n, rows_left)
-        yield kept[: rows * n].reshape(rows, n)
-        kept = kept[rows * n :]
+        np.right_shift(products, 8 * size, out=symbols[len(carried) :], casting="unsafe")
+        rows = min(len(symbols) // n, rows_left)
+        yield symbols[: rows * n].reshape(rows, n), 0
+        # accepted values past the last whole row open the next block
+        carried = symbols[rows * n :]
         rows_left -= rows
 
 
 def _pack_planes(blocks, d: int, n: int, count: int) -> np.ndarray:
     """Bit-planes (see ``Codebook.bit_planes``) of count codewords that
-    arrive as consecutive (rows, n) blocks of symbols minus one."""
+    arrive as consecutive (block, bit) pairs, plane k being bit ``bit + k``
+    of each block, packed through one reused row-padded buffer."""
     depth = max(1, (d - 1).bit_length())
     planes = np.empty((depth, -(-n // 64), count), dtype=np.uint64)
+    buf = np.empty((0, 64 * planes.shape[1]), dtype=np.uint8)
     start = 0
-    for block in blocks:
-        stop = start + len(block)
+    for block, bit in blocks:
+        if len(buf) < len(block):
+            buf = np.zeros((len(block), buf.shape[1]), dtype=np.uint8)
         for k in range(depth):
-            # symbols minus one are already bits when d <= 2
-            bits = block if depth == 1 else block & (1 << k)
-            planes[k, :, start:stop] = _pack_words(bits).T
-        start = stop
+            planes[k, :, start : start + len(block)] = _pack_bit(block, bit + k, buf)
+        start += len(block)
     return planes
 
 
@@ -330,9 +342,7 @@ class Codebook:
 
     @property
     def message_count(self) -> int:
-        if self._planes is not None:
-            return self._planes.shape[2]
-        return self._symbols.shape[0]
+        return len(self._symbols) if self._planes is None else self._planes.shape[2]
 
     def row(self, x: int) -> np.ndarray:
         if self._symbols is not None:
@@ -342,11 +352,11 @@ class Codebook:
     def bit_planes(self) -> np.ndarray:
         """Cached (ceil(log2 d), ceil(n/64), message_count) uint64 array:
         plane k holds bit k of every symbol minus one, packed by
-        ``_pack_words``. Words are the middle axis, so a block of codewords
+        ``_pack_bit``. Words are the middle axis, so a block of codewords
         is one contiguous slice per (plane, word). For d = 2 the single
         plane is the packed bits themselves."""
         if self._planes is None:
-            blocks = (self._symbols[rows] - 1 for rows in self._row_blocks())
+            blocks = ((self._symbols[rows] - 1, 0) for rows in self._row_blocks())
             self._planes = _pack_planes(blocks, self.d, self.n, self.message_count)
         return self._planes
 
@@ -364,19 +374,8 @@ class Codebook:
         h = data["h"]
         if isinstance(h, bool) or not isinstance(h, (int, float)):
             raise ValueError("codebook h must be a number, got %r" % (h,))
-        n, d, seed = (_json_integer(data, key) for key in ("n", "d", "seed"))
+        n, d, seed = (_integral("codebook " + key, data[key], True) for key in ("n", "d", "seed"))
         return random_codebook(h, n, d, seed)
-
-
-def _json_integer(data, key: str) -> int:
-    """data[key] as an int; a fractional, non-numeric or boolean value
-    would silently name another codebook, so it is rejected."""
-    value = data[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError("codebook %s must be an integer, got %r" % (key, value))
-    return value
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28) -> Codebook:
@@ -386,13 +385,14 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     numpy takes each symbol by Lemire's method from the next B-bit value v
     (B = 8, or 16 when d >= 256) of the raw 64-bit words read little-endian:
     it rejects v if (v d) mod 2^B < 2^B mod d, else returns 1 + ((v d) >> B).
-    Applied to ``random_raw`` words, the rule reproduces that draw for every
-    d without building the symbol matrix; a power-of-two d rejects nothing.
+    A power-of-two d rejects nothing, so plane k is bit B - log2 d + k of v,
+    masked straight from the raw words; any other d keeps the test and the
+    product, and plane k is bit k of (v d) >> B.
     """
     if not 0 <= h_bits < math.inf:
         raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
-    n = _integral("n", n)
-    d = _integral("d", d)
+    n = _integral("codebook n", n)
+    d = _integral("codebook d", d)
     if not 1 <= d < 1 << 16:
         raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
     if n < 0:
@@ -406,12 +406,18 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     return Codebook(float(h_bits), n, d, seed, planes=planes)
 
 
-def _integral(field: str, value) -> int:
-    """``value`` as a Python int (numpy integers included), else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError("codebook %s must be an integer, got %r" % (field, value)) from None
+def _integral(what: str, value, floats: bool = False) -> int:
+    """value as a Python int (numpy integers, and with floats set integral
+    floats, included). A fractional, non-numeric or boolean value would
+    silently stand for another number, so it is a ValueError."""
+    if floats and isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:
@@ -421,7 +427,8 @@ def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -
     (u, k) packs bit k of that s - 1 at every position."""
     msgs = transcripts.astype(np.int64) - 1
     accepted = [(msgs - u) * pow(ch.a, -1, ch.d) % ch.d for u in range(ch.a)]
-    return np.array([[_pack_words(s & (1 << k)).T for k in range(depth)] for s in accepted])
+    buf = np.zeros((len(msgs), 64 * -(-msgs.shape[1] // 64)), dtype=np.uint8)
+    return np.array([[_pack_bit(s, k, buf) for k in range(depth)] for s in accepted])
 
 
 def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) -> list:
@@ -486,15 +493,14 @@ def ml_decode(book: Codebook, transcript, ch: WindowChannel) -> Optional[int]:
     avoid float underflow at any block length.
     """
     if book.d != ch.d:
-        raise ValueError(
-            "codebook alphabet d=%d does not match the channel's d=%d" % (book.d, ch.d)
-        )
-    transcript = np.asarray(transcript, dtype=np.int64)
-    if transcript.shape != (book.n,):
-        raise ValueError("transcript length %d does not match n=%d" % (transcript.size, book.n))
-    if np.any((transcript < 1) | (transcript > ch.d)):
+        raise ValueError("codebook alphabet d=%d does not match the channel's d=%d" % (book.d, ch.d))
+    messages = np.asarray(transcript, dtype=object)
+    if messages.shape != (book.n,):
+        raise ValueError("transcript length %d does not match n=%d" % (messages.size, book.n))
+    messages = [_integral("transcript messages", m, True) for m in messages]
+    if not all(1 <= m <= ch.d for m in messages):
         raise ValueError("transcript messages must be in 1..%d" % ch.d)
-    return _decode_batch(book, transcript[None, :], ch)[0]
+    return _decode_batch(book, np.array([messages], dtype=np.int64), ch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +553,7 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     ch = window_channel(b, c)
     rate = exact_rate(rate)
     h = rate * n
-    book = random_codebook(
-        float(h), n, ch.d, derive_seed(seed, AUX_STREAM_OFFSET)
-    )
+    book = random_codebook(float(h), n, ch.d, derive_seed(seed, AUX_STREAM_OFFSET))
     # every in-window hit has this posterior and every other symbol 0, so
     # one exact identity covers every player of every trial
     post_in = posterior_leak(1, 1, ch)
@@ -724,8 +728,6 @@ def one_shot_joint(ch: WindowChannel) -> JointDist:
 
 def window_scenario(ch: WindowChannel, n: int) -> LeakScenario:
     """X uniform over {1..d}^n, players leaking independently with prob b."""
-    import itertools
-
     labels = tuple(itertools.product(range(1, ch.d + 1), repeat=n))
     return LeakScenario.independent(FiniteDist.uniform(labels), n, ch.b)
 
@@ -733,8 +735,6 @@ def window_scenario(ch: WindowChannel, n: int) -> LeakScenario:
 def window_protocol(ch: WindowChannel, n: int) -> ProtocolTree:
     """Each player speaks once: uniform over {1..d} when innocent, uniform
     over the window of their own coordinate of x when leaking."""
-    import itertools
-
     alphabet = tuple(range(1, ch.d + 1))
     uniform = FiniteDist.uniform(alphabet)
     xs = tuple(itertools.product(range(1, ch.d + 1), repeat=n))

@@ -217,8 +217,7 @@ def check_listener_monotone(
         innocent * coarse[yb[:-1]][0] == coarse[yb[:-1]][1] * mass
         for yb, (mass, innocent) in fine.items()
     )
-    rhs = _expected(den, fine)
-    return _certificate(_expected(den, coarse), rhs, equality and not math.isinf(rhs))
+    return _certificate(_expected(den, coarse), _expected(den, fine), equality)
 
 
 @dataclass

@@ -296,6 +296,12 @@ class TestDecode:
             ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 3, 1, 2], "1/2", "2/3"),
             # a binary book read through the d=3 channel
             ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 2, 1, 2], "1/4", "1/2"),
+            # fractional, boolean and string messages used to be truncated
+            # or parsed into 1..d and decoded with exit code 0
+            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1.5, 2.5, 1.5, 3.5, 2.5, 1.5], "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1, 2, True, 3, 1, 2], "1/4", "1/2"),
+            ({"seed": 2, "h": 3, "n": 5, "d": 2}, [True] * 5, "1/2", "2/3"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3}, ["1", "2", "3", "1", "2", "3"], "1/4", "1/2"),
         ],
     )
     def test_invalid_transcript_or_alphabet_exits_2(self, tmp_path, book_json, messages, b, c):

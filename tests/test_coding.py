@@ -239,18 +239,21 @@ def one_shot_book(h, n, d, seed):
     return np.random.default_rng(seed).integers(1, d + 1, size=(count, n), dtype=dtype)
 
 
+def reference_pack(bits):
+    """(rows, n) array, nonzero meaning a set bit, packed row by row into
+    (words, rows) uint64 words with zero padding."""
+    rows, n = bits.shape
+    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64).T
+
+
 def reference_planes(symbols, d):
     """Bit k of every symbol minus one, packed per codeword into uint64
     words with zero padding, as (planes, words, codewords)."""
-    count, n = symbols.shape
-    words = -(-n // 64)
     depth = max(1, (d - 1).bit_length())
-    planes = np.empty((depth, words, count), dtype=np.uint64)
-    for k in range(depth):
-        packed = np.zeros((count, 8 * words), dtype=np.uint8)
-        packed[:, : -(-n // 8)] = np.packbits((symbols.astype(np.int64) - 1) >> k & 1, axis=1)
-        planes[k] = packed.view(np.uint64).T
-    return planes
+    values = symbols.astype(np.int64) - 1
+    return np.array([reference_pack(values >> k & 1) for k in range(depth)])
 
 
 @pytest.fixture
@@ -263,11 +266,15 @@ def no_symbol_matrix(monkeypatch):
 
 
 class TestStreamedCodebook:
-    # with 64 raw values per block, rows straddle blocks and 64-bit raw
-    # words, and for a d that is not a power of two the values accepted
-    # past a block's last whole row are carried into the next block
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300, 512])
-    @pytest.mark.parametrize("n", [5, 37, 70])
+    # with 64 raw values per block, for a d that is not a power of two rows
+    # straddle blocks and 64-bit raw words, and the values accepted past a
+    # block's last whole row are carried into the next block; a power of
+    # two reads whole rows, a multiple of 8 per block, in place. n = 64
+    # fills whole words and n = 200 whole bytes
+    @pytest.mark.parametrize(
+        "d", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300, 512, 1024, 32768]
+    )
+    @pytest.mark.parametrize("n", [5, 37, 70, 64, 200])
     def test_matches_one_shot_draw(self, monkeypatch, d, n):
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
         want = one_shot_book(6, n, d, seed=2024)
@@ -322,6 +329,27 @@ class TestStreamedCodebook:
     def test_rejects_non_integral_alphabet_and_length(self, n, d, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             random_codebook(3, n, d, seed=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(0, 70),
+        n=st.integers(0, 200),
+        dtype=st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+        spare_rows=st.integers(0, 3),
+    )
+    def test_flat_pack_matches_per_row_packbits(self, rows, n, dtype, seed, spare_rows):
+        # the buffer may be taller than the block and keeps stale bits in
+        # rows past it, as when a block is shorter than the one before
+        bits = min(np.iinfo(dtype).bits, 63)
+        values = np.random.default_rng(seed).integers(0, 2**bits, size=(rows, n), dtype=dtype)
+        buf = np.zeros((rows + spare_rows, 64 * -(-n // 64)), dtype=np.uint8)
+        buf[rows:, :n] = 1
+        for bit in sorted({0, 1, bits // 2, bits - 1}):
+            want = reference_pack(values >> bit & 1)
+            got = coding._pack_bit(values, bit, buf)
+            assert got.shape == want.shape == (-(-n // 64), rows)
+            assert np.array_equal(got, want)
 
     def test_symbols_are_unpacked_once(self):
         book = random_codebook(4, 9, 4, seed=8)
@@ -523,6 +551,22 @@ class TestBatchedDecode:
         for bad in ([0] * 6, [1, 2, 3, 7, 1, 2], [1, 2, 3, -1, 1, 2]):
             with pytest.raises(ValueError, match="1..3"):
                 ml_decode(book, bad, ch)
+        # these were truncated or parsed into messages in 1..3 and decoded
+        row = book.row(5).astype(np.int64)
+        for bad in (row + 0.5, list(row + 0.5), [str(m) for m in row], row.astype(str),
+                    [True] * 6, [1, 2, True, 3, 1, 2], np.ones(6, dtype=bool), [1, 2, 3, 1, 2, None]):
+            with pytest.raises(ValueError, match="transcript messages must be an integer"):
+                ml_decode(book, bad, ch)
+
+    def test_accepts_integral_floats_and_numpy_integers(self):
+        ch = window_channel(F(1, 4), F(1, 2))
+        book = random_codebook(6, 40, 3, seed=2)
+        row = book.row(17)
+        want = ml_decode(book, [int(m) for m in row], ch)
+        assert want == 17
+        for same in (row, row.astype(np.int64), row.astype(float), list(row.astype(float)),
+                     list(row), row.astype(np.float32)):
+            assert ml_decode(book, same, ch) == want
 
     def test_rejects_alphabet_mismatch(self):
         book = random_codebook(3, 5, 2, seed=2)
