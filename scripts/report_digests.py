@@ -4,13 +4,14 @@
 Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `game` on the n=3 window instance and two seeded deep random protocols,
 `embed --audit-depth` (the whole report file) on the one-speaker figure
-instance and the n=2 window instance under (1/3, 2/3) chatter, `leak` at
-d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3 codeword, of
-a noisy d = 2 codeword of length 37 and of a tie, and the canonical JSON of `binarize`, `stop_at_c`,
-`pretend_ignorance` and the trigger masses over a seeded batch of small
-random protocols. The codebooks behind `leak` and `decode` span several
-packing blocks. Run it in two checkouts and diff the output to see whether
-a change moved any report:
+instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
+`leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
+codeword, of a noisy d = 2 codeword of length 37 and of a tie, and the
+canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
+trigger masses over a seeded batch of small random protocols. The
+codebooks behind `leak` and `decode` span several packing blocks. Run it
+in two checkouts and diff the output to see whether a change moved any
+report:
 
     PYTHONPATH=src python scripts/report_digests.py > after.txt
 """
@@ -73,6 +74,12 @@ def embed_instances():
             window_protocol(ch, 2),
             window_scenario(ch, 2),
             InnocentChannel(2, ({1: chatter, 2: chatter},), True),
+            "40",
+        ),
+        "window3": (
+            window_protocol(ch, 3),
+            window_scenario(ch, 3),
+            InnocentChannel(3, ({1: chatter, 2: chatter, 3: chatter},), True),
             "40",
         ),
     }

@@ -10,9 +10,11 @@ been said. A leaking speaker never materializes the random point alpha:
 the lazy realization keeps the interval of still-possible alphas and emits
 each chatter message with probability |g-cell intersect alpha| / |alpha|.
 
-All interval arithmetic is exact; intervals are half-open [lo, hi).
-The audit carries each state's masses as ints over one denominator and
-compares conditionals by cross-multiplication; intervals, step laws and
+All interval arithmetic is exact; intervals are half-open [lo, hi), held
+as ints (lo, hi, den) in lowest terms, and compared and intersected by
+cross-multiplication. The audit carries each state's masses as ints over
+one denominator, multiplies them by int step factors and compares
+conditionals by cross-multiplication; the leaker step law and the
 reported masses are Fractions.
 """
 
@@ -64,34 +66,75 @@ __all__ = [
 NO_MESSAGE = "-"
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Half-open rational subinterval [lo, hi) of [0, 1)."""
+    """Half-open rational subinterval [lo, hi) of [0, 1).
 
-    lo: Fraction
-    hi: Fraction
+    Held as the ints ``(lo, hi, den)`` with gcd(lo, hi, den) == 1, a
+    canonical form, so ``==`` and ``hash`` compare int triples and
+    ``contains`` and ``intersect`` cross-multiply. ``lo``, ``hi`` and
+    ``length`` read as Fractions.
+    """
 
-    def __post_init__(self):
-        lo = Fraction(self.lo)
-        hi = Fraction(self.hi)
+    __slots__ = ("_ints",)
+
+    def __init__(self, lo, hi):
+        lo = Fraction(lo)
+        hi = Fraction(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("need 0 <= lo < hi <= 1, got [%s, %s)" % (lo, hi))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        # both are reduced, so no prime divides all three ints
+        den = math.lcm(lo.denominator, hi.denominator)
+        self._ints = (
+            lo.numerator * (den // lo.denominator),
+            hi.numerator * (den // hi.denominator),
+            den,
+        )
+
+    @classmethod
+    def _of(cls, lo: int, hi: int, den: int) -> "Interval":
+        """[lo/den, hi/den) for ints 0 <= lo < hi <= den, reduced."""
+        g = math.gcd(lo, hi, den)
+        interval = object.__new__(cls)
+        interval._ints = (lo // g, hi // g, den // g) if g > 1 else (lo, hi, den)
+        return interval
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[2])
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._ints[1], self._ints[2])
 
     @property
     def length(self) -> Fraction:
-        return self.hi - self.lo
+        lo, hi, den = self._ints
+        return Fraction(hi - lo, den)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self._ints == other._ints
+
+    def __hash__(self):
+        return hash(self._ints)
+
+    def __repr__(self):
+        return "Interval(lo=%r, hi=%r)" % (self.lo, self.hi)
 
     def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        lo, hi, den = self._ints
+        olo, ohi, oden = other._ints
+        return lo * oden <= olo * den and ohi * den <= hi * oden
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
+        lo, hi, den = self._ints
+        olo, ohi, oden = other._ints
+        lo = max(lo * oden, olo * den)
+        hi = min(hi * oden, ohi * den)
         if lo >= hi:
             return None
-        return Interval(lo, hi)
+        return Interval._of(lo, hi, den * oden)
 
     def to_jsonable(self) -> dict:
         return {"lo": fraction_to_jsonable(self.lo), "hi": fraction_to_jsonable(self.hi)}
@@ -169,15 +212,22 @@ def f_partition(innocent_law: FiniteDist) -> dict:
 
 
 def g_partition(current: Interval, innocent_law: FiniteDist) -> dict:
-    """Subdivide the working interval in proportion to the chatter law."""
+    """Subdivide the working interval in proportion to the chatter law.
+
+    With the law as ints p_k over the lcm L of its denominators, cell k is
+    [lo·L + acc_k·span, lo·L + (acc_k + p_k)·span) over den·L, where
+    acc_k = p_1 + ... + p_(k-1) and span = hi - lo."""
+    law_den, probs = innocent_law._int_view()
+    lo, hi, den = current._ints
+    span = hi - lo
+    den *= law_den
+    acc = lo * law_den
     cells = {}
-    acc = ZERO
-    span = current.length
-    for label, p in innocent_law.items():
-        if p == 0:
-            continue
-        cells[label] = Interval(current.lo + acc * span, current.lo + (acc + p) * span)
-        acc += p
+    for label, p in zip(innocent_law.support, probs):
+        if p:
+            end = acc + p * span
+            cells[label] = Interval._of(acc, end, den)
+            acc = end
     return cells
 
 
@@ -227,11 +277,14 @@ def _leaker_law(alpha: Interval, g_cells: Mapping) -> dict:
     """A leaking speaker's next chatter message given the alpha interval:
     message -> (|cell & alpha| / |alpha|, cell & alpha), for every g-cell
     that meets alpha. ``compose_run`` samples it; the audit expands it."""
+    lo, hi, den = alpha._ints
+    width = hi - lo
     law = {}
     for message, cell in g_cells.items():
         overlap = cell.intersect(alpha)
         if overlap is not None:
-            law[message] = (overlap.length / alpha.length, overlap)
+            olo, ohi, oden = overlap._ints
+            law[message] = (Fraction((ohi - olo) * den, width * oden), overlap)
     return law
 
 
@@ -425,9 +478,12 @@ def equivalence_audit(
     transcript's mass never exceeds its protocol probability and falls
     short by at most the total undecoded mass.
 
-    Each state's masses are ints over one denominator, so the innocent and
-    leaker step factors are int multiplications; only the interval
-    arithmetic and the reported masses are Fractions.
+    Each state's masses are ints over one denominator. Per chatter
+    message, the innocent factor p_k / L (the law as ints over the lcm L
+    of its denominators) and each commitment's leaker factor
+    |cell & alpha| / |alpha| (from ``_leaker_law``) become ints over one
+    step denominator, so every step is an int multiplication; intervals
+    are ints too, and only the reported masses are Fractions.
 
     Raises BudgetExceededError when the budget runs out first.
     """
@@ -445,7 +501,6 @@ def equivalence_audit(
 
     # the protocol's own weights at every prefix with their total, and the
     # probability of every complete transcript, from one walk
-    keys = scenario.outcome_keys()
     reference = {}
     transcript_mass = {}
     for prefix, node, weights, scale in iter_prefixes(tree, scenario):
@@ -486,18 +541,24 @@ def equivalence_audit(
             law = channel.law(node.speaker, r)
             g_cells = g_partition(interval, law)
             # a committed entry only reaches a state through a positive
-            # overlap, so its alpha (f-cell & interval) is never empty
+            # overlap, so a commitment whose alpha (f-cell & interval) is
+            # empty has no entries here
             leaker_laws = {}
-            for _x, _lvec, commit in entries:
-                if commit is not None and commit not in leaker_laws:
-                    alpha = f_cells[commit].intersect(interval)
+            for commit, f_cell in f_cells.items():
+                alpha = f_cell.intersect(interval)
+                if alpha is not None:
                     leaker_laws[commit] = _leaker_law(alpha, g_cells)
-            for message, cell in g_cells.items():
-                # this message's step factors as ints over one denominator
-                steps = {k: lk[message][0] for k, lk in leaker_laws.items() if message in lk}
-                steps[None] = law.prob(message)
-                step_den = math.lcm(*(q.denominator for q in steps.values()))
-                factor = {k: q.numerator * (step_den // q.denominator) for k, q in steps.items()}
+            law_den, law_probs = law._int_view()
+            for message, p in zip(law.support, law_probs):
+                if not p:
+                    continue
+                cell = g_cells[message]
+                # this message's step factors as ints over one denominator:
+                # p / law_den for innocents, the leaker law's for commitments
+                steps = [(k, lk[message][0]) for k, lk in leaker_laws.items() if message in lk]
+                step_den = math.lcm(law_den, *(q.denominator for _k, q in steps))
+                factor = {k: q.numerator * (step_den // q.denominator) for k, q in steps}
+                factor[None] = p * (step_den // law_den)
                 moved = {key: w * factor[key[2]] for key, w in entries.items() if key[2] in factor}
                 if not moved:
                     continue
@@ -516,7 +577,11 @@ def equivalence_audit(
                     collapsed[(x, lvec)] = collapsed.get((x, lvec), 0) + w2
                 total = sum(collapsed.values())
                 ref, ref_total = reference[new_prefix]
-                if any(collapsed.get(k, 0) * ref_total != ref.get(k, 0) * total for k in keys):
+                # both sides hold positive ints only, so equal key sets plus
+                # cross-multiplied equality on them is the whole test
+                if collapsed.keys() != ref.keys() or any(
+                    w * ref_total != ref[k] * total for k, w in collapsed.items()
+                ):
                     mismatches += 1
                 child = node.children[emitted]
                 if child is None:

@@ -146,6 +146,16 @@ class FiniteDist:
     def items(self):
         return zip(self.support, self.probs)
 
+    def _int_view(self) -> tuple:
+        """(den, numerators): probability k is numerators[k] / den, den the
+        lcm of the probabilities' denominators. Built on first read."""
+        ints = self.__dict__.get("_ints")
+        if ints is None:
+            den = math.lcm(*(p.denominator for p in self.probs))
+            ints = den, tuple(p.numerator * (den // p.denominator) for p in self.probs)
+            object.__setattr__(self, "_ints", ints)
+        return ints
+
     def to_jsonable(self) -> dict:
         return {
             "support": [label_to_jsonable(s) for s in self.support],
@@ -237,9 +247,6 @@ class JointDist:
         except KeyError:
             raise ValueError("unknown axis %r (have %r)" % (axis, self.axes)) from None
 
-    def axis_support(self, axis: str) -> tuple:
-        return self.axis_supports[self.axis_index(axis)]
-
     def outcomes(self):
         return self.table.items()
 
@@ -294,12 +301,19 @@ class JointDist:
     def conditional_dist(self, axis: str, assignment: Mapping) -> FiniteDist:
         return self.condition(assignment).marginal_dist(axis)
 
-    def to_jsonable(self) -> dict:
-        """The positive entries, plus ``axis_supports`` when some label has
-        no positive entry, which reading the table alone would drop.
+    def _table_supports(self) -> tuple:
+        """The supports that reading the table alone gives: each axis's
+        labels with positive mass, in first-seen order."""
+        return tuple(
+            tuple(dict.fromkeys(key[i] for key in self.table)) for i in range(len(self.axes))
+        )
 
-        Files without zero-mass labels are written as before; a support
-        whose labels all have mass reads back in first-seen table order.
+    def to_jsonable(self) -> dict:
+        """The positive entries, plus ``axis_supports`` when the table alone
+        would read back other supports: a label with no positive entry, or
+        an order other than first seen.
+
+        Files whose supports the table implies are written as before.
         """
         data = {
             "axes": list(self.axes),
@@ -308,10 +322,7 @@ class JointDist:
                 for key, p in self.table.items()
             ],
         }
-        implied = tuple(
-            tuple(dict.fromkeys(key[i] for key in self.table)) for i in range(len(self.axes))
-        )
-        if any(len(seen) < len(sup) for seen, sup in zip(implied, self.axis_supports)):
+        if self._table_supports() != self.axis_supports:
             data["axis_supports"] = [
                 [label_to_jsonable(x) for x in sup] for sup in self.axis_supports
             ]

@@ -160,16 +160,25 @@ class LeakScenario:
         return cls(n, JointDist(axes, table, axis_supports=supports))
 
     def to_jsonable(self) -> dict:
-        return {"n_players": self.n_players, "joint": self.joint.to_jsonable()}
+        joint = self.joint.to_jsonable()
+        # supports are written only when the reader would not restore them
+        # from the table alone
+        read = _read_scenario_supports
+        if read(self.joint._table_supports()) == read(self.joint.axis_supports):
+            joint.pop("axis_supports", None)
+        return {"n_players": self.n_players, "joint": joint}
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "LeakScenario":
         joint = JointDist.from_jsonable(data["joint"])
-        # a file keeps first-seen table order; leak supports read back as (0, 1)
-        joint.axis_supports = joint.axis_supports[:1] + tuple(
-            tuple(li for li in (0, 1) if li in sup) for sup in joint.axis_supports[1:]
-        )
+        joint.axis_supports = _read_scenario_supports(joint.axis_supports)
         return cls(int(data["n_players"]), joint)
+
+
+def _read_scenario_supports(supports: tuple) -> tuple:
+    """The supports a scenario file reads back: X as given, each leak
+    support in (0, 1) order."""
+    return supports[:1] + tuple(tuple(li for li in (0, 1) if li in sup) for sup in supports[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +608,18 @@ def posterior_measure(
     same measure are indistinguishable to any observer of the transcript.
     """
     keys = scenario.outcome_keys()
-    measure: dict = {}
+    # terminal weights over their gcd key the posterior vector exactly, as in
+    # stop_at_c's memo, so each vector's Fractions are made once
+    masses: dict = {}
     for _prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
         if node is None:
-            total = sum(weights.values())
-            vec = _conditional_vector(weights, keys, total)
-            measure[vec] = measure.get(vec, ZERO) + Fraction(total, scale)
+            g = math.gcd(*weights.values())
+            key = tuple(weights.get(k, 0) // g for k in keys)
+            masses[key] = masses.get(key, ZERO) + Fraction(sum(weights.values()), scale)
+    measure = {}
+    for key, mass in masses.items():
+        total = sum(key)
+        measure[tuple(Fraction(w, total) for w in key)] = mass
     return measure
 
 

@@ -427,7 +427,8 @@ def test_protocol_golden_report_digest(tmp_path, name):
 
 def embed_golden_cases(tmp_path):
     """name -> argv of `embed --audit-depth` runs on the figure instance of
-    TestEmbed and on the n=2 window instance under (1/3, 2/3) chatter."""
+    TestEmbed and on the n=2 and n=3 window instances under (1/3, 2/3)
+    chatter."""
     sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
     p_inn = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
     p0 = FiniteDist(("a1", "a2"), (F(1), F(0)))
@@ -444,6 +445,12 @@ def embed_golden_cases(tmp_path):
             InnocentChannel(2, ({1: chatter, 2: chatter},), True),
             "40",
         ),
+        "window3": (
+            window_protocol(ch, 3),
+            window_scenario(ch, 3),
+            InnocentChannel(3, ({1: chatter, 2: chatter, 3: chatter},), True),
+            "40",
+        ),
     }
     cases = {}
     for name, (pi, scenario, channel, depth) in instances.items():
@@ -457,11 +464,13 @@ def embed_golden_cases(tmp_path):
 
 
 # sha256 of the `audit` object of each embed report, recorded before the
-# samplers and the leaker step law were folded: the sampled `run` may move
-# with the random stream, the exact audit must not
+# samplers and the leaker step law were folded (window3: before intervals
+# became ints): the sampled `run` may move with the random stream, the
+# exact audit must not
 EMBED_AUDIT_GOLDEN = {
     "figure": "ae8c782b43c2ea023cc3b6b1fe281b9e99bb215e9e15185dca9f5f8a49aea5bf",
     "window2": "adc1149d7fd5064948ffddf5a93159841cc3a509b7de2ec1c77a2552ca67fcce",
+    "window3": "e68097135f180f3cfcfcf8ca6fad968c98a99d8c27f63d1c90eacc6a8bcd51d9",
 }
 
 

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cryptogenography.embedding import (
     UNIT,
+    AuditReport,
     InnocentChannel,
     Interval,
     InterpreterState,
@@ -25,6 +28,8 @@ from cryptogenography.protocols import (
     ProtocolTree,
     enumerate_joint,
 )
+
+from genutil import random_protocol, random_scenario
 
 F = Fraction
 
@@ -47,6 +52,57 @@ def figure_instance():
     return pi, channel, sc, law
 
 
+# Fraction reference: intervals as (lo, hi) pairs of Fractions
+
+
+def ref_length(iv):
+    return iv[1] - iv[0]
+
+
+def ref_intersect(a, b):
+    lo, hi = max(a[0], b[0]), min(a[1], b[1])
+    return (lo, hi) if lo < hi else None
+
+
+def ref_contains(a, b):
+    return a[0] <= b[0] and b[1] <= a[1]
+
+
+def ref_partition(iv, law):
+    cells = {}
+    acc = F(0)
+    for label, p in law.items():
+        if p:
+            cells[label] = (iv[0] + acc * ref_length(iv), iv[0] + (acc + p) * ref_length(iv))
+            acc += p
+    return cells
+
+
+def same_interval(got, ref):
+    """``got`` is the Interval of the reference pair, with its hash."""
+    want = Interval(*ref)
+    return got == want and hash(got) == hash(want) and (got.lo, got.hi) == ref
+
+
+@st.composite
+def ref_intervals(draw):
+    den = draw(st.integers(min_value=1, max_value=36))
+    lo = draw(st.integers(min_value=0, max_value=den - 1))
+    hi = draw(st.integers(min_value=lo + 1, max_value=den))
+    return F(lo, den), F(hi, den)
+
+
+@st.composite
+def chatter_laws(draw, sizes=(2, 3, 4), non_dyadic=False):
+    size = draw(st.sampled_from(sizes))
+    weights = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
+    assume(sum(weights) > 0)
+    law = FiniteDist(tuple("m%d" % k for k in range(size)), tuple(F(w, sum(weights)) for w in weights))
+    if non_dyadic:
+        assume(any(p.denominator & (p.denominator - 1) for p in law.probs))
+    return law
+
+
 class TestInterval:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,6 +119,40 @@ class TestInterval:
     def test_contains(self):
         assert UNIT.contains(Interval(F(1, 3), F(2, 3)))
         assert not Interval(F(0), F(1, 2)).contains(UNIT)
+
+    def test_equal_values_are_one_interval(self):
+        a = Interval(F(1, 2), 1)
+        b = Interval(F(2, 4), F(4, 4))
+        assert a == b and hash(a) == hash(b)
+        # a cell reached through int arithmetic over a larger denominator
+        law = FiniteDist(("x", "y", "z"), (F(1, 4), F(1, 4), F(1, 2)))
+        cell = g_partition(UNIT, law)["z"]
+        assert cell == a and hash(cell) == hash(a)
+        assert {a: 1}[cell] == 1
+        assert (a.lo, a.hi, a.length) == (F(1, 2), F(1), F(1, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ref_intervals(), ref_intervals(), chatter_laws())
+    def test_matches_fraction_reference(self, a, b, law):
+        ia, ib = Interval(*a), Interval(*b)
+        assert same_interval(ia, a) and ia.length == ref_length(a)
+        assert (ia == ib) == (a == b)
+        if a == b:
+            assert hash(ia) == hash(ib)
+        assert ia.contains(ib) == ref_contains(a, b)
+        want = ref_intersect(a, b)
+        got = ia.intersect(ib)
+        assert got is None if want is None else same_interval(got, want)
+        cells = g_partition(ia, law)
+        ref = ref_partition(a, law)
+        assert list(cells) == list(ref)
+        for label, cell in cells.items():
+            assert same_interval(cell, ref[label])
+        # the cells tile the interval exactly
+        ordered = list(cells.values())
+        assert ordered[0].lo == a[0] and ordered[-1].hi == a[1]
+        assert all(u.hi == v.lo for u, v in zip(ordered, ordered[1:]))
+        assert sum(c.length for c in ordered) == ia.length
 
 
 class TestPartitions:
@@ -334,6 +424,118 @@ class TestEquivalenceAudit:
         joint = enumerate_joint(pi, sc)
         for t, mass in rep.per_transcript_mass.items():
             assert mass <= joint.prob_event({"T": t})
+
+
+def reference_audit(tree, channel, scenario, depth_budget):
+    """The audit on Fraction intervals and Fraction masses, in the same
+    state order as ``equivalence_audit``; returns its report unchecked
+    against the decoded-mass target."""
+    protocol = {}  # prefix -> (node, {(x, lvec): mass})
+
+    def walk(node, prefix, masses):
+        protocol[prefix] = (node, masses)
+        if node is None:
+            return
+        for m in node.alphabet:
+            law = {key: node.p_leak[key[0]] if key[1][node.speaker - 1] else node.p_innocent
+                   for key in masses}
+            nxt = {key: w * law[key].prob(m) for key, w in masses.items() if law[key].prob(m)}
+            if nxt:
+                walk(node.children[m], prefix + (m,), nxt)
+
+    walk(tree.root, (), dict(scenario.outcomes()))
+
+    def fresh(node, masses):
+        entries = {}
+        for (x, lvec), w in masses.items():
+            if lvec[node.speaker - 1]:
+                for a, q in node.p_leak[x].items():
+                    if q:
+                        entries[(x, lvec, a)] = w * q
+            else:
+                entries[(x, lvec, None)] = w
+        return entries
+
+    def add(states, key, entries):
+        slot = states.setdefault(key, {})
+        for k, w in entries.items():
+            slot[k] = slot.get(k, F(0)) + w
+
+    unit = (F(0), F(1))
+    states = {((), unit): fresh(tree.root, protocol[()][1])}
+    decoded, mismatches, terminal_paths, rounds_used = {}, 0, 0, 0
+    for r in range(depth_budget):
+        if not states:
+            break
+        rounds_used = r + 1
+        new_states = {}
+        for (prefix, iv), entries in states.items():
+            node = protocol[prefix][0]
+            f_cells = ref_partition(unit, node.p_innocent)
+            law = channel.law(node.speaker, r)
+            for message, cell in ref_partition(iv, law).items():
+                moved = {}
+                for key, w in entries.items():
+                    if key[2] is None:
+                        factor = law.prob(message)
+                    else:
+                        alpha = ref_intersect(f_cells[key[2]], iv)
+                        overlap = ref_intersect(cell, alpha)
+                        factor = ref_length(overlap) / ref_length(alpha) if overlap else 0
+                    if factor:
+                        moved[key] = w * factor
+                if not moved:
+                    continue
+                emitted = next((a for a, f in f_cells.items() if ref_contains(f, cell)), None)
+                if emitted is None:
+                    add(new_states, (prefix, cell), moved)
+                    continue
+                terminal_paths += 1
+                new_prefix = prefix + (emitted,)
+                collapsed = {}
+                for (x, lvec, _commit), w in moved.items():
+                    collapsed[(x, lvec)] = collapsed.get((x, lvec), F(0)) + w
+                total = sum(collapsed.values())
+                child, ref = protocol[new_prefix]
+                ref_total = sum(ref.values())
+                keys = set(ref) | set(collapsed)
+                if any(collapsed.get(k, 0) / total != ref.get(k, 0) / ref_total for k in keys):
+                    mismatches += 1
+                if child is None:
+                    decoded[new_prefix] = decoded.get(new_prefix, F(0)) + total
+                else:
+                    add(new_states, (new_prefix, unit), fresh(child, collapsed))
+        states = new_states
+    undecoded = sum((w for entries in states.values() for w in entries.values()), F(0))
+    mass_ok = all(
+        sum(masses.values()) - undecoded <= decoded.get(t, F(0)) <= sum(masses.values())
+        for t, (node, masses) in protocol.items()
+        if node is None
+    )
+    return AuditReport(
+        sum(decoded.values(), F(0)), undecoded, rounds_used, terminal_paths, mismatches,
+        mass_ok, decoded,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=2),
+    st.lists(chatter_laws(sizes=(2, 3), non_dyadic=True), min_size=2, max_size=2),
+    st.integers(min_value=0, max_value=12),
+)
+def test_audit_matches_fraction_reference(seed, n_players, laws, depth):
+    rng = random.Random(seed)
+    scenario = random_scenario(rng, n_players=n_players)
+    tree = random_protocol(rng, scenario, max_depth=2)
+    channel = InnocentChannel(n_players, ({p: laws[p - 1] for p in range(1, n_players + 1)},))
+    try:
+        report = equivalence_audit(tree, channel, scenario, depth)
+    except BudgetExceededError as err:
+        report = err.report
+    want = reference_audit(tree, channel, scenario, depth)
+    assert report.to_jsonable() == want.to_jsonable()
 
 
 class TestIntervalEvolution:

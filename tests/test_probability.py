@@ -273,6 +273,16 @@ class TestJointDist:
         assert back == j
         assert back.axis_supports == j.axis_supports
 
+    def test_json_keeps_support_order(self):
+        # every label has mass, but the table sees A=1 before A=0
+        j = JointDist(
+            ("A", "B"), {(1, 0): F(1, 2), (0, 1): F(1, 2)}, axis_supports=((0, 1), (0, 1))
+        )
+        back = JointDist.from_jsonable(j.to_jsonable())
+        assert back == j
+        assert back.axis_supports == ((0, 1), (0, 1))
+        assert back.marginal_dist("A").support == (0, 1)
+
     def test_json_omits_supports_the_table_implies(self):
         j = JointDist(("X", "Y"), {(0, "a"): F(1, 4), (1, "b"): F(3, 4)})
         assert "axis_supports" not in j.to_jsonable()

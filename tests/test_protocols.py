@@ -81,6 +81,16 @@ class TestScenario:
         back = LeakScenario.from_jsonable(sc.to_jsonable())
         assert back.joint.axis_supports == sc.joint.axis_supports
         assert back.joint.marginal_dist("L1").support == (0, 1)
+        # the reader restores that order, so the file stays without supports
+        assert "axis_supports" not in sc.to_jsonable()["joint"]
+
+    def test_json_roundtrip_keeps_secret_support_order(self):
+        # every secret has mass, but the table sees X=1 before X=0
+        table = {(1, 0): F(1, 2), (0, 1): F(1, 2)}
+        sc = LeakScenario(1, JointDist(("X", "L1"), table, axis_supports=((0, 1), (0, 1))))
+        back = LeakScenario.from_jsonable(sc.to_jsonable())
+        assert back.x_support == (0, 1)
+        assert back.joint.axis_supports == sc.joint.axis_supports
 
 
 class TestValidate:
