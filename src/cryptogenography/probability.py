@@ -313,7 +313,7 @@ class JointDist:
         would read back other supports: a label with no positive entry, or
         an order other than first seen.
 
-        Files whose supports the table implies are written as before.
+        Files whose supports the table implies carry no ``axis_supports``.
         """
         data = {
             "axes": list(self.axes),

@@ -163,8 +163,8 @@ class LeakScenario:
         joint = self.joint.to_jsonable()
         # supports are written only when the reader would not restore them
         # from the table alone
-        read = _read_scenario_supports
-        if read(self.joint._table_supports()) == read(self.joint.axis_supports):
+        implied = _read_scenario_supports(self.joint._table_supports())
+        if implied == _read_scenario_supports(self.joint.axis_supports):
             joint.pop("axis_supports", None)
         return {"n_players": self.n_players, "joint": joint}
 
@@ -464,10 +464,9 @@ class _Tally:
         return (lhs > rhs) - (lhs < rhs)
 
 
-def _conditional_vector(weights: Weights, keys, total=None) -> tuple:
+def _conditional_vector(weights: Weights, keys) -> tuple:
     """The weights normalized over ``keys`` (zero where a key is absent)."""
-    if total is None:
-        total = sum(weights.values())
+    total = sum(weights.values())
     return tuple(Fraction(weights.get(k, 0), total) for k in keys)
 
 
