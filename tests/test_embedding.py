@@ -97,7 +97,8 @@ def chatter_laws(draw, sizes=(2, 3, 4), non_dyadic=False):
     size = draw(st.sampled_from(sizes))
     weights = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
     assume(sum(weights) > 0)
-    law = FiniteDist(tuple("m%d" % k for k in range(size)), tuple(F(w, sum(weights)) for w in weights))
+    labels = tuple("m%d" % k for k in range(size))
+    law = FiniteDist(labels, tuple(F(w, sum(weights)) for w in weights))
     if non_dyadic:
         assume(any(p.denominator & (p.denominator - 1) for p in law.probs))
     return law
