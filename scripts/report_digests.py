@@ -8,8 +8,9 @@ instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
 `leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
 codeword, of a noisy d = 2 codeword of length 37 and of a tie, and the
 canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
-trigger masses over a seeded batch of small random protocols. The
-codebooks behind `leak` and `decode` span several packing blocks. Run it
+trigger masses over a seeded batch of small random protocols, and the
+exact hypergeometric/binomial ratio bound of every pair 0 < l < n <= 200.
+The codebooks behind `leak` and `decode` span several packing blocks. Run it
 in two checkouts and diff the output to see whether a change moved any
 report:
 
@@ -28,7 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from cryptogenography.cli import main as cli_main
-from cryptogenography.coding import window, window_channel, window_protocol, window_scenario
+from cryptogenography.coding import (
+    ratio_bound_check,
+    window,
+    window_channel,
+    window_protocol,
+    window_scenario,
+)
 from cryptogenography.embedding import InnocentChannel
 from cryptogenography.probability import FiniteDist, fraction_to_jsonable
 from cryptogenography.protocols import (
@@ -163,6 +170,17 @@ def transform_records(count: int, seed: int) -> str:
     return json.dumps(records, sort_keys=True)
 
 
+def ratio_sweep(n_max: int) -> str:
+    """One line of RatioBound fields per pair 0 < l < n <= n_max."""
+    lines = []
+    for n in range(2, n_max + 1):
+        for l in range(1, n):
+            b = ratio_bound_check(n, l)
+            lines.append("%d %d %s %d %d %d\n" % (
+                n, l, b.max_ratio, b.argmax_k, b.all_at_most_two, b.unique_peak))
+    return "".join(lines)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--transforms", type=int, default=40, help="random protocols to transform")
@@ -184,6 +202,8 @@ def main():
             print("%s  %s" % (cli_digest(workdir, argv), name))
     text = transform_records(args.transforms, args.seed)
     print("%s  transforms" % hashlib.sha256(text.encode()).hexdigest())
+    text = ratio_sweep(200)
+    print("%s  ratio-sweep-200" % hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":

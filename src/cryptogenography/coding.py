@@ -23,6 +23,10 @@ from the generator's raw words without building its (count, n) symbol
 matrix: each plane of a block of values is one masked copy into a reused
 row-padded buffer and one flat ``packbits``. ``Codebook.symbols`` is
 unpacked from the planes only when read; no experiment or decode reads it.
+
+``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
+in O(1): the sign of one linear int expression orders every pair of
+neighbouring ratios, so only the peak's exact ratio is built.
 """
 
 from __future__ import annotations
@@ -664,12 +668,14 @@ class RatioBound:
 
 
 def hyper_binom_ratio(n: int, l: int, k: int) -> Fraction:
-    """Exact Pr(S_fixed = k) / Pr(S_indep = k) for one k."""
+    """Exact Pr(S_fixed = k) / Pr(S_indep = k) for one k, as one Fraction:
+    C(2l,k) C(2(n-l),n-k) n^n / (C(2n,n) C(n,k) l^k (n-l)^(n-k))."""
     if not 0 < l < n:
         raise ValueError("need 0 < l < n")
-    hyper = Fraction(math.comb(2 * l, k) * math.comb(2 * (n - l), n - k), math.comb(2 * n, n))
-    binom = Fraction(math.comb(n, k) * l**k * (n - l) ** (n - k), n**n)
-    return hyper / binom
+    return Fraction(
+        math.comb(2 * l, k) * math.comb(2 * (n - l), n - k) * n**n,
+        math.comb(2 * n, n) * math.comb(n, k) * l**k * (n - l) ** (n - k),
+    )
 
 
 def ratio_bound_check(n: int, l: int) -> RatioBound:
@@ -679,33 +685,23 @@ def ratio_bound_check(n: int, l: int) -> RatioBound:
     2l leakers (hypergeometric); S_indep is Binomial(n, l/n). The maximum
     sits at k = l and never exceeds 2.
 
-    ratio(k+1) / ratio(k) = (2l-k)(n-l) / ((n-2l+k+1) l), so comparing
-    those two small integers orders every pair of neighbours exactly. That
-    gives the shape of the sequence: unique_peak, and its local maxima (the
-    first k of each rise that stops rising). The exact ratio is evaluated
-    only there, since the global maximum and its first k are among them;
-    all_at_most_two is that maximum <= 2.
+    ratio(k+1) / ratio(k) = (2l-k)(n-l) / ((n-2l+k+1) l), and numerator
+    minus denominator is f(k) = l(n-1) - kn, which strictly decreases in k.
+    So on [lo, hi] the ratio rises while f > 0 and falls after: its only
+    local maximum, and so its first argmax, is the first k with f(k) <= 0,
+    or hi if there is none, i.e. ceil(l(n-1)/n) clamped to [lo, hi]. The
+    exact ratio is evaluated only there; all_at_most_two is that maximum
+    <= 2. unique_peak (strict rise up to l, strict fall after) is
+    f(l-1) > 0 when l-1 >= lo and f(l) < 0 when l < hi.
     """
     if not 0 < l < n:
         raise ValueError("need 0 < l < n")
     lo = max(0, 2 * l - n)
     hi = min(2 * l, n)
-    unique_peak = True
-    peaks = []
-    rising = True  # ratio(k) > ratio(k - 1); true at k = lo
-    for k in range(lo, hi):
-        step_up = (2 * l - k) * (n - l)
-        step_down = (n - 2 * l + k + 1) * l
-        if not (step_up > step_down if k < l else step_up < step_down):
-            unique_peak = False
-        if rising and step_up <= step_down:
-            peaks.append(k)
-        rising = step_up > step_down
-    if rising:
-        peaks.append(hi)
-    ratios = {k: hyper_binom_ratio(n, l, k) for k in peaks}
-    argmax_k = max(peaks, key=ratios.__getitem__)
-    max_ratio = ratios[argmax_k]
+    lead = l * (n - 1)  # f(k) = lead - k n
+    argmax_k = min(max(lo, -(-lead // n)), hi)
+    unique_peak = (l - 1 < lo or lead > (l - 1) * n) and (l >= hi or lead < l * n)
+    max_ratio = hyper_binom_ratio(n, l, argmax_k)
     return RatioBound(max_ratio, argmax_k, max_ratio <= 2, unique_peak)
 
 

@@ -31,6 +31,7 @@ from .probability import (
     ZERO,
     ONE,
     _sample,
+    as_probability,
     fraction_from_jsonable,
     fraction_to_jsonable,
     label_to_jsonable,
@@ -72,14 +73,15 @@ class Interval:
     Held as the ints ``(lo, hi, den)`` with gcd(lo, hi, den) == 1, a
     canonical form, so ``==`` and ``hash`` compare int triples and
     ``contains`` and ``intersect`` cross-multiply. ``lo``, ``hi`` and
-    ``length`` read as Fractions.
+    ``length`` read as Fractions. Both ends are exact (int, Fraction or
+    string) like every probability input: a float raises TypeError.
     """
 
     __slots__ = ("_ints",)
 
     def __init__(self, lo, hi):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
+        lo = as_probability(lo)
+        hi = as_probability(hi)
         if not (0 <= lo < hi <= 1):
             raise ValueError("need 0 <= lo < hi <= 1, got [%s, %s)" % (lo, hi))
         # both are reduced, so no prime divides all three ints
@@ -578,7 +580,10 @@ def equivalence_audit(
                 total = sum(collapsed.values())
                 ref, ref_total = reference[new_prefix]
                 # both sides hold positive ints only, so equal key sets plus
-                # cross-multiplied equality on them is the whole test
+                # cross-multiplied equality on them is the whole test. Over a
+                # positive total the products alone already catch a key that
+                # collapsed lacks; the key test keeps ref[k] from being read
+                # at a key that only collapsed holds
                 if collapsed.keys() != ref.keys() or any(
                     w * ref_total != ref[k] * total for k, w in collapsed.items()
                 ):

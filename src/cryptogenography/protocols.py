@@ -225,15 +225,19 @@ class ProtocolNode:
                 {"secret": label_to_jsonable(x), "law": law.to_jsonable()}
                 for x, law in self.p_leak.items()
             ]
+        children = [
+            None if self.children[m] is None else self.children[m].to_jsonable()
+            for m in self.alphabet
+        ]
+        if len({str(m) for m in self.alphabet}) == len(self.alphabet):
+            children = dict(zip(map(str, self.alphabet), children))
+        # else two labels share a string form: children stay in alphabet order
         return {
             "speaker": self.speaker,
             "alphabet": [label_to_jsonable(m) for m in self.alphabet],
             "p_innocent": self.p_innocent.to_jsonable(),
             "p_leak": p_leak,
-            "children": {
-                str(m): (None if self.children[m] is None else self.children[m].to_jsonable())
-                for m in self.alphabet
-            },
+            "children": children,
         }
 
     @classmethod
@@ -245,10 +249,13 @@ class ProtocolNode:
         else:
             pairs = ((_match_str_key(key), sub) for key, sub in leak_raw.items())
         p_leak = {x: FiniteDist.from_jsonable(sub) for x, sub in pairs}
-        children = {}
-        for m in alphabet:
-            sub = data["children"][str(m)]
-            children[m] = None if sub is None else cls.from_jsonable(sub)
+        subs = data["children"]
+        if not isinstance(subs, list):
+            subs = [subs[str(m)] for m in alphabet]
+        children = {
+            m: None if sub is None else cls.from_jsonable(sub)
+            for m, sub in zip(alphabet, subs, strict=True)
+        }
         return cls(
             int(data["speaker"]),
             alphabet,

@@ -111,6 +111,16 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(F(-1, 2), F(1, 2))
 
+    @pytest.mark.parametrize("lo, hi", [(0.1, F(1, 2)), (0, 0.5), (0.25, 0.75), (0.0, 1)])
+    def test_rejects_floats(self, lo, hi):
+        # Fraction(0.1) would silently widen the end to 2^-55 precision
+        with pytest.raises(TypeError, match="got float"):
+            Interval(lo, hi)
+
+    def test_exact_ends_stay_valid(self):
+        assert Interval(0, "1/3") == Interval(F(0), F(1, 3))
+        assert Interval("1/4", 1).length == F(3, 4)
+
     def test_intersect(self):
         a = Interval(F(0), F(1, 2))
         b = Interval(F(1, 4), F(3, 4))
@@ -416,6 +426,30 @@ class TestEquivalenceAudit:
         assert equivalence_audit(pi, channel, sc, depth_budget=80).ok
         monkeypatch.setattr(embedding, "_leaker_law", uniform_law)
         rep = equivalence_audit(pi, channel, sc, depth_budget=80)
+        assert rep.conditional_mismatches > 0
+        assert not rep.ok
+
+    def test_leaker_missing_from_a_boundary_is_a_mismatch(self, monkeypatch):
+        """A leaker who never sends the last chatter message that meets
+        alpha never reaches the a2 boundary that m2 decides at once, though
+        the protocol gives (x=1, leaking) positive mass after a2: the
+        collapsed conditional there holds the innocent keys only. The lost
+        leaker mass also leaves the decoded target out of reach."""
+        from cryptogenography import embedding
+
+        exact_law = embedding._leaker_law
+
+        def dropping_law(alpha, g_cells):
+            law = exact_law(alpha, g_cells)
+            if len(law) > 1:
+                law.pop(list(law)[-1])
+            return law
+
+        pi, channel, sc, _ = figure_instance()
+        monkeypatch.setattr(embedding, "_leaker_law", dropping_law)
+        with pytest.raises(BudgetExceededError) as exc:
+            equivalence_audit(pi, channel, sc, depth_budget=40)
+        rep = exc.value.report
         assert rep.conditional_mismatches > 0
         assert not rep.ok
 

@@ -3,6 +3,7 @@ small-denominator rationals so every generated case keeps knife-edge
 comparisons decidable."""
 
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -13,15 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptogenography.coding import (
+    Codebook,
     fixed_capacity,
+    hyper_binom_ratio,
     in_window,
     indep_capacity,
     posterior_leak,
+    random_codebook,
     ratio_bound_check,
     window_channel,
     window_params,
 )
-from cryptogenography.embedding import Interval, f_partition, g_partition
+from cryptogenography.embedding import InnocentChannel, Interval, f_partition, g_partition
 from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
 from cryptogenography.probability import (
     FiniteDist,
@@ -32,6 +36,7 @@ from cryptogenography.probability import (
     subset_entropy,
 )
 from cryptogenography.protocols import (
+    LeakScenario,
     ProtocolNode,
     ProtocolTree,
     _Tally,
@@ -204,6 +209,46 @@ def test_ratio_bound_everywhere(n, data):
     assert bound.max_ratio <= 2
     assert bound.argmax_k == l
     assert bound.all_at_most_two and bound.unique_peak
+
+
+def _scanned_ratio_bound(n, l):
+    """The O(n) neighbour scan: ratio(k+1) / ratio(k) = up / down orders
+    each pair of neighbours; the exact ratio is taken at every local
+    maximum. Returns the RatioBound fields as a tuple."""
+    lo, hi = max(0, 2 * l - n), min(2 * l, n)
+    unique_peak = True
+    peaks = []
+    rising = True
+    for k in range(lo, hi):
+        up = (2 * l - k) * (n - l)
+        down = (n - 2 * l + k + 1) * l
+        if not (up > down if k < l else up < down):
+            unique_peak = False
+        if rising and up <= down:
+            peaks.append(k)
+        rising = up > down
+    if rising:
+        peaks.append(hi)
+    ratios = {k: _quotient_ratio(n, l, k) for k in peaks}
+    argmax_k = max(peaks, key=ratios.__getitem__)
+    return ratios[argmax_k], argmax_k, ratios[argmax_k] <= 2, unique_peak
+
+
+def _quotient_ratio(n, l, k):
+    hyper = F(math.comb(2 * l, k) * math.comb(2 * (n - l), n - k), math.comb(2 * n, n))
+    binom = F(math.comb(n, k) * l**k * (n - l) ** (n - k), n**n)
+    return hyper / binom
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=200), st.data())
+def test_ratio_bound_matches_neighbour_scan(n, data):
+    l = data.draw(st.integers(min_value=1, max_value=n - 1))
+    bound = ratio_bound_check(n, l)
+    fields = (bound.max_ratio, bound.argmax_k, bound.all_at_most_two, bound.unique_peak)
+    assert fields == _scanned_ratio_bound(n, l)
+    for k in range(max(0, 2 * l - n), min(2 * l, n) + 1):
+        assert hyper_binom_ratio(n, l, k) == _quotient_ratio(n, l, k), k
 
 
 @settings(max_examples=100, deadline=None)
@@ -512,3 +557,119 @@ def test_node_message_joint_matches_fraction_construction(seed, n_players, n_x):
                 got = _node_message_joint(at, _int_law_items(at), weights, player)
                 assert list(got.table.items()) == list(table.items())
                 assert got.axis_supports == JointDist(("X", "L", "A"), table).axis_supports
+
+
+# Lossless JSON: labels that JSON can confuse are ints, strings, strings
+# that read as ints or tuple literals, and nested tuples of all of these.
+_label_atoms = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.text(alphabet="ab7 (),-", max_size=4),
+    st.sampled_from(["(1, 2)", "()", "(7,)", " 7", "[1]", "null"]),
+)
+json_labels = st.recursive(
+    _label_atoms, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=5
+)
+
+
+def _label_sets(min_size=1, max_size=4):
+    # either drawn freely or among labels whose string forms coincide
+    shared = st.sampled_from([7, "7", (1, 2), "(1, 2)", (7,), "(7,)"])
+    return st.one_of(
+        st.lists(json_labels, min_size=min_size, max_size=max_size, unique=True),
+        st.lists(shared, min_size=min_size, max_size=max_size, unique=True),
+    ).map(tuple)
+
+
+def _through_json(obj):
+    return json.loads(json.dumps(obj.to_jsonable()))
+
+
+@st.composite
+def json_joints(draw):
+    """A joint whose supports hold zero-mass labels in a drawn order."""
+    axes = tuple(draw(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3, unique=True)))
+    supports = tuple(draw(_label_sets(max_size=3)) for _ in axes)
+    keys = list(itertools.product(*supports))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    weights[draw(st.integers(0, len(keys) - 1))] += 1
+    order = draw(st.permutations(range(len(keys))))
+    total = sum(weights)
+    table = {keys[i]: F(weights[i], total) for i in order if weights[i]}
+    return JointDist(axes, table, axis_supports=supports)
+
+
+@st.composite
+def json_scenarios(draw):
+    n_players = draw(st.integers(min_value=1, max_value=2))
+    secrets = draw(_label_sets())
+    keys = [(x,) + lvec for x in secrets for lvec in itertools.product((0, 1), repeat=n_players)]
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    weights[draw(st.integers(0, len(keys) - 1))] += 1
+    order = draw(st.permutations(range(len(keys))))
+    total = sum(weights)
+    table = {keys[i]: F(weights[i], total) for i in order if weights[i]}
+    axes = ("X",) + tuple("L%d" % i for i in range(1, n_players + 1))
+    # the reader keeps X's order and lists each leak support as (0, 1)
+    joint = JointDist(axes, table, axis_supports=(secrets,) + ((0, 1),) * n_players)
+    return LeakScenario(n_players, joint)
+
+
+@st.composite
+def json_nodes(draw, secrets, depth):
+    alphabet = draw(_label_sets())
+    children = {
+        m: draw(json_nodes(secrets, depth - 1)) if depth > 1 and draw(st.booleans()) else None
+        for m in alphabet
+    }
+    return ProtocolNode(
+        draw(st.integers(min_value=1, max_value=3)),
+        alphabet,
+        draw(exact_dists(alphabet, max_weight=4)),
+        {x: draw(exact_dists(alphabet, max_weight=4)) for x in secrets},
+        children,
+    )
+
+
+@st.composite
+def json_channels(draw):
+    n_players = draw(st.integers(min_value=1, max_value=3))
+    rounds = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        players = draw(st.sets(st.integers(min_value=1, max_value=n_players)))
+        rounds.append({p: draw(exact_dists(draw(_label_sets()), max_weight=4)) for p in players})
+    return InnocentChannel(n_players, tuple(rounds), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_json_round_trip_is_lossless(data):
+    support = data.draw(_label_sets())
+    dist = data.draw(exact_dists(support, max_weight=4))
+    back = FiniteDist.from_jsonable(_through_json(dist))
+    assert back == dist and back.support == support
+
+    joint = data.draw(json_joints())
+    back = JointDist.from_jsonable(_through_json(joint))
+    assert back == joint
+    assert back.axis_supports == joint.axis_supports
+    assert list(back.table) == list(joint.table)
+
+    sc = data.draw(json_scenarios())
+    back = LeakScenario.from_jsonable(_through_json(sc))
+    assert back == sc
+    assert back.joint.axis_supports == sc.joint.axis_supports
+
+    secrets = data.draw(_label_sets())
+    root = data.draw(st.none() | json_nodes(secrets, depth=2))
+    tree = ProtocolTree(root, data.draw(st.integers(min_value=0, max_value=3)))
+    assert ProtocolTree.from_jsonable(_through_json(tree)) == tree
+
+    channel = data.draw(json_channels())
+    assert InnocentChannel.from_jsonable(_through_json(channel)) == channel
+
+    h, n, d, seed = (data.draw(st.integers(min_value=lo, max_value=hi))
+                     for lo, hi in ((0, 6), (1, 20), (1, 5), (0, 2**32)))
+    book = random_codebook(h, n, d, seed)
+    back = Codebook.from_jsonable(_through_json(book))
+    assert back == book and (back.seed, back.h_bits, back.n, back.d) == (seed, h, n, d)

@@ -334,6 +334,22 @@ class TestProtocolJson:
         assert back == pi
         assert validate(back, sc).ok
 
+    @pytest.mark.parametrize("alphabet", [(7, "7"), ((1, 2), "(1, 2)"), ("a", 7, "7")])
+    def test_roundtrip_children_of_messages_sharing_a_string(self, alphabet):
+        # a children object keyed by str(m) would hold one entry for both
+        law = FiniteDist.uniform(alphabet)
+        leaf = leaf_node(1, law, {0: law})
+        children = {m: (leaf if i == 1 else None) for i, m in enumerate(alphabet)}
+        pi = ProtocolTree(ProtocolNode(1, alphabet, law, {0: law}, children))
+        back = ProtocolTree.from_jsonable(json.loads(json.dumps(pi.to_jsonable())))
+        assert back == pi
+        assert [back.root.children[m] for m in alphabet] == [children[m] for m in alphabet]
+
+    def test_children_stay_an_object_when_strings_differ(self):
+        law = FiniteDist.uniform((7, "8"))
+        pi = ProtocolTree(ProtocolNode(1, (7, "8"), law, {0: law}, {7: None, "8": None}))
+        assert pi.to_jsonable()["root"]["children"] == {"7": None, "8": None}
+
     def test_roundtrip_random(self, coin_scenario):
         rng = random.Random(41)
         for _ in range(10):
