@@ -585,33 +585,32 @@ def _through_json(obj):
     return json.loads(json.dumps(obj.to_jsonable()))
 
 
+def _drawn_table(draw, supports):
+    """Positive masses on some keys over ``supports``, listed in a drawn
+    order, so a support's order need not be the table's first-seen one."""
+    keys = list(itertools.product(*supports))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
+    weights[draw(st.integers(0, len(keys) - 1))] += 1
+    total = sum(weights)
+    return {keys[i]: F(weights[i], total) for i in draw(st.permutations(range(len(keys))))
+            if weights[i]}
+
+
 @st.composite
 def json_joints(draw):
     """A joint whose supports hold zero-mass labels in a drawn order."""
     axes = tuple(draw(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3, unique=True)))
     supports = tuple(draw(_label_sets(max_size=3)) for _ in axes)
-    keys = list(itertools.product(*supports))
-    weights = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
-    weights[draw(st.integers(0, len(keys) - 1))] += 1
-    order = draw(st.permutations(range(len(keys))))
-    total = sum(weights)
-    table = {keys[i]: F(weights[i], total) for i in order if weights[i]}
-    return JointDist(axes, table, axis_supports=supports)
+    return JointDist(axes, _drawn_table(draw, supports), axis_supports=supports)
 
 
 @st.composite
 def json_scenarios(draw):
     n_players = draw(st.integers(min_value=1, max_value=2))
-    secrets = draw(_label_sets())
-    keys = [(x,) + lvec for x in secrets for lvec in itertools.product((0, 1), repeat=n_players)]
-    weights = draw(st.lists(st.integers(0, 3), min_size=len(keys), max_size=len(keys)))
-    weights[draw(st.integers(0, len(keys) - 1))] += 1
-    order = draw(st.permutations(range(len(keys))))
-    total = sum(weights)
-    table = {keys[i]: F(weights[i], total) for i in order if weights[i]}
-    axes = ("X",) + tuple("L%d" % i for i in range(1, n_players + 1))
     # the reader keeps X's order and lists each leak support as (0, 1)
-    joint = JointDist(axes, table, axis_supports=(secrets,) + ((0, 1),) * n_players)
+    supports = (draw(_label_sets()),) + ((0, 1),) * n_players
+    axes = ("X",) + tuple("L%d" % i for i in range(1, n_players + 1))
+    joint = JointDist(axes, _drawn_table(draw, supports), axis_supports=supports)
     return LeakScenario(n_players, joint)
 
 
