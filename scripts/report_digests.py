@@ -15,6 +15,10 @@ in two checkouts and diff the output to see whether a change moved any
 report:
 
     PYTHONPATH=src python scripts/report_digests.py > after.txt
+
+``scripts/report_digests.expected`` holds the current output, and CI diffs
+a run against it, so a change that moves any report byte updates that file
+and says why.
 """
 
 import argparse

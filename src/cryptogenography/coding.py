@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +46,7 @@ from .probability import (
     JointDist,
     LOG2_E,
     ZERO,
+    _integral,
     as_probability,
     fraction_to_jsonable,
     log2_fraction,
@@ -408,20 +408,6 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
         )
     planes = _pack_planes(_drawn_blocks(seed, d, n, count), d, n, count)
     return Codebook(float(h_bits), n, d, seed, planes=planes)
-
-
-def _integral(what: str, value, floats: bool = False) -> int:
-    """value as a Python int (numpy integers, and with floats set integral
-    floats, included). A fractional, non-numeric or boolean value would
-    silently stand for another number, so it is a ValueError."""
-    if floats and isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .probability import (
     FiniteDist,
     ZERO,
     ONE,
+    _integral,
     _sample,
     as_probability,
     fraction_from_jsonable,
@@ -194,7 +195,7 @@ class InnocentChannel:
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "InnocentChannel":
         def law_of(entry):
-            return int(entry["player"]), FiniteDist(
+            return _integral("channel player", entry["player"], True), FiniteDist(
                 tuple(label_from_jsonable(m) for m in entry["alphabet"]),
                 tuple(fraction_from_jsonable(p) for p in entry["probs"]),
             )
@@ -203,7 +204,10 @@ class InnocentChannel:
         for item in data["rounds"]:
             entries = item if isinstance(item, list) else [item]
             rounds.append(dict(law_of(e) for e in entries))
-        return cls(int(data["players"]), tuple(rounds), bool(data.get("repeat", True)))
+        repeat = data.get("repeat", True)
+        if not isinstance(repeat, bool):
+            raise ValueError("channel repeat must be true or false, got %r" % (repeat,))
+        return cls(_integral("channel players", data["players"], True), tuple(rounds), repeat)
 
 
 def f_partition(innocent_law: FiniteDist) -> dict:

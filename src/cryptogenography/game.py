@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .probability import LOG2_E, JointDist, ZERO, as_probability, log2_fraction
+from .probability import LOG2_E, JointDist, as_probability, log2_fraction
 from .protocols import (
     LeakScenario,
     ProtocolTree,
@@ -67,9 +67,15 @@ class GameValue:
 
 
 def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
-    """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly."""
+    """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly.
+
+    Reads the joint's int view: with x's mass m and player i's leaking mass
+    k_i, Pr(X=x, T=t) (1 - Pr(L_i=1 | x, t)) is (m - k_i) / den, so every
+    choice is an int comparison and each transcript's win mass is divided
+    by ``den`` once."""
+    den = joint._int_view()[0]
     x_support = joint.axis_supports[joint.axis_index("X")]
-    succ = ZERO
+    total = 0
     frank: dict = {}
     eve: dict = {}
     win_mass: dict = {}
@@ -83,22 +89,22 @@ def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
             if not mass:
                 continue
             worst_i = 1
-            worst_post = ZERO
+            worst_leak = 0
             for i in range(1, n_players + 1):
-                post = tally.posterior(i, x)
-                if post > worst_post:
-                    worst_post = post
+                leak = tally.leak_mass.get((i, x), 0)
+                if leak > worst_leak:
+                    worst_leak = leak
                     worst_i = i
-            val = mass * (1 - worst_post)
+            val = mass - worst_leak
             if best_val is None or val > best_val:
                 best_val = val
                 best_x = x
                 best_eve = worst_i
         frank[t] = best_x
         eve[t] = best_eve
-        win_mass[t] = best_val
-        succ += best_val
-    return GameValue(succ, frank, eve, win_mass)
+        win_mass[t] = Fraction(best_val, den)
+        total += best_val
+    return GameValue(Fraction(total, den), frank, eve, win_mass)
 
 
 def succ_of_protocol(

@@ -5,9 +5,10 @@ Two numeric regimes coexist on purpose:
 * probabilities, posteriors and distribution identities live in
   ``fractions.Fraction`` and are compared exactly (the equality cases of
   the bounds downstream are knife-edge, so float comparison would be
-  meaningless there). Inside a ``JointDist`` every sum runs on int
-  numerators over the joint's lcm denominator, and a ``Fraction`` appears
-  only in a result: one per probability, marginal or conditional cell;
+  meaningless there). A ``JointDist`` is stored as int numerators over
+  one common denominator; every sum runs on those ints, and a ``Fraction``
+  appears only in a result: one per probability, marginal or conditional
+  cell, or a ``table`` entry once the table is read;
 * logarithmic quantities (entropy, mutual information, surprisal,
   suspicion) are IEEE doubles computed from those exact fractions, with
   0*log(0) = 0 and -log(0) = +inf.
@@ -18,9 +19,12 @@ Floats are rejected as probability inputs; construct a ``Fraction`` first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "FiniteDist",
@@ -47,11 +51,14 @@ LOG2_E = math.log2(math.e)
 
 
 def as_probability(value) -> Fraction:
-    """Coerce to an exact Fraction, refusing floats (no silent rounding).
+    """Coerce to an exact Fraction, refusing floats (no silent rounding) and
+    booleans (a JSON ``true`` is not probability 1).
 
     A Fraction comes back unchanged once its sign is checked."""
     if type(value) is not Fraction:
-        if isinstance(value, float):
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError("a probability must be a number, got boolean %r" % (value,))
+        if isinstance(value, (float, np.floating)):
             raise TypeError(
                 "probabilities must be exact (int, Fraction or string), got float %r" % value
             )
@@ -72,11 +79,21 @@ def _exact_total(probs) -> Fraction:
     return Fraction(sum(n * (den // d) for d, n in by_den.items()), den)
 
 
+def _picker(idx):
+    """key -> tuple(key[i] for i in idx) for tuple keys, as one C call."""
+    if len(idx) == 1:
+        return operator.itemgetter(slice(idx[0], idx[0] + 1))
+    if not idx:
+        return lambda key: ()
+    return operator.itemgetter(*idx)
+
+
 def _grouped(nums: Mapping, idx) -> dict:
     """Int masses summed by the sub-key at positions ``idx``, first-seen order."""
+    pick = _picker(idx)
     out: dict = {}
     for key, n in nums.items():
-        sub = tuple(key[i] for i in idx)
+        sub = pick(key)
         out[sub] = out.get(sub, 0) + n
     return out
 
@@ -90,6 +107,13 @@ def log2_fraction(p: Fraction) -> float:
     if p <= 0:
         raise ValueError("log2 of non-positive value")
     return math.log2(p.numerator) - math.log2(p.denominator)
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num / den) for positive ints: the float ``log2_fraction`` gives
+    for ``Fraction(num, den)``, without making the Fraction."""
+    g = math.gcd(num, den)
+    return math.log2(num // g) - math.log2(den // g)
 
 
 def neg_log2(p: Fraction) -> float:
@@ -173,63 +197,89 @@ class FiniteDist:
 class JointDist:
     """An exact joint distribution over named finite axes.
 
-    ``table`` maps label tuples (one entry per axis) to Fractions. Zero
-    entries are dropped at construction; per-axis canonical supports are
-    recorded from the construction order (including labels whose whole
-    slice is zero), so marginals and conditionals report stable orderings.
+    The one stored form is ``(den, {key: numerator})``: each positive entry
+    as a Python int over the common denominator ``den``, which need not be
+    the lcm of the entries' denominators. ``table`` maps the same label
+    tuples (one entry per axis) to reduced Fractions; it is made on first
+    read. Zero entries are dropped at construction; per-axis canonical
+    supports are recorded from the construction order (including labels
+    whose whole slice is zero), so marginals and conditionals report stable
+    orderings.
 
-    Every sum over the table runs on its int view (``_int_view``): the
-    entries as int numerators over the lcm of their denominators. A
-    Fraction is made only per result cell.
+    Built from Fractions (``den`` omitted), the entries are turned into
+    ints over the lcm of their denominators once, and the Fractions given
+    become the table. Built with ``den``, the table holds non-negative ints
+    over ``den``: this is how every derived joint is made.
     """
 
-    __slots__ = ("axes", "table", "axis_supports", "_axis_index", "_ints")
+    __slots__ = ("axes", "axis_supports", "_axis_index", "_den", "_nums", "_table")
 
-    def __init__(self, axes: Sequence[str], table: Mapping, axis_supports=None):
+    def __init__(self, axes: Sequence[str], table: Mapping, axis_supports=None, *, den=None):
         axes = tuple(axes)
         if len(set(axes)) != len(axes):
             raise ValueError("axis names must be distinct")
         if not axes:
             raise ValueError("need at least one axis")
-        clean = {}
-        seen = [dict() for _ in axes]  # dict used as an ordered set
-        for key, p in table.items():
-            key = tuple(key)
-            if len(key) != len(axes):
+        given = None
+        if den is None:
+            given = [(tuple(key), as_probability(p)) for key, p in table.items()]
+            den = math.lcm(*(p.denominator for _, p in given))
+            items = [(key, p.numerator * (den // p.denominator)) for key, p in given]
+        elif type(den) is not int or den < 1:
+            raise ValueError("den must be a positive int, got %r" % (den,))
+        else:
+            items = [(tuple(key), n) for key, n in table.items()]
+        arity = len(axes)
+        nums = {}
+        for key, n in items:
+            if len(key) != arity:
                 raise ValueError("key %r has wrong arity for axes %r" % (key, axes))
-            p = as_probability(p)
-            for i, lab in enumerate(key):
-                seen[i].setdefault(lab)
-            if p:
-                if key in clean:
+            if type(n) is not int or n < 0:
+                raise ValueError("entries over den must be ints >= 0, got %r" % (n,))
+            if n:
+                if key in nums:
                     raise ValueError("duplicate key %r" % (key,))
-                clean[key] = p
-        total = _exact_total(clean.values())
-        if total != 1:
-            raise ValueError("joint probabilities must sum to exactly 1, got %s" % total)
+                nums[key] = n
+        total = sum(nums.values())
+        if total != den:
+            raise ValueError(
+                "joint probabilities must sum to exactly 1, got %s" % Fraction(total, den)
+            )
+        keys = [key for key, _ in items]
+        seen = [dict.fromkeys(map(operator.itemgetter(i), keys)) for i in range(arity)]
         if axis_supports is None:
-            axis_supports = tuple(tuple(d) for d in seen)
+            axis_supports = tuple(map(tuple, seen))
         else:
             axis_supports = tuple(tuple(s) for s in axis_supports)
             for i, sup in enumerate(axis_supports):
-                missing = [lab for lab in seen[i] if lab not in sup]
+                labels = set(sup)
+                missing = [lab for lab in seen[i] if lab not in labels]
                 if missing:
                     raise ValueError("axis %s support is missing labels %r" % (axes[i], missing))
         self.axes = axes
-        self.table = clean
         self.axis_supports = axis_supports
         self._axis_index = {a: i for i, a in enumerate(axes)}
-        self._ints = None
+        self._den = den
+        self._nums = nums
+        self._table = None if given is None else {key: p for key, p in given if p}
+
+    @property
+    def table(self) -> dict:
+        """{key: probability} over the positive entries, in construction
+        order, as reduced Fractions. Made on first read."""
+        if self._table is None:
+            den = self._den
+            self._table = {key: Fraction(n, den) for key, n in self._nums.items()}
+        return self._table
 
     def _int_view(self) -> tuple:
-        """(den, {key: numerator}): every entry is numerator / den, den the
-        lcm of the entries' denominators. Built on first read."""
-        if self._ints is None:
-            den = math.lcm(*{p.denominator for p in self.table.values()})
-            self._ints = den, {
-                key: p.numerator * (den // p.denominator) for key, p in self.table.items()
-            }
-        return self._ints
+        """(den, {key: numerator}): every positive entry is numerator / den.
+
+        ``den`` is whatever the joint was built over, not necessarily the
+        lcm, so every reader stays free of the representation: it reads
+        ratios of numerators, correctly rounded int true division
+        ``n / den``, or reduced Fractions."""
+        return self._den, self._nums
 
     def __eq__(self, other):
         return (
@@ -239,7 +289,7 @@ class JointDist:
         )
 
     def __repr__(self):
-        return "JointDist(axes=%r, %d outcomes)" % (self.axes, len(self.table))
+        return "JointDist(axes=%r, %d outcomes)" % (self.axes, len(self._nums))
 
     def axis_index(self, axis: str) -> int:
         try:
@@ -261,10 +311,8 @@ class JointDist:
     def marginal(self, axes: Sequence[str]) -> "JointDist":
         axes = tuple(axes)
         idx = [self.axis_index(a) for a in axes]
-        den, nums = self._int_view()
-        out = {sub: Fraction(n, den) for sub, n in _grouped(nums, idx).items()}
         supports = tuple(self.axis_supports[i] for i in idx)
-        return JointDist(axes, out, axis_supports=supports)
+        return JointDist(axes, _grouped(self._nums, idx), axis_supports=supports, den=self._den)
 
     def marginal_dist(self, axis: str) -> FiniteDist:
         i = self.axis_index(axis)
@@ -281,21 +329,22 @@ class JointDist:
         keep = [i for i in range(len(self.axes)) if i not in fixed]
         if not keep:
             raise ValueError("conditioning on every axis leaves nothing")
-        _den, nums = self._int_view()
+        test, want = _picker(tuple(fixed)), tuple(fixed.values())
+        pick = _picker(keep)
         out: dict = {}
         total = 0
-        for key, n in nums.items():
-            if all(key[i] == v for i, v in fixed.items()):
+        for key, n in self._nums.items():
+            if test(key) == want:
                 total += n
-                sub = tuple(key[i] for i in keep)
+                sub = pick(key)
                 out[sub] = out.get(sub, 0) + n
         if total == 0:
             raise ValueError("conditioning event has probability zero")
-        out = {k: Fraction(n, total) for k, n in out.items()}
         return JointDist(
             tuple(self.axes[i] for i in keep),
             out,
             axis_supports=tuple(self.axis_supports[i] for i in keep),
+            den=total,
         )
 
     def conditional_dist(self, axis: str, assignment: Mapping) -> FiniteDist:
@@ -305,7 +354,7 @@ class JointDist:
         """The supports that reading the table alone gives: each axis's
         labels with positive mass, in first-seen order."""
         return tuple(
-            tuple(dict.fromkeys(key[i] for key in self.table)) for i in range(len(self.axes))
+            tuple(dict.fromkeys(key[i] for key in self._nums)) for i in range(len(self.axes))
         )
 
     def to_jsonable(self) -> dict:
@@ -356,8 +405,8 @@ def subset_entropy(j: JointDist, axes: Sequence[str]) -> float:
     axes = _axes_tuple(axes)
     idx = [j.axis_index(a) for a in axes]
     den, nums = j._int_view()
-    cells = (Fraction(n, den) for n in _grouped(nums, idx).values())
-    return -sum(float(p) * log2_fraction(p) for p in cells) + 0.0
+    # n / den is correctly rounded, so each term is float(p) * log2_fraction(p)
+    return -sum(n / den * _log2_ratio(n, den) for n in _grouped(nums, idx).values()) + 0.0
 
 
 def mutual_information(j: JointDist, axes_a, axes_b) -> float:
@@ -442,10 +491,25 @@ def _sample(rng, weighted):
 
 def fraction_from_jsonable(data) -> Fraction:
     if isinstance(data, Mapping):
-        return Fraction(data["num"], data["den"])
-    if isinstance(data, str) or isinstance(data, int):
+        return Fraction(_integral("rational num", data["num"]), _integral("rational den", data["den"]))
+    if isinstance(data, str) or (isinstance(data, int) and not isinstance(data, bool)):
         return Fraction(data)
     raise ValueError("cannot decode rational from %r" % (data,))
+
+
+def _integral(what: str, value, floats: bool = False) -> int:
+    """value as a Python int (numpy integers, and with floats set integral
+    floats, included). A fractional, non-numeric or boolean value would
+    silently stand for another number, so it is a ValueError. Every integer
+    read from a file goes through here."""
+    if floats and isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def label_to_jsonable(label):

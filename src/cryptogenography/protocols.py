@@ -39,6 +39,8 @@ from .probability import (
     JointDist,
     ZERO,
     ONE,
+    _integral,
+    _picker,
     _sample,
     as_probability,
     fraction_to_jsonable,
@@ -172,7 +174,7 @@ class LeakScenario:
     def from_jsonable(cls, data: Mapping) -> "LeakScenario":
         joint = JointDist.from_jsonable(data["joint"])
         joint.axis_supports = _read_scenario_supports(joint.axis_supports)
-        return cls(int(data["n_players"]), joint)
+        return cls(_integral("scenario n_players", data["n_players"], True), joint)
 
 
 def _read_scenario_supports(supports: tuple) -> tuple:
@@ -257,7 +259,7 @@ class ProtocolNode:
             for m, sub in zip(alphabet, subs, strict=True)
         }
         return cls(
-            int(data["speaker"]),
+            _integral("protocol speaker", data["speaker"], True),
             alphabet,
             FiniteDist.from_jsonable(data["p_innocent"]),
             p_leak,
@@ -304,7 +306,7 @@ class ProtocolTree:
         root = data.get("root")
         return cls(
             None if root is None else ProtocolNode.from_jsonable(root),
-            int(data.get("length_bound", 0)),
+            _integral("protocol length_bound", data.get("length_bound", 0), True),
         )
 
 
@@ -385,11 +387,10 @@ Weights = Mapping
 
 
 def _scenario_weights(scenario: LeakScenario) -> tuple:
-    """(weights, scale): the scenario's masses as ints over the lcm of their
-    denominators."""
-    outcomes = list(scenario.outcomes())
-    scale = math.lcm(*(p.denominator for _, p in outcomes))
-    return {key: p.numerator * (scale // p.denominator) for key, p in outcomes}, scale
+    """(weights, scale): the scenario's masses as ints over its joint's
+    denominator, the lcm of the given probabilities' denominators."""
+    scale, nums = scenario.joint._int_view()
+    return {(key[0], key[1:]): n for key, n in nums.items()}, scale
 
 
 def _descend(node: ProtocolNode, weights: dict, m) -> dict:
@@ -434,9 +435,9 @@ class _Tally:
     mass, from which ``posterior`` reads Pr(L_i=1 | X=x, prefix) and
     ``compare`` decides it against a cap.
 
-    Every posterior in the package is read from here. Weights are the
-    walk's ints or a JointDist's Fractions; both tests are scale-free. Key
-    order follows the weights, so scans over ``leak_mass`` are deterministic.
+    Every posterior in the package is read from here. Weights are ints: the
+    walk's, or a JointDist's int view; both tests are scale-free. Key order
+    follows the weights, so scans over ``leak_mass`` are deterministic.
     """
 
     __slots__ = ("x_mass", "leak_mass")
@@ -445,11 +446,11 @@ class _Tally:
         x_mass: dict = {}
         leak_mass: dict = {}
         for (x, lvec), p in weights.items():
-            x_mass[x] = x_mass[x] + p if x in x_mass else p
+            x_mass[x] = x_mass.get(x, 0) + p
             for i, li in enumerate(lvec, 1):
                 if li:
                     pair = (i, x)
-                    leak_mass[pair] = leak_mass[pair] + p if pair in leak_mass else p
+                    leak_mass[pair] = leak_mass.get(pair, 0) + p
         self.x_mass = x_mass
         self.leak_mass = leak_mass
 
@@ -478,16 +479,17 @@ def _conditional_vector(weights: Weights, keys) -> tuple:
 
 
 def _transcript_weights(joint: JointDist, n_players: int) -> dict:
-    """Group an (X, L1..Ln, T) joint by transcript, in first-seen order:
-    t -> {(x, lvec): mass}."""
+    """Group an (X, L1..Ln, T) joint's int view by transcript, in first-seen
+    order: t -> {(x, lvec): mass}, each mass an int over the joint's
+    denominator."""
     x_idx = joint.axis_index("X")
-    l_idx = tuple(joint.axis_index("L%d" % i) for i in range(1, n_players + 1))
+    lvec = _picker([joint.axis_index("L%d" % i) for i in range(1, n_players + 1)])
     t_idx = joint.axis_index("T")
     groups: dict = {}
-    for key, p in joint.table.items():
+    for key, n in joint._int_view()[1].items():
         slot = groups.setdefault(key[t_idx], {})
-        outcome = (key[x_idx], tuple(key[j] for j in l_idx))
-        slot[outcome] = slot[outcome] + p if outcome in slot else p
+        outcome = (key[x_idx], lvec(key))
+        slot[outcome] = slot.get(outcome, 0) + n
     return groups
 
 
@@ -523,15 +525,23 @@ def enumerate_joint(
     scenario: LeakScenario,
     budget: Optional[int] = None,
 ) -> JointDist:
-    """Exact joint of (X, L1..Ln, T) with T ranging over complete transcripts."""
+    """Exact joint of (X, L1..Ln, T) with T ranging over complete transcripts.
+
+    Built in int form over the lcm of the terminal prefixes' scales."""
+    terminals = [
+        (prefix, weights, scale)
+        for prefix, node, weights, scale in iter_prefixes(tree, scenario, budget)
+        if node is None
+    ]
+    den = math.lcm(*(scale for _, _, scale in terminals))
     table = {}
-    for prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
-        if node is None:
-            for (x, lvec), w in weights.items():
-                table[(x,) + lvec + (prefix,)] = Fraction(w, scale)
+    for prefix, weights, scale in terminals:
+        up = den // scale
+        for (x, lvec), w in weights.items():
+            table[(x,) + lvec + (prefix,)] = w * up
     axes = scenario.joint.axes + ("T",)
-    supports = scenario.joint.axis_supports + (tuple(dict.fromkeys(k[-1] for k in table)),)
-    return JointDist(axes, table, axis_supports=supports)
+    supports = scenario.joint.axis_supports + (tuple(prefix for prefix, _, _ in terminals),)
+    return JointDist(axes, table, axis_supports=supports, den=den)
 
 
 @dataclass

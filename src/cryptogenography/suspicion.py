@@ -20,6 +20,8 @@ from .probability import (
     JointDist,
     ZERO,
     as_probability,
+    _log2_ratio,
+    _picker,
     fraction_to_jsonable,
     log2_fraction,
     mutual_information,
@@ -93,12 +95,12 @@ def _innocence_masses(joint: JointDist, player_axis: str, axes: Sequence[str]) -
     """One pass over the joint's int view: (den, {y: [mass, innocent mass]})
     for every positive-probability value y of ``axes``, in first-seen order,
     where Pr(Y=y) = mass / den and Pr(Y=y, L=0) = innocent mass / den."""
-    idx = [joint.axis_index(a) for a in axes]
+    pick = _picker([joint.axis_index(a) for a in axes])
     l_idx = joint.axis_index(player_axis)
     den, nums = joint._int_view()
     masses: dict = {}
     for key, n in nums.items():
-        y = tuple(key[i] for i in idx)
+        y = pick(key)
         slot = masses.get(y)
         if slot is None:
             slot = masses[y] = [0, 0]
@@ -116,7 +118,7 @@ def _expected(den: int, masses: Mapping) -> float:
         if innocent == 0:
             return math.inf
         # int true division rounds correctly: this is float(Fraction(py, den))
-        result += py / den * -log2_fraction(Fraction(innocent, py))
+        result -= py / den * _log2_ratio(innocent, py)
     return result
 
 
@@ -289,7 +291,7 @@ def _node_message_joint(node, laws, weights, player) -> JointDist:
                 table[key] = table.get(key, 0) + w * q
     except KeyError as exc:
         raise ValueError("node has no leak law for secret %r" % exc.args) from None
-    return JointDist(("X", "L", "A"), {key: Fraction(n, den) for key, n in table.items()})
+    return JointDist(("X", "L", "A"), table, den=den)
 
 
 def check_transcript_bound(

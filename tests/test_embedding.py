@@ -609,6 +609,38 @@ class TestChannelJson:
         assert isinstance(data["rounds"][0], list)
         assert InnocentChannel.from_jsonable(data) == ch
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("players",), 2.9),
+            (("players",), "2"),
+            (("rounds", 0, "player"), True),
+            (("rounds", 0, "player"), 1.5),
+        ],
+    )
+    def test_integer_fields_do_not_truncate(self, path, value):
+        data = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), True).to_jsonable()
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match="channel %s must be an integer" % path[-1]):
+            InnocentChannel.from_jsonable(data)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_repeat_must_be_a_json_boolean(self, value):
+        data = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), True).to_jsonable()
+        data["repeat"] = value
+        with pytest.raises(ValueError, match="repeat must be true or false"):
+            InnocentChannel.from_jsonable(data)
+
+    def test_repeat_defaults_to_true_and_reads_false(self):
+        ch = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), False)
+        data = ch.to_jsonable()
+        assert InnocentChannel.from_jsonable(data) == ch
+        del data["repeat"]
+        assert InnocentChannel.from_jsonable(data).repeat is True
+
     def test_silent_default(self):
         ch = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), True)
         law = ch.law(2, 0)

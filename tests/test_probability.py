@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from cryptogenography.probability import (
     cross_entropy_gap,
     entropy,
     fano_lower_bound,
+    fraction_from_jsonable,
     mutual_information,
     neg_log2,
 )
@@ -322,6 +324,49 @@ class TestJointDist:
             JointDist(("X",), {(0,): F(0)})
 
 
+class TestJointDistIntForm:
+    def test_entries_over_den(self):
+        j = JointDist(("X", "Y"), {(0, "a"): 2, (1, "b"): 6}, den=8)
+        assert j.table == {(0, "a"): F(1, 4), (1, "b"): F(3, 4)}
+        assert j == JointDist(("X", "Y"), {(0, "a"): F(1, 4), (1, "b"): F(3, 4)})
+        assert j.prob_event({"Y": "b"}) == F(3, 4)
+
+    def test_zero_entries_dropped_but_their_labels_kept(self):
+        j = JointDist(("X",), {(0,): 0, (1,): 5}, den=5)
+        assert j.table == {(1,): F(1)}
+        assert j.axis_supports == ((0, 1),)
+
+    def test_fraction_input_becomes_the_table(self):
+        p, q = F(1, 3), F(2, 3)
+        j = JointDist(("X",), {(0,): p, (1,): q})
+        assert all(a is b for a, b in zip(j.table.values(), (p, q), strict=True))
+
+    @pytest.mark.parametrize("entry", [True, F(1), 1.0, np.int64(1)], ids=["bool", "fraction", "float", "numpy"])
+    def test_rejects_entries_that_are_not_python_ints(self, entry):
+        with pytest.raises(ValueError, match="ints >= 0"):
+            JointDist(("X",), {(0,): entry}, den=1)
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError, match="ints >= 0"):
+            JointDist(("X",), {(0,): -1, (1,): 2}, den=1)
+
+    @pytest.mark.parametrize("den", [3, 1])
+    def test_rejects_a_total_other_than_den(self, den):
+        with pytest.raises(ValueError, match="sum to exactly 1, got %s$" % F(2, den)):
+            JointDist(("X",), {(0,): 1, (1,): 1}, den=den)
+
+    @pytest.mark.parametrize("den", [0, -2, True, F(2), 2.0])
+    def test_rejects_a_den_that_is_not_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="den must be a positive int"):
+            JointDist(("X",), {(0,): 1, (1,): 1}, den=den)
+
+    def test_shared_checks_hold_for_int_entries(self):
+        with pytest.raises(ValueError, match="wrong arity"):
+            JointDist(("X", "Y"), {(0,): 1}, den=1)
+        with pytest.raises(ValueError, match="missing labels"):
+            JointDist(("X",), {(0,): 1}, axis_supports=((1,),), den=1)
+
+
 class TestAsProbability:
     def test_exact_fraction_comes_back_unchanged(self):
         p = F(2, 7)
@@ -340,6 +385,43 @@ class TestAsProbability:
     def test_floats_rejected(self, value):
         with pytest.raises(TypeError, match="got float"):
             as_probability(value)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.25), np.float16(1)])
+    def test_numpy_floats_rejected_with_the_float_message(self, value):
+        with pytest.raises(TypeError, match="got float"):
+            as_probability(value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_booleans_rejected(self, value):
+        # a JSON true must not read as probability 1
+        with pytest.raises(TypeError, match="got boolean"):
+            as_probability(value)
+
+    def test_joint_rejects_a_boolean_entry(self):
+        with pytest.raises(TypeError, match="got boolean"):
+            JointDist(("X",), {(0,): True})
+
+
+class TestFractionFromJsonable:
+    def test_reads_ints_strings_and_num_den_objects(self):
+        assert fraction_from_jsonable(3) == F(3)
+        assert fraction_from_jsonable("2/6") == F(1, 3)
+        assert fraction_from_jsonable({"num": 2, "den": 6}) == F(1, 3)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            True,
+            False,
+            {"num": True, "den": 2},
+            {"num": 1, "den": True},
+            {"num": 1.5, "den": 2},
+            {"num": 1, "den": "2"},
+        ],
+    )
+    def test_booleans_and_non_integer_parts_rejected(self, data):
+        with pytest.raises(ValueError):
+            fraction_from_jsonable(data)
 
 
 class StepRng:

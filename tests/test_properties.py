@@ -395,9 +395,13 @@ def test_integer_walk_matches_fraction_oracle(seed, n_players, n_x, caps):
 
 
 @st.composite
-def mixed_tables(draw):
+def mixed_tables(draw, forms=False):
     """A JointDist over 2-4 axes of 2-3 int labels each, entries with mixed
-    denominators, some zero and some cells absent, in a shuffled order."""
+    denominators, some zero and some cells absent, in a shuffled order.
+
+    With ``forms`` set, the same joint built three ways: from the Fractions,
+    in int form over the lcm of their denominators, and in int form over k
+    times that lcm for some k > 1."""
     sizes = draw(st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=4))
     cells = draw(st.permutations(list(itertools.product(*(range(k) for k in sizes)))))
     entry = st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=12))
@@ -407,7 +411,16 @@ def mixed_tables(draw):
     )
     total = sum(w for w in raw if w is not None)
     table = {key: w / total for key, w in zip(cells, raw) if w is not None}
-    return JointDist(tuple("A%d" % i for i in range(len(sizes))), table)
+    axes = tuple("A%d" % i for i in range(len(sizes)))
+    joint = JointDist(axes, table)
+    if not forms:
+        return joint
+    lcm = math.lcm(*(p.denominator for p in table.values()))
+
+    def over(den):
+        return JointDist(axes, {key: p.numerator * den // p.denominator for key, p in table.items()}, den=den)
+
+    return joint, over(lcm), over(lcm * draw(st.integers(min_value=2, max_value=7)))
 
 
 def _ref_cells(joint, idx, keep=lambda key: True):
@@ -513,6 +526,55 @@ def test_int_view_matches_fraction_reference(joint):
             assert cert.equality == (flat and not math.isinf(rhs))
             assert cert.lhs_bits.hex() == _ref_expected(coarse).hex()
             assert cert.rhs_bits.hex() == rhs.hex()
+
+
+def _cert_bits(cert):
+    return cert.lhs_bits.hex(), cert.rhs_bits.hex(), cert.slack.hex(), cert.equality
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_tables(forms=True))
+def test_int_form_matches_fraction_form(joints):
+    """A joint built in int form, over the lcm or over a multiple of it,
+    reads exactly like the one built from Fractions: table, supports, ==,
+    JSON bytes, every marginal and conditional, and the information and
+    suspicion floats bit for bit (axis A0 plays the leak indicator)."""
+    ref = joints[0]
+    axes = ref.axes
+    for joint in joints[1:]:
+        assert list(joint.table.items()) == list(ref.table.items())
+        assert joint.axis_supports == ref.axis_supports
+        assert joint == ref
+        assert json.dumps(joint.to_jsonable()) == json.dumps(ref.to_jsonable())
+        for idx in _subsets(range(len(axes))):
+            names = tuple(axes[i] for i in idx)
+            if len(idx) == len(axes):
+                continue
+            got, want = joint.marginal(names), ref.marginal(names)
+            assert list(got.table.items()) == list(want.table.items())
+            assert got.axis_supports == want.axis_supports
+            for values in itertools.product(*(ref.axis_supports[i] for i in idx)):
+                assignment = dict(zip(names, values))
+                if ref.prob_event(assignment) == 0:
+                    continue
+                got, want = joint.condition(assignment), ref.condition(assignment)
+                assert list(got.table.items()) == list(want.table.items())
+                assert got.axis_supports == want.axis_supports
+        for a_idx in _subsets(range(len(axes))):
+            rest = [i for i in range(len(axes)) if i not in a_idx]
+            for b_idx in _subsets(rest):
+                a = tuple(axes[i] for i in a_idx)
+                b = tuple(axes[i] for i in b_idx)
+                assert mutual_information(joint, a, b).hex() == mutual_information(ref, a, b).hex()
+        others = range(1, len(axes))
+        for y_idx in _subsets(others):
+            y = tuple(axes[i] for i in y_idx)
+            assert expected_suspicion(joint, "A0", y).hex() == expected_suspicion(ref, "A0", y).hex()
+            for b in others:
+                if b not in y_idx:
+                    got = check_listener_monotone(joint, "A0", y, axes[b])
+                    want = check_listener_monotone(ref, "A0", y, axes[b])
+                    assert _cert_bits(got) == _cert_bits(want)
 
 
 def _reversed_laws(node):

@@ -317,6 +317,35 @@ class TestPosteriors:
 
 
 class TestProtocolJson:
+    @pytest.mark.parametrize(
+        "field, value", [("speaker", 1.7), ("speaker", True), ("speaker", "1"), ("length_bound", "2"), ("length_bound", 0.5)]
+    )
+    def test_integer_fields_do_not_truncate(self, field, value):
+        data = ProtocolTree(leaf_node(1, FiniteDist.uniform((0, 1)), {0: FiniteDist.uniform((0, 1))})).to_jsonable()
+        (data["root"] if field == "speaker" else data)[field] = value
+        with pytest.raises(ValueError, match="protocol %s must be an integer" % field):
+            ProtocolTree.from_jsonable(data)
+
+    def test_integral_float_fields_read_as_ints(self):
+        pi = ProtocolTree(leaf_node(1, FiniteDist.uniform((0, 1)), {0: FiniteDist.uniform((0, 1))}))
+        data = pi.to_jsonable()
+        data["root"]["speaker"] = 1.0
+        data["length_bound"] = 1.0
+        assert ProtocolTree.from_jsonable(data) == pi
+
+    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    def test_scenario_n_players_does_not_truncate(self, value):
+        data = LeakScenario.fixed(FiniteDist.uniform((0, 1)), 1, 1).to_jsonable()
+        data["n_players"] = value
+        with pytest.raises(ValueError, match="scenario n_players must be an integer"):
+            LeakScenario.from_jsonable(data)
+
+    def test_boolean_probability_rejected(self):
+        data = LeakScenario.fixed(FiniteDist.uniform((0, 1)), 1, 1).to_jsonable()
+        data["joint"]["table"] = [{"key": [0, 1], "p": True}]
+        with pytest.raises(ValueError, match="cannot decode rational"):
+            LeakScenario.from_jsonable(data)
+
     def test_roundtrip_window_instance(self):
         ch = window_channel(F(2, 5), F(1, 2))
         pi = window_protocol(ch, 2)
