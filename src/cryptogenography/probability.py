@@ -502,6 +502,8 @@ def _integral(what: str, value, floats: bool = False) -> int:
     floats, included). A fractional, non-numeric or boolean value would
     silently stand for another number, so it is a ValueError. Every integer
     read from a file goes through here."""
+    if type(value) is int:
+        return value
     if floats and isinstance(value, (float, np.floating)) and value.is_integer():
         return int(value)
     if not isinstance(value, (bool, np.bool_)):
