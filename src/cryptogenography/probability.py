@@ -208,8 +208,9 @@ class JointDist:
 
     Built from Fractions (``den`` omitted), the entries are turned into
     ints over the lcm of their denominators once, and the Fractions given
-    become the table. Built with ``den``, the table holds non-negative ints
-    over ``den``: this is how every derived joint is made.
+    become the table. Built with ``den``, the ``table`` argument holds
+    non-negative Python ints over ``den``: this is how every derived joint
+    is made.
     """
 
     __slots__ = ("axes", "axis_supports", "_axis_index", "_den", "_nums", "_table")
