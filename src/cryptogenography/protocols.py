@@ -388,7 +388,8 @@ Weights = Mapping
 
 def _scenario_weights(scenario: LeakScenario) -> tuple:
     """(weights, scale): the scenario's masses as ints over its joint's
-    denominator, the lcm of the given probabilities' denominators."""
+    denominator (for a scenario built from Fractions, the lcm of their
+    denominators)."""
     scale, nums = scenario.joint._int_view()
     return {(key[0], key[1:]): n for key, n in nums.items()}, scale
 
