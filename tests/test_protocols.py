@@ -318,16 +318,19 @@ class TestPosteriors:
 
 class TestProtocolJson:
     @pytest.mark.parametrize(
-        "field, value", [("speaker", 1.7), ("speaker", True), ("speaker", "1"), ("length_bound", "2"), ("length_bound", 0.5)]
+        "field, value",
+        [("speaker", 1.7), ("speaker", True), ("speaker", "1"), ("length_bound", "2"), ("length_bound", 0.5)],
     )
     def test_integer_fields_do_not_truncate(self, field, value):
-        data = ProtocolTree(leaf_node(1, FiniteDist.uniform((0, 1)), {0: FiniteDist.uniform((0, 1))})).to_jsonable()
+        law = FiniteDist.uniform((0, 1))
+        data = ProtocolTree(leaf_node(1, law, {0: law})).to_jsonable()
         (data["root"] if field == "speaker" else data)[field] = value
         with pytest.raises(ValueError, match="protocol %s must be an integer" % field):
             ProtocolTree.from_jsonable(data)
 
     def test_integral_float_fields_read_as_ints(self):
-        pi = ProtocolTree(leaf_node(1, FiniteDist.uniform((0, 1)), {0: FiniteDist.uniform((0, 1))}))
+        law = FiniteDist.uniform((0, 1))
+        pi = ProtocolTree(leaf_node(1, law, {0: law}))
         data = pi.to_jsonable()
         data["root"]["speaker"] = 1.0
         data["length_bound"] = 1.0
