@@ -21,8 +21,9 @@ a tie is reported exactly as with one decode at a time.
 ``random_codebook`` reproduces one ``rng.integers`` draw of the whole book
 from the generator's raw words without building its (count, n) symbol
 matrix: each plane of a block of values is one masked copy into a reused
-row-padded buffer and one flat ``packbits``. ``Codebook.symbols`` is
-unpacked from the planes only when read; no experiment or decode reads it.
+row-padded buffer and one flat ``packbits``. The planes are a book's only
+state; ``Codebook.symbols`` is a read-only matrix unpacked from them when
+read, and no experiment or decode reads it.
 
 ``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
 in O(1): the sign of one linear int expression orders every pair of
@@ -34,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,22 +306,17 @@ def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
 class Codebook:
     """2^ceil(h) i.i.d. uniform codewords over {1..d}, regenerable from the seed.
 
-    A book drawn by ``random_codebook`` holds only its bit-planes; the
-    (message_count, n) ``symbols`` matrix is unpacked from them, block by
-    block, on first read and cached. A book built from a symbols matrix
-    packs its planes on first use instead. Either way the planes are the
-    decoder's copy: an in-place edit of ``symbols`` reaches ``==`` and
-    ``row`` but not planes that already exist.
+    A book holds only its bit-planes (see ``bit_planes``), which the
+    constructor marks read-only. ``symbols`` and ``row`` are unpacked from
+    them, so a book's symbols cannot drift from the planes the decoder reads.
     """
 
-    def __init__(self, h_bits: float, n: int, d: int, seed: int, symbols=None, *, planes=None):
-        if (symbols is None) == (planes is None):
-            raise ValueError("a codebook needs exactly one of symbols and planes")
+    def __init__(self, h_bits: float, n: int, d: int, seed: int, planes: np.ndarray):
         self.h_bits = h_bits
         self.n = n
         self.d = d
         self.seed = seed
-        self._symbols = symbols
+        planes.flags.writeable = False
         self._planes = planes
 
     def __repr__(self):
@@ -330,44 +327,34 @@ class Codebook:
             return NotImplemented
         if (self.h_bits, self.n, self.d, self.seed) != (other.h_bits, other.n, other.d, other.seed):
             return False
-        if self._symbols is None and other._symbols is None:
-            return np.array_equal(self._planes, other._planes)
-        return np.array_equal(self.symbols, other.symbols)
+        return np.array_equal(self._planes, other._planes)
 
-    @property
+    @functools.cached_property
     def symbols(self) -> np.ndarray:
-        """(message_count, n) array of symbols in 1..d."""
-        if self._symbols is None:
-            symbols = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
-            for rows in self._row_blocks():
-                symbols[rows] = _unpack_planes(self._planes[:, :, rows], self.n, self.d)
-            self._symbols = symbols
-        return self._symbols
+        """Read-only (message_count, n) array of symbols in 1..d, unpacked
+        block by block on first read and cached."""
+        symbols = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
+        step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
+        for start in range(0, self.message_count, step):
+            rows = slice(start, start + step)
+            symbols[rows] = _unpack_planes(self._planes[:, :, rows], self.n, self.d)
+        symbols.flags.writeable = False
+        return symbols
 
     @property
     def message_count(self) -> int:
-        return len(self._symbols) if self._planes is None else self._planes.shape[2]
+        return self._planes.shape[2]
 
     def row(self, x: int) -> np.ndarray:
-        if self._symbols is not None:
-            return self._symbols[x]
         return _unpack_planes(self._planes[:, :, [x]], self.n, self.d)[0]
 
     def bit_planes(self) -> np.ndarray:
-        """Cached (ceil(log2 d), ceil(n/64), message_count) uint64 array:
-        plane k holds bit k of every symbol minus one, packed by
-        ``_pack_bit``. Words are the middle axis, so a block of codewords
-        is one contiguous slice per (plane, word). For d = 2 the single
-        plane is the packed bits themselves."""
-        if self._planes is None:
-            blocks = ((self._symbols[rows] - 1, 0) for rows in self._row_blocks())
-            self._planes = _pack_planes(blocks, self.d, self.n, self.message_count)
+        """(ceil(log2 d), ceil(n/64), message_count) uint64 array: plane k
+        holds bit k of every symbol minus one, packed by ``_pack_bit``.
+        Words are the middle axis, so a block of codewords is one contiguous
+        slice per (plane, word). For d = 2 the single plane is the packed
+        bits themselves."""
         return self._planes
-
-    def _row_blocks(self) -> list:
-        """Row slices of about ``_PLANE_BLOCK_SYMBOLS`` symbols each."""
-        step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
-        return [slice(start, start + step) for start in range(0, self.message_count, step)]
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
@@ -375,11 +362,8 @@ class Codebook:
 
     @classmethod
     def from_jsonable(cls, data) -> "Codebook":
-        h = data["h"]
-        if isinstance(h, bool) or not isinstance(h, (int, float)):
-            raise ValueError("codebook h must be a number, got %r" % (h,))
         n, d, seed = (_integral("codebook " + key, data[key], True) for key in ("n", "d", "seed"))
-        return random_codebook(h, n, d, seed)
+        return random_codebook(data["h"], n, d, seed)
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28) -> Codebook:
@@ -393,6 +377,8 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     masked straight from the raw words; any other d keeps the test and the
     product, and plane k is bit k of (v d) >> B.
     """
+    if isinstance(h_bits, bool) or not isinstance(h_bits, numbers.Real):
+        raise ValueError("codebook h must be a number, got %r" % (h_bits,))
     if not 0 <= h_bits < math.inf:
         raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
     n = _integral("codebook n", n)
@@ -401,13 +387,16 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
         raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
     if n < 0:
         raise ValueError("codebook n must be >= 0, got %r" % (n,))
-    count = 2 ** math.ceil(h_bits)
-    if count * n > max_entries:
+    bits = math.ceil(h_bits)
+    # every codeword costs at least one entry, so 2^bits is made only within
+    # the budget: for a large h it would be a huge int
+    if bits >= max_entries.bit_length() or (1 << bits) * max(n, 1) > max_entries:
         raise MemoryError(
-            "codebook of %d x %d symbols exceeds the %d-entry budget" % (count, n, max_entries)
+            "codebook of 2^%d x %d symbols exceeds the %d-entry budget" % (bits, n, max_entries)
         )
+    count = 1 << bits
     planes = _pack_planes(_drawn_blocks(seed, d, n, count), d, n, count)
-    return Codebook(float(h_bits), n, d, seed, planes=planes)
+    return Codebook(float(h_bits), n, d, seed, planes)
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:

@@ -211,6 +211,13 @@ class TestCodebook:
         with pytest.raises(MemoryError):
             random_codebook(40, 100, 2, seed=0)
 
+    @pytest.mark.parametrize("h,n", [(29, 0), (20000, 4), (10**6, 4)])
+    def test_memory_budget_is_checked_before_2_to_the_h(self, h, n):
+        # a large h built the int 2^h first, and printing it raised
+        # ValueError past 4300 digits; empty codewords still count one entry
+        with pytest.raises(MemoryError, match="exceeds the"):
+            random_codebook(h, n, 2, seed=0)
+
     def test_json_regeneration_contract(self):
         book = random_codebook(4, 10, 3, seed=123)
         data = book.to_jsonable()
@@ -225,9 +232,9 @@ class TestCodebook:
         assert book == random_codebook(3, 5, 2, 1)
         assert book != random_codebook(3, 5, 2, 2)
         assert book != random_codebook(3, 6, 2, 1)
-        flipped = random_codebook(3, 5, 2, 1)
-        flipped.symbols[0, 0] = 3 - flipped.symbols[0, 0]
-        assert book != flipped
+        symbols = book.symbols.copy()
+        symbols[0, 0] = 3 - symbols[0, 0]
+        assert book != Codebook(book.h_bits, 5, 2, 1, reference_planes(symbols, 2))
         assert book != "book"
         assert Codebook.from_jsonable(book.to_jsonable()) == book
 
@@ -355,8 +362,16 @@ class TestStreamedCodebook:
         book = random_codebook(4, 9, 4, seed=8)
         with mock.patch.object(coding, "_unpack_planes", wraps=coding._unpack_planes) as spy:
             assert book.symbols is book.symbols
-            assert np.array_equal(book.row(3), book.symbols[3])
         assert spy.call_count == 1
+
+    def test_symbols_and_planes_are_read_only(self):
+        # an in-place edit could otherwise make the cached matrix and the
+        # planes the decoder reads disagree
+        book = random_codebook(4, 9, 4, seed=8)
+        with pytest.raises(ValueError, match="read-only"):
+            book.symbols[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            book.bit_planes()[0, 0, 0] = 0
 
     def test_equality_reads_planes_only(self, no_symbol_matrix):
         book = random_codebook(5, 33, 4, seed=1)
@@ -366,16 +381,9 @@ class TestStreamedCodebook:
 
     def test_explicit_and_streamed_books_agree(self):
         book = random_codebook(5, 70, 8, seed=6)
-        explicit = Codebook(book.h_bits, 70, 8, 6, one_shot_book(5, 70, 8, seed=6))
+        planes = reference_planes(one_shot_book(5, 70, 8, seed=6), 8)
+        explicit = Codebook(book.h_bits, 70, 8, 6, planes)
         assert explicit == book and book == explicit
-        assert np.array_equal(explicit.bit_planes(), book.bit_planes())
-
-    def test_needs_exactly_one_representation(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            Codebook(1.0, 2, 2, 0)
-        symbols = np.ones((2, 2), dtype=np.uint8)
-        with pytest.raises(ValueError, match="exactly one"):
-            Codebook(1.0, 2, 2, 0, symbols, planes=Codebook(1.0, 2, 2, 0, symbols).bit_planes())
 
     def test_experiments_never_build_the_symbol_matrix(self, no_symbol_matrix):
         rep = run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 40, 5, seed=4)
@@ -384,6 +392,9 @@ class TestStreamedCodebook:
         assert rep.trials == 5
         ch = window_channel(F(1, 4), F(1, 2))
         book = random_codebook(4, 30, ch.d, seed=9)
+        want = one_shot_book(4, 30, ch.d, seed=9)
+        assert book.message_count == len(want)
+        assert all(np.array_equal(book.row(x), want[x]) for x in range(-len(want), len(want)))
         assert ml_decode(book, book.row(7), ch) == 7
 
     @settings(max_examples=60, deadline=None)
@@ -411,6 +422,12 @@ class TestStreamedCodebook:
         with pytest.raises(ValueError, match="codebook " + field):
             Codebook.from_jsonable(data)
 
+    @pytest.mark.parametrize("h", [True, "3", -2, float("nan"), float("inf")])
+    def test_random_codebook_rejects_malformed_h(self, h):
+        # True once drew a 2-codeword book and "3" raised a bare TypeError
+        with pytest.raises(ValueError, match="codebook h"):
+            random_codebook(h, 4, 2, 0)
+
     def test_from_jsonable_accepts_integral_floats(self):
         data = {"seed": 2.0, "h": 3, "n": 4.0, "d": 2.0}
         assert Codebook.from_jsonable(data) == random_codebook(3, 4, 2, 2)
@@ -428,13 +445,13 @@ class TestMlDecode:
     def test_three_quarter_match(self):
         ch = window_channel(F(1, 2), F(2, 3))
         symbols = np.array([[1, 1, 1, 1], [2, 2, 2, 2]], dtype=np.uint8)
-        book = Codebook(1.0, 4, 2, 0, symbols)
+        book = Codebook(1.0, 4, 2, 0, reference_planes(symbols, 2))
         assert ml_decode(book, np.array([1, 1, 1, 2]), ch) == 0
 
     def test_tie_returns_none(self):
         ch = window_channel(F(1, 2), F(2, 3))
         symbols = np.array([[1, 2], [2, 1]], dtype=np.uint8)
-        book = Codebook(1.0, 2, 2, 0, symbols)
+        book = Codebook(1.0, 2, 2, 0, reference_planes(symbols, 2))
         assert ml_decode(book, np.array([1, 1]), ch) is None
 
     @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(2, 5), F(1, 2))])
@@ -491,7 +508,7 @@ def decode_case(b, c, n, count, duplicates, seed):
     symbols = rng.integers(1, ch.d + 1, size=(count, n), dtype=np.uint8)
     for _ in range(duplicates):
         symbols[rng.integers(count)] = symbols[rng.integers(count)]
-    book = Codebook(1.0, n, ch.d, seed, symbols)
+    book = Codebook(1.0, n, ch.d, seed, reference_planes(symbols, ch.d))
     sent = [
         leak_message(book.row(rng.integers(count)), rng.random(n) < float(ch.b), ch, rng)
         for _ in range(4)
