@@ -41,10 +41,6 @@ from .protocols import (
 from .suspicion import check_general_upper_bound, check_round_decomposition, check_transcript_bound
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
@@ -64,7 +60,7 @@ def _emit(args, command: str, config: dict, payload: dict, csv_text: str = None)
         "config_hash": _config_hash(command, config),
         **payload,
     }
-    if getattr(args, "format", "json") == "csv" and csv_text is not None:
+    if csv_text is not None and args.format == "csv":
         text = csv_text
     else:
         text = _canonical_json(payload)
@@ -86,8 +82,8 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_capacity(args) -> int:
-    cs = [_parse_fraction(c) for c in args.c.split(",")]
-    bs = [_parse_fraction(b) for b in args.b.split(",")] if args.b else [None]
+    cs = [Fraction(c) for c in args.c.split(",")]
+    bs = [Fraction(b) for b in args.b.split(",")] if args.b else [None]
     rows = []
     for c in cs:
         if not 0 < c < 1:
@@ -149,7 +145,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         payload["general_upper_bound"] = {"skipped": str(exc)}
     if args.c is not None:
-        c = _parse_fraction(args.c)
+        c = Fraction(args.c)
         safety = safety_report(tree, scenario, c, budget=args.budget)
         payload["safety"] = {
             "c": str(c),
@@ -170,8 +166,8 @@ def cmd_leak(args) -> int:
     started = time.perf_counter()
     if args.mode == "indep":
         report = run_indep_experiment(
-            _parse_fraction(args.b),
-            _parse_fraction(args.c),
+            Fraction(args.b),
+            Fraction(args.c),
             exact_rate(args.rate),
             args.n,
             args.trials,
@@ -181,11 +177,11 @@ def cmd_leak(args) -> int:
         report = fixed_two_group_run(
             args.l,
             args.n,
-            _parse_fraction(args.c),
+            Fraction(args.c),
             exact_rate(args.rate),
             args.trials,
             args.seed,
-            c_prime=_parse_fraction(args.c_prime) if args.c_prime else None,
+            c_prime=Fraction(args.c_prime) if args.c_prime else None,
         )
     payload = {
         "command": "leak",
@@ -277,7 +273,7 @@ def cmd_embed(args) -> int:
 def cmd_decode(args) -> int:
     book = Codebook.from_jsonable(_load_json(args.codebook))
     transcript = _load_json(args.transcript)["messages"]
-    ch = window_channel(_parse_fraction(args.b), _parse_fraction(args.c))
+    ch = window_channel(Fraction(args.b), Fraction(args.c))
     guess = ml_decode(book, transcript, ch)
     config = {
         "codebook": _file_digest(args.codebook),
@@ -305,27 +301,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each command takes --out, and of these only the flags it reads
+    shared = {
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--seed": dict(type=int, default=0),
+        "--budget": dict(type=int, default=10**6),
+    }
+
+    def common(p, *flags):
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10**6)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("capacity", help="capacity formulas over a parameter grid")
-    common(p)
+    common(p, "--format")
     p.add_argument("--c", required=True, help="comma-separated posteriors in (0,1)")
     p.add_argument("--b", default=None, help="comma-separated leak priors")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("verify", help="suspicion certificates for a protocol")
-    common(p)
+    common(p, "--budget")
     p.add_argument("--protocol", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--c", default=None, help="also check the safety predicate at this cap")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("leak", help="reliable-leakage Monte Carlo experiments")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--mode", choices=("indep", "fixed"), default="indep")
     p.add_argument("--b", default="1/2")
     p.add_argument("--c", default="2/3")
@@ -337,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_leak)
 
     p = sub.add_parser("game", help="evaluate the leaker-hunting game exactly")
-    common(p)
+    common(p, "--format", "--budget")
     p.add_argument("--protocol", required=True)
     p.add_argument("--scenario", required=True)
     p.set_defaults(func=cmd_game)
 
     p = sub.add_parser("embed", help="run a protocol inside innocent chatter")
-    common(p)
+    common(p, "--seed")
     p.add_argument("--protocol", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--channel", required=True)

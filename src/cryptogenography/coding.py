@@ -36,7 +36,6 @@ import functools
 import itertools
 import math
 import numbers
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -69,6 +68,7 @@ __all__ = [
     "posterior_leak",
     "Codebook",
     "random_codebook",
+    "MAX_CODEBOOK_ENTRIES",
     "ml_decode",
     "ExperimentReport",
     "run_indep_experiment",
@@ -80,6 +80,9 @@ __all__ = [
     "window_scenario",
     "exact_rate",
 ]
+
+# random_codebook's cap on the symbols of one book
+MAX_CODEBOOK_ENTRIES = 2**28
 
 
 def exact_rate(value) -> Fraction:
@@ -366,7 +369,7 @@ class Codebook:
         return random_codebook(data["h"], n, d, seed)
 
 
-def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28) -> Codebook:
+def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
     """The book ``default_rng(seed).integers(1, d + 1, size=(2^ceil(h_bits), n),
     dtype=_symbol_dtype(d))`` draws, packed into bit-planes block by block.
 
@@ -376,6 +379,9 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
     A power-of-two d rejects nothing, so plane k is bit B - log2 d + k of v,
     masked straight from the raw words; any other d keeps the test and the
     product, and plane k is bit k of (v d) >> B.
+
+    A book of more than MAX_CODEBOOK_ENTRIES symbols (read when the call
+    runs; an empty codeword counts as one) raises MemoryError.
     """
     if isinstance(h_bits, bool) or not isinstance(h_bits, numbers.Real):
         raise ValueError("codebook h must be a number, got %r" % (h_bits,))
@@ -387,6 +393,7 @@ def random_codebook(h_bits, n: int, d: int, seed: int, max_entries: int = 2**28)
         raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
     if n < 0:
         raise ValueError("codebook n must be >= 0, got %r" % (n,))
+    max_entries = MAX_CODEBOOK_ENTRIES
     bits = math.ceil(h_bits)
     # every codeword costs at least one entry, so 2^bits is made only within
     # the budget: for a large h it would be a huge int
@@ -499,15 +506,12 @@ class ExperimentReport:
     tie_errors: int
     max_posterior_seen: Fraction
     posterior_violations: int
-    wall_time: float
 
     @property
     def failure_rate(self) -> float:
         return (self.decode_errors + self.tie_errors) / self.trials if self.trials else 0.0
 
     def to_jsonable(self) -> dict:
-        # wall_time is reported separately by the CLI so files stay
-        # byte-identical across reruns
         return {
             "trials": self.trials,
             "decode_errors": self.decode_errors,
@@ -528,7 +532,6 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     """Reliable leakage for independent leakers: random codebook at the given
     rate (bits per player), window-channel messages, ML decoding, and exact
     per-player posterior checks against c."""
-    started = time.perf_counter()
     ch = window_channel(b, c)
     rate = exact_rate(rate)
     h = rate * n
@@ -557,7 +560,6 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
         tie_errors,
         post_in if hits else ZERO,
         0,  # no posterior exceeds c: the identity above holds
-        time.perf_counter() - started,
     )
 
 
@@ -578,7 +580,6 @@ def fixed_two_group_run(
     posterior of every player whose message is consistent with the secret
     is exactly 2l/|K|; the report counts trials where that exceeds c.
     """
-    started = time.perf_counter()
     c = as_probability(c)
     b = Fraction(l, n)
     if c_prime is None:
@@ -590,7 +591,7 @@ def fixed_two_group_run(
     if l == 0:
         # no leakers: zero bits per group, so each one-codeword book decodes
         # trivially, and nobody is consistent with a secret
-        return ExperimentReport(trials, 0, 0, ZERO, 0, time.perf_counter() - started)
+        return ExperimentReport(trials, 0, 0, ZERO, 0)
     if float(rate) >= fixed_capacity(c):
         raise ValueError("rate must stay below the per-leaker capacity")
     ch = window_channel(b, c_prime)
@@ -626,7 +627,6 @@ def fixed_two_group_run(
         tie_errors,
         max(posteriors, default=ZERO),
         sum(post > c for post in posteriors),
-        time.perf_counter() - started,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -57,15 +57,17 @@ __all__ = [
     "g_partition",
     "interpret_step",
     "embed_leaker_step",
-    "InformativenessReport",
     "informativeness_estimate",
     "ComposeResult",
     "compose_run",
     "AuditReport",
     "equivalence_audit",
+    "DECODED_TARGET",
 ]
 
 NO_MESSAGE = "-"
+# the decoded mass equivalence_audit must reach within its round budget
+DECODED_TARGET = Fraction(999_999, 1_000_000)
 
 
 class Interval:
@@ -302,40 +304,20 @@ def embed_leaker_step(rng, alpha: Interval, g_cells: Mapping):
     return message, law[message][1]
 
 
-@dataclass
-class InformativenessReport:
-    trials: int
-    horizon: int
-    median_product: float
-    max_product: float
-    min_product: float
+def informativeness_estimate(channel: InnocentChannel, player: int, horizon: int) -> Fraction:
+    """Decay of the running best-guess product for one player: the exact
+    prod_k max_m Pr(message_k = m) over the first ``horizon`` rounds.
 
-    def to_jsonable(self) -> dict:
-        return asdict(self)
-
-
-def informativeness_estimate(
-    channel: InnocentChannel,
-    player: int,
-    horizon: int,
-    trials: int,
-    seed: int,
-) -> InformativenessReport:
-    """Decay of the running best-guess product for one player.
-
-    Informative chatter drives prod_k max_m Pr(message_k = m) to zero; a
-    player whose rounds are all point masses keeps it at 1. Chatter laws
-    are memoryless, so every sampled trajectory has the same product: it is
-    computed once, exactly, and reported as the median, max and min over
-    the trials (``seed`` does not change it).
+    Informative chatter drives it to zero; a player whose rounds are all
+    point masses keeps it at 1. Chatter laws are memoryless, so every
+    trajectory has this same product and nothing is sampled.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     product = ONE
     for k in range(horizon):
         product *= max(channel.law(player, k).probs)
-    value = float(product)
-    return InformativenessReport(trials, horizon, value, value, value)
+    return product
 
 
 @dataclass
@@ -471,18 +453,18 @@ def equivalence_audit(
     channel: InnocentChannel,
     scenario: LeakScenario,
     depth_budget: int,
-    decoded_target: Fraction = Fraction(999_999, 1_000_000),
 ) -> AuditReport:
     """Exhaustively expand the composed process and verify it leaks exactly
     the protocol transcript.
 
-    Checks, all exact: (i) decoded mass reaches the target within the round
-    budget; (ii) at every message boundary and at every complete decode, the
-    conditional law of (X, L) given the chatter path equals the protocol's
-    conditional given the decoded transcript, decided by cross-multiplying
-    the two int weightings against each other's totals; (iii) each decoded
-    transcript's mass never exceeds its protocol probability and falls
-    short by at most the total undecoded mass.
+    Checks, all exact: (i) decoded mass reaches DECODED_TARGET (read when
+    the call runs) within the round budget; (ii) at every message boundary
+    and at every complete decode, the conditional law of (X, L) given the
+    chatter path equals the protocol's conditional given the decoded
+    transcript, decided by cross-multiplying the two int weightings against
+    each other's totals; (iii) each decoded transcript's mass never exceeds
+    its protocol probability and falls short by at most the total undecoded
+    mass.
 
     Each state's masses are ints over one denominator. Per chatter
     message, the innocent factor p_k / L (the law as ints over the lcm L
@@ -610,10 +592,10 @@ def equivalence_audit(
     report = AuditReport(
         decoded_total, undecoded, rounds_used, terminal_paths, mismatches, mass_ok, decoded
     )
-    if decoded_total < decoded_target:
+    if decoded_total < DECODED_TARGET:
         err = BudgetExceededError(
             "audit decoded mass %s below target %s after %d rounds"
-            % (decoded_total, decoded_target, rounds_used),
+            % (decoded_total, DECODED_TARGET, rounds_used),
         )
         err.report = report
         raise err

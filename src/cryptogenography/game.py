@@ -134,12 +134,13 @@ def succ_upper_bound(h, l, c) -> float:
     return 1.0 - (cf * h + l * log2_fraction(1 - c) + l * cf * LOG2_E - cf) / h
 
 
-def best_upper_bound(h, l, grid: int = 99) -> tuple:
-    """(best c, minimal cap) over the grid c = 1/(grid+1) .. grid/(grid+1)."""
+def best_upper_bound(h, l) -> tuple:
+    """(best c, minimal cap) over the grid c = k/100, k = 1 .. 99; the
+    first c wins a tie."""
     best_c = None
     best = math.inf
-    for k in range(1, grid + 1):
-        c = Fraction(k, grid + 1)
+    for k in range(1, 100):
+        c = Fraction(k, 100)
         val = succ_upper_bound(h, l, c)
         if val < best:
             best = val

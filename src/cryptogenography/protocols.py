@@ -56,6 +56,8 @@ __all__ = [
     "ValidationReport",
     "BudgetExceededError",
     "DEFAULT_ENUMERATION_BUDGET",
+    "MAX_DOUBLING_ROUNDS",
+    "MAX_GADGETS",
     "validate",
     "non_revealing",
     "simulate",
@@ -74,6 +76,10 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+# binarize's cap on the digits of one doubling chain
+MAX_DOUBLING_ROUNDS = 64
+# stop_at_c's cap on gadget insertions per call
+MAX_GADGETS = 10_000
 
 
 class BudgetExceededError(RuntimeError):
@@ -695,11 +701,7 @@ THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 
 
-def binarize(
-    tree: ProtocolTree,
-    scenario: LeakScenario,
-    max_doubling_rounds: int = 64,
-) -> ProtocolTree:
+def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
     """Equivalent protocol over {0,1} messages.
 
     Alphabets are reduced with a deterministic Huffman bit tree on the
@@ -707,7 +709,8 @@ def binarize(
     [1/3, 2/3] is replaced by the gradual-reveal doubling scheme. Messages
     only a leaker could send (innocent probability zero) cannot be range
     bounded and are left as single bits; they do not occur in non-revealing
-    protocols.
+    protocols. A doubling chain longer than MAX_DOUBLING_ROUNDS digits (read
+    when the chain is built) raises BudgetExceededError.
     """
     xs = scenario.x_support
 
@@ -744,7 +747,7 @@ def binarize(
         child0 = emit_bits(node, left)
         child1 = emit_bits(node, right)
         bit_node = _bit_node(node.speaker, p_one, leak_one, child0, child1)
-        return _range_fix(bit_node, max_doubling_rounds)
+        return _range_fix(bit_node)
 
     root = convert(tree.root)
     return ProtocolTree(root, tree_depth(root))
@@ -786,15 +789,15 @@ def _huffman_merge_order(node, live):
     return heap[0][2]
 
 
-def _range_fix(bit_node: ProtocolNode, max_rounds: int) -> ProtocolNode:
+def _range_fix(bit_node: ProtocolNode) -> ProtocolNode:
     p0 = bit_node.p_innocent.prob(0)
     if THIRD <= p0 <= TWO_THIRDS or p0 == 0 or p0 == 1:
         return bit_node
     rare = 0 if p0 < THIRD else 1
-    return _doubling_chain(bit_node, rare, max_rounds)
+    return _doubling_chain(bit_node, rare)
 
 
-def _doubling_chain(bit_node: ProtocolNode, rare, max_rounds: int) -> ProtocolNode:
+def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
     """Gradual reveal of a rare bit.
 
     The sender decides the real bit a, then conceptually picks a number
@@ -813,10 +816,10 @@ def _doubling_chain(bit_node: ProtocolNode, rare, max_rounds: int) -> ProtocolNo
     levels = 0
     while p_r * (2**levels) < THIRD:
         levels += 1
-        if levels > max_rounds:
+        if levels > MAX_DOUBLING_ROUNDS:
             raise BudgetExceededError(
                 "doubling scheme needs more than %d rounds for innocent bit probability %s"
-                % (max_rounds, p_r)
+                % (MAX_DOUBLING_ROUNDS, p_r)
             )
 
     # reveal node after `levels` zero digits
@@ -885,12 +888,7 @@ def _player_secret_pairs(scenario: LeakScenario) -> tuple:
     return tuple((i, x) for i in range(1, scenario.n_players + 1) for x in scenario.x_support)
 
 
-def stop_at_c(
-    tree: ProtocolTree,
-    scenario: LeakScenario,
-    c,
-    max_gadgets: int = 10_000,
-) -> ProtocolTree:
+def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
     """Equivalent protocol where no per-(player, x) posterior jumps past c:
     any prefix with posterior above c is preceded by one landing exactly on c.
 
@@ -900,14 +898,15 @@ def stop_at_c(
     forwards into the split with probability p(1-q)/(q(1-p)).
 
     Every prefix the recursion reads charges its outcome states to the
-    walk's default state budget; ``max_gadgets`` caps the insertions
-    separately.
+    walk's default state budget; MAX_GADGETS (read when the call starts)
+    caps the insertions separately.
     """
     c = as_probability(c)
     if not 0 < c < 1:
         raise ValueError("c must be in (0, 1)")
     _check_priors(scenario, c, "c")
     pairs = _player_secret_pairs(scenario)
+    max_gadgets = MAX_GADGETS
     gadgets_left = [max_gadgets]
     states = _StateBudget(None)
     outcome_order = scenario.outcome_keys()

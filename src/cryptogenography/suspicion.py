@@ -141,57 +141,53 @@ def expected_suspicion(joint: JointDist, player_axis: str, axes: Sequence[str]) 
     return _expected(*_innocence_masses(joint, player_axis, axes))
 
 
-def _law_matches_innocent_law(joint: JointDist, l_axis: str, a_axis: str) -> bool:
+def _law_matches_innocent_law(joint: JointDist) -> bool:
     """Exact test: marginal law of A equals law of A given L=0."""
-    marginal = joint.marginal_dist(a_axis)
-    innocent_mass = joint.prob_event({l_axis: 0})
+    marginal = joint.marginal_dist("A")
+    innocent_mass = joint.prob_event({"L": 0})
     if innocent_mass == 0:
         return False
-    innocent = joint.condition({l_axis: 0}).marginal_dist(a_axis)
+    innocent = joint.condition({"L": 0}).marginal_dist("A")
     return marginal.probs == innocent.probs
 
 
-def check_single_message(
-    joint: JointDist,
-    x_axis: str = "X",
-    l_axis: str = "L",
-    a_axis: str = "A",
-) -> SuspicionCertificate:
-    """One-message bound: I(X;A) <= susp(X,A) - susp(X).
+def check_single_message(joint: JointDist) -> SuspicionCertificate:
+    """One-message bound: I(X;A) <= susp(X,A) - susp(X), for a joint over
+    the axes X (secret), L (the speaker leaks) and A (the message).
 
     The joint must satisfy the speaking model: given L=0 the message is
     independent of the secret. Equality holds iff the marginal law of A
     equals its law given L=0, decided exactly.
     """
-    _validate_single_message_model(joint, x_axis, l_axis, a_axis)
-    lhs = mutual_information(joint, x_axis, a_axis)
-    after = expected_suspicion(joint, l_axis, (x_axis, a_axis))
+    _validate_single_message_model(joint)
+    lhs = mutual_information(joint, "X", "A")
+    after = expected_suspicion(joint, "L", ("X", "A"))
     if math.isinf(after):
         # susp(X) is then infinite too (certain guilt given some x);
         # the certificate passes trivially per the +inf convention
         return _certificate(lhs, math.inf, False)
-    rhs = after - expected_suspicion(joint, l_axis, (x_axis,))
-    equality = _law_matches_innocent_law(joint, l_axis, a_axis)
+    rhs = after - expected_suspicion(joint, "L", ("X",))
+    equality = _law_matches_innocent_law(joint)
     return _certificate(lhs, rhs, equality)
 
 
-def _validate_single_message_model(joint, x_axis, l_axis, a_axis):
-    innocent_mass = joint.prob_event({l_axis: 0})
+def _validate_single_message_model(joint):
+    innocent_mass = joint.prob_event({"L": 0})
     if innocent_mass == 0:
         return  # nobody is ever innocent; the conditional model is vacuous
-    innocent = joint.condition({l_axis: 0})
-    x_dist = innocent.marginal_dist(x_axis)
+    innocent = joint.condition({"L": 0})
+    x_dist = innocent.marginal_dist("X")
     reference: Optional[FiniteDist] = None
     for x, px in x_dist.items():
         if px == 0:
             continue
-        law = innocent.conditional_dist(a_axis, {x_axis: x})
+        law = innocent.conditional_dist("A", {"X": x})
         if reference is None:
             reference = law
         elif law.probs != reference.probs:
             raise ValueError(
                 "model violation: message law given innocence depends on the secret "
-                "(differs at %s=%r)" % (x_axis, x)
+                "(differs at X=%r)" % (x,)
             )
 
 

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cryptogenography import protocols
-from cryptogenography.cli import main
+from cryptogenography.cli import build_parser, main
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.embedding import InnocentChannel
 from cryptogenography.probability import FiniteDist
@@ -116,12 +119,12 @@ class TestVerify:
         assert run_cli(["verify", "--protocol", str(p), "--scenario", str(s)], out_path=out) == 0
         assert json.loads(out.read_text())["non_revealing"] is False
 
-    def test_deterministic_across_seeds(self, window_files, tmp_path):
+    def test_byte_identical_reruns(self, window_files, tmp_path):
         protocol, scenario = window_files
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        run_cli(["verify", "--protocol", protocol, "--scenario", scenario, "--seed", "1"], a)
-        run_cli(["verify", "--protocol", protocol, "--scenario", scenario, "--seed", "2"], b)
+        assert run_cli(["verify", "--protocol", protocol, "--scenario", scenario], a) == 0
+        assert run_cli(["verify", "--protocol", protocol, "--scenario", scenario], b) == 0
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -543,6 +546,57 @@ def test_ternary_leak_peak_memory():
                                         "--rate", "1/10", "--trials", "8", "--seed", "3"])
     assert report["trials"] == 8
     assert maxrss_kib < 160 * 1024
+
+
+# the fewest arguments each subcommand parses with
+MINIMAL_ARGV = {
+    "capacity": ["--c", "1/2"],
+    "verify": ["--protocol", "p.json", "--scenario", "s.json"],
+    "leak": [],
+    "game": ["--protocol", "p.json", "--scenario", "s.json"],
+    "embed": ["--protocol", "p.json", "--scenario", "s.json", "--channel", "i.json"],
+    "decode": ["--codebook", "book.json", "--transcript", "t.json"],
+}
+
+# shared flags a subcommand does not read, so does not accept
+UNREAD_FLAGS = [
+    ("capacity", "--seed"),
+    ("capacity", "--budget"),
+    ("verify", "--format"),
+    ("verify", "--seed"),
+    ("leak", "--format"),
+    ("leak", "--budget"),
+    ("game", "--seed"),
+    ("embed", "--format"),
+    ("embed", "--budget"),
+    ("decode", "--format"),
+    ("decode", "--seed"),
+    ("decode", "--budget"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_is_rejected(command, flag, capsys):
+    value = "csv" if flag == "--format" else "1"
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *MINIMAL_ARGV[command], flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
+
+
+def readme_cli_lines() -> list:
+    """Every `cryptogeno ...` line of README's code blocks, comments cut."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```\n(.*?)^```", readme.read_text(), re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [line.split("#")[0] for line in lines if line.startswith("cryptogeno ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = readme_cli_lines()
+    assert {shlex.split(line)[1] for line in lines} == set(MINIMAL_ARGV)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestEntryPoint:

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from cryptogenography import protocols
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.game import succ_of_protocol
 from cryptogenography.probability import FiniteDist, fraction_to_jsonable, mutual_information
 from cryptogenography.protocols import (
+    BudgetExceededError,
     LeakScenario,
     ProtocolNode,
     ProtocolTree,
@@ -91,14 +93,29 @@ class TestBinarize:
         assert equivalent(pi, out, coin_scenario)
         assert bit_probability_report(out, coin_scenario) == []
 
-    def test_rare_bit_doubling(self, coin_scenario):
+    def rare_bit_protocol(self):
         p_inn = FiniteDist((0, 1), (F(1, 10), F(9, 10)))
         p0 = FiniteDist((0, 1), (F(1, 2), F(1, 2)))
-        pi = ProtocolTree(leaf_node(1, p_inn, {0: p0, 1: p0}))
+        return ProtocolTree(leaf_node(1, p_inn, {0: p0, 1: p0}))
+
+    def test_rare_bit_doubling(self, coin_scenario):
+        pi = self.rare_bit_protocol()
         out = binarize(pi, coin_scenario)
         assert out.length_bound > 1
         assert equivalent(pi, out, coin_scenario)
         assert bit_probability_report(out, coin_scenario) == []
+
+    def test_doubling_round_cap(self, monkeypatch, coin_scenario):
+        # 1/10 needs two doublings to reach 1/3: two digits, then the reveal
+        pi = self.rare_bit_protocol()
+        monkeypatch.setattr(protocols, "MAX_DOUBLING_ROUNDS", 2)
+        assert binarize(pi, coin_scenario).length_bound == 3
+        monkeypatch.setattr(protocols, "MAX_DOUBLING_ROUNDS", 1)
+        with pytest.raises(BudgetExceededError) as err:
+            binarize(pi, coin_scenario)
+        assert str(err.value) == (
+            "doubling scheme needs more than 1 rounds for innocent bit probability 1/10"
+        )
 
     def test_rare_bit_on_other_side(self, coin_scenario):
         p_inn = FiniteDist((0, 1), (F(14, 15), F(1, 15)))
@@ -148,6 +165,16 @@ class TestStopAtC:
         assert pv.leak_probs[0] == F(3, 5)  # lands exactly on c
         assert equivalent(pi, out, sc)
         assert stop_at_c_postcondition(out, sc, F(3, 5))
+
+    def test_gadget_cap(self, monkeypatch):
+        # the jump needs exactly one gadget
+        pi, sc = self.make_jump_node()
+        monkeypatch.setattr(protocols, "MAX_GADGETS", 1)
+        assert stop_at_c_postcondition(stop_at_c(pi, sc, F(3, 5)), sc, F(3, 5))
+        monkeypatch.setattr(protocols, "MAX_GADGETS", 0)
+        with pytest.raises(BudgetExceededError) as err:
+            stop_at_c(pi, sc, F(3, 5))
+        assert str(err.value) == "stop_at_c exceeded 0 gadget insertions"
 
     def test_prior_above_c_rejected(self):
         pi, sc = self.make_jump_node()
