@@ -8,7 +8,9 @@ instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
 `leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
 codeword, of a noisy d = 2 codeword of length 37 and of a tie, and the
 canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
-trigger masses over a seeded batch of small random protocols, and the
+trigger masses over a seeded batch of small random protocols, the
+`posterior_measure` of each protocol of that batch, of its binarization and
+of `stop_at_c` on that, and the
 exact hypergeometric/binomial ratio bound of every pair 0 < l < n <= 200.
 The codebooks behind `leak` and `decode` span several packing blocks. Run it
 in two checkouts and diff the output to see whether a change moved any
@@ -47,6 +49,7 @@ from cryptogenography.protocols import (
     ProtocolNode,
     ProtocolTree,
     binarize,
+    posterior_measure,
     pretend_ignorance,
     pretend_ignorance_trigger_mass,
     stop_at_c,
@@ -154,14 +157,20 @@ def cli_digest(workdir, argv) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def transform_records(count: int, seed: int) -> str:
+def transform_batch(count: int, seed: int):
+    """Yield (scenario, random protocol, its binarization, cap) per item of
+    the seeded batch."""
     rng = random.Random(seed)
     caps = [F(3, 5), F(2, 3), F(3, 4), F(4, 5)]
-    records = []
     for k in range(count):
         sc = random_scenario(rng, n_players=2 + k % 2)
-        pi = binarize(random_protocol(rng, sc, max_depth=3), sc)
-        c = caps[k % len(caps)]
+        tree = random_protocol(rng, sc, max_depth=3)
+        yield sc, tree, binarize(tree, sc), caps[k % len(caps)]
+
+
+def transform_records(count: int, seed: int) -> str:
+    records = []
+    for sc, _tree, pi, c in transform_batch(count, seed):
         record = {"binarize": pi.to_jsonable()}
         for name, transform in (("stop_at_c", stop_at_c), ("pretend_ignorance", pretend_ignorance)):
             try:
@@ -170,6 +179,28 @@ def transform_records(count: int, seed: int) -> str:
                 record[name] = "prior above cap"
         mass = pretend_ignorance_trigger_mass(pi, sc, c)
         record["trigger_mass"] = [[x, fraction_to_jsonable(m)] for x, m in mass.items()]
+        records.append(record)
+    return json.dumps(records, sort_keys=True)
+
+
+def measure_records(count: int, seed: int) -> str:
+    """``posterior_measure`` of each protocol of the transform batch, of its
+    binarization and of ``stop_at_c`` on that, as [vector, mass] pairs in
+    the measure's own order."""
+
+    def jsonable(tree, sc):
+        return [
+            [[fraction_to_jsonable(p) for p in vector], fraction_to_jsonable(mass)]
+            for vector, mass in posterior_measure(tree, sc).items()
+        ]
+
+    records = []
+    for sc, tree, pi, c in transform_batch(count, seed):
+        record = {"source": jsonable(tree, sc), "binarize": jsonable(pi, sc)}
+        try:
+            record["stop_at_c"] = jsonable(stop_at_c(pi, sc, c), sc)
+        except ValueError:
+            record["stop_at_c"] = "prior above cap"
         records.append(record)
     return json.dumps(records, sort_keys=True)
 
@@ -206,6 +237,8 @@ def main():
             print("%s  %s" % (cli_digest(workdir, argv), name))
     text = transform_records(args.transforms, args.seed)
     print("%s  transforms" % hashlib.sha256(text.encode()).hexdigest())
+    text = measure_records(args.transforms, args.seed)
+    print("%s  posterior-measure" % hashlib.sha256(text.encode()).hexdigest())
     text = ratio_sweep(200)
     print("%s  ratio-sweep-200" % hashlib.sha256(text.encode()).hexdigest())
 

@@ -190,15 +190,18 @@ def cmd_leak(args) -> int:
     }
     config = {
         "mode": args.mode,
-        "b": args.b,
         "c": args.c,
-        "c_prime": args.c_prime,
         "rate": args.rate,
         "n": args.n,
-        "l": args.l,
         "trials": args.trials,
         "seed": args.seed,
     }
+    # only the flags the chosen mode reads, so an ignored value leaves
+    # config_hash alone
+    if args.mode == "indep":
+        config["b"] = args.b
+    else:
+        config.update(c_prime=args.c_prime, l=args.l)
     print("wall_time_s=%.3f" % (time.perf_counter() - started), file=sys.stderr)
     _emit(args, "leak", config, payload)
     return 0

@@ -218,10 +218,14 @@ class ProtocolNode:
     @cached_property
     def int_laws(self) -> tuple:
         """(scale, innocent, {secret: leak}): each law as ints in alphabet order,
-        every probability times ``scale``, the lcm of the node's denominators."""
+        every probability times ``scale``, the lcm of the node's denominators.
+        Each int is read off the reduced probability, no Fraction product."""
         laws = (self.p_innocent, *self.p_leak.values())
         scale = math.lcm(*(p.denominator for law in laws for p in law.probs))
-        ints = [tuple(int(law.prob(m) * scale) for m in self.alphabet) for law in laws]
+        ints = [
+            tuple(p.numerator * (scale // p.denominator) for p in map(law.prob, self.alphabet))
+            for law in laws
+        ]
         return scale, ints[0], dict(zip(self.p_leak, ints[1:]))
 
     def to_jsonable(self) -> dict:
@@ -619,6 +623,30 @@ def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
 # posterior-measure equivalence
 
 
+def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int]) -> dict:
+    """{primitive int vector: transcript mass} in first-seen order.
+
+    A terminal's weights over their gcd, in canonical outcome order, are the
+    one primitive int vector proportional to its posterior (as in stop_at_c's
+    memo), so equal keys are equal posteriors. Each key sums its terminals'
+    int masses over the lcm of their scales and makes one Fraction.
+    """
+    keys = scenario.outcome_keys()
+    sums: dict = {}
+    for _prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
+        if node is None:
+            g = math.gcd(*weights.values())
+            key = tuple(weights.get(k, 0) // g for k in keys)
+            mass = sum(weights.values())
+            if key in sums:
+                total, den = sums[key]
+                lcm = math.lcm(den, scale)
+                sums[key] = (total * (lcm // den) + mass * (lcm // scale), lcm)
+            else:
+                sums[key] = (mass, scale)
+    return {key: Fraction(total, den) for key, (total, den) in sums.items()}
+
+
 def posterior_measure(
     tree: ProtocolTree,
     scenario: LeakScenario,
@@ -627,20 +655,13 @@ def posterior_measure(
     """Distribution of the end-of-protocol posterior over (X, L1..Ln).
 
     Returns {posterior-vector: total transcript probability} with the vector
-    over scenario outcomes in canonical order. Two protocols inducing the
-    same measure are indistinguishable to any observer of the transcript.
+    over scenario outcomes in canonical order, in first-seen order of the
+    depth-first walk. Two protocols inducing the same measure are
+    indistinguishable to any observer of the transcript. The vectors are
+    built from ``_terminal_masses``' int keys, one per distinct posterior.
     """
-    keys = scenario.outcome_keys()
-    # terminal weights over their gcd key the posterior vector exactly, as in
-    # stop_at_c's memo, so each vector's Fractions are made once
-    masses: dict = {}
-    for _prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
-        if node is None:
-            g = math.gcd(*weights.values())
-            key = tuple(weights.get(k, 0) // g for k in keys)
-            masses[key] = masses.get(key, ZERO) + Fraction(sum(weights.values()), scale)
     measure = {}
-    for key, mass in masses.items():
+    for key, mass in _terminal_masses(tree, scenario, budget).items():
         total = sum(key)
         measure[tuple(Fraction(w, total) for w in key)] = mass
     return measure
@@ -652,8 +673,15 @@ def equivalent(
     scenario: LeakScenario,
     budget: Optional[int] = None,
 ) -> bool:
-    """Exact comparison of the induced posterior-measure distributions."""
-    return posterior_measure(a, scenario, budget) == posterior_measure(b, scenario, budget)
+    """Exact comparison of the induced posterior-measure distributions.
+
+    Compares the int-keyed ``_terminal_masses`` of the two walks: a primitive
+    non-negative int vector is the unique representative of its normalized
+    posterior, so equal key dicts are equal measures and no Fraction vector
+    is built. Each walk keeps ``budget`` on its own, as ``posterior_measure``
+    does.
+    """
+    return _terminal_masses(a, scenario, budget) == _terminal_masses(b, scenario, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -912,7 +940,7 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
     outcome_order = scenario.outcome_keys()
     memo: dict = {}
 
-    def transform(node, weights, landed):
+    def transform(node, weights, landed, tally=None):
         states.charge(weights)
         if node is None or not weights:
             return node
@@ -926,19 +954,23 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
         if key in memo:
             return memo[key][1]
         source = node
-        tally = _Tally(weights)
+        if tally is None:
+            tally = _Tally(weights)
         landed = landed.union(pair for pair in tally.leak_mass if tally.compare(*pair, c) == 0)
         while True:
-            found = _first_problem(node, weights, tally, pairs, c, landed)
+            found, below = _first_problem(node, weights, tally, pairs, c, landed)
             if found is None:
                 break
             gadgets_left[0] -= 1
             if gadgets_left[0] < 0:
                 raise BudgetExceededError("stop_at_c exceeded %d gadget insertions" % max_gadgets)
-            node = _insert_gadget(node, tally, found, c)
+            node = _insert_gadget(node, tally, found, below, c)
+        # reuse the final node's children where _first_problem descended
+        # and tallied them
         children = {}
         for m in node.alphabet:
-            children[m] = transform(node.children[m], _descend(node, weights, m), landed)
+            child_weights, child_tally = below[m] if below else (_descend(node, weights, m), None)
+            children[m] = transform(node.children[m], child_weights, landed, child_tally)
         result = replace(node, children=children)
         memo[key] = (source, result)
         return result
@@ -948,31 +980,36 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
 
 
 def _first_problem(node, weights, tally, pairs, c, landed):
-    """The first unlanded (player, x) below c here that some message pushes
-    above c, as ((player, x, message), children's tallies); None if none.
-    The children are tallied only once some pair is still a candidate."""
-    children = None
+    """(problem, below): the first unlanded (player, x) below c here that
+    some message pushes above c, as (player, x, message), or None; and the
+    children as {message: (weights, tally)}, or None when no pair was ever
+    a candidate, since the children are descended only then."""
+    below = None
     for i, x in pairs:
         if (i, x) in landed:
             continue
         now = tally.compare(i, x, c)
         if now is None or now >= 0:
             continue
-        if children is None:
-            children = {m: _Tally(_descend(node, weights, m)) for m in node.alphabet}
-        for m, child in children.items():
+        if below is None:
+            below = {}
+            for m in node.alphabet:
+                child_weights = _descend(node, weights, m)
+                below[m] = (child_weights, _Tally(child_weights))
+        for m, (_w, child) in below.items():
             if child.compare(i, x, c) == 1:
-                return (i, x, m), children
-    return None
+                return (i, x, m), below
+    return None, below
 
 
-def _insert_gadget(node, tally, problem, c):
-    (i, x, m_star), children = problem
+def _insert_gadget(node, tally, problem, below, c):
+    i, x, m_star = problem
     m_low = next(m for m in node.alphabet if m != m_star)
-    c_star = children[m_star].posterior(i, x)
-    c_low = children[m_low].posterior(i, x)
+    star_tally = below[m_star][1]
+    c_star = star_tally.posterior(i, x)
+    c_low = below[m_low][1].posterior(i, x)
     # the children's weights carry the node's law scale on top of the tally's
-    p_star = Fraction(children[m_star].x_mass[x], tally.x_mass[x] * node.int_laws[0])
+    p_star = Fraction(star_tally.x_mass[x], tally.x_mass[x] * node.int_laws[0])
     q = (c - c_low) / (c_star - c_low)
     assert 0 < p_star < q < 1
     fwd = p_star * (1 - q) / (q * (1 - p_star))

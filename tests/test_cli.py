@@ -168,6 +168,24 @@ class TestLeak:
         run_cli(args, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, ignored",
+        [
+            (["--mode", "fixed", "--l", "5", "--n", "20", "--c", "2/3"], ["--b", "1/3"]),
+            (["--mode", "indep", "--b", "1/4", "--n", "20", "--c", "2/3"],
+             ["--l", "7", "--c-prime", "3/5"]),
+        ],
+    )
+    def test_flags_the_mode_ignores_leave_the_report(self, tmp_path, argv, ignored):
+        """A flag the chosen mode does not read changes neither config_hash
+        nor any other report byte."""
+        argv = ["leak"] + argv + ["--rate", "1/10", "--trials", "5", "--seed", "1"]
+        plain = tmp_path / "plain.json"
+        extra = tmp_path / "extra.json"
+        assert run_cli(argv, plain) == 0
+        assert run_cli(argv + ignored, extra) == 0
+        assert extra.read_bytes() == plain.read_bytes()
+
     def test_fixed_mode(self, tmp_path):
         out = tmp_path / "fixed.json"
         assert run_cli(
@@ -369,10 +387,10 @@ def golden_cases(tmp_path):
 # decoder: a change to any report, or to the random streams behind it,
 # fails here
 GOLDEN = {
-    "leak-indep-d2": "078b5a0f800d902aa1cf9b62f9c5a034cc0beee8ea64fcb10e0c0cf359caf1fe",
-    "leak-indep-d3": "a76e48f9e3c7bfc41d62e89255eceec38dbd70f69c290f2d7e930268aabd934c",
-    "leak-indep-d9": "b0375c1f51bd4c3f97fde70e7f1a290d0d76999fe68238ffbd043bb75b495c87",
-    "leak-fixed": "2e5fab6d4061afc4b8849b0dadb27389b52c1c1f0e0adc91b17256477fa10323",
+    "leak-indep-d2": "9baec98577724f22a2542b593931e0a9bd79976172041291ff6387de8d064b15",
+    "leak-indep-d3": "2474d00b55a54a3748af4efbef9edf760a99eab850d08b016290dae2afac598b",
+    "leak-indep-d9": "6d19f817c13ef9d3c4237f74c1c9ed8627124f9747d124c0f13da7ffaf0f6345",
+    "leak-fixed": "29ffdd14e89e15497b90d0663b31b62793532722964893b34c8eec3efc3bf2e5",
     "decode-d3": "0a30c9e5e74dd673bebf3aa608118e7977aee9af6165529e8405b44860810904",
     "decode-tie": "d98e2f6edbf241decd745856a66f414e9883dc228566e9dd1c7cf458f53a0f25",
 }

@@ -449,6 +449,27 @@ class TestEquivalenceAudit:
         assert rep.conditional_mismatches > 0
         assert not rep.ok
 
+    def test_key_only_the_chatter_reaches_is_a_mismatch(self, monkeypatch):
+        """The key-set test: when the reference lacks an (x, lvec) that the
+        chatter brings to a boundary, the audit counts a mismatch there
+        rather than reading the reference at that key."""
+        from cryptogenography import embedding
+
+        walk = embedding.iter_prefixes
+
+        def short_walk(tree, scenario, budget=None):
+            for prefix, node, weights, scale in walk(tree, scenario, budget):
+                if prefix == ("a2",):
+                    weights = dict(weights)
+                    del weights[next(k for k, w in weights.items() if w)]
+                yield prefix, node, weights, scale
+
+        pi, channel, sc, _ = figure_instance()
+        monkeypatch.setattr(embedding, "iter_prefixes", short_walk)
+        rep = equivalence_audit(pi, channel, sc, depth_budget=80)
+        assert rep.conditional_mismatches > 0
+        assert not rep.ok
+
     def test_decoded_masses_never_exceed_protocol_masses(self):
         pi, channel, sc, _ = figure_instance()
         rep = equivalence_audit(pi, channel, sc, depth_budget=40)

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptogenography import protocols
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
@@ -18,6 +21,8 @@ from cryptogenography.protocols import (
     bit_probability_report,
     enumerate_joint,
     equivalent,
+    iter_prefixes,
+    posterior_measure,
     posteriors,
     pretend_ignorance,
     pretend_ignorance_trigger_mass,
@@ -70,6 +75,128 @@ class TestEquivalent:
         p1 = FiniteDist((0, 1), (F(1, 4), F(3, 4)))
         loud = ProtocolTree(leaf_node(1, u, {0: u, 1: p1}))
         assert not equivalent(silent, loud, coin_scenario)
+
+    def test_same_posteriors_other_masses(self):
+        # Pr(L1=1 | t) is 1/5, 1/2 and 4/5 in both protocols, with masses
+        # (1/3, 1/3, 1/3) against (1/4, 1/2, 1/4): the same mean, so only
+        # the masses tell the measures apart
+        sc = LeakScenario.independent(FiniteDist.uniform((0,)), 1, F(1, 2))
+        msgs = ("m1", "m2", "m3")
+
+        def ternary(innocent, leak):
+            return ProtocolTree(leaf_node(1, FiniteDist(msgs, innocent), {0: FiniteDist(msgs, leak)}))
+
+        thirds = ternary((F(8, 15), F(1, 3), F(2, 15)), (F(2, 15), F(1, 3), F(8, 15)))
+        quarters = ternary((F(2, 5), F(1, 2), F(1, 10)), (F(1, 10), F(1, 2), F(2, 5)))
+        assert set(posterior_measure(thirds, sc)) == set(posterior_measure(quarters, sc))
+        assert not equivalent(thirds, quarters, sc)
+
+
+def transcript_cells(tree, scenario):
+    """{transcript: {(x, lvec): mass}} from the Fraction table of the exact
+    joint, in first-seen order."""
+    cells = {}
+    for key, p in enumerate_joint(tree, scenario).table.items():
+        cell = cells.setdefault(key[-1], {})
+        outcome = (key[0], key[1:-1])
+        cell[outcome] = cell.get(outcome, F(0)) + p
+    return cells
+
+
+def reference_measure(tree, scenario):
+    """The posterior measure with Fractions throughout: each transcript's
+    conditional vector over the scenario outcomes, masses summed per vector."""
+    keys = scenario.outcome_keys()
+    measure = {}
+    for cell in transcript_cells(tree, scenario).values():
+        total = sum(cell.values())
+        vector = tuple(cell.get(k, F(0)) / total for k in keys)
+        measure[vector] = measure.get(vector, F(0)) + total
+    return measure
+
+
+def sharpened(tree, scenario):
+    """(copy, differs): a copy whose root speaker s, leaking secret x, always
+    sends m, the first message of a transcript t that maximizes
+    Pr(X=x, L_s=1 | t).
+
+    When that maximum lies strictly between 0 and 1 and the old law sent m
+    with probability below 1, the transcripts through m gain leaking mass
+    and the rest lose all of it, so the highest Pr(X=x, L_s=1 | t) over the
+    measure rises: the two measures differ (``differs`` is True)."""
+    root = tree.root
+    s = root.speaker
+    post, x, t = max(
+        (sum(p for (xx, lvec), p in cell.items() if xx == x and lvec[s - 1]) / sum(cell.values()), x, t)
+        for t, cell in transcript_cells(tree, scenario).items()
+        for x in scenario.x_support
+    )
+    m = t[0]
+    law = FiniteDist(root.alphabet, tuple(F(int(a == m)) for a in root.alphabet))
+    copy = ProtocolTree(replace(root, p_leak={**root.p_leak, x: law}))
+    return copy, 0 < post < 1 and root.p_leak[x].prob(m) < 1
+
+
+def walk_states(tree, scenario):
+    return sum(len(weights) for _p, _n, weights, _s in iter_prefixes(tree, scenario))
+
+
+random_instances = st.tuples(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+def draw_instance(seed, n_players, depth):
+    rng = random.Random(seed)
+    scenario = random_scenario(rng, n_players=n_players)
+    return rng, scenario, random_protocol(rng, scenario, max_depth=depth)
+
+
+class TestPosteriorMeasure:
+    @settings(max_examples=60, deadline=None)
+    @given(random_instances)
+    def test_matches_fraction_reference(self, instance):
+        _rng, sc, tree = draw_instance(*instance)
+        binary = binarize(tree, sc)
+        trees = [tree, binary]
+        try:
+            # gadgets give several transcripts one posterior
+            trees.append(stop_at_c(binary, sc, F(4, 5)))
+        except ValueError:
+            pass
+        for pi in trees:
+            # the same vectors and masses, in the same first-seen order
+            assert list(posterior_measure(pi, sc).items()) == list(reference_measure(pi, sc).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_instances)
+    def test_equivalent_is_measure_equality(self, instance):
+        rng, sc, tree = draw_instance(*instance)
+        copy, differs = sharpened(tree, sc)
+        others = [binarize(tree, sc), random_protocol(rng, sc, max_depth=2), copy]
+        for other in others:
+            same = posterior_measure(tree, sc) == posterior_measure(other, sc)
+            assert equivalent(tree, other, sc) == same
+            assert equivalent(other, tree, sc) == same
+        assert equivalent(tree, others[0], sc)
+        if differs:
+            assert not equivalent(tree, copy, sc)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_instances)
+    def test_budget_is_per_walk(self, instance):
+        rng, sc, tree = draw_instance(*instance)
+        other = binarize(random_protocol(rng, sc, max_depth=2), sc)
+        need = max(walk_states(tree, sc), walk_states(other, sc))
+        for a, b in ((tree, other), (other, tree)):
+            with pytest.raises(BudgetExceededError, match="exceeded %d outcome states" % (need - 1)):
+                equivalent(a, b, sc, budget=need - 1)
+            equivalent(a, b, sc, budget=need)
+        with pytest.raises(BudgetExceededError):
+            posterior_measure(tree, sc, budget=walk_states(tree, sc) - 1)
+        posterior_measure(tree, sc, budget=walk_states(tree, sc))
 
 
 class TestBinarize:
