@@ -177,9 +177,9 @@ class TestPosteriorMeasure:
         copy, differs = sharpened(tree, sc)
         others = [binarize(tree, sc), random_protocol(rng, sc, max_depth=2), copy]
         for other in others:
-            same = posterior_measure(tree, sc) == posterior_measure(other, sc)
-            assert equivalent(tree, other, sc) == same
-            assert equivalent(other, tree, sc) == same
+            same = reference_measure(tree, sc) == reference_measure(other, sc)
+            assert (posterior_measure(tree, sc) == posterior_measure(other, sc)) == same
+            assert equivalent(tree, other, sc) == equivalent(other, tree, sc) == same
         assert equivalent(tree, others[0], sc)
         if differs:
             assert not equivalent(tree, copy, sc)
