@@ -6,7 +6,9 @@ Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
 `leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
-codeword, of a noisy d = 2 codeword of length 37 and of a tie, and the
+codeword, of a noisy d = 2 codeword of length 37 and of a tie, the JSON
+and CSV `capacity` reports of a 3x3 grid, the ``float.hex`` of the
+capacity and game-bound formulas over a fixed grid, and the
 canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
 trigger masses over a seeded batch of small random protocols, the
 `posterior_measure` of each protocol of that batch, of its binarization and
@@ -36,6 +38,8 @@ import numpy as np
 
 from cryptogenography.cli import main as cli_main
 from cryptogenography.coding import (
+    fixed_capacity,
+    indep_capacity,
     ratio_bound_check,
     window,
     window_channel,
@@ -43,6 +47,7 @@ from cryptogenography.coding import (
     window_scenario,
 )
 from cryptogenography.embedding import InnocentChannel
+from cryptogenography.game import asymptotic_lower_rate, succ_upper_bound
 from cryptogenography.probability import FiniteDist, fraction_to_jsonable
 from cryptogenography.protocols import (
     LeakScenario,
@@ -148,13 +153,40 @@ def write(workdir, name, obj) -> str:
     return path
 
 
-def cli_digest(workdir, argv) -> str:
+def cli_report(workdir, argv) -> bytes:
     out = os.path.join(workdir, "report.json")
     code = cli_main(argv + ["--out", out])
     if code != 0:
         raise SystemExit("%s exited %d" % (" ".join(argv[:1]), code))
     with open(out, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
+
+
+def cli_digest(workdir, argv) -> str:
+    return hashlib.sha256(cli_report(workdir, argv)).hexdigest()
+
+
+def capacity_reports(workdir) -> bytes:
+    """The JSON report of `capacity` on a 3x3 (c, b) grid, then its CSV."""
+    argv = ["capacity", "--c", "1/2,2/3,3/4", "--b", "1/10,1/4,1/2"]
+    return b"".join(cli_report(workdir, argv + ["--format", f]) for f in ("json", "csv"))
+
+
+def rate_table() -> str:
+    """``float.hex`` of the capacity and game-bound formulas, one line per
+    grid point: c = k/97 for the capacities, b = j/97 <= c for
+    ``indep_capacity``, p = k/97 for ``asymptotic_lower_rate`` and a few
+    (h, l) pairs for ``succ_upper_bound``."""
+    lines = []
+    for k in range(1, 97):
+        c = F(k, 97)
+        lines.append("fixed %s %s\n" % (c, fixed_capacity(c).hex()))
+        lines.append("lower %s %s\n" % (c, asymptotic_lower_rate(c).hex()))
+        for j in range(1, k + 1, 7):
+            lines.append("indep %s %s %s\n" % (F(j, 97), c, indep_capacity(F(j, 97), c).hex()))
+        for h, l in ((1.0, 0.0), (2.5, 0.5), (10.0, 3.0)):
+            lines.append("succ %r %r %s %s\n" % (h, l, c, succ_upper_bound(h, l, c).hex()))
+    return "".join(lines)
 
 
 def transform_batch(count: int, seed: int):
@@ -235,6 +267,8 @@ def main():
             print("%s  embed-%s" % (cli_digest(workdir, argv), name))
         for name, argv in window_cases(workdir).items():
             print("%s  %s" % (cli_digest(workdir, argv), name))
+        print("%s  capacity" % hashlib.sha256(capacity_reports(workdir)).hexdigest())
+    print("%s  rates" % hashlib.sha256(rate_table().encode()).hexdigest())
     text = transform_records(args.transforms, args.seed)
     print("%s  transforms" % hashlib.sha256(text.encode()).hexdigest())
     text = measure_records(args.transforms, args.seed)

@@ -54,16 +54,20 @@ def _config_hash(command: str, config: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _emit(args, command: str, config: dict, payload: dict, csv_text: str = None) -> None:
-    payload = {
-        "version": __version__,
-        "config_hash": _config_hash(command, config),
-        **payload,
-    }
-    if csv_text is not None and args.format == "csv":
-        text = csv_text
+def _emit(args, command: str, config: dict, payload: dict, csv: tuple = None) -> None:
+    """The report as canonical JSON, or under ``--format csv`` the
+    projection ``csv`` = (header, rows), a None cell as an empty field."""
+    if csv is not None and args.format == "csv":
+        header, rows = csv
+        lines = [header] + [",".join("" if v is None else str(v) for v in row) for row in rows]
+        _write(args, "\n".join(lines) + "\n")
     else:
-        text = _canonical_json(payload)
+        head = {"version": __version__, "config_hash": _config_hash(command, config)}
+        _write(args, _canonical_json({**head, **payload}))
+
+
+def _write(args, text: str) -> None:
+    """The report text to ``--out``, or to stdout without it."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -81,40 +85,39 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _load_instance(args) -> tuple:
+    """(tree, scenario, config) from ``--protocol`` and ``--scenario``; the
+    config holds the two files' digests, and each command adds its flags."""
+    tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
+    scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
+    config = {"protocol": _file_digest(args.protocol), "scenario": _file_digest(args.scenario)}
+    return tree, scenario, config
+
+
 def cmd_capacity(args) -> int:
     cs = [Fraction(c) for c in args.c.split(",")]
     bs = [Fraction(b) for b in args.b.split(",")] if args.b else [None]
     rows = []
     for c in cs:
-        if not 0 < c < 1:
-            raise ValueError("c must be in (0, 1), got %s" % c)
         for b in bs:
             row = {"c": str(c), "fixed_capacity": fixed_capacity(c)}
             if b is not None:
-                if not 0 < b <= c:
-                    raise ValueError("b must be in (0, c], got %s" % b)
                 row["b"] = str(b)
                 row["indep_capacity"] = indep_capacity(b, c)
             rows.append(row)
-    csv_lines = ["b,c,indep_capacity,fixed_capacity"]
-    for row in rows:
-        csv_lines.append(
-            "%s,%s,%s,%s"
-            % (row.get("b", ""), row["c"], row.get("indep_capacity", ""), row["fixed_capacity"])
-        )
+    csv_rows = [(r.get("b"), r["c"], r.get("indep_capacity"), r["fixed_capacity"]) for r in rows]
     _emit(
         args,
         "capacity",
         {"b": args.b, "c": args.c},
         {"command": "capacity", "rows": rows},
-        "\n".join(csv_lines) + "\n",
+        ("b,c,indep_capacity,fixed_capacity", csv_rows),
     )
     return 0
 
 
 def cmd_verify(args) -> int:
-    tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
-    scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
+    tree, scenario, config = _load_instance(args)
     report = validate(tree, scenario)
     if not report.ok:
         raise ValueError("invalid protocol: %s" % "; ".join(report.issues))
@@ -152,12 +155,7 @@ def cmd_verify(args) -> int:
             "safe": safety.ok,
             "max_posterior": fraction_to_jsonable(safety.max_posterior),
         }
-    config = {
-        "protocol": _file_digest(args.protocol),
-        "scenario": _file_digest(args.scenario),
-        "c": args.c,
-        "budget": args.budget,
-    }
+    config.update(c=args.c, budget=args.budget)
     _emit(args, "verify", config, payload)
     return 0
 
@@ -208,12 +206,12 @@ def cmd_leak(args) -> int:
 
 
 def cmd_game(args) -> int:
-    tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
-    scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
+    tree, scenario, config = _load_instance(args)
     value = succ_of_protocol(tree, scenario, budget=args.budget)
     h = math.log2(len(scenario.x_support))
     l = float(sum(scenario.prior_leak(i) for i in range(1, scenario.n_players + 1)))
-    best_c, bound = best_upper_bound(h, l)
+    # one secret (h = 0) leaves nothing to leak and the cap undefined
+    best_c, bound = best_upper_bound(h, l) if h else (None, None)
     protocol_id = hashlib.sha256(
         _canonical_json(tree.to_jsonable()).encode()
     ).hexdigest()[:12]
@@ -225,27 +223,18 @@ def cmd_game(args) -> int:
         "protocol_id": protocol_id,
         "succ": fraction_to_jsonable(value.succ),
         "succ_float": float(value.succ),
-        "best_bound_c": str(best_c),
+        "best_bound_c": None if best_c is None else str(best_c),
         "bound": bound,
         "decisions": value.to_jsonable()["decisions"],
     }
-    csv_lines = [
-        "h,l,n,protocol_id,succ,best_bound_c,bound",
-        "%s,%s,%d,%s,%s,%s,%s"
-        % (h, l, scenario.n_players, protocol_id, float(value.succ), best_c, bound),
-    ]
-    config = {
-        "protocol": _file_digest(args.protocol),
-        "scenario": _file_digest(args.scenario),
-        "budget": args.budget,
-    }
-    _emit(args, "game", config, payload, "\n".join(csv_lines) + "\n")
+    row = (h, l, scenario.n_players, protocol_id, float(value.succ), best_c, bound)
+    config["budget"] = args.budget
+    _emit(args, "game", config, payload, ("h,l,n,protocol_id,succ,best_bound_c,bound", [row]))
     return 0
 
 
 def cmd_embed(args) -> int:
-    tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
-    scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
+    tree, scenario, config = _load_instance(args)
     channel = InnocentChannel.from_jsonable(_load_json(args.channel))
     run = compose_run(tree, channel, scenario, args.seed, args.max_rounds)
     payload = {
@@ -261,14 +250,12 @@ def cmd_embed(args) -> int:
     if args.audit_depth:
         audit = equivalence_audit(tree, channel, scenario, args.audit_depth)
         payload["audit"] = audit.to_jsonable()
-    config = {
-        "protocol": _file_digest(args.protocol),
-        "scenario": _file_digest(args.scenario),
-        "channel": _file_digest(args.channel),
-        "seed": args.seed,
-        "max_rounds": args.max_rounds,
-        "audit_depth": args.audit_depth,
-    }
+    config.update(
+        channel=_file_digest(args.channel),
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        audit_depth=args.audit_depth,
+    )
     _emit(args, "embed", config, payload)
     return 0
 
@@ -370,14 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _error_record(args, kind: str, exc: BaseException) -> None:
     # runtime failures leave an explicit record; validation failures do not
     # produce output files at all
-    record = _canonical_json(
-        {"version": __version__, "error": {"kind": kind, "message": str(exc)}}
-    )
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(record)
-    else:
-        sys.stdout.write(record)
+    error = {"kind": kind, "message": str(exc)}
+    _write(args, _canonical_json({"version": __version__, "error": error}))
 
 
 def main(argv=None) -> int:

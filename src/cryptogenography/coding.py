@@ -532,6 +532,8 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     """Reliable leakage for independent leakers: random codebook at the given
     rate (bits per player), window-channel messages, ML decoding, and exact
     per-player posterior checks against c."""
+    if trials < 0:
+        raise ValueError("trials must be >= 0, got %d" % trials)
     ch = window_channel(b, c)
     rate = exact_rate(rate)
     h = rate * n
@@ -580,6 +582,8 @@ def fixed_two_group_run(
     posterior of every player whose message is consistent with the secret
     is exactly 2l/|K|; the report counts trials where that exceeds c.
     """
+    if trials < 0:
+        raise ValueError("trials must be >= 0, got %d" % trials)
     c = as_probability(c)
     b = Fraction(l, n)
     if c_prime is None:

@@ -31,6 +31,7 @@ from .probability import (
     ZERO,
     ONE,
     _integral,
+    _over_lcm,
     _sample,
     as_probability,
     fraction_from_jsonable,
@@ -88,12 +89,8 @@ class Interval:
         if not (0 <= lo < hi <= 1):
             raise ValueError("need 0 <= lo < hi <= 1, got [%s, %s)" % (lo, hi))
         # both are reduced, so no prime divides all three ints
-        den = math.lcm(lo.denominator, hi.denominator)
-        self._ints = (
-            lo.numerator * (den // lo.denominator),
-            hi.numerator * (den // hi.denominator),
-            den,
-        )
+        den, (lo, hi) = _over_lcm((lo, hi))
+        self._ints = (lo, hi, den)
 
     @classmethod
     def _of(cls, lo: int, hi: int, den: int) -> "Interval":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from .coding import fixed_capacity
 from .probability import LOG2_E, JointDist, as_probability, log2_fraction
 from .protocols import (
     LeakScenario,
@@ -157,8 +158,9 @@ def asymptotic_upper(r: float) -> float:
 
 def asymptotic_lower_rate(p) -> float:
     """Bits per leaker at which the group still wins with probability p:
-    (-log p)/(1-p) - log e, the per-leaker capacity at cap c = 1 - p."""
+    (-log p)/(1-p) - log e, which is ``coding.fixed_capacity`` at cap
+    c = 1 - p."""
     p = as_probability(p)
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
-    return -log2_fraction(p) / float(1 - p) - LOG2_E
+    return fixed_capacity(1 - p)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -68,15 +68,12 @@ def as_probability(value) -> Fraction:
     return value
 
 
-def _exact_total(probs) -> Fraction:
-    """The exact sum of Fractions: numerators summed as ints per
-    denominator, then once over the lcm of the denominators."""
-    by_den: dict = {}
-    for p in probs:
-        d = p.denominator
-        by_den[d] = by_den.get(d, 0) + p.numerator
-    den = math.lcm(*by_den)
-    return Fraction(sum(n * (den // d) for d, n in by_den.items()), den)
+def _over_lcm(fracs: Sequence) -> tuple:
+    """(den, ints): ``den`` the lcm of the Fractions' denominators and each
+    Fraction as an int over it, in order. Laws, joints, draws and intervals
+    all turn their Fractions into ints here."""
+    den = math.lcm(*(p.denominator for p in fracs))
+    return den, tuple(p.numerator * (den // p.denominator) for p in fracs)
 
 
 def _picker(idx):
@@ -123,7 +120,7 @@ def neg_log2(p: Fraction) -> float:
     return -log2_fraction(p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteDist:
     """An exact probability distribution on an ordered finite support.
 
@@ -134,6 +131,9 @@ class FiniteDist:
 
     support: tuple
     probs: tuple
+    # set by __post_init__; slots keep the many laws of a transformed tree small
+    _index: dict = field(init=False, repr=False, compare=False)
+    _ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         support = tuple(self.support)
@@ -144,11 +144,13 @@ class FiniteDist:
             raise ValueError("support and probs length mismatch")
         if len(set(support)) != len(support):
             raise ValueError("support labels must be distinct")
-        total = _exact_total(probs)
-        if total != 1:
+        den, ints = _over_lcm(probs)
+        if sum(ints) != den:
+            total = Fraction(sum(ints), den)
             raise ValueError("probabilities must sum to exactly 1, got %s" % (total,))
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(support)})
 
     @classmethod
@@ -172,13 +174,8 @@ class FiniteDist:
 
     def _int_view(self) -> tuple:
         """(den, numerators): probability k is numerators[k] / den, den the
-        lcm of the probabilities' denominators. Built on first read."""
-        ints = self.__dict__.get("_ints")
-        if ints is None:
-            den = math.lcm(*(p.denominator for p in self.probs))
-            ints = den, tuple(p.numerator * (den // p.denominator) for p in self.probs)
-            object.__setattr__(self, "_ints", ints)
-        return ints
+        lcm of the probabilities' denominators and the numerators' sum."""
+        return sum(self._ints), self._ints
 
     def to_jsonable(self) -> dict:
         return {
@@ -224,8 +221,8 @@ class JointDist:
         given = None
         if den is None:
             given = [(tuple(key), as_probability(p)) for key, p in table.items()]
-            den = math.lcm(*(p.denominator for _, p in given))
-            items = [(key, p.numerator * (den // p.denominator)) for key, p in given]
+            den, ints = _over_lcm([p for _, p in given])
+            items = [(key, n) for (key, _), n in zip(given, ints)]
         elif type(den) is not int or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
         else:
@@ -481,10 +478,10 @@ def _sample(rng, weighted):
     pairs = [(label, w) for label, w in weighted if w > 0]
     if not pairs:
         raise ValueError("nothing to draw: no label has positive weight")
-    den = math.lcm(*(w.denominator for _, w in pairs))
-    scaled = [(label, w.numerator * (den // w.denominator)) for label, w in pairs]
-    r = rng.randrange(sum(n for _, n in scaled))
-    for label, n in scaled:
+    labels, weights = zip(*pairs)
+    ints = _over_lcm(weights)[1]
+    r = rng.randrange(sum(ints))
+    for label, n in zip(labels, ints):
         if r < n:
             return label
         r -= n

@@ -219,12 +219,13 @@ class ProtocolNode:
     def int_laws(self) -> tuple:
         """(scale, innocent, {secret: leak}): each law as ints in alphabet order,
         every probability times ``scale``, the lcm of the node's denominators.
-        Each int is read off the reduced probability, no Fraction product."""
+        Each law's int view is scaled up; a label outside a law's support is
+        a ValueError (from ``tuple.index``)."""
         laws = (self.p_innocent, *self.p_leak.values())
-        scale = math.lcm(*(p.denominator for law in laws for p in law.probs))
+        views = [(law.support.index, *law._int_view()) for law in laws]
+        scale = math.lcm(*(den for _, den, _ in views))
         ints = [
-            tuple(p.numerator * (scale // p.denominator) for p in map(law.prob, self.alphabet))
-            for law in laws
+            tuple(nums[pos(m)] * (scale // den) for m in self.alphabet) for pos, den, nums in views
         ]
         return scale, ints[0], dict(zip(self.p_leak, ints[1:]))
 
@@ -1053,18 +1054,35 @@ def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bo
 # pretend ignorance: absorbing switch to innocent play before a crossing
 
 
-def _ignorance_step(node, weights, ignoring, c_prime, players):
-    """One node of the ignorance switch: the children's weights and, per
-    secret x, whether x's knowers play innocently from this node on. The
-    switch is absorbing and fires when some message would push some
-    Pr(L_i=1 | T, X=x) strictly above c'."""
-    child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
-    tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
-    switch = {
-        x: ignored or any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players)
-        for x, ignored in ignoring.items()
-    }
-    return child_weights, switch
+def _ignorance_walk(tree: ProtocolTree, scenario: LeakScenario, c_prime: Fraction) -> tuple:
+    """(safe root, {x: Pr(X=x and x's switch fires)}): the one walk of the
+    ignorance switch. Every prefix read charges its outcome states to the
+    walk's default state budget."""
+    players = range(1, scenario.n_players + 1)
+    states = _StateBudget(None)
+    fired = dict.fromkeys(scenario.x_support, ZERO)
+
+    def build(node, weights, scale, ignoring):
+        states.charge(weights)
+        if node is None:
+            return None
+        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
+        tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
+        switch = {}
+        for x, off in ignoring.items():
+            if not off and any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players):
+                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
+                off = True
+            switch[x] = off
+        p_leak = {x: node.law(x, not off) for x, off in switch.items()}
+        child_scale = scale * node.int_laws[0]
+        children = {
+            m: build(node.children[m], child_weights[m], child_scale, switch) for m in node.alphabet
+        }
+        return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
+
+    weights, scale = _scenario_weights(scenario)
+    return build(tree.root, weights, scale, dict.fromkeys(scenario.x_support, False)), fired
 
 
 def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
@@ -1082,51 +1100,18 @@ def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> Pr
     if not 0 < c_prime < 1:
         raise ValueError("c_prime must be in (0, 1)")
     _check_priors(scenario, c_prime, "c'")
-    players = range(1, scenario.n_players + 1)
-    states = _StateBudget(None)
-
-    def build(node, weights, ignoring):
-        states.charge(weights)
-        if node is None:
-            return None
-        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
-        p_leak = {x: node.p_innocent if off else node.p_leak[x] for x, off in switch.items()}
-        children = {m: build(node.children[m], child_weights[m], switch) for m in node.alphabet}
-        return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
-
-    weights = _scenario_weights(scenario)[0]
-    root = build(tree.root, weights, dict.fromkeys(scenario.x_support, False))
+    root = _ignorance_walk(tree, scenario, c_prime)[0]
     return ProtocolTree(root, tree_depth(root))
 
 
 def pretend_ignorance_trigger_mass(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> dict:
-    """Per-secret probability that the ignorance switch fires somewhere.
+    """Per-secret probability Pr(switch fires | X=x) of ``pretend_ignorance``,
+    on the original protocol's law (0 for a secret without prior mass).
 
-    Measured on the original protocol's law: mass of (x, lvec, path) whose
-    path reaches a node where the switch condition holds for x. This bounds
-    the extra decode-failure mass of the safe variant. Every prefix read
-    charges its outcome states to the walk's default state budget.
+    This bounds the extra decode-failure mass of the safe variant. The walk
+    and its state budget are ``pretend_ignorance``'s, but the priors are not
+    checked against c', so the mass is defined where that raises.
     """
-    c_prime = as_probability(c_prime)
-    players = range(1, scenario.n_players + 1)
-    states = _StateBudget(None)
-    fired = dict.fromkeys(scenario.x_support, ZERO)
-
-    def visit(node, weights, scale, ignoring):
-        states.charge(weights)
-        if node is None:
-            return
-        child_weights, switch = _ignorance_step(node, weights, ignoring, c_prime, players)
-        for x, off in switch.items():
-            if off and not ignoring[x]:
-                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
-        for m in node.alphabet:
-            visit(node.children[m], child_weights[m], scale * node.int_laws[0], switch)
-
-    weights, scale = _scenario_weights(scenario)
-    visit(tree.root, weights, scale, dict.fromkeys(scenario.x_support, False))
-    x_prior = _Tally(weights).x_mass
-    return {
-        x: (fired[x] / Fraction(x_prior[x], scale) if x_prior.get(x) else ZERO)
-        for x in scenario.x_support
-    }
+    fired = _ignorance_walk(tree, scenario, as_probability(c_prime))[1]
+    prior = scenario.joint.marginal_dist("X")
+    return {x: fired[x] / prior.prob(x) if fired[x] else ZERO for x in scenario.x_support}

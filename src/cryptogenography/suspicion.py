@@ -260,12 +260,13 @@ def check_round_decomposition(
 
 def _int_law_items(node) -> tuple:
     """(innocent, {secret: leak}): each law as (message, q) pairs in its
-    support order, zeros dropped, q the probability times the node's
-    ``int_laws`` scale."""
+    support order, zeros dropped, q the law's int view scaled up to the
+    node's ``int_laws`` scale."""
     scale = node.int_laws[0]
 
     def items(law):
-        return tuple((a, p.numerator * (scale // p.denominator)) for a, p in law.items() if p)
+        den, ints = law._int_view()
+        return tuple((a, n * (scale // den)) for a, n in zip(law.support, ints) if n)
 
     return items(node.p_innocent), {x: items(law) for x, law in node.p_leak.items()}
 
@@ -357,14 +358,13 @@ class GeneralBoundCheck:
 def check_general_upper_bound(
     tree: ProtocolTree,
     scenario: LeakScenario,
-    c=None,
     budget: Optional[int] = None,
 ) -> GeneralBoundCheck:
     """Verify the premises on the enumerated protocol and assert the cap.
 
-    Premises: Pr(L_i=1 | X=x) is one constant b across players and secrets,
-    and every complete-transcript posterior Pr(L_i=1 | T=t, X=x) is at most
-    c. When c is omitted the maximum posterior observed is used.
+    Premise: Pr(L_i=1 | X=x) is one constant b across players and secrets.
+    The cap c is the largest complete-transcript posterior
+    Pr(L_i=1 | T=t, X=x), so every posterior is at most c by construction.
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
@@ -383,19 +383,11 @@ def check_general_upper_bound(
                 )
     if b is None or b == 0:
         raise ValueError("premise violated: no leaking mass")
-    max_post = ZERO
+    c = ZERO
     for weights in _transcript_weights(joint, n).values():
         tally = _Tally(weights)
         for pair in tally.leak_mass:
-            max_post = max(max_post, tally.posterior(*pair))
-    if c is None:
-        c = max_post
-    else:
-        c = as_probability(c)
-        if max_post > c:
-            raise ValueError(
-                "premise violated: posterior %s exceeds the declared cap %s" % (max_post, c)
-            )
+            c = max(c, tally.posterior(*pair))
     bound = general_upper_bound(b, c, n)
     mi = mutual_information(joint, "X", "T")
     return GeneralBoundCheck(b, c, n, bound, mi)

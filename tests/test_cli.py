@@ -83,6 +83,14 @@ class TestCapacity:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "grid", [["--c", "0"], ["--c", "1"], ["--c", "1/2", "--b", "3/4"], ["--c", "1/2", "--b", "0"]]
+    )
+    def test_out_of_range_grid_exits_2(self, tmp_path, grid):
+        out = tmp_path / "report.json"
+        assert run_cli(["capacity"] + grid, out_path=out) == 2
+        assert not out.exists()
+
     def test_csv_projection(self, capsys):
         assert run_cli(["capacity", "--c", "1/2", "--b", "1/4", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -186,6 +194,12 @@ class TestLeak:
         assert run_cli(argv + ignored, extra) == 0
         assert extra.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("mode", [["--mode", "indep"], ["--mode", "fixed", "--l", "0"]])
+    def test_negative_trials_exit_2(self, tmp_path, mode):
+        out = tmp_path / "leak.json"
+        assert run_cli(["leak"] + mode + ["--n", "20", "--trials", "-3"], out_path=out) == 2
+        assert not out.exists()
+
     def test_fixed_mode(self, tmp_path):
         out = tmp_path / "fixed.json"
         assert run_cli(
@@ -216,6 +230,28 @@ class TestGame:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "h,l,n,protocol_id,succ,best_bound_c,bound"
         assert lines[1].split(",")[4] == "0.01"
+
+    def test_one_secret_has_no_cap(self, tmp_path, capsys):
+        """With |X| = 1 (h = 0) the cap is undefined: the report carries it
+        as null in JSON and as empty fields in CSV, and the game is still
+        evaluated. verify accepts the same files."""
+        sc = LeakScenario.independent(FiniteDist.uniform(("only",)), 2, F(1, 3))
+        pi = random_protocol(random.Random(3), sc, max_depth=2)
+        files = []
+        for name, obj in (("protocol", pi), ("scenario", sc)):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(obj.to_jsonable()))
+            files += ["--" + name, str(path)]
+        out = tmp_path / "game.json"
+        assert run_cli(["game"] + files, out_path=out) == 0
+        data = json.loads(out.read_text())
+        assert data["h"] == 0.0
+        assert data["best_bound_c"] is None and data["bound"] is None
+        assert data["succ"]["num"] > 0
+        assert run_cli(["game"] + files + ["--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith("0.0,") and row.endswith(",,")
+        assert run_cli(["verify"] + files, out_path=tmp_path / "verify.json") == 0
 
 
 class TestEmbed:

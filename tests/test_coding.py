@@ -616,6 +616,10 @@ class TestIndepExperiment:
             with pytest.raises(ArithmeticError):
                 run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 20, 5, seed=1)
 
+    def test_negative_trials_raise(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 20, -3, seed=1)
+
     def test_exact_rate_parsing(self):
         assert exact_rate(0.1) == F(1, 10)
         assert exact_rate(F(1, 3)) == F(1, 3)
@@ -630,6 +634,12 @@ class TestFixedTwoGroup:
         assert rep.max_posterior_seen == 0
         assert rep.posterior_violations == 0
         assert rep.decode_errors + rep.tie_errors == 0
+
+    @pytest.mark.parametrize("l", [0, 5])
+    def test_negative_trials_raise(self, l):
+        """Also with no leakers, where the run would otherwise return at once."""
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            fixed_two_group_run(l, 10, F(3, 4), F(1, 10), -3, seed=1)
 
     def test_posterior_is_ratio_of_consistents(self):
         rep = fixed_two_group_run(5, 10, F(3, 4), F(1, 10), 40, seed=6, c_prime=F(2, 3))

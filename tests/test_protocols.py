@@ -227,6 +227,18 @@ class TestEnumerateJoint:
         with pytest.raises(BudgetExceededError, match="exceeded %d " % (states - 1)):
             list(iter_prefixes(pi, sc, budget=states - 1))
 
+    @pytest.mark.parametrize("missing_from", ["innocent", "leak"])
+    def test_law_without_an_alphabet_label_raises(self, coin_scenario, missing_from):
+        """A law whose support lacks a message of the node's alphabet is a
+        ValueError, whichever law it is."""
+        full = FiniteDist.uniform((0, 1, 2))
+        short = FiniteDist.uniform((0, 1))
+        p_innocent, p_leak_1 = (short, full) if missing_from == "innocent" else (full, short)
+        children = dict.fromkeys((0, 1, 2))
+        node = ProtocolNode(1, (0, 1, 2), p_innocent, {0: full, 1: p_leak_1}, children)
+        with pytest.raises(ValueError, match="not in"):
+            enumerate_joint(ProtocolTree(node), coin_scenario)
+
     def test_marginal_over_transcript_is_scenario(self, coin_scenario):
         rng = random.Random(21)
         for _ in range(20):

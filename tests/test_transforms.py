@@ -390,6 +390,28 @@ class TestPretendIgnorance:
             done += 1
             assert safety_report(out, sc, c, include_prefixes=True).ok
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=9),
+    )
+    def test_unchanged_exactly_when_nothing_fires(self, seed, n_players, n_x, step):
+        """The safe tree equals its input exactly when every trigger mass is
+        0: a switch that fires where x has mass moves a leak law that differs
+        from the innocent one, and one where x has no mass cannot fire."""
+        rng = random.Random(seed)
+        sc = random_scenario(rng, n_players=n_players, n_x=n_x)
+        pi = random_protocol(rng, sc, max_depth=3)
+        top = max(max(p) for p in posteriors(pi, sc, ()).leak_probs_given_x.values())
+        if top == 1:
+            return  # no cap in (0, 1) lies above this prior
+        c_prime = top + (1 - top) * F(step, 10)
+        mass = pretend_ignorance_trigger_mass(pi, sc, c_prime)
+        out = pretend_ignorance(pi, sc, c_prime)
+        assert (out == pi) == all(m == 0 for m in mass.values())
+
     def test_trigger_mass_bounds_decode_failure_gap(self):
         # risky window-style instance: the safe variant changes the law of
         # the transcript given x by at most the trigger mass, so any
