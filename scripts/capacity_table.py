@@ -5,7 +5,7 @@ per-leaker capacity with its small-b convergence."""
 import argparse
 from fractions import Fraction
 
-from cryptogenography.coding import fixed_capacity, indep_capacity, window_params
+from cryptogenography.coding import fixed_capacity, indep_capacity, window_channel
 
 
 def main():
@@ -18,14 +18,14 @@ def main():
         c = Fraction(j, den)
         for i in range(1, j):
             b = Fraction(i, den)
-            a, d = window_params(b, c)
+            ch = window_channel(b, c)
             print(
                 "%s,%s,%d,%d,%.6f,%.6f,%.6f"
                 % (
                     b,
                     c,
-                    a,
-                    d,
+                    ch.a,
+                    ch.d,
                     indep_capacity(b, c),
                     fixed_capacity(c),
                     indep_capacity(b, c) / float(b),

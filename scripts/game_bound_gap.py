@@ -3,7 +3,8 @@
 
 Evaluates the winning probability of random small protocols (and the
 silent protocol) for one coin bit held by one of two players, against the
-minimum of the cap over a c-grid.
+minimum of the cap over a c-grid. Exits 1 when some value exceeds the
+cap (a negative gap), since the cap is a theorem for this uniform secret.
 """
 
 import argparse
@@ -40,7 +41,11 @@ def main():
         best_seen = max(best_seen, succ)
         print("random_%03d,%.6f,%.6f" % (k, succ, bound - succ))
     print("# best observed value: %.6f" % best_seen)
+    if best_seen > bound:
+        print("game value %.6f exceeds the cap %.6f" % (best_seen, bound), file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

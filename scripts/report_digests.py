@@ -3,6 +3,7 @@
 
 Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `game` on the n=3 window instance and two seeded deep random protocols,
+`game` on the silent protocol with a skewed secret (no cap reported),
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
 `leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
@@ -78,6 +79,14 @@ def protocol_instances():
     return instances
 
 
+def skewed_instance():
+    """The silent protocol on X over {0, 1, 2, 3} with probabilities
+    (97, 1, 1, 1)/100 and two players leaking independently with
+    probability 1/10; its game value exceeds the uniform-secret cap."""
+    x = FiniteDist((0, 1, 2, 3), (F(97, 100), F(1, 100), F(1, 100), F(1, 100)))
+    return ProtocolTree(None), LeakScenario.independent(x, 2, F(1, 10))
+
+
 def embed_instances():
     sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
     p_inn = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
@@ -151,6 +160,11 @@ def write(workdir, name, obj) -> str:
     with open(path, "w") as fh:
         json.dump(obj.to_jsonable(), fh)
     return path
+
+
+def instance_files(workdir, pi, sc) -> list:
+    """The ``--protocol`` and ``--scenario`` arguments of one instance."""
+    return ["--protocol", write(workdir, "protocol", pi), "--scenario", write(workdir, "scenario", sc)]
 
 
 def cli_report(workdir, argv) -> bytes:
@@ -255,10 +269,11 @@ def main():
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for name, (pi, sc) in protocol_instances().items():
-            files = ["--protocol", write(workdir, "protocol", pi)]
-            files += ["--scenario", write(workdir, "scenario", sc)]
+            files = instance_files(workdir, pi, sc)
             print("%s  verify-%s" % (cli_digest(workdir, ["verify"] + files + ["--c", "3/4"]), name))
             print("%s  game-%s" % (cli_digest(workdir, ["game"] + files), name))
+        files = instance_files(workdir, *skewed_instance())
+        print("%s  game-skewed" % cli_digest(workdir, ["game"] + files))
         for name, (pi, sc, channel, depth) in embed_instances().items():
             files = []
             for part, obj in (("protocol", pi), ("scenario", sc), ("channel", channel)):

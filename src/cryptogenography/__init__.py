@@ -47,7 +47,6 @@ from .suspicion import (
 )
 from .coding import (
     WindowChannel,
-    window_params,
     window_channel,
     indep_capacity,
     fixed_capacity,

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, protocols
 from .coding import (
     Codebook,
     exact_rate,
@@ -118,9 +118,9 @@ def cmd_capacity(args) -> int:
 
 def cmd_verify(args) -> int:
     tree, scenario, config = _load_instance(args)
-    report = validate(tree, scenario)
-    if not report.ok:
-        raise ValueError("invalid protocol: %s" % "; ".join(report.issues))
+    issues = validate(tree, scenario)
+    if issues:
+        raise ValueError("invalid protocol: %s" % "; ".join(issues))
     transcript_cert = check_transcript_bound(tree, scenario, budget=args.budget)
     rounds = check_round_decomposition(tree, scenario, budget=args.budget)
     payload = {
@@ -210,8 +210,10 @@ def cmd_game(args) -> int:
     value = succ_of_protocol(tree, scenario, budget=args.budget)
     h = math.log2(len(scenario.x_support))
     l = float(sum(scenario.prior_leak(i) for i in range(1, scenario.n_players + 1)))
-    # one secret (h = 0) leaves nothing to leak and the cap undefined
-    best_c, bound = best_upper_bound(h, l) if h else (None, None)
+    # the cap assumes a secret uniform over its support (a label without
+    # mass makes it skewed) with h > 0 bits; otherwise it is undefined
+    uniform = len(set(scenario.joint.marginal_dist("X").probs)) == 1
+    best_c, bound = best_upper_bound(h, l) if h and uniform else (None, None)
     protocol_id = hashlib.sha256(
         _canonical_json(tree.to_jsonable()).encode()
     ).hexdigest()[:12]
@@ -295,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--format": dict(choices=("json", "csv"), default="json"),
         "--seed": dict(type=int, default=0),
-        "--budget": dict(type=int, default=10**6),
+        "--budget": dict(type=int, default=protocols.DEFAULT_ENUMERATION_BUDGET),
     }
 
     def common(p, *flags):

@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -58,7 +58,6 @@ from .suspicion import general_upper_bound
 
 __all__ = [
     "WindowChannel",
-    "window_params",
     "window_channel",
     "window",
     "in_window",
@@ -95,26 +94,22 @@ def exact_rate(value) -> Fraction:
 
 @dataclass(frozen=True)
 class WindowChannel:
-    """Window geometry for prior leak probability b and target posterior c."""
+    """Window geometry for prior leak probability b and target posterior c:
+    (a, d) is the smallest pair with a/d = b(1-c)/(c(1-b))."""
 
     b: Fraction
     c: Fraction
-    a: int
-    d: int
+    a: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
         b = as_probability(self.b)
         c = as_probability(self.c)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
         if not 0 < b < c < 1:
-            raise ValueError("need 0 < b < c < 1")
-        if not 0 < self.a < self.d:
-            raise ValueError("need 0 < a < d")
-        if Fraction(self.a, self.d) != b * (1 - c) / (c * (1 - b)):
-            raise ValueError("a/d must equal b(1-c)/(c(1-b)) exactly")
-        if math.gcd(self.a, self.d) != 1:
-            raise ValueError("(a, d) must be the minimal pair")
+            raise ValueError("need 0 < b < c < 1, got b=%s c=%s" % (b, c))
+        ratio = b * (1 - c) / (c * (1 - b))
+        for name, value in (("b", b), ("c", c), ("a", ratio.numerator), ("d", ratio.denominator)):
+            object.__setattr__(self, name, value)
 
     def to_jsonable(self) -> dict:
         return {
@@ -125,19 +120,8 @@ class WindowChannel:
         }
 
 
-def window_params(b, c) -> tuple:
-    """Smallest (a, d) with a/d = b(1-c)/(c(1-b))."""
-    b = as_probability(b)
-    c = as_probability(c)
-    if not 0 < b < c < 1:
-        raise ValueError("need 0 < b < c < 1, got b=%s c=%s" % (b, c))
-    ratio = b * (1 - c) / (c * (1 - b))
-    return ratio.numerator, ratio.denominator
-
-
 def window_channel(b, c) -> WindowChannel:
-    a, d = window_params(b, c)
-    return WindowChannel(as_probability(b), as_probability(c), a, d)
+    return WindowChannel(b, c)
 
 
 def window(ch: WindowChannel, x_symbol: int) -> tuple:

@@ -43,7 +43,6 @@ from .protocols import (
     BudgetExceededError,
     LeakScenario,
     ProtocolTree,
-    _scenario_weights,
     iter_prefixes,
     non_revealing,
 )
@@ -397,8 +396,8 @@ class AuditReport:
     Only the scheduled speaker's messages are expanded: every other
     player's chatter has a law that never depends on (X, L) or on the
     secret state, so it multiplies all branches by a common factor and
-    cancels from every conditional; noise_factored records that this
-    structural cancellation was relied on.
+    cancels from every conditional. The report's ``noise_factored: true``
+    records that this structural cancellation was relied on.
     """
 
     decoded_mass: Fraction
@@ -408,7 +407,6 @@ class AuditReport:
     conditional_mismatches: int
     mass_bounds_ok: bool
     per_transcript_mass: Mapping
-    noise_factored: bool = True
 
     @property
     def ok(self) -> bool:
@@ -422,7 +420,7 @@ class AuditReport:
             "terminal_paths": self.terminal_paths,
             "conditional_mismatches": self.conditional_mismatches,
             "mass_bounds_ok": self.mass_bounds_ok,
-            "noise_factored": self.noise_factored,
+            "noise_factored": True,
             "ok": self.ok,
             "per_transcript_mass": [
                 {"transcript": label_to_jsonable(t), "p": fraction_to_jsonable(m)}
@@ -509,8 +507,7 @@ def equivalence_audit(
 
     # state key: (pi prefix, interval); value: ({(x, lvec, commitment): int}, den),
     # each mass an int over the state's one denominator
-    base, scale = _scenario_weights(scenario)
-    states = {((), UNIT): fresh_entries(tree.root, base, scale)}
+    states = {((), UNIT): fresh_entries(tree.root, scenario.weights, scenario.scale)}
     f_cache = {(): f_partition(tree.root.p_innocent)}
     node_cache = {(): tree.root}
 

@@ -53,7 +53,6 @@ __all__ = [
     "LeakScenario",
     "ProtocolNode",
     "ProtocolTree",
-    "ValidationReport",
     "BudgetExceededError",
     "DEFAULT_ENUMERATION_BUDGET",
     "MAX_DOUBLING_ROUNDS",
@@ -95,20 +94,24 @@ class LeakScenario:
 
     The joint is over axes ("X", "L1", ..., "Ln") with each L in {0, 1}.
     Everyone (players, the decoder, the adversary) knows this law.
+    ``weights`` ({(x, lvec): int} over ``scale``) is the joint's int view
+    re-keyed: the root state of every exact walk, which none mutates.
     """
 
-    __slots__ = ("n_players", "joint")
+    __slots__ = ("n_players", "joint", "weights", "scale")
 
     def __init__(self, n_players: int, joint: JointDist):
         expected = ("X",) + tuple("L%d" % i for i in range(1, n_players + 1))
         if joint.axes != expected:
             raise ValueError("scenario axes must be %r, got %r" % (expected, joint.axes))
-        for key in joint.table:
-            for li in key[1:]:
-                if li not in (0, 1):
-                    raise ValueError("leak indicators must be 0 or 1, got %r" % (li,))
         self.n_players = n_players
         self.joint = joint
+        self.scale, nums = joint._int_view()
+        self.weights = {(key[0], key[1:]): n for key, n in nums.items()}
+        for _x, lvec in self.weights:
+            for li in lvec:
+                if li not in (0, 1):
+                    raise ValueError("leak indicators must be 0 or 1, got %r" % (li,))
 
     def __eq__(self, other):
         return (
@@ -130,7 +133,7 @@ class LeakScenario:
             yield (key[0], key[1:]), p
 
     def outcome_keys(self) -> tuple:
-        return tuple((key[0], key[1:]) for key in self.joint.table)
+        return tuple(self.weights)
 
     def prior_leak(self, player: int) -> Fraction:
         return self.joint.prob_event({"L%d" % player: 1})
@@ -327,18 +330,9 @@ def tree_depth(node: Optional[ProtocolNode]) -> int:
     return 1 + max(tree_depth(child) for child in node.children.values())
 
 
-@dataclass
-class ValidationReport:
-    issues: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -> ValidationReport:
-    """Structural validation: laws over the node alphabet, children complete,
-    depth within the length bound, speakers in range when a scenario is given."""
+def validate(tree: ProtocolTree, scenario: LeakScenario) -> list:
+    """Structural issues, [] when valid: laws over the node alphabet, a leak law
+    per secret, children complete, depth within the bound, speakers in range."""
     issues = []
 
     def visit(node: Optional[ProtocolNode], depth: int, path: tuple):
@@ -355,12 +349,11 @@ def validate(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -> Val
         for x, dist in node.p_leak.items():
             if dist.support != node.alphabet:
                 issues.append("p_leak[%r] support differs from alphabet at %r" % (x, path))
-        if scenario is not None:
-            if not 1 <= node.speaker <= scenario.n_players:
-                issues.append("speaker %d out of range at %r" % (node.speaker, path))
-            for x in scenario.x_support:
-                if x not in node.p_leak:
-                    issues.append("missing leak law for secret %r at %r" % (x, path))
+        if not 1 <= node.speaker <= scenario.n_players:
+            issues.append("speaker %d out of range at %r" % (node.speaker, path))
+        for x in scenario.x_support:
+            if x not in node.p_leak:
+                issues.append("missing leak law for secret %r at %r" % (x, path))
         missing = [m for m in node.alphabet if m not in node.children]
         if missing:
             issues.append("missing children for %r at %r" % (missing, path))
@@ -369,19 +362,17 @@ def validate(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -> Val
             visit(node.children[m], depth + 1, path + (m,))
 
     visit(tree.root, 1, ())
-    return ValidationReport(issues)
+    return issues
 
 
-def non_revealing(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -> bool:
+def non_revealing(tree: ProtocolTree, scenario: LeakScenario) -> bool:
     """True iff at every node, every message a leaker can send, an innocent can too."""
-    xs = scenario.x_support if scenario is not None else None
 
     def visit(node):
         if node is None:
             return True
-        secrets = xs if xs is not None else tuple(node.p_leak)
-        for x in secrets:
-            dist = node.p_leak[x]
+        for x in scenario.x_support:
+            dist = node.law(x, 1)
             for m in node.alphabet:
                 if dist.prob(m) > 0 and node.p_innocent.prob(m) == 0:
                     return False
@@ -395,14 +386,6 @@ def non_revealing(tree: ProtocolTree, scenario: Optional[LeakScenario] = None) -
 
 # (x, lvec) -> int, Pr(X=x, L=lvec, T^k = prefix) times the prefix's scale
 Weights = Mapping
-
-
-def _scenario_weights(scenario: LeakScenario) -> tuple:
-    """(weights, scale): the scenario's masses as ints over its joint's
-    denominator (for a scenario built from Fractions, the lcm of their
-    denominators)."""
-    scale, nums = scenario.joint._int_view()
-    return {(key[0], key[1:]): n for key, n in nums.items()}, scale
 
 
 def _descend(node: ProtocolNode, weights: dict, m) -> dict:
@@ -484,12 +467,6 @@ class _Tally:
         return (lhs > rhs) - (lhs < rhs)
 
 
-def _conditional_vector(weights: Weights, keys) -> tuple:
-    """The weights normalized over ``keys`` (zero where a key is absent)."""
-    total = sum(weights.values())
-    return tuple(Fraction(weights.get(k, 0), total) for k in keys)
-
-
 def _transcript_weights(joint: JointDist, n_players: int) -> dict:
     """Group an (X, L1..Ln, T) joint's int view by transcript, in first-seen
     order: t -> {(x, lvec): mass}, each mass an int over the joint's
@@ -517,8 +494,7 @@ def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[i
     terminal, pass ``budget`` (None: DEFAULT_ENUMERATION_BUDGET at start).
     """
     states = _StateBudget(budget)
-    weights, scale = _scenario_weights(scenario)
-    stack = [((), tree.root, weights, scale)]
+    stack = [((), tree.root, scenario.weights, scenario.scale)]
     while stack:
         prefix, node, weights, scale = stack.pop()
         states.charge(weights)
@@ -567,7 +543,7 @@ class PosteriorView:
 
 def _weights_at_prefix(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple) -> dict:
     node = tree.root
-    weights = _scenario_weights(scenario)[0]
+    weights = scenario.weights
     for m in prefix:
         if node is None:
             raise ValueError("prefix %r runs past the end of the protocol" % (prefix,))
@@ -601,10 +577,11 @@ def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     the normalized conditional vector over scenario outcomes, canonical order.
     The walk keeps the default state budget."""
     keys = scenario.outcome_keys()
-    return {
-        prefix: _conditional_vector(weights, keys)
-        for prefix, _node, weights, _scale in iter_prefixes(tree, scenario)
-    }
+    conditionals = {}
+    for prefix, _node, weights, _scale in iter_prefixes(tree, scenario):
+        total = sum(weights.values())
+        conditionals[prefix] = tuple(Fraction(weights.get(k, 0), total) for k in keys)
+    return conditionals
 
 
 def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
@@ -624,7 +601,7 @@ def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
 # posterior-measure equivalence
 
 
-def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int]) -> dict:
+def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     """{primitive int vector: transcript mass} in first-seen order.
 
     A terminal's weights over their gcd, in canonical outcome order, are the
@@ -634,7 +611,7 @@ def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario, budget: Optiona
     """
     keys = scenario.outcome_keys()
     sums: dict = {}
-    for _prefix, node, weights, scale in iter_prefixes(tree, scenario, budget):
+    for _prefix, node, weights, scale in iter_prefixes(tree, scenario):
         if node is None:
             g = math.gcd(*weights.values())
             key = tuple(weights.get(k, 0) // g for k in keys)
@@ -648,11 +625,7 @@ def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario, budget: Optiona
     return {key: Fraction(total, den) for key, (total, den) in sums.items()}
 
 
-def posterior_measure(
-    tree: ProtocolTree,
-    scenario: LeakScenario,
-    budget: Optional[int] = None,
-) -> dict:
+def posterior_measure(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     """Distribution of the end-of-protocol posterior over (X, L1..Ln).
 
     Returns {posterior-vector: total transcript probability} with the vector
@@ -662,27 +635,22 @@ def posterior_measure(
     built from ``_terminal_masses``' int keys, one per distinct posterior.
     """
     measure = {}
-    for key, mass in _terminal_masses(tree, scenario, budget).items():
+    for key, mass in _terminal_masses(tree, scenario).items():
         total = sum(key)
         measure[tuple(Fraction(w, total) for w in key)] = mass
     return measure
 
 
-def equivalent(
-    a: ProtocolTree,
-    b: ProtocolTree,
-    scenario: LeakScenario,
-    budget: Optional[int] = None,
-) -> bool:
+def equivalent(a: ProtocolTree, b: ProtocolTree, scenario: LeakScenario) -> bool:
     """Exact comparison of the induced posterior-measure distributions.
 
     Compares the int-keyed ``_terminal_masses`` of the two walks: a primitive
     non-negative int vector is the unique representative of its normalized
     posterior, so equal key dicts are equal measures and no Fraction vector
-    is built. Each walk keeps ``budget`` on its own, as ``posterior_measure``
-    does.
+    is built. Each walk keeps the default state budget on its own, as
+    ``posterior_measure`` does.
     """
-    return _terminal_masses(a, scenario, budget) == _terminal_masses(b, scenario, budget)
+    return _terminal_masses(a, scenario) == _terminal_masses(b, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +747,7 @@ def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
         return _range_fix(bit_node)
 
     root = convert(tree.root)
-    return ProtocolTree(root, tree_depth(root))
+    return ProtocolTree(root)
 
 
 def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> ProtocolNode:
@@ -840,7 +808,10 @@ def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
     p_r = bit_node.p_innocent.prob(rare)
     child_rare = bit_node.children[rare]
     child_common = bit_node.children[common]
-    xs = tuple(bit_node.p_leak)
+    leak_rare_bit = {x: law.prob(rare) for x, law in bit_node.p_leak.items()}
+
+    def reach(pr, t):  # Pr(only zero digits while the number may lie below t)
+        return pr + (1 - pr) * (t - p_r) / (1 - p_r)
 
     levels = 0
     while p_r * (2**levels) < THIRD:
@@ -854,34 +825,29 @@ def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
     # reveal node after `levels` zero digits
     scale = Fraction(1, 2**levels)
     inn_rare = p_r * (2**levels)
-    leak_rare = {}
-    for x in xs:
-        pr = bit_node.p_leak[x].prob(rare)
-        pc = 1 - pr
-        reach = pr + pc * (scale - p_r) / (1 - p_r)
-        leak_rare[x] = pr / reach if reach > 0 else inn_rare
 
     def one(p):  # the probability of sending 1, from that of the rare bit
         return p if rare else 1 - p
 
+    reveal_leak = {}
+    for x, pr in leak_rare_bit.items():
+        r = reach(pr, scale)
+        reveal_leak[x] = one(pr / r if r > 0 else inn_rare)
     children = (child_common, child_rare) if rare else (child_rare, child_common)
-    reveal_leak = {x: one(p) for x, p in leak_rare.items()}
     node = _bit_node(bit_node.speaker, one(inn_rare), reveal_leak, *children)
     for j in range(levels - 1, -1, -1):
         two_j = Fraction(1, 2**j)
         leak_one = {}
-        for x in xs:
-            pr = bit_node.p_leak[x].prob(rare)
-            pc = 1 - pr
-            reach = pr + pc * (two_j - p_r) / (1 - p_r)
-            said_one = pc * (two_j / 2) / (1 - p_r)
-            leak_one[x] = said_one / reach if reach > 0 else HALF
+        for x, pr in leak_rare_bit.items():
+            r = reach(pr, two_j)
+            said_one = (1 - pr) * (two_j / 2) / (1 - p_r)
+            leak_one[x] = said_one / r if r > 0 else HALF
         # digit 1 proves the common bit; digit 0 keeps doubling
         node = _bit_node(bit_node.speaker, HALF, leak_one, node, child_common)
     return node
 
 
-def bit_probability_report(tree: ProtocolTree, scenario: LeakScenario) -> list:
+def bit_probability_report(tree: ProtocolTree) -> list:
     """Innocent bit probabilities outside [1/3, 2/3] at positive-innocent nodes."""
     violations = []
 
@@ -904,7 +870,7 @@ def bit_probability_report(tree: ProtocolTree, scenario: LeakScenario) -> list:
 
 def _check_priors(scenario: LeakScenario, cap, cap_name: str) -> None:
     """Reject a scenario whose prior Pr(L_i=1 | X=x) already exceeds the cap."""
-    prior = _Tally(_scenario_weights(scenario)[0])
+    prior = _Tally(scenario.weights)
     for i, x in _player_secret_pairs(scenario):
         post = prior.posterior(i, x)
         if post is not None and post > cap:
@@ -976,8 +942,8 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
         memo[key] = (source, result)
         return result
 
-    root = transform(tree.root, _scenario_weights(scenario)[0], frozenset())
-    return ProtocolTree(root, tree_depth(root))
+    root = transform(tree.root, scenario.weights, frozenset())
+    return ProtocolTree(root)
 
 
 def _first_problem(node, weights, tally, pairs, c, landed):
@@ -1081,8 +1047,8 @@ def _ignorance_walk(tree: ProtocolTree, scenario: LeakScenario, c_prime: Fractio
         }
         return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
 
-    weights, scale = _scenario_weights(scenario)
-    return build(tree.root, weights, scale, dict.fromkeys(scenario.x_support, False)), fired
+    ignoring = dict.fromkeys(scenario.x_support, False)
+    return build(tree.root, scenario.weights, scenario.scale, ignoring), fired
 
 
 def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
@@ -1101,7 +1067,7 @@ def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> Pr
         raise ValueError("c_prime must be in (0, 1)")
     _check_priors(scenario, c_prime, "c'")
     root = _ignorance_walk(tree, scenario, c_prime)[0]
-    return ProtocolTree(root, tree_depth(root))
+    return ProtocolTree(root)
 
 
 def pretend_ignorance_trigger_mass(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> dict:

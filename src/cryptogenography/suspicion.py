@@ -31,7 +31,7 @@ from .protocols import (
     LeakScenario,
     ProtocolTree,
     _Tally,
-    _scenario_weights,
+    _player_secret_pairs,
     _transcript_weights,
     enumerate_joint,
     iter_prefixes,
@@ -58,15 +58,23 @@ SLACK_TOL = 1e-9
 class SuspicionCertificate:
     """Both sides of one suspicion inequality, in bits.
 
-    slack = rhs - lhs; an infinite rhs passes trivially with equality False.
+    slack = rhs - lhs, or inf (never inf - inf) when the rhs is infinite,
+    which passes trivially with equality False.
     The equality flag comes from an exact rational test, so it can disagree
     with |slack| being tiny only through float rounding, never the reverse.
     """
 
     lhs_bits: float
     rhs_bits: float
-    slack: float
     equality: bool
+
+    def __post_init__(self):
+        if math.isinf(self.rhs_bits):
+            object.__setattr__(self, "equality", False)
+
+    @property
+    def slack(self) -> float:
+        return math.inf if math.isinf(self.rhs_bits) else self.rhs_bits - self.lhs_bits
 
     @property
     def holds(self) -> bool:
@@ -83,12 +91,6 @@ class SuspicionCertificate:
             "equality": self.equality,
             "holds": self.holds,
         }
-
-
-def _certificate(lhs: float, rhs: float, equality: bool) -> SuspicionCertificate:
-    if math.isinf(rhs):
-        return SuspicionCertificate(lhs, rhs, math.inf, False)
-    return SuspicionCertificate(lhs, rhs, rhs - lhs, equality)
 
 
 def _innocence_masses(joint: JointDist, player_axis: str, axes: Sequence[str]) -> tuple:
@@ -165,10 +167,10 @@ def check_single_message(joint: JointDist) -> SuspicionCertificate:
     if math.isinf(after):
         # susp(X) is then infinite too (certain guilt given some x);
         # the certificate passes trivially per the +inf convention
-        return _certificate(lhs, math.inf, False)
+        return SuspicionCertificate(lhs, math.inf, False)
     rhs = after - expected_suspicion(joint, "L", ("X",))
     equality = _law_matches_innocent_law(joint)
-    return _certificate(lhs, rhs, equality)
+    return SuspicionCertificate(lhs, rhs, equality)
 
 
 def _validate_single_message_model(joint):
@@ -215,7 +217,7 @@ def check_listener_monotone(
         innocent * coarse[yb[:-1]][0] == coarse[yb[:-1]][1] * mass
         for yb, (mass, innocent) in fine.items()
     )
-    return _certificate(_expected(den, coarse), _expected(den, fine), equality)
+    return SuspicionCertificate(_expected(den, coarse), _expected(den, fine), equality)
 
 
 @dataclass
@@ -309,14 +311,14 @@ def check_transcript_bound(
         after = expected_suspicion(joint, axis, ("X", "T"))
         before = expected_suspicion(joint, axis, ("X",))
         if math.isinf(after):
-            return _certificate(lhs, math.inf, False)
+            return SuspicionCertificate(lhs, math.inf, False)
         rhs += after - before
     rounds = check_round_decomposition(tree, scenario, budget=budget)
     equality = all(
         r.speaker_cert.equality and all(c.equality for c in r.listener_certs.values())
         for r in rounds
     )
-    return _certificate(lhs, rhs, equality)
+    return SuspicionCertificate(lhs, rhs, equality)
 
 
 def general_upper_bound(b, c, n: int) -> float:
@@ -368,19 +370,18 @@ def check_general_upper_bound(
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
-    prior = _Tally(_scenario_weights(scenario)[0])
+    prior = _Tally(scenario.weights)
     b = None
-    for i in range(1, n + 1):
-        for x in scenario.x_support:
-            bx = prior.posterior(i, x)
-            if bx is None:
-                continue
-            if b is None:
-                b = bx
-            elif bx != b:
-                raise ValueError(
-                    "premise violated: Pr(L_i=1|X=x) is not constant (player %d, X=%r)" % (i, x)
-                )
+    for i, x in _player_secret_pairs(scenario):
+        bx = prior.posterior(i, x)
+        if bx is None:
+            continue
+        if b is None:
+            b = bx
+        elif bx != b:
+            raise ValueError(
+                "premise violated: Pr(L_i=1|X=x) is not constant (player %d, X=%r)" % (i, x)
+            )
     if b is None or b == 0:
         raise ValueError("premise violated: no leaking mass")
     c = ZERO

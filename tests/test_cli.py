@@ -253,8 +253,55 @@ class TestGame:
         assert row.startswith("0.0,") and row.endswith(",,")
         assert run_cli(["verify"] + files, out_path=tmp_path / "verify.json") == 0
 
+    @pytest.mark.parametrize(
+        "probs, b, succ",
+        [
+            ((F(97, 100), F(1, 100), F(1, 100), F(1, 100)), F(0), F(97, 100)),
+            ((F(97, 100), F(1, 100), F(1, 100), F(1, 100)), F(1, 10), F(873, 1000)),
+            # a label without mass makes the secret skewed too
+            ((F(1, 2), F(1, 2), F(0)), F(1, 3), F(1, 3)),
+        ],
+    )
+    def test_skewed_secret_has_no_cap(self, tmp_path, capsys, probs, b, succ):
+        """The cap assumes a secret uniform over its support. The silent
+        protocol on a skewed secret wins with probability above the
+        uniform-secret cap (0.873 against 0.716 at b = 1/10), so the report
+        carries no cap: null in JSON, empty fields in CSV."""
+        x_dist = FiniteDist(tuple(range(len(probs))), probs)
+        sc = LeakScenario.independent(x_dist, 2, b)
+        files = []
+        for name, obj in (("protocol", ProtocolTree(None)), ("scenario", sc)):
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(obj.to_jsonable()))
+            files += ["--" + name, str(path)]
+        out = tmp_path / "game.json"
+        assert run_cli(["game"] + files, out_path=out) == 0
+        data = json.loads(out.read_text())
+        assert data["succ"] == {"num": succ.numerator, "den": succ.denominator}
+        assert data["best_bound_c"] is None and data["bound"] is None
+        assert run_cli(["game"] + files + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",%s,," % float(succ))
+
 
 class TestEmbed:
+    def test_missing_leak_law_names_the_secret(self, tmp_path, capsys):
+        """A protocol without a leak law for some scenario secret exits 2
+        with the message game and verify give, not a bare KeyError."""
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1, 2)), 1, F(1, 2))
+        law = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
+        node = ProtocolNode(1, ("a1", "a2"), law, {0: law, 1: law}, {"a1": None, "a2": None})
+        channel = InnocentChannel.iid_uniform(1, ("m1", "m2"))
+        files = {"protocol": ProtocolTree(node), "scenario": sc, "channel": channel}
+        args = ["embed"]
+        for name, obj in files.items():
+            path = tmp_path / ("%s.json" % name)
+            path.write_text(json.dumps(obj.to_jsonable()))
+            args += ["--" + name, str(path)]
+        out = tmp_path / "embed.json"
+        assert run_cli(args, out) == 2
+        assert capsys.readouterr().err == "error: node has no leak law for secret 2\n"
+        assert not out.exists()
+
     def test_replay_determinism_and_audit(self, tmp_path):
         sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
         p_inn = FiniteDist(("a1", "a2"), (F(2, 5), F(3, 5)))
@@ -467,7 +514,7 @@ def protocol_golden_cases(tmp_path):
 # into one helper: the verify and game reports must not move
 PROTOCOL_GOLDEN = {
     "game-deep-indep": "f5995909efc034c08737c110fc77bc59c067dfbaa63eaee63978f01e01bd1f3e",
-    "game-deep-random": "839ee5f1c67fcbca648fe3232c787a137375b2291f3e3e814b965140bb01063f",
+    "game-deep-random": "47e88bb82717870d882d06f912557876144afe732ae9dcd018d9aae908dac552",
     "game-window3": "e32b30168d18b93a88d94e54954811b68480ba3543ec5bccb46253f07a8fcb0a",
     "verify-deep-indep": "8e0618371ded090eb93e12192c9b442025e84eb8f1e3656a935bfca89ad9bbed",
     "verify-deep-random": "1b5bde25defb7c0896100454c6f9b535e46e95a8c2a49910611f7f41909d1f19",
@@ -558,8 +605,22 @@ class TestBudgetErrors:
         protocol, scenario = window_files
         monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 2)
         argv = ["verify", "--protocol", protocol, "--scenario", scenario, "--c", "2/3"]
+        argv += ["--budget", str(10**6)]
         assert run_cli(argv, out_path=tmp_path / "verify.json") == 0
         assert json.loads((tmp_path / "verify.json").read_text())["safety"]["safe"] is True
+
+    def test_budget_flag_defaults_to_library_budget(self, window_files, tmp_path, monkeypatch):
+        # without --budget, verify keeps the library's default state budget
+        protocol, scenario = window_files
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 2)
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--protocol", protocol, "--scenario", scenario], out) == 1
+        assert json.loads(out.read_text())["error"] == {
+            "kind": "budget",
+            "message": "enumeration exceeded 2 outcome states; raise the budget explicitly",
+        }
+        argv = ["game", "--protocol", protocol, "--scenario", scenario]
+        assert build_parser().parse_args(argv).budget == 2
 
 
 def leak_peak_rss(args) -> tuple:

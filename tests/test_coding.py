@@ -30,7 +30,6 @@ from cryptogenography.coding import (
     run_indep_experiment,
     window,
     window_channel,
-    window_params,
 )
 from cryptogenography.probability import mutual_information
 
@@ -71,23 +70,31 @@ class TestWindowParams:
         ],
     )
     def test_examples(self, b, c, expected):
-        assert window_params(b, c) == expected
+        ch = window_channel(b, c)
+        assert (ch.a, ch.d) == expected
 
     def test_rejects_b_at_least_c(self):
-        with pytest.raises(ValueError):
-            window_params(F(1, 2), F(1, 2))
+        with pytest.raises(ValueError, match=r"need 0 < b < c < 1, got b=1/2 c=1/2"):
+            window_channel(F(1, 2), F(1, 2))
 
     def test_minimality_and_identity(self):
         for b, c in GRID:
-            a, d = window_params(b, c)
+            ch = window_channel(b, c)
+            a, d = ch.a, ch.d
             assert math.gcd(a, d) == 1 and 0 < a < d
             assert F(a, d) == b * (1 - c) / (c * (1 - b))
             # equivalent formulation b/a + (1-b)/d = b/(a c)
             assert b / a + (1 - b) / d == b / (a * c)
 
     def test_channel_invariants(self):
-        with pytest.raises(ValueError):
-            WindowChannel(F(1, 2), F(2, 3), 2, 4)  # not minimal
+        # the geometry is derived, so no pair, minimal or not, can be given
+        with pytest.raises(TypeError):
+            WindowChannel(F(1, 2), F(2, 3), 2, 4)
+        with pytest.raises(TypeError):
+            WindowChannel(F(1, 2), F(2, 3), a=1, d=2)
+        ch = WindowChannel(F(1, 2), F(2, 3))
+        assert (ch.a, ch.d) == (1, 2)
+        assert ch == window_channel("1/2", F(2, 3))
 
 
 class TestCapacities:

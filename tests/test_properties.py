@@ -23,7 +23,6 @@ from cryptogenography.coding import (
     random_codebook,
     ratio_bound_check,
     window_channel,
-    window_params,
 )
 from cryptogenography.embedding import InnocentChannel, Interval, f_partition, g_partition
 from cryptogenography.game import asymptotic_lower_rate, game_value_from_joint
@@ -195,7 +194,7 @@ def test_window_posterior_dichotomy(b_num, c_num, den):
         for m in range(1, ch.d + 1):
             post = posterior_leak(m, x, ch)
             assert post == (c if in_window(ch, m, x) else 0)
-    a, d = window_params(b, c)
+    a, d = ch.a, ch.d
     assert b / a + (1 - b) / d == b / (a * c)
     mi = indep_capacity(b, c)
     assert mi >= -1e-12

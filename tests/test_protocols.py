@@ -62,6 +62,32 @@ class TestScenario:
         with pytest.raises(ValueError):
             LeakScenario(1, j)
 
+    def test_weights_are_the_rekeyed_int_view(self):
+        x_dist = FiniteDist((0, 1, 2), (F(1, 2), F(1, 3), F(1, 6)))
+        from_fractions = LeakScenario.independent(x_dist, 2, F(1, 4))
+        # an int-form joint over 12, while its entries' lcm is 6
+        joint = JointDist(("X", "L1"), {(1, 0): 4, (0, 1): 6, (0, 0): 2}, den=12)
+        int_form = LeakScenario(1, joint)
+        assert int_form.scale == 12
+        assert from_fractions.scale == 96
+        for sc in (from_fractions, int_form):
+            den, nums = sc.joint._int_view()
+            assert sc.scale == den
+            assert sc.weights == {(key[0], key[1:]): n for key, n in nums.items()}
+            assert {k: F(w, sc.scale) for k, w in sc.weights.items()} == dict(sc.outcomes())
+            # outcome order is the table's
+            table_order = tuple((key[0], key[1:]) for key in sc.joint.table)
+            assert sc.outcome_keys() == tuple(sc.weights) == table_order
+        assert int_form.outcome_keys() == ((1, (0,)), (0, (1,)), (0, (0,)))
+
+    def test_leak_indicators_checked_on_positive_entries(self):
+        j = JointDist(("X", "L1"), {(0, 0): F(1, 2), (0, 2): F(1, 2)})
+        with pytest.raises(ValueError, match="leak indicators must be 0 or 1, got 2"):
+            LeakScenario(1, j)
+        # a zero-mass entry is not part of the law
+        j = JointDist(("X", "L1"), {(0, 0): F(1), (0, 2): F(0)})
+        assert LeakScenario(1, j).weights == {(0, (0,)): 1}
+
     def test_json_roundtrip(self):
         sc = LeakScenario.fixed(FiniteDist.uniform(("a", "b")), 1, 2)
         assert LeakScenario.from_jsonable(sc.to_jsonable()) == sc
@@ -94,8 +120,8 @@ class TestScenario:
 
 
 class TestValidate:
-    def test_empty_tree_valid(self):
-        assert validate(ProtocolTree(None)).ok
+    def test_empty_tree_valid(self, coin_scenario):
+        assert validate(ProtocolTree(None), coin_scenario) == []
 
     def test_bad_distribution_flagged(self, coin_scenario):
         # p_innocent support mismatching the alphabet
@@ -106,16 +132,16 @@ class TestValidate:
             {0: FiniteDist((0, 1), (F(1, 2), F(1, 2))), 1: FiniteDist((0, 1), (F(1), F(0)))},
             {0: None, 1: None},
         )
-        report = validate(ProtocolTree(bad), coin_scenario)
-        assert not report.ok
+        issues = validate(ProtocolTree(bad), coin_scenario)
+        assert issues
 
     def test_depth_exceeding_bound_flagged(self, coin_scenario):
         u = FiniteDist.uniform((0, 1))
         inner = leaf_node(1, u, {0: u, 1: u})
         outer = ProtocolNode(1, (0, 1), u, {0: u, 1: u}, {0: inner, 1: None})
-        report = validate(ProtocolTree(outer, length_bound=1), coin_scenario)
-        assert not report.ok
-        assert any("length_bound" in issue for issue in report.issues)
+        issues = validate(ProtocolTree(outer, length_bound=1), coin_scenario)
+        assert issues
+        assert any("length_bound" in issue for issue in issues)
 
 
 class TestNonRevealing:
@@ -376,7 +402,7 @@ class TestProtocolJson:
         pi = ProtocolTree(leaf_node(1, p_inn, dict(zip(secrets, laws))))
         back = ProtocolTree.from_jsonable(json.loads(json.dumps(pi.to_jsonable())))
         assert back == pi
-        assert validate(back, sc).ok
+        assert validate(back, sc) == []
 
     @pytest.mark.parametrize("alphabet", [(7, "7"), ((1, 2), "(1, 2)"), ("a", 7, "7")])
     def test_roundtrip_children_of_messages_sharing_a_string(self, alphabet):

@@ -8,6 +8,7 @@ from cryptogenography.coding import one_shot_joint, window_channel, window_proto
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information
 from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree, enumerate_joint
 from cryptogenography.suspicion import (
+    SuspicionCertificate,
     check_general_upper_bound,
     check_listener_monotone,
     check_round_decomposition,
@@ -33,6 +34,33 @@ def two_var_joint(c_low):
         if c < 1:
             table[(0, y)] = per_y * (1 - c)
     return JointDist(("L", "Y"), table)
+
+
+class TestCertificate:
+    def test_infinite_rhs_holds_without_equality(self):
+        for lhs in (0.25, math.inf):
+            cert = SuspicionCertificate(lhs, math.inf, True)
+            assert cert.equality is False
+            assert cert.slack == math.inf
+            assert cert.holds
+        assert SuspicionCertificate(0.25, math.inf, True).to_jsonable() == {
+            "lhs_bits": 0.25,
+            "rhs_bits": "inf",
+            "slack": "inf",
+            "equality": False,
+            "holds": True,
+        }
+
+    def test_finite_slack_is_rhs_minus_lhs(self):
+        for lhs, rhs, equality in ((0.1, 0.3, False), (1 / 3, 1 / 3, True), (0.7, 0.2, False)):
+            cert = SuspicionCertificate(lhs, rhs, equality)
+            assert cert.slack.hex() == (rhs - lhs).hex()
+            assert cert.equality is equality
+            assert cert.holds == (rhs - lhs >= -1e-9)
+
+    def test_slack_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            SuspicionCertificate(0.1, 0.3, 0.2, False)
 
 
 class TestSuspicionPoint:

@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -190,13 +191,23 @@ class TestPosteriorMeasure:
         rng, sc, tree = draw_instance(*instance)
         other = binarize(random_protocol(rng, sc, max_depth=2), sc)
         need = max(walk_states(tree, sc), walk_states(other, sc))
+        own = walk_states(tree, sc)
+
+        def budget(n):
+            # the walks read the module budget when they start
+            return mock.patch.object(protocols, "DEFAULT_ENUMERATION_BUDGET", n)
+
         for a, b in ((tree, other), (other, tree)):
-            with pytest.raises(BudgetExceededError, match="exceeded %d outcome states" % (need - 1)):
-                equivalent(a, b, sc, budget=need - 1)
-            equivalent(a, b, sc, budget=need)
-        with pytest.raises(BudgetExceededError):
-            posterior_measure(tree, sc, budget=walk_states(tree, sc) - 1)
-        posterior_measure(tree, sc, budget=walk_states(tree, sc))
+            with budget(need - 1):
+                with pytest.raises(BudgetExceededError, match="exceeded %d outcome states" % (need - 1)):
+                    equivalent(a, b, sc)
+            with budget(need):
+                equivalent(a, b, sc)
+        with budget(own - 1):
+            with pytest.raises(BudgetExceededError):
+                posterior_measure(tree, sc)
+        with budget(own):
+            posterior_measure(tree, sc)
 
 
 class TestBinarize:
@@ -218,7 +229,7 @@ class TestBinarize:
         inner = [c for c in out.root.children.values() if c is not None]
         assert len(inner) == 1 and inner[0].p_innocent.prob(0) == F(1, 2)
         assert equivalent(pi, out, coin_scenario)
-        assert bit_probability_report(out, coin_scenario) == []
+        assert bit_probability_report(out) == []
 
     def rare_bit_protocol(self):
         p_inn = FiniteDist((0, 1), (F(1, 10), F(9, 10)))
@@ -230,7 +241,7 @@ class TestBinarize:
         out = binarize(pi, coin_scenario)
         assert out.length_bound > 1
         assert equivalent(pi, out, coin_scenario)
-        assert bit_probability_report(out, coin_scenario) == []
+        assert bit_probability_report(out) == []
 
     def test_doubling_round_cap(self, monkeypatch, coin_scenario):
         # 1/10 needs two doublings to reach 1/3: two digits, then the reveal
@@ -250,7 +261,7 @@ class TestBinarize:
         pi = ProtocolTree(leaf_node(1, p_inn, {0: p0, 1: p0}))
         out = binarize(pi, coin_scenario)
         assert equivalent(pi, out, coin_scenario)
-        assert bit_probability_report(out, coin_scenario) == []
+        assert bit_probability_report(out) == []
 
     def test_window_alphabets(self):
         ch = window_channel(F(2, 5), F(1, 2))  # a=2, d=3
@@ -258,7 +269,7 @@ class TestBinarize:
         sc = window_scenario(ch, 1)
         out = binarize(pi, sc)
         assert equivalent(pi, out, sc)
-        assert bit_probability_report(out, sc) == []
+        assert bit_probability_report(out) == []
 
     def test_random_protocols(self, coin_scenario):
         rng = random.Random(500)
@@ -267,7 +278,7 @@ class TestBinarize:
             pi = random_protocol(rng, sc, max_depth=2)
             out = binarize(pi, sc)
             assert equivalent(pi, out, sc)
-            assert bit_probability_report(out, sc) == []
+            assert bit_probability_report(out) == []
 
 
 class TestStopAtC:
