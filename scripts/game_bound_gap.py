@@ -9,7 +9,6 @@ cap (a negative gap), since the cap is a theorem for this uniform secret.
 
 import argparse
 import random
-from fractions import Fraction
 
 from cryptogenography.game import best_upper_bound, succ_of_protocol
 from cryptogenography.probability import FiniteDist

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__, protocols
 from .coding import (
@@ -42,7 +43,68 @@ from .suspicion import check_general_upper_bound, check_round_decomposition, che
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The report text: byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=2, ensure_ascii=True)`` and a newline, written in one direct pass
+    (the stdlib writes indented JSON through its pure-Python encoder).
+
+    Reports are dicts with str keys, lists, tuples, str, int, float, bool
+    and None; anything else, a non-str key included, is a TypeError."""
+    parts = []
+    _encode(obj, parts.append, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(obj, emit, newline: str) -> None:
+    """Append ``obj`` as indented JSON; ``newline`` is the line break and
+    indent of the enclosing container's lines."""
+    if isinstance(obj, str):
+        emit(_encode_str(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            emit("NaN")
+        elif obj == math.inf:
+            emit("Infinity")
+        elif obj == -math.inf:
+            emit("-Infinity")
+        else:
+            emit(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _encode(item, emit, inner)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, not %s" % type(key).__name__)
+            emit(sep)
+            emit(_encode_str(key))
+            emit(": ")
+            _encode(obj[key], emit, inner)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _config_hash(command: str, config: dict) -> str:

@@ -148,10 +148,26 @@ class FiniteDist:
         if sum(ints) != den:
             total = Fraction(sum(ints), den)
             raise ValueError("probabilities must sum to exactly 1, got %s" % (total,))
+        self._fill(support, probs, ints)
+
+    def _fill(self, support: tuple, probs: tuple, ints: tuple) -> None:
+        # the one place a law's slots are set
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_ints", ints)
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(support)})
+
+    @classmethod
+    def _from_ints(cls, support: tuple, den: int, ints) -> "FiniteDist":
+        """The law ints[k] / den on ``support``, unchecked: for distinct
+        labels and ints >= 0 that sum to ``den`` by construction. The ints
+        over their gcd with ``den`` are what ``_over_lcm`` gives."""
+        g = math.gcd(den, *ints)
+        den //= g
+        ints = tuple(n // g for n in ints)
+        law = object.__new__(cls)
+        law._fill(support, tuple(Fraction(n, den) for n in ints), ints)
+        return law
 
     @classmethod
     def uniform(cls, labels: Iterable) -> "FiniteDist":
@@ -251,6 +267,9 @@ class JointDist:
             axis_supports = tuple(tuple(s) for s in axis_supports)
             for i, sup in enumerate(axis_supports):
                 labels = set(sup)
+                if len(labels) != len(sup):
+                    twice = next(lab for k, lab in enumerate(sup) if lab in sup[:k])
+                    raise ValueError("axis %s support repeats label %r" % (axes[i], twice))
                 missing = [lab for lab in seen[i] if lab not in labels]
                 if missing:
                     raise ValueError("axis %s support is missing labels %r" % (axes[i], missing))
@@ -319,7 +338,7 @@ class JointDist:
         acc = dict.fromkeys(support, 0)
         for key, n in nums.items():
             acc[key[i]] += n
-        return FiniteDist(support, tuple(Fraction(acc[s], den) for s in support))
+        return FiniteDist._from_ints(support, den, tuple(acc.values()))
 
     def condition(self, assignment: Mapping) -> "JointDist":
         """Condition on {axis == value}; returns a joint over the remaining axes."""

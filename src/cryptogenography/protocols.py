@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .probability import (
     FiniteDist,
@@ -43,8 +43,6 @@ from .probability import (
     _picker,
     _sample,
     as_probability,
-    fraction_to_jsonable,
-    fraction_from_jsonable,
     label_to_jsonable,
     label_from_jsonable,
 )
@@ -233,7 +231,12 @@ class ProtocolNode:
         return scale, ints[0], dict(zip(self.p_leak, ints[1:]))
 
     def to_jsonable(self) -> dict:
-        if all(_match_str_key(str(x)) == x for x in self.p_leak):
+        return self._jsonable({})
+
+    def _jsonable(self, read_back: dict) -> dict:
+        """``to_jsonable`` within one serialisation: ``read_back`` holds
+        ``_match_str_key`` of each secret's string form seen so far."""
+        if all(_memoised(read_back, str(x), _match_str_key) == x for x in self.p_leak):
             p_leak = {str(x): law.to_jsonable() for x, law in self.p_leak.items()}
         else:
             # some secret's string form reads back as another label
@@ -242,7 +245,7 @@ class ProtocolNode:
                 for x, law in self.p_leak.items()
             ]
         children = [
-            None if self.children[m] is None else self.children[m].to_jsonable()
+            None if self.children[m] is None else self.children[m]._jsonable(read_back)
             for m in self.alphabet
         ]
         if len({str(m) for m in self.alphabet}) == len(self.alphabet):
@@ -258,27 +261,61 @@ class ProtocolNode:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "ProtocolNode":
+        return cls._decoded(data, {}, {})
+
+    @classmethod
+    def _decoded(cls, data: Mapping, laws: dict, secrets: dict) -> "ProtocolNode":
+        """``from_jsonable`` within one tree load: ``laws`` holds the laws
+        decoded so far (``_decode_law``) and ``secrets`` the secret of each
+        p_leak key, so each distinct law and key is decoded once."""
         alphabet = tuple(label_from_jsonable(m) for m in data["alphabet"])
         leak_raw = data["p_leak"]
         if isinstance(leak_raw, list):
             pairs = ((label_from_jsonable(e["secret"]), e["law"]) for e in leak_raw)
         else:
-            pairs = ((_match_str_key(key), sub) for key, sub in leak_raw.items())
-        p_leak = {x: FiniteDist.from_jsonable(sub) for x, sub in pairs}
+            pairs = (
+                (_memoised(secrets, key, _match_str_key), sub) for key, sub in leak_raw.items()
+            )
+        p_leak = {x: _decode_law(sub, laws) for x, sub in pairs}
         subs = data["children"]
         if not isinstance(subs, list):
             subs = [subs[str(m)] for m in alphabet]
         children = {
-            m: None if sub is None else cls.from_jsonable(sub)
+            m: None if sub is None else cls._decoded(sub, laws, secrets)
             for m, sub in zip(alphabet, subs, strict=True)
         }
         return cls(
             _integral("protocol speaker", data["speaker"], True),
             alphabet,
-            FiniteDist.from_jsonable(data["p_innocent"]),
+            _decode_law(data["p_innocent"], laws),
             p_leak,
             children,
         )
+
+
+def _memoised(memo: dict, key, make):
+    """``make(key)``, made once per key of ``memo``."""
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = make(key)
+        return value
+
+
+def _decode_law(sub, laws: dict) -> FiniteDist:
+    """``FiniteDist.from_jsonable(sub)``, shared by every equal law of one
+    tree load (a ``FiniteDist`` is frozen). ``laws`` is keyed by the law's
+    ``repr``, which tells 1, 1.0 and True and a list and a tuple apart, and
+    a hit also needs content ``==`` to the cached one, in case a caller's
+    object has a repr it shares with other content. A law that fails to
+    decode is not cached."""
+    text = repr(sub)
+    hit = laws.get(text)
+    if hit is not None and hit[0] == sub:
+        return hit[1]
+    law = FiniteDist.from_jsonable(sub)
+    laws.setdefault(text, (sub, law))
+    return law
 
 
 def _match_str_key(key: str):
@@ -755,7 +792,10 @@ def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> Protoco
     sending 1."""
 
     def law(p):
-        return FiniteDist((0, 1), (1 - p, p))
+        num, den = p.numerator, p.denominator
+        if not 0 <= num <= den:
+            raise ValueError("bit probability must be in [0, 1], got %s" % (p,))
+        return FiniteDist._from_ints((0, 1), den, (den - num, num))
 
     leak = {x: law(p) for x, p in leak_one.items()}
     return ProtocolNode(speaker, (0, 1), law(p_one), leak, {0: child0, 1: child1})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import shlex
@@ -9,9 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cryptogenography import protocols
-from cryptogenography.cli import build_parser, main
+from cryptogenography.cli import _canonical_json, build_parser, main
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.embedding import InnocentChannel
 from cryptogenography.probability import FiniteDist
@@ -64,6 +67,43 @@ def decode_argv(tmp_path, name, book_json, messages, b, c):
     cb.write_text(json.dumps(book_json))
     tr.write_text(json.dumps({"messages": messages}))
     return ["decode", "--codebook", str(cb), "--transcript", str(tr), "--b", b, "--c", c]
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e300, 5e-324]),
+    st.text(),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @settings(deadline=None)
+    @given(JSON_TREES)
+    @example({"\u00e9\x00\n\u2028": [[], {}, ()], "": {"b": [{}], "a": -0.0}})
+    @example([math.nan, math.inf, -math.inf, 10**40, -(10**40), "\ud800\x7f"])
+    def test_writes_what_json_dumps_writes(self, obj):
+        expected = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        assert _canonical_json(obj) == expected
+
+    @pytest.mark.parametrize(
+        "obj", [{1: "a"}, {"a": {None: 1}}, [Fraction(1, 2)], {"a": {1, 2}}, b"x"]
+    )
+    def test_rejects_what_a_report_does_not_hold(self, obj):
+        with pytest.raises(TypeError):
+            _canonical_json(obj)
 
 
 class TestCapacity:
@@ -152,6 +192,22 @@ class TestVerify:
         out = tmp_path / "verify.json"
         assert run_cli(["verify", "--protocol", str(p), "--scenario", str(s)], out_path=out) == 0
         assert json.loads(out.read_text())["all_rounds_hold"] is True
+
+
+    def test_scenario_repeating_a_secret_label_is_rejected(self, window_files, tmp_path, capsys):
+        """A scenario file whose X support lists a label twice exits 2 in
+        verify and game alike, naming the axis and the label."""
+        protocol, _ = window_files
+        data = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2)).to_jsonable()
+        data["joint"]["axis_supports"] = [[0, 1, 1], [0, 1]]
+        scenario = tmp_path / "repeats.json"
+        scenario.write_text(json.dumps(data))
+        for command in ("verify", "game"):
+            out = tmp_path / ("%s.json" % command)
+            argv = [command, "--protocol", protocol, "--scenario", str(scenario)]
+            assert run_cli(argv, out_path=out) == 2
+            assert not out.exists()
+            assert capsys.readouterr().err == "error: axis X support repeats label 1\n"
 
 
 class TestLeak:

@@ -366,6 +366,31 @@ class TestJointDistIntForm:
         with pytest.raises(ValueError, match="missing labels"):
             JointDist(("X",), {(0,): 1}, axis_supports=((1,),), den=1)
 
+    @pytest.mark.parametrize("den", [None, 2])
+    def test_rejects_a_label_repeated_in_a_given_support(self, den):
+        table = {(0, "a"): 1, (1, "a"): 1} if den else {(0, "a"): F(1, 2), (1, "a"): F(1, 2)}
+        with pytest.raises(ValueError, match="axis Y support repeats label 'a'"):
+            JointDist(("X", "Y"), table, axis_supports=((0, 1), ("a", "b", "a")), den=den)
+
+    @pytest.mark.parametrize(
+        "nums, den",
+        [((0, 3, 3), 6), ((2, 4, 6), 12), ((1, 0), 1), ((5,), 5), ((3, 7), 10)],
+    )
+    def test_law_from_ints_is_the_fraction_built_law(self, nums, den):
+        support = tuple(range(len(nums)))
+        law = FiniteDist._from_ints(support, den, nums)
+        ref = FiniteDist(support, tuple(F(n, den) for n in nums))
+        assert law == ref
+        assert law._int_view() == ref._int_view()
+        assert law.prob(support[-1]) == ref.prob(support[-1])
+
+    def test_marginal_law_keeps_zero_mass_labels_and_reduces(self):
+        table = {(0, "a"): 2, (2, "a"): 2, (2, "b"): 4}
+        j = JointDist(("X", "Y"), table, axis_supports=((0, 1, 2), ("a", "b")), den=8)
+        law = j.marginal_dist("X")
+        ref = FiniteDist((0, 1, 2), (F(1, 4), F(0), F(3, 4)))
+        assert law == ref and law._int_view() == ref._int_view() == (4, (1, 0, 3))
+
 
 class TestAsProbability:
     def test_exact_fraction_comes_back_unchanged(self):

@@ -29,7 +29,7 @@ from cryptogenography.protocols import (
     validate,
 )
 
-from genutil import random_protocol, random_scenario
+from genutil import random_protocol
 
 F = Fraction
 
@@ -425,3 +425,71 @@ class TestProtocolJson:
         for _ in range(10):
             pi = random_protocol(rng, coin_scenario, max_depth=2)
             assert ProtocolTree.from_jsonable(pi.to_jsonable()) == pi
+
+    def test_equal_laws_load_as_one_object(self):
+        # every node holds its own law objects; a load shares the equal ones
+        def node(depth):
+            pairs = ((0, F(1, 3)), (1, F(2, 3)), (2, F(1, 2)))
+            p_leak = {x: FiniteDist((0, 1), (p, 1 - p)) for x, p in pairs}
+            children = {m: node(depth - 1) if depth else None for m in (0, 1)}
+            return ProtocolNode(1, (0, 1), FiniteDist.uniform((0, 1)), p_leak, children)
+
+        def laws(node):
+            if node is None:
+                return []
+            own = [node.p_innocent, *node.p_leak.values()]
+            return own + [law for child in node.children.values() for law in laws(child)]
+
+        pi = ProtocolTree(node(3))
+        assert len({id(law) for law in laws(pi.root)}) == 15 * 4
+        back = ProtocolTree.from_jsonable(json.loads(json.dumps(pi.to_jsonable())))
+        assert back == pi
+        assert laws(back.root) == laws(pi.root)
+        assert len({id(law) for law in laws(back.root)}) == 3
+
+    def test_repeated_invalid_law_raises_its_own_error(self):
+        bad = {"support": [0, 1], "probs": ["1/2", "1/4"]}
+        leaf = {"speaker": 1, "alphabet": [0, 1], "p_innocent": bad, "p_leak": {"0": bad}}
+        leaf["children"] = {"0": None, "1": None}
+        root = dict(leaf, children={"0": leaf, "1": leaf})
+        for data in (root, json.loads(json.dumps(root))):
+            with pytest.raises(ValueError, match="^probabilities must sum to exactly 1, got 3/4$"):
+                ProtocolTree.from_jsonable({"root": data})
+
+    def test_python_content_decodes_as_each_law_alone(self):
+        """A library caller's content decodes as when each law is read on
+        its own, also where its repr is that of another law."""
+
+        class Zero:
+            def __repr__(self):
+                return "0"
+
+        good = {"support": [0, 1], "probs": ["1/2", "1/2"]}
+        node = {"speaker": 1, "alphabet": [0, 1], "p_leak": {"0": good}, "children": [None, None]}
+        zero = Zero()
+        node["p_innocent"] = {"support": [zero, 1], "probs": ["1/2", "1/2"]}
+        assert ProtocolNode.from_jsonable(node).p_innocent.support == (zero, 1)
+        node["p_innocent"] = {"support": [([0],), 1], "probs": ["1/2", "1/2"]}
+        with pytest.raises(TypeError, match="unhashable"):
+            ProtocolNode.from_jsonable(node)
+        node["p_innocent"] = {"support": [0, 1], "probs": [F(1, 2), F(1, 2)]}
+        with pytest.raises(ValueError, match="cannot decode rational"):
+            ProtocolNode.from_jsonable(node)
+        node["p_innocent"] = {"support": (0, 1), "probs": ("1/2", "1/2")}
+        assert ProtocolNode.from_jsonable(node).p_innocent == FiniteDist.uniform((0, 1))
+
+    def test_secrets_sharing_a_string_form_in_different_nodes(self):
+        # each node decides its own p_leak form: 1 reads back from "1",
+        # True and "1" do not
+        law = FiniteDist.uniform((0, 1))
+        children = {0: leaf_node(1, law, {True: law}), 1: leaf_node(1, law, {"1": law})}
+        pi = ProtocolTree(ProtocolNode(1, (0, 1), law, {1: law}, children))
+        data = json.loads(json.dumps(pi.to_jsonable()))
+        assert data["root"]["p_leak"] == {"1": law.to_jsonable()}
+        for m, secret in (("0", True), ("1", "1")):
+            entry = data["root"]["children"][m]["p_leak"]
+            assert entry == [{"secret": secret, "law": law.to_jsonable()}]
+        back = ProtocolTree.from_jsonable(data)
+        assert back == pi
+        keys = [next(iter(back.root.children[m].p_leak)) for m in (0, 1)]
+        assert [type(k) for k in keys] == [bool, str]

@@ -6,7 +6,7 @@ import pytest
 
 from cryptogenography.coding import one_shot_joint, window_channel, window_protocol, window_scenario
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information
-from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree, enumerate_joint
+from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree
 from cryptogenography.suspicion import (
     SuspicionCertificate,
     check_general_upper_bound,
