@@ -193,7 +193,6 @@ class TestVerify:
         assert run_cli(["verify", "--protocol", str(p), "--scenario", str(s)], out_path=out) == 0
         assert json.loads(out.read_text())["all_rounds_hold"] is True
 
-
     def test_scenario_repeating_a_secret_label_is_rejected(self, window_files, tmp_path, capsys):
         """A scenario file whose X support lists a label twice exits 2 in
         verify and game alike, naming the axis and the label."""
