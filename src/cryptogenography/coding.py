@@ -518,6 +518,8 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     per-player posterior checks against c."""
     if trials < 0:
         raise ValueError("trials must be >= 0, got %d" % trials)
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
     ch = window_channel(b, c)
     rate = exact_rate(rate)
     h = rate * n
@@ -568,6 +570,8 @@ def fixed_two_group_run(
     """
     if trials < 0:
         raise ValueError("trials must be >= 0, got %d" % trials)
+    if n < 1 or not 0 <= l <= n:
+        raise ValueError("need n >= 1 and 0 <= l <= n, got l=%d, n=%d" % (l, n))
     c = as_probability(c)
     b = Fraction(l, n)
     if c_prime is None:

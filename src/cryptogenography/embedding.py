@@ -33,6 +33,7 @@ from .probability import (
     _integral,
     _over_lcm,
     _sample,
+    _unique,
     as_probability,
     fraction_from_jsonable,
     fraction_to_jsonable,
@@ -192,8 +193,13 @@ class InnocentChannel:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "InnocentChannel":
+        players = _integral("channel players", data["players"], True)
+
         def law_of(entry):
-            return _integral("channel player", entry["player"], True), FiniteDist(
+            player = _integral("channel player", entry["player"], True)
+            if not 1 <= player <= players:
+                raise ValueError("channel player %d is outside 1..%d" % (player, players))
+            return player, FiniteDist(
                 tuple(label_from_jsonable(m) for m in entry["alphabet"]),
                 tuple(fraction_from_jsonable(p) for p in entry["probs"]),
             )
@@ -201,11 +207,11 @@ class InnocentChannel:
         rounds = []
         for item in data["rounds"]:
             entries = item if isinstance(item, list) else [item]
-            rounds.append(dict(law_of(e) for e in entries))
+            rounds.append(_unique("channel round player", map(law_of, entries)))
         repeat = data.get("repeat", True)
         if not isinstance(repeat, bool):
             raise ValueError("channel repeat must be true or false, got %r" % (repeat,))
-        return cls(_integral("channel players", data["players"], True), tuple(rounds), repeat)
+        return cls(players, tuple(rounds), repeat)
 
 
 def f_partition(innocent_law: FiniteDist) -> dict:

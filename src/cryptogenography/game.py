@@ -21,14 +21,8 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .coding import fixed_capacity
-from .probability import LOG2_E, JointDist, as_probability, log2_fraction
-from .protocols import (
-    LeakScenario,
-    ProtocolTree,
-    _Tally,
-    _transcript_weights,
-    enumerate_joint,
-)
+from .probability import LOG2_E, JointDist, _picker, as_probability, log2_fraction
+from .protocols import LeakScenario, ProtocolTree, _Tally, enumerate_joint
 
 __all__ = [
     "GameValue",
@@ -67,6 +61,21 @@ class GameValue:
         }
 
 
+def _transcript_weights(joint: JointDist, n_players: int) -> dict:
+    """Group an (X, L1..Ln, T) joint's int view by transcript, in first-seen
+    order: t -> {(x, lvec): mass}, each mass an int over the joint's
+    denominator."""
+    x_idx = joint.axis_index("X")
+    lvec = _picker([joint.axis_index("L%d" % i) for i in range(1, n_players + 1)])
+    t_idx = joint.axis_index("T")
+    groups: dict = {}
+    for key, n in joint._int_view()[1].items():
+        slot = groups.setdefault(key[t_idx], {})
+        outcome = (key[x_idx], lvec(key))
+        slot[outcome] = slot.get(outcome, 0) + n
+    return groups
+
+
 def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
     """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly.
 
@@ -80,27 +89,21 @@ def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
     frank: dict = {}
     eve: dict = {}
     win_mass: dict = {}
+    players = range(1, n_players + 1)
     for t, weights in _transcript_weights(joint, n_players).items():
         tally = _Tally(weights)
-        best_val = None
-        best_x = None
-        best_eve = None
+        best_val = best_x = best_eve = None
         for x in x_support:
             mass = tally.x_mass.get(x)
             if not mass:
                 continue
-            worst_i = 1
-            worst_leak = 0
-            for i in range(1, n_players + 1):
-                leak = tally.leak_mass.get((i, x), 0)
-                if leak > worst_leak:
-                    worst_leak = leak
-                    worst_i = i
+            # Eve's pick: the most leaking mass, the lowest index on a tie
+            worst_leak, neg_i = max((tally.leak_mass.get((i, x), 0), -i) for i in players)
             val = mass - worst_leak
             if best_val is None or val > best_val:
                 best_val = val
                 best_x = x
-                best_eve = worst_i
+                best_eve = -neg_i
         frank[t] = best_x
         eve[t] = best_eve
         win_mass[t] = Fraction(best_val, den)

@@ -220,10 +220,10 @@ class JointDist:
     orderings.
 
     Built from Fractions (``den`` omitted), the entries are turned into
-    ints over the lcm of their denominators once, and the Fractions given
-    become the table. Built with ``den``, the ``table`` argument holds
-    non-negative Python ints over ``den``: this is how every derived joint
-    is made.
+    ints over the lcm of their denominators once; the Fractions given are
+    not kept, and the table is made from the ints on first read. Built with
+    ``den``, the ``table`` argument holds non-negative Python ints over
+    ``den``: this is how every derived joint is made.
     """
 
     __slots__ = ("axes", "axis_supports", "_axis_index", "_den", "_nums", "_table")
@@ -234,15 +234,12 @@ class JointDist:
             raise ValueError("axis names must be distinct")
         if not axes:
             raise ValueError("need at least one axis")
-        given = None
         if den is None:
-            given = [(tuple(key), as_probability(p)) for key, p in table.items()]
-            den, ints = _over_lcm([p for _, p in given])
-            items = [(key, n) for (key, _), n in zip(given, ints)]
+            den, ints = _over_lcm([as_probability(p) for p in table.values()])
+            table = dict(zip(table, ints))
         elif type(den) is not int or den < 1:
             raise ValueError("den must be a positive int, got %r" % (den,))
-        else:
-            items = [(tuple(key), n) for key, n in table.items()]
+        items = [(tuple(key), n) for key, n in table.items()]
         arity = len(axes)
         nums = {}
         for key, n in items:
@@ -278,7 +275,7 @@ class JointDist:
         self._axis_index = {a: i for i, a in enumerate(axes)}
         self._den = den
         self._nums = nums
-        self._table = None if given is None else {key: p for key, p in given if p}
+        self._table = None
 
     @property
     def table(self) -> dict:
@@ -313,9 +310,6 @@ class JointDist:
             return self._axis_index[axis]
         except KeyError:
             raise ValueError("unknown axis %r (have %r)" % (axis, self.axes)) from None
-
-    def outcomes(self):
-        return self.table.items()
 
     def prob_event(self, assignment: Mapping) -> Fraction:
         """Probability of the event {axis == value for every given axis}."""
@@ -396,10 +390,10 @@ class JointDist:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "JointDist":
-        table = {
-            tuple(label_from_jsonable(x) for x in row["key"]): fraction_from_jsonable(row["p"])
-            for row in data["table"]
-        }
+        def entry(row):
+            return tuple(map(label_from_jsonable, row["key"])), fraction_from_jsonable(row["p"])
+
+        table = _unique("joint table key", map(entry, data["table"]))
         supports = data.get("axis_supports")
         if supports is not None:
             supports = [[label_from_jsonable(x) for x in sup] for sup in supports]
@@ -512,6 +506,17 @@ def fraction_from_jsonable(data) -> Fraction:
     if isinstance(data, str) or (isinstance(data, int) and not isinstance(data, bool)):
         return Fraction(data)
     raise ValueError("cannot decode rational from %r" % (data,))
+
+
+def _unique(what: str, pairs) -> dict:
+    """dict(pairs), with a key given twice a ValueError naming it, not an
+    overwrite. Every reader of keyed rows builds its dict here."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError("%s %r appears twice" % (what, key))
+        out[key] = value
+    return out
 
 
 def _integral(what: str, value, floats: bool = False) -> int:

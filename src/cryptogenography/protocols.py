@@ -13,11 +13,12 @@ a scan makes is scale-free and decided by integer cross-multiplication; a
 ``Fraction`` is made only where a probability leaves the walk.
 
 The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
-``_Tally``: one pass over a prefix's weights (the walk's ints, or a
-JointDist's Fractions) sums the x-mass and the per-(player, x) leaking
+``_Tally``: one pass over a prefix's int weights (the walk's, or a
+JointDist's int view) sums the x-mass and the per-(player, x) leaking
 mass; ``posterior`` divides and ``compare`` cross-multiplies against a cap.
 ``posteriors``, ``safety_report``, the transformations and their checks
-here, and the game and the general upper bound elsewhere, all read it.
+here, and the game elsewhere, all read it. The largest posterior has one
+scan, ``safety_report``; the general upper bound reads its cap from there.
 
 Player indices are 1-based throughout, matching the axis names
 "L1".."Ln". Transcripts are plain tuples of message labels.
@@ -38,10 +39,9 @@ from .probability import (
     FiniteDist,
     JointDist,
     ZERO,
-    ONE,
     _integral,
-    _picker,
     _sample,
+    _unique,
     as_probability,
     label_to_jsonable,
     label_from_jsonable,
@@ -127,8 +127,8 @@ class LeakScenario:
 
     def outcomes(self):
         """Yield ((x, lvec), p) with lvec a tuple of 0/1, in canonical order."""
-        for key, p in self.joint.table.items():
-            yield (key[0], key[1:]), p
+        for outcome, w in self.weights.items():
+            yield outcome, Fraction(w, self.scale)
 
     def outcome_keys(self) -> tuple:
         return tuple(self.weights)
@@ -142,28 +142,23 @@ class LeakScenario:
         b = as_probability(b)
         if not 0 <= b <= 1:
             raise ValueError("b must be in [0, 1]")
-        table = {}
-        for x, px in x_dist.items():
-            for lvec in itertools.product((0, 1), repeat=n):
-                pl = ONE
-                for li in lvec:
-                    pl *= b if li else 1 - b
-                table[(x,) + lvec] = px * pl
-        axes = ("X",) + tuple("L%d" % i for i in range(1, n + 1))
-        supports = (x_dist.support,) + ((0, 1),) * n
-        return cls(n, JointDist(axes, table, axis_supports=supports))
+        lvecs = itertools.product((0, 1), repeat=n)
+        law = {lv: math.prod(b if li else 1 - b for li in lv) for lv in lvecs}
+        return cls._from_l_law(x_dist, n, law)
 
     @classmethod
     def fixed(cls, x_dist: FiniteDist, l: int, n: int) -> "LeakScenario":
         """X independent of L; the leaker set is a uniformly random l-subset of n."""
         if not 0 <= l <= n:
             raise ValueError("need 0 <= l <= n")
-        subsets = math.comb(n, l)
-        table = {}
-        for x, px in x_dist.items():
-            for ones in itertools.combinations(range(n), l):
-                lvec = tuple(1 if i in ones else 0 for i in range(n))
-                table[(x,) + lvec] = px / subsets
+        p = Fraction(1, math.comb(n, l))
+        lvecs = (tuple(int(i in s) for i in range(n)) for s in itertools.combinations(range(n), l))
+        return cls._from_l_law(x_dist, n, dict.fromkeys(lvecs, p))
+
+    @classmethod
+    def _from_l_law(cls, x_dist: FiniteDist, n: int, l_law: Mapping) -> "LeakScenario":
+        """X independent of L: Pr(X=x, L=lvec) = Pr(X=x) * l_law[lvec]."""
+        table = {(x,) + lv: px * pl for x, px in x_dist.items() for lv, pl in l_law.items()}
         axes = ("X",) + tuple("L%d" % i for i in range(1, n + 1))
         supports = (x_dist.support,) + ((0, 1),) * n
         return cls(n, JointDist(axes, table, axis_supports=supports))
@@ -276,7 +271,7 @@ class ProtocolNode:
             pairs = (
                 (_memoised(secrets, key, _match_str_key), sub) for key, sub in leak_raw.items()
             )
-        p_leak = {x: _decode_law(sub, laws) for x, sub in pairs}
+        p_leak = _unique("p_leak secret", ((x, _decode_law(sub, laws)) for x, sub in pairs))
         subs = data["children"]
         if not isinstance(subs, list):
             subs = [subs[str(m)] for m in alphabet]
@@ -504,19 +499,12 @@ class _Tally:
         return (lhs > rhs) - (lhs < rhs)
 
 
-def _transcript_weights(joint: JointDist, n_players: int) -> dict:
-    """Group an (X, L1..Ln, T) joint's int view by transcript, in first-seen
-    order: t -> {(x, lvec): mass}, each mass an int over the joint's
-    denominator."""
-    x_idx = joint.axis_index("X")
-    lvec = _picker([joint.axis_index("L%d" % i) for i in range(1, n_players + 1)])
-    t_idx = joint.axis_index("T")
-    groups: dict = {}
-    for key, n in joint._int_view()[1].items():
-        slot = groups.setdefault(key[t_idx], {})
-        outcome = (key[x_idx], lvec(key))
-        slot[outcome] = slot.get(outcome, 0) + n
-    return groups
+def _posterior_key(weights: Weights, keys: tuple) -> tuple:
+    """The weights over their gcd in the canonical outcome order ``keys``:
+    the one primitive int vector proportional to the posterior, so equal
+    keys are equal posteriors whatever the weights' scale."""
+    g = math.gcd(*weights.values())
+    return tuple(weights.get(k, 0) // g for k in keys)
 
 
 def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int] = None):
@@ -641,17 +629,15 @@ def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
 def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     """{primitive int vector: transcript mass} in first-seen order.
 
-    A terminal's weights over their gcd, in canonical outcome order, are the
-    one primitive int vector proportional to its posterior (as in stop_at_c's
-    memo), so equal keys are equal posteriors. Each key sums its terminals'
-    int masses over the lcm of their scales and makes one Fraction.
+    Each terminal is keyed by ``_posterior_key`` (as stop_at_c's memo is).
+    Each key sums its terminals' int masses over the lcm of their scales
+    and makes one Fraction.
     """
     keys = scenario.outcome_keys()
     sums: dict = {}
     for _prefix, node, weights, scale in iter_prefixes(tree, scenario):
         if node is None:
-            g = math.gcd(*weights.values())
-            key = tuple(weights.get(k, 0) // g for k in keys)
+            key = _posterior_key(weights, keys)
             mass = sum(weights.values())
             if key in sums:
                 total, den = sums[key]
@@ -709,11 +695,11 @@ def safety_report(
     budget: Optional[int] = None,
 ) -> SafetyReport:
     """Check Pr(L_i=1 | T=t, X=x) <= c over all complete transcripts
-    (and optionally all prefixes) with positive probability, exactly."""
+    (and optionally all prefixes) with positive probability, exactly: one
+    scan finds the exact maximum, which is then compared with c once."""
     c = as_probability(c)
     best = ZERO
     witness = None
-    ok = True
     for prefix, node, weights, _scale in iter_prefixes(tree, scenario, budget):
         if node is not None and not include_prefixes:
             continue
@@ -722,9 +708,7 @@ def safety_report(
             if tally.compare(i, x, best) == 1:
                 best = tally.posterior(i, x)
                 witness = (i, prefix, x)
-            if tally.compare(i, x, c) == 1:
-                ok = False
-    return SafetyReport(ok, best, witness)
+    return SafetyReport(best <= c, best, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +928,7 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
     max_gadgets = MAX_GADGETS
     gadgets_left = [max_gadgets]
     states = _StateBudget(None)
-    outcome_order = scenario.outcome_keys()
+    keys = scenario.outcome_keys()
     memo: dict = {}
 
     def transform(node, weights, landed, tally=None):
@@ -953,11 +937,10 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
             return node
         if len(node.alphabet) != 2:
             raise ValueError("stop_at_c requires binary messages; run binarize first")
-        # posteriors only depend on weights up to scale, so the weights over
-        # their gcd key a memo that collapses the gadget's shared subtrees;
-        # each entry holds its node so that the id cannot be reused
-        g = math.gcd(*weights.values())
-        key = (id(node), landed, tuple(weights.get(k, 0) // g for k in outcome_order))
+        # posteriors only depend on weights up to scale, so the posterior key
+        # keys a memo that collapses the gadget's shared subtrees; each entry
+        # holds its node so that the id cannot be reused
+        key = (id(node), landed, _posterior_key(weights, keys))
         if key in memo:
             return memo[key][1]
         source = node

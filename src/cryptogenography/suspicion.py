@@ -18,7 +18,6 @@ from typing import Mapping, Optional, Sequence
 from .probability import (
     FiniteDist,
     JointDist,
-    ZERO,
     as_probability,
     _log2_ratio,
     _picker,
@@ -32,9 +31,9 @@ from .protocols import (
     ProtocolTree,
     _Tally,
     _player_secret_pairs,
-    _transcript_weights,
     enumerate_joint,
     iter_prefixes,
+    safety_report,
 )
 
 __all__ = [
@@ -366,7 +365,8 @@ def check_general_upper_bound(
 
     Premise: Pr(L_i=1 | X=x) is one constant b across players and secrets.
     The cap c is the largest complete-transcript posterior
-    Pr(L_i=1 | T=t, X=x), so every posterior is at most c by construction.
+    Pr(L_i=1 | T=t, X=x), read from ``safety_report``'s scan, so every
+    posterior is at most c by construction.
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
@@ -376,19 +376,14 @@ def check_general_upper_bound(
         bx = prior.posterior(i, x)
         if bx is None:
             continue
-        if b is None:
-            b = bx
-        elif bx != b:
+        if b is not None and bx != b:
             raise ValueError(
                 "premise violated: Pr(L_i=1|X=x) is not constant (player %d, X=%r)" % (i, x)
             )
+        b = bx
     if b is None or b == 0:
         raise ValueError("premise violated: no leaking mass")
-    c = ZERO
-    for weights in _transcript_weights(joint, n).values():
-        tally = _Tally(weights)
-        for pair in tally.leak_mass:
-            c = max(c, tally.posterior(*pair))
+    c = safety_report(tree, scenario, 1, budget=budget).max_posterior
     bound = general_upper_bound(b, c, n)
     mi = mutual_information(joint, "X", "T")
     return GeneralBoundCheck(b, c, n, bound, mi)

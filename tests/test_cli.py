@@ -208,6 +208,19 @@ class TestVerify:
             assert not out.exists()
             assert capsys.readouterr().err == "error: axis X support repeats label 1\n"
 
+    def test_scenario_repeating_a_table_key_is_rejected(self, window_files, tmp_path, capsys):
+        """A scenario table row whose key an earlier row already gave exits
+        2 naming the key, rather than replacing the earlier row's mass."""
+        protocol, _ = window_files
+        data = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2)).to_jsonable()
+        data["joint"]["table"][1]["key"] = data["joint"]["table"][0]["key"]
+        scenario = tmp_path / "repeats.json"
+        scenario.write_text(json.dumps(data))
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--protocol", protocol, "--scenario", str(scenario)], out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: joint table key (0, 0) appears twice\n"
+
 
 class TestLeak:
     def test_rate_zero_no_errors(self, tmp_path):
@@ -254,6 +267,23 @@ class TestLeak:
         out = tmp_path / "leak.json"
         assert run_cli(["leak"] + mode + ["--n", "20", "--trials", "-3"], out_path=out) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mode", "fixed", "--n", "0"], "need n >= 1 and 0 <= l <= n, got l=0, n=0"),
+            (["--mode", "fixed", "--l", "-1", "--n", "10"], "need n >= 1 and 0 <= l <= n, got l=-1, n=10"),
+            (["--mode", "fixed", "--l", "11", "--n", "10"], "need n >= 1 and 0 <= l <= n, got l=11, n=10"),
+            (["--mode", "indep", "--n", "-3"], "n must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_crowd_sizes_are_named(self, tmp_path, capsys, argv, message):
+        """A crowd size or leaker count out of range exits 2 with a message
+        that names the values."""
+        out = tmp_path / "leak.json"
+        assert run_cli(["leak"] + argv + ["--trials", "2"], out_path=out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_fixed_mode(self, tmp_path):
         out = tmp_path / "fixed.json"

@@ -644,6 +644,21 @@ class TestChannelJson:
         with pytest.raises(ValueError, match="channel %s must be an integer" % path[-1]):
             InnocentChannel.from_jsonable(data)
 
+    def test_player_named_twice_in_a_round_is_rejected(self):
+        # the second law would otherwise replace the first
+        data = InnocentChannel.iid_uniform(2, (0, 1)).to_jsonable()
+        data["rounds"][0][1]["player"] = 1
+        with pytest.raises(ValueError, match="^channel round player 1 appears twice$"):
+            InnocentChannel.from_jsonable(data)
+
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_player_outside_the_crowd_is_rejected(self, player):
+        # such a law would otherwise be kept and never read
+        data = InnocentChannel.iid_uniform(2, (0, 1)).to_jsonable()
+        data["rounds"][0][1]["player"] = player
+        with pytest.raises(ValueError, match="^channel player %d is outside 1..2$" % player):
+            InnocentChannel.from_jsonable(data)
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_repeat_must_be_a_json_boolean(self, value):
         data = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), True).to_jsonable()

@@ -285,6 +285,14 @@ class TestJointDist:
         assert back.axis_supports == ((0, 1), (0, 1))
         assert back.marginal_dist("A").support == (0, 1)
 
+    def test_json_rejects_a_repeated_key(self):
+        # the repeated row would otherwise overwrite the first and the law
+        # read back as {0: 1/2, 1: 1/2}
+        row = {"key": [0], "p": "1/2"}
+        data = {"axes": ["X"], "table": [row, row, {"key": [1], "p": "1/2"}]}
+        with pytest.raises(ValueError, match=r"^joint table key \(0,\) appears twice$"):
+            JointDist.from_jsonable(data)
+
     def test_json_omits_supports_the_table_implies(self):
         j = JointDist(("X", "Y"), {(0, "a"): F(1, 4), (1, "b"): F(3, 4)})
         assert "axis_supports" not in j.to_jsonable()
@@ -336,10 +344,24 @@ class TestJointDistIntForm:
         assert j.table == {(1,): F(1)}
         assert j.axis_supports == ((0, 1),)
 
-    def test_fraction_input_becomes_the_table(self):
-        p, q = F(1, 3), F(2, 3)
-        j = JointDist(("X",), {(0,): p, (1,): q})
-        assert all(a is b for a, b in zip(j.table.values(), (p, q), strict=True))
+    def test_fraction_input_table_is_made_on_first_read(self):
+        j = JointDist(("X",), {(2,): F(2, 6), (0,): F(0), (1,): F(2, 3)})
+        assert j._table is None
+        assert list(j.table.items()) == [((2,), F(1, 3)), ((1,), F(2, 3))]
+        assert j._table is j.table
+
+    def test_loaded_scenario_keeps_no_table_until_read(self):
+        from cryptogenography.protocols import LeakScenario, ProtocolTree, simulate
+
+        made = LeakScenario.fixed(FiniteDist((0, 1, 2), (F(1, 6), F(1, 3), F(1, 2))), 1, 2)
+        sc = LeakScenario.from_jsonable(made.to_jsonable())
+        assert sc.joint._table is None
+        outcomes = [((key[0], key[1:]), p) for key, p in made.joint.table.items()]
+        assert list(sc.outcomes()) == outcomes
+        draws = {simulate(ProtocolTree(None), sc, seed)[:2] for seed in range(20)}
+        assert draws <= set(dict(outcomes))
+        assert sc.joint._table is None
+        assert sc == made and sc.joint._table is not None
 
     @pytest.mark.parametrize("entry", [True, F(1), 1.0, np.int64(1)], ids=["bool", "fraction", "float", "numpy"])
     def test_rejects_entries_that_are_not_python_ints(self, entry):

@@ -29,7 +29,7 @@ from cryptogenography.protocols import (
     validate,
 )
 
-from genutil import random_protocol
+from genutil import random_protocol, random_scenario
 
 F = Fraction
 
@@ -329,6 +329,32 @@ class TestScanBudgets:
                 transform(pi, sc, F(2, 3))
 
 
+class TestSafetyReport:
+    @pytest.mark.parametrize("include_prefixes", [False, True])
+    def test_ok_is_the_exact_maximum_against_c(self, include_prefixes):
+        """The maximum is the largest posterior of the scanned prefixes, its
+        witness attains it, and ok is max_posterior <= c: true at the
+        maximum and a hair above it, false a hair below."""
+        rng = random.Random(20)
+        hair = F(1, 10**12)
+        for _ in range(12):
+            n = rng.randrange(1, 4)
+            sc = random_scenario(rng, n_players=n, n_x=rng.randrange(1, 4))
+            pi = random_protocol(rng, sc, max_depth=3, non_revealing_only=rng.random() < 0.5)
+            report = safety_report(pi, sc, F(1, 2), include_prefixes)
+            best = report.max_posterior
+            scanned = [p for p, node, _w, _s in iter_prefixes(pi, sc) if include_prefixes or node is None]
+            views = {p: posteriors(pi, sc, p).leak_probs_given_x for p in scanned}
+            assert best == max(max(v) for view in views.values() for v in view.values())
+            if best == 0:
+                assert report.witness is None
+                continue
+            i, prefix, x = report.witness
+            assert views[prefix][x][i - 1] == best
+            for c, ok in ((best, True), (best + hair, True), (best - hair, False)):
+                assert safety_report(pi, sc, c, include_prefixes).ok is ok
+
+
 class TestPosteriors:
     def test_empty_prefix_is_prior(self, coin_scenario):
         rng = random.Random(2)
@@ -446,6 +472,19 @@ class TestProtocolJson:
         assert back == pi
         assert laws(back.root) == laws(pi.root)
         assert len({id(law) for law in laws(back.root)}) == 3
+
+    @pytest.mark.parametrize("form", ["list", "object"])
+    def test_secret_named_twice_is_rejected(self, form):
+        # the second law would otherwise replace the first
+        laws = [{"support": [0, 1], "probs": [p, 1 - p]} for p in (0, 1)]
+        if form == "list":
+            p_leak = [{"secret": 1, "law": law} for law in laws]
+        else:
+            p_leak = dict(zip(("1", "01"), laws))
+        leaf = {"speaker": 1, "alphabet": [0, 1], "p_innocent": laws[0], "p_leak": p_leak}
+        leaf["children"] = [None, None]
+        with pytest.raises(ValueError, match="^p_leak secret 1 appears twice$"):
+            ProtocolTree.from_jsonable({"root": leaf})
 
     def test_repeated_invalid_law_raises_its_own_error(self):
         bad = {"support": [0, 1], "probs": ["1/2", "1/4"]}

@@ -6,7 +6,7 @@ import pytest
 
 from cryptogenography.coding import one_shot_joint, window_channel, window_protocol, window_scenario
 from cryptogenography.probability import FiniteDist, JointDist, mutual_information
-from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree
+from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree, enumerate_joint
 from cryptogenography.suspicion import (
     SuspicionCertificate,
     check_general_upper_bound,
@@ -19,7 +19,7 @@ from cryptogenography.suspicion import (
     suspicion_point,
 )
 
-from genutil import random_protocol, random_scenario, random_single_message_model
+from genutil import random_protocol, random_rational_dist, random_scenario, random_single_message_model
 
 F = Fraction
 
@@ -298,6 +298,26 @@ class TestGeneralUpperBound:
         assert check.b == F(1, 2)
         assert check.c == F(2, 3)
         assert check.mi_bits == pytest.approx(check.bound_bits, abs=1e-9)
+
+    def test_cap_is_the_largest_transcript_posterior(self):
+        """c is the largest Pr(L_i=1 | T=t, X=x) over the enumerated joint's
+        positive (t, x), on seeded random protocols."""
+        rng = random.Random(20)
+        for _ in range(12):
+            n = rng.randrange(1, 4)
+            x_dist = random_rational_dist(rng, range(rng.randrange(1, 4)))
+            sc = LeakScenario.independent(x_dist, n, F(rng.randrange(1, 8), 8))
+            # non-revealing, so every posterior and the cap stay below 1
+            pi = random_protocol(rng, sc, max_depth=3)
+            joint = enumerate_joint(pi, sc)
+            reference = max(
+                joint.condition({"T": t, "X": x}).prob_event({"L%d" % i: 1})
+                for t in joint.axis_supports[joint.axis_index("T")]
+                for x in sc.x_support
+                if joint.prob_event({"T": t, "X": x})
+                for i in range(1, n + 1)
+            )
+            assert check_general_upper_bound(pi, sc).c == reference
 
     def test_premise_checker_rejects_nonconstant_prior(self):
         # two players with different leak priors
