@@ -44,12 +44,12 @@ from .suspicion import (
     check_round_decomposition,
     general_upper_bound,
     check_general_upper_bound,
+    indep_capacity,
+    fixed_capacity,
 )
 from .coding import (
     WindowChannel,
     window_channel,
-    indep_capacity,
-    fixed_capacity,
     leak_message,
     posterior_leak,
     random_codebook,

@@ -45,16 +45,14 @@ import numpy as np
 from .probability import (
     FiniteDist,
     JointDist,
-    LOG2_E,
     ZERO,
     _integral,
     as_probability,
     fraction_to_jsonable,
-    log2_fraction,
 )
 from .protocols import LeakScenario, ProtocolNode, ProtocolTree
 from .seeds import AUX_STREAM_OFFSET, derive_seed
-from .suspicion import general_upper_bound
+from .suspicion import fixed_capacity, indep_capacity
 
 __all__ = [
     "WindowChannel",
@@ -134,21 +132,6 @@ def window(ch: WindowChannel, x_symbol: int) -> tuple:
 
 def in_window(ch: WindowChannel, message: int, x_symbol: int) -> bool:
     return (message - 1 - (x_symbol - 1) * ch.a) % ch.d < ch.a
-
-
-def indep_capacity(b, c) -> float:
-    """Safe per-player capacity (-b log(1-c) + c log(1-b)) / c bits; 0 at b=c.
-    This is the one-player case of ``suspicion.general_upper_bound``."""
-    return general_upper_bound(b, c, 1)
-
-
-def fixed_capacity(c) -> float:
-    """Per-leaker capacity -log(1-c)/c - log(e) bits when only the leaker
-    count is bounded and the crowd can grow without limit."""
-    c = as_probability(c)
-    if not 0 < c < 1:
-        raise ValueError("need 0 < c < 1, got c=%s" % (c,))
-    return -log2_fraction(1 - c) / float(c) - LOG2_E
 
 
 def leak_message(x_symbol, leaking, ch: WindowChannel, rng):

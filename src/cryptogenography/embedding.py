@@ -159,6 +159,13 @@ class InnocentChannel:
 
     _SILENT = FiniteDist((NO_MESSAGE,), (ONE,))
 
+    def __post_init__(self):
+        n = self.n_players
+        for table in self.rounds:
+            for player in table:
+                if not 1 <= player <= n:
+                    raise ValueError("channel player %d is outside 1..%d" % (player, n))
+
     def law(self, player: int, round_index: int) -> FiniteDist:
         if not 1 <= player <= self.n_players:
             raise ValueError("player %d out of range" % player)
@@ -196,10 +203,7 @@ class InnocentChannel:
         players = _integral("channel players", data["players"], True)
 
         def law_of(entry):
-            player = _integral("channel player", entry["player"], True)
-            if not 1 <= player <= players:
-                raise ValueError("channel player %d is outside 1..%d" % (player, players))
-            return player, FiniteDist(
+            return _integral("channel player", entry["player"], True), FiniteDist(
                 tuple(label_from_jsonable(m) for m in entry["alphabet"]),
                 tuple(fraction_from_jsonable(p) for p in entry["probs"]),
             )
@@ -504,9 +508,8 @@ def equivalence_audit(
         entries = {}
         for (x, lvec), w in base.items():
             if lvec[node.speaker - 1]:
-                for a, q in zip(node.alphabet, leak[x]):
-                    if q:
-                        entries[(x, lvec, a)] = w * q
+                for a, q in leak[x]:
+                    entries[(x, lvec, a)] = w * q
             else:
                 entries[(x, lvec, None)] = w * law_scale
         return entries, den * law_scale

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .coding import fixed_capacity
 from .probability import LOG2_E, JointDist, _picker, as_probability, log2_fraction
 from .protocols import LeakScenario, ProtocolTree, _Tally, enumerate_joint
+from .suspicion import fixed_capacity
 
 __all__ = [
     "GameValue",
@@ -161,7 +161,7 @@ def asymptotic_upper(r: float) -> float:
 
 def asymptotic_lower_rate(p) -> float:
     """Bits per leaker at which the group still wins with probability p:
-    (-log p)/(1-p) - log e, which is ``coding.fixed_capacity`` at cap
+    (-log p)/(1-p) - log e, which is ``suspicion.fixed_capacity`` at cap
     c = 1 - p."""
     p = as_probability(p)
     if not 0 < p < 1:

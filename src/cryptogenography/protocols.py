@@ -8,9 +8,10 @@ that a (protocol, scenario) pair induces.
 
 The exact walk carries joint masses as ints over an implicit per-prefix
 scale: a child's weights are the parent's times the node's ``int_laws``
-(each probability times the lcm of the node's law denominators). Every test
-a scan makes is scale-free and decided by integer cross-multiplication; a
-``Fraction`` is made only where a probability leaves the walk.
+(each probability times the lcm of the node's law denominators), and
+``_children`` expands a node into every message's child in one pass. Every
+test a scan makes is scale-free and decided by integer cross-multiplication;
+a ``Fraction`` is made only where a probability leaves the walk.
 
 The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
 ``_Tally``: one pass over a prefix's int weights (the walk's, or a
@@ -213,16 +214,24 @@ class ProtocolNode:
 
     @cached_property
     def int_laws(self) -> tuple:
-        """(scale, innocent, {secret: leak}): each law as ints in alphabet order,
-        every probability times ``scale``, the lcm of the node's denominators.
-        Each law's int view is scaled up; a label outside a law's support is
-        a ValueError (from ``tuple.index``)."""
+        """(scale, innocent, {secret: leak}): each law as its (message, q)
+        pairs with q > 0 in the law's support order, q the probability times
+        ``scale``, the lcm of the node's denominators. The one int form of a
+        node's laws. A law whose support lacks an alphabet label, or that
+        puts mass on a label outside the alphabet, is a ValueError."""
         laws = (self.p_innocent, *self.p_leak.values())
-        views = [(law.support.index, *law._int_view()) for law in laws]
-        scale = math.lcm(*(den for _, den, _ in views))
-        ints = [
-            tuple(nums[pos(m)] * (scale // den) for m in self.alphabet) for pos, den, nums in views
-        ]
+        scale = math.lcm(*(law._int_view()[0] for law in laws))
+        ints = []
+        for law in laws:
+            for m in self.alphabet:
+                if m not in law.support:
+                    raise ValueError("alphabet label %r is not in a law's support" % (m,))
+            den, nums = law._int_view()
+            up = scale // den
+            for m, n in zip(law.support, nums):
+                if n and m not in self.alphabet:
+                    raise ValueError("a law puts mass on %r, which is not in the alphabet" % (m,))
+            ints.append(tuple((m, n * up) for m, n in zip(law.support, nums) if n))
         return scale, ints[0], dict(zip(self.p_leak, ints[1:]))
 
     def to_jsonable(self) -> dict:
@@ -420,18 +429,18 @@ def non_revealing(tree: ProtocolTree, scenario: LeakScenario) -> bool:
 Weights = Mapping
 
 
-def _descend(node: ProtocolNode, weights: dict, m) -> dict:
-    """The weights after message m, at the parent's scale times the node's."""
+def _children(node: ProtocolNode, weights: dict) -> dict:
+    """{message: the weights after it} for every alphabet message, at the
+    parent's scale times the node's, from one pass over the weights. A
+    message no outcome can send maps to {}; each child keeps the parent's
+    key order."""
     _scale, innocent, leak = node.int_laws
-    j = node.alphabet.index(m)
-    q_innocent = innocent[j]
     speaker = node.speaker - 1
-    out = {}
+    out = {m: {} for m in node.alphabet}
     try:
-        for (x, lvec), w in weights.items():
-            q = leak[x][j] if lvec[speaker] else q_innocent
-            if q:
-                out[(x, lvec)] = w * q
+        for key, w in weights.items():
+            for m, q in leak[key[0]] if key[1][speaker] else innocent:
+                out[m][key] = w * q
     except KeyError as exc:
         raise ValueError("node has no leak law for secret %r" % exc.args) from None
     return out
@@ -527,10 +536,10 @@ def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[i
         if node is None:
             continue
         child_scale = scale * node.int_laws[0]
+        children = _children(node, weights)
         for m in reversed(node.alphabet):
-            w2 = _descend(node, weights, m)
-            if w2:
-                stack.append((prefix + (m,), node.children[m], w2, child_scale))
+            if children[m]:
+                stack.append((prefix + (m,), node.children[m], children[m], child_scale))
 
 
 def enumerate_joint(
@@ -574,7 +583,7 @@ def _weights_at_prefix(tree: ProtocolTree, scenario: LeakScenario, prefix: tuple
             raise ValueError("prefix %r runs past the end of the protocol" % (prefix,))
         if m not in node.children:
             raise ValueError("message %r not in alphabet at this node" % (m,))
-        weights = _descend(node, weights, m)
+        weights = _children(node, weights).get(m)
         if not weights:
             raise ValueError("prefix %r has probability zero" % (prefix,))
         node = node.children[m]
@@ -957,10 +966,9 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
             node = _insert_gadget(node, tally, found, below, c)
         # reuse the final node's children where _first_problem descended
         # and tallied them
-        children = {}
-        for m in node.alphabet:
-            child_weights, child_tally = below[m] if below else (_descend(node, weights, m), None)
-            children[m] = transform(node.children[m], child_weights, landed, child_tally)
+        if below is None:
+            below = {m: (w, None) for m, w in _children(node, weights).items()}
+        children = {m: transform(node.children[m], w, landed, t) for m, (w, t) in below.items()}
         result = replace(node, children=children)
         memo[key] = (source, result)
         return result
@@ -982,10 +990,7 @@ def _first_problem(node, weights, tally, pairs, c, landed):
         if now is None or now >= 0:
             continue
         if below is None:
-            below = {}
-            for m in node.alphabet:
-                child_weights = _descend(node, weights, m)
-                below[m] = (child_weights, _Tally(child_weights))
+            below = {m: (w, _Tally(w)) for m, w in _children(node, weights).items()}
         for m, (_w, child) in below.items():
             if child.compare(i, x, c) == 1:
                 return (i, x, m), below
@@ -1055,7 +1060,7 @@ def _ignorance_walk(tree: ProtocolTree, scenario: LeakScenario, c_prime: Fractio
         states.charge(weights)
         if node is None:
             return None
-        child_weights = {m: _descend(node, weights, m) for m in node.alphabet}
+        child_weights = _children(node, weights)
         tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
         switch = {}
         for x, off in ignoring.items():

@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence
 from .probability import (
     FiniteDist,
     JointDist,
+    LOG2_E,
     as_probability,
     _log2_ratio,
     _picker,
@@ -46,6 +47,8 @@ __all__ = [
     "check_round_decomposition",
     "RoundCheck",
     "general_upper_bound",
+    "indep_capacity",
+    "fixed_capacity",
     "check_general_upper_bound",
     "SLACK_TOL",
 ]
@@ -245,51 +248,34 @@ def check_round_decomposition(
     for prefix, node, weights, _scale in iter_prefixes(tree, scenario, budget):
         if node is None:
             continue
-        laws = _int_law_items(node)
-        speaker = node.speaker
-        speaker_joint = _node_message_joint(node, laws, weights, speaker)
-        speaker_cert = check_single_message(speaker_joint)
-        listeners = {}
-        for j in range(1, scenario.n_players + 1):
-            if j == speaker:
-                continue
-            lj = _node_message_joint(node, laws, weights, j)
-            listeners[j] = check_listener_monotone(lj, "L", ("X",), "A")
-        checks.append(RoundCheck(prefix, speaker, speaker_cert, listeners))
+        joints = _node_message_joints(node, weights, scenario.n_players)
+        speaker_cert = check_single_message(joints.pop(node.speaker))
+        listeners = {
+            j: check_listener_monotone(joint, "L", ("X",), "A") for j, joint in joints.items()
+        }
+        checks.append(RoundCheck(prefix, node.speaker, speaker_cert, listeners))
     return checks
 
 
-def _int_law_items(node) -> tuple:
-    """(innocent, {secret: leak}): each law as (message, q) pairs in its
-    support order, zeros dropped, q the law's int view scaled up to the
-    node's ``int_laws`` scale."""
-    scale = node.int_laws[0]
-
-    def items(law):
-        den, ints = law._int_view()
-        return tuple((a, n * (scale // den)) for a, n in zip(law.support, ints) if n)
-
-    return items(node.p_innocent), {x: items(law) for x, law in node.p_leak.items()}
-
-
-def _node_message_joint(node, laws, weights, player) -> JointDist:
-    """Joint of (X, L_player, next message) conditioned on the current prefix.
-
-    Reads the walk's int weights and the node's int laws (``_int_law_items``):
-    each cell is sum w*q over (sum of the weights) * the node's law scale."""
-    innocent, leak = laws
-    den = sum(weights.values()) * node.int_laws[0]
+def _node_message_joints(node, weights, n_players) -> dict:
+    """{player: joint of (X, L_player, next message)} conditioned on the
+    current prefix, every table filled in one pass over the walk's int
+    weights and the node's ``int_laws``: each cell is sum w*q over (sum of
+    the weights) * the node's law scale."""
+    scale, innocent, leak = node.int_laws
+    den = sum(weights.values()) * scale
     speaker = node.speaker - 1
-    table: dict = {}
+    tables = [{} for _ in range(n_players)]
     try:
         for (x, lvec), w in weights.items():
-            li = lvec[player - 1]
             for a, q in leak[x] if lvec[speaker] else innocent:
-                key = (x, li, a)
-                table[key] = table.get(key, 0) + w * q
+                wq = w * q
+                for li, table in zip(lvec, tables):
+                    key = (x, li, a)
+                    table[key] = table.get(key, 0) + wq
     except KeyError as exc:
         raise ValueError("node has no leak law for secret %r" % exc.args) from None
-    return JointDist(("X", "L", "A"), table, den=den)
+    return {j: JointDist(("X", "L", "A"), table, den=den) for j, table in enumerate(tables, 1)}
 
 
 def check_transcript_bound(
@@ -331,6 +317,21 @@ def general_upper_bound(b, c, n: int) -> float:
         raise ValueError("need 0 < b <= c < 1, got b=%s c=%s" % (b, c))
     per_player = (-float(b) * log2_fraction(1 - c) + float(c) * log2_fraction(1 - b)) / float(c)
     return per_player * n
+
+
+def indep_capacity(b, c) -> float:
+    """Safe per-player capacity (-b log(1-c) + c log(1-b)) / c bits; 0 at b=c.
+    This is the one-player case of ``general_upper_bound``."""
+    return general_upper_bound(b, c, 1)
+
+
+def fixed_capacity(c) -> float:
+    """Per-leaker capacity -log(1-c)/c - log(e) bits when only the leaker
+    count is bounded and the crowd can grow without limit."""
+    c = as_probability(c)
+    if not 0 < c < 1:
+        raise ValueError("need 0 < c < 1, got c=%s" % (c,))
+    return -log2_fraction(1 - c) / float(c) - LOG2_E
 
 
 @dataclass

@@ -659,6 +659,13 @@ class TestChannelJson:
         with pytest.raises(ValueError, match="^channel player %d is outside 1..2$" % player):
             InnocentChannel.from_jsonable(data)
 
+    @pytest.mark.parametrize("player", [0, 3])
+    def test_constructor_rejects_a_player_outside_the_crowd(self, player):
+        # the constructor and the reader share one check
+        law = FiniteDist.uniform((0, 1))
+        with pytest.raises(ValueError, match="^channel player %d is outside 1..2$" % player):
+            InnocentChannel(2, ({1: law}, {player: law}))
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_repeat_must_be_a_json_boolean(self, value):
         data = InnocentChannel(2, ({1: FiniteDist.uniform((0, 1))},), True).to_jsonable()

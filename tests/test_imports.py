@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and the
+exact layer does not import the coding or embedding layers.
 
 Each module of the package (``__init__`` re-exports, so it is left out) and
 each script is parsed, and an imported name counts as used when the module
@@ -58,3 +59,44 @@ def test_the_scan_flags_a_name_read_nowhere():
         "x = as_probability(np.int64(1)) + len(os.path.sep)\n"
     )
     assert unused_imports(source) == ["ZERO"]
+
+
+# the exact layer: it reads neither the window codes nor the embedding
+EXACT_LAYER = ("probability", "protocols", "suspicion", "game")
+
+
+def imported_modules(source: str) -> set:
+    """The first component of every module ``source`` imports, anywhere in
+    it, with the package prefix and relative dots dropped; ``from X import
+    y`` also counts ``X.y``, which catches ``from . import coding``."""
+    paths = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            paths += [base] + ["%s.%s" % (base, a.name) for a in node.names]
+    found = set()
+    for path in paths:
+        path = path.lstrip(".").removeprefix("cryptogenography").lstrip(".")
+        if path:
+            found.add(path.partition(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("name", EXACT_LAYER)
+def test_the_exact_layer_imports_no_coding_or_embedding(name):
+    source = (ROOT / "src" / "cryptogenography" / (name + ".py")).read_text()
+    assert imported_modules(source) & {"coding", "embedding"} == set()
+
+
+def test_the_layer_scan_sees_every_import_form():
+    source = (
+        "from .coding import fixed_capacity\n"
+        "from . import embedding\n"
+        "import cryptogenography.cli\n"
+        "from cryptogenography import seeds\n"
+        "def f():\n"
+        "    from .game import succ_of_protocol\n"
+    )
+    assert {"coding", "embedding", "cli", "seeds", "game"} <= imported_modules(source)

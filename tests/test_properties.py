@@ -39,14 +39,14 @@ from cryptogenography.protocols import (
     ProtocolNode,
     ProtocolTree,
     _Tally,
+    _children,
     enumerate_joint,
     iter_prefixes,
     posteriors,
     safety_report,
 )
 from cryptogenography.suspicion import (
-    _int_law_items,
-    _node_message_joint,
+    _node_message_joints,
     check_listener_monotone,
     check_single_message,
     expected_suspicion,
@@ -608,6 +608,7 @@ def test_node_message_joint_matches_fraction_construction(seed, n_players, n_x):
             continue
         total = sum(weights.values())
         for at in (node, _reversed_laws(node)):
+            joints = _node_message_joints(at, weights, n_players)
             for player in range(1, n_players + 1):
                 table = {}
                 for (x, lvec), w in weights.items():
@@ -615,9 +616,44 @@ def test_node_message_joint_matches_fraction_construction(seed, n_players, n_x):
                         if q:
                             key = (x, lvec[player - 1], a)
                             table[key] = table.get(key, F(0)) + F(w, total) * q
-                got = _node_message_joint(at, _int_law_items(at), weights, player)
+                got = joints[player]
                 assert list(got.table.items()) == list(table.items())
                 assert got.axis_supports == JointDist(("X", "L", "A"), table).axis_supports
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_children_split_the_weights_by_the_node_laws(seed, n_players, n_x):
+    """At every internal prefix of a random protocol, ``_children`` covers
+    the alphabet, its masses summed over the messages are the parent's
+    weights times the node's law scale, key by key, and each child equals
+    the parent's weights times ``node.law(x, l_speaker).prob(m)``, in the
+    parent's key order."""
+    rng = random.Random(seed)
+    sc = random_scenario(rng, n_players=n_players, n_x=n_x)
+    pi = random_protocol(rng, sc, max_depth=3, non_revealing_only=rng.random() < 0.5)
+    for _prefix, node, weights, _scale in iter_prefixes(pi, sc):
+        if node is None:
+            continue
+        scale = node.int_laws[0]
+        children = _children(node, weights)
+        assert list(children) == list(node.alphabet)
+        summed = dict.fromkeys(weights, 0)
+        for child in children.values():
+            for key, w in child.items():
+                summed[key] += w
+        assert summed == {key: w * scale for key, w in weights.items()}
+        for m, child in children.items():
+            want = {}
+            for (x, lvec), w in weights.items():
+                q = node.law(x, lvec[node.speaker - 1]).prob(m)
+                if q:
+                    want[(x, lvec)] = w * q
+            assert [(k, F(w, scale)) for k, w in child.items()] == list(want.items())
 
 
 # Lossless JSON: labels that JSON can confuse are ints, strings, strings

@@ -18,6 +18,7 @@ from cryptogenography.protocols import (
     equivalent,
     iter_prefixes,
     non_revealing,
+    posterior_measure,
     posteriors,
     prefix_conditionals,
     pretend_ignorance,
@@ -28,6 +29,7 @@ from cryptogenography.protocols import (
     stop_at_c_postcondition,
     validate,
 )
+from cryptogenography.suspicion import check_round_decomposition
 
 from genutil import random_protocol, random_scenario
 
@@ -264,6 +266,31 @@ class TestEnumerateJoint:
         node = ProtocolNode(1, (0, 1, 2), p_innocent, {0: full, 1: p_leak_1}, children)
         with pytest.raises(ValueError, match="not in"):
             enumerate_joint(ProtocolTree(node), coin_scenario)
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            posterior_measure,
+            lambda tree, sc: safety_report(tree, sc, F(1, 2)),
+            check_round_decomposition,
+            lambda tree, sc: stop_at_c(tree, sc, F(2, 3)),
+            enumerate_joint,
+        ],
+        ids=[
+            "posterior_measure",
+            "safety_report",
+            "check_round_decomposition",
+            "stop_at_c",
+            "enumerate_joint",
+        ],
+    )
+    def test_law_mass_outside_the_alphabet_is_refused_by_every_walk(self, coin_scenario, walk):
+        """A law that puts mass on a label the node cannot send would lose
+        that mass from every child; each walk refuses it by name."""
+        wide = FiniteDist.uniform((0, 1, 2))
+        node = ProtocolNode(1, (0, 1), wide, {0: wide, 1: wide}, dict.fromkeys((0, 1)))
+        with pytest.raises(ValueError, match="mass on 2, which is not in the alphabet"):
+            walk(ProtocolTree(node), coin_scenario)
 
     def test_marginal_over_transcript_is_scenario(self, coin_scenario):
         rng = random.Random(21)
