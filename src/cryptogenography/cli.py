@@ -30,7 +30,7 @@ from .coding import (
 )
 from .embedding import InnocentChannel, compose_run, equivalence_audit
 from .game import best_upper_bound, succ_of_protocol
-from .probability import fraction_to_jsonable, label_to_jsonable
+from .probability import as_probability, fraction_to_jsonable, label_to_jsonable
 from .protocols import (
     BudgetExceededError,
     LeakScenario,
@@ -204,18 +204,20 @@ def cmd_verify(args) -> int:
         "all_rounds_hold": all(r.holds for r in rounds),
     }
     try:
-        payload["general_upper_bound"] = check_general_upper_bound(
-            tree, scenario, budget=args.budget
-        ).to_jsonable()
+        general = check_general_upper_bound(tree, scenario, budget=args.budget)
+        payload["general_upper_bound"] = general.to_jsonable()
+        top = general.c  # the exact largest posterior, from safety_report's scan
     except ValueError as exc:
         payload["general_upper_bound"] = {"skipped": str(exc)}
+        top = None
     if args.c is not None:
-        c = Fraction(args.c)
-        safety = safety_report(tree, scenario, c, budget=args.budget)
+        c = as_probability(args.c)
+        if top is None:  # the premise check raised before handing the cap back
+            top = safety_report(tree, scenario, 1, budget=args.budget).max_posterior
         payload["safety"] = {
             "c": str(c),
-            "safe": safety.ok,
-            "max_posterior": fraction_to_jsonable(safety.max_posterior),
+            "safe": top <= c,
+            "max_posterior": fraction_to_jsonable(top),
         }
     config.update(c=args.c, budget=args.budget)
     _emit(args, "verify", config, payload)

@@ -492,13 +492,13 @@ def equivalence_audit(
     if tree.root is None:
         return AuditReport(ONE, ZERO, 0, 1, 0, True, {(): ONE})
 
-    # the protocol's own weights at every prefix with their total, and the
-    # probability of every complete transcript, from one walk
+    # the protocol's own weights at every prefix with their total and node,
+    # and the probability of every complete transcript, from one walk
     reference = {}
     transcript_mass = {}
     for prefix, node, weights, scale in iter_prefixes(tree, scenario):
         total = sum(weights.values())
-        reference[prefix] = (weights, total)
+        reference[prefix] = (weights, total, node)
         if node is None:
             transcript_mass[prefix] = Fraction(total, scale)
 
@@ -518,7 +518,6 @@ def equivalence_audit(
     # each mass an int over the state's one denominator
     states = {((), UNIT): fresh_entries(tree.root, scenario.weights, scenario.scale)}
     f_cache = {(): f_partition(tree.root.p_innocent)}
-    node_cache = {(): tree.root}
 
     rounds_used = 0
     for r in range(depth_budget):
@@ -527,7 +526,7 @@ def equivalence_audit(
         rounds_used = r + 1
         new_states: dict = {}
         for (prefix, interval), (entries, den) in states.items():
-            node = node_cache[prefix]
+            node = reference[prefix][2]
             f_cells = f_cache[prefix]
             law = channel.law(node.speaker, r)
             g_cells = g_partition(interval, law)
@@ -567,7 +566,7 @@ def equivalence_audit(
                     assert commit is None or commit == emitted
                     collapsed[(x, lvec)] = collapsed.get((x, lvec), 0) + w2
                 total = sum(collapsed.values())
-                ref, ref_total = reference[new_prefix]
+                ref, ref_total, child = reference[new_prefix]
                 # both sides hold positive ints only, so equal key sets plus
                 # cross-multiplied equality on them is the whole test. Over a
                 # positive total the products alone already catch a key that
@@ -577,11 +576,9 @@ def equivalence_audit(
                     w * ref_total != ref[k] * total for k, w in collapsed.items()
                 ):
                     mismatches += 1
-                child = node.children[emitted]
                 if child is None:
                     decoded[new_prefix] = decoded.get(new_prefix, ZERO) + Fraction(total, moved_den)
                     continue
-                node_cache[new_prefix] = child
                 f_cache[new_prefix] = f_partition(child.p_innocent)
                 entries2, den2 = fresh_entries(child, collapsed, moved_den)
                 _merge_state(new_states, (new_prefix, UNIT), entries2, den2)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .probability import LOG2_E, JointDist, _picker, as_probability, log2_fraction
-from .protocols import LeakScenario, ProtocolTree, _Tally, enumerate_joint
+from .probability import LOG2_E, ZERO, JointDist, _picker, as_probability, log2_fraction
+from .protocols import LeakScenario, ProtocolTree, _Tally, iter_prefixes
 from .suspicion import fixed_capacity
 
 __all__ = [
@@ -61,36 +61,33 @@ class GameValue:
         }
 
 
-def _transcript_weights(joint: JointDist, n_players: int) -> dict:
+def _transcript_weights(joint: JointDist, n_players: int) -> list:
     """Group an (X, L1..Ln, T) joint's int view by transcript, in first-seen
-    order: t -> {(x, lvec): mass}, each mass an int over the joint's
-    denominator."""
+    order: (t, {(x, lvec): mass}, den), each mass an int over the joint's
+    denominator den."""
     x_idx = joint.axis_index("X")
     lvec = _picker([joint.axis_index("L%d" % i) for i in range(1, n_players + 1)])
     t_idx = joint.axis_index("T")
+    den, nums = joint._int_view()
     groups: dict = {}
-    for key, n in joint._int_view()[1].items():
+    for key, n in nums.items():
         slot = groups.setdefault(key[t_idx], {})
         outcome = (key[x_idx], lvec(key))
         slot[outcome] = slot.get(outcome, 0) + n
-    return groups
+    return [(t, weights, den) for t, weights in groups.items()]
 
 
-def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
-    """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly.
-
-    Reads the joint's int view: with x's mass m and player i's leaking mass
-    k_i, Pr(X=x, T=t) (1 - Pr(L_i=1 | x, t)) is (m - k_i) / den, so every
-    choice is an int comparison and each transcript's win mass is divided
-    by ``den`` once."""
-    den = joint._int_view()[0]
-    x_support = joint.axis_supports[joint.axis_index("X")]
-    total = 0
+def _play(transcripts, x_support, n_players: int) -> GameValue:
+    """Evaluate the game exactly over (t, weights, scale) transcripts, each
+    Pr(X=x, L=lvec, T=t) = weights[(x, lvec)] / scale. With x's mass m and
+    player i's leaking mass k_i, Pr(X=x, T=t) (1 - Pr(L_i=1 | x, t)) is
+    (m - k_i) / scale, so every choice is an int comparison and each
+    transcript's win mass is divided by its scale once."""
     frank: dict = {}
     eve: dict = {}
     win_mass: dict = {}
     players = range(1, n_players + 1)
-    for t, weights in _transcript_weights(joint, n_players).items():
+    for t, weights, scale in transcripts:
         tally = _Tally(weights)
         best_val = best_x = best_eve = None
         for x in x_support:
@@ -106,9 +103,14 @@ def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
                 best_eve = -neg_i
         frank[t] = best_x
         eve[t] = best_eve
-        win_mass[t] = Fraction(best_val, den)
-        total += best_val
-    return GameValue(Fraction(total, den), frank, eve, win_mass)
+        win_mass[t] = Fraction(best_val, scale)
+    return GameValue(sum(win_mass.values(), ZERO), frank, eve, win_mass)
+
+
+def game_value_from_joint(joint: JointDist, n_players: int) -> GameValue:
+    """Evaluate the game on an explicit (X, L1..Ln, T) joint, exactly."""
+    x_support = joint.axis_supports[joint.axis_index("X")]
+    return _play(_transcript_weights(joint, n_players), x_support, n_players)
 
 
 def succ_of_protocol(
@@ -116,8 +118,9 @@ def succ_of_protocol(
     scenario: LeakScenario,
     budget: Optional[int] = None,
 ) -> GameValue:
-    joint = enumerate_joint(tree, scenario, budget=budget)
-    return game_value_from_joint(joint, scenario.n_players)
+    walk = iter_prefixes(tree, scenario, budget)
+    terminals = ((t, weights, scale) for t, node, weights, scale in walk if node is None)
+    return _play(terminals, scenario.x_support, scenario.n_players)
 
 
 def succ_upper_bound(h, l, c) -> float:

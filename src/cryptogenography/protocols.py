@@ -365,10 +365,19 @@ class ProtocolTree:
         )
 
 
+def _nodes(root: Optional[ProtocolNode]):
+    """Yield (path, node) for every node under ``root``, depth first, each
+    node's children in its ``children`` order (a missing child is skipped)."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        if node is not None:
+            yield path, node
+            stack.extend((path + (m,), child) for m, child in reversed(node.children.items()))
+
+
 def tree_depth(node: Optional[ProtocolNode]) -> int:
-    if node is None:
-        return 0
-    return 1 + max(tree_depth(child) for child in node.children.values())
+    return max((len(path) + 1 for path, _node in _nodes(node)), default=0)
 
 
 def validate(tree: ProtocolTree, scenario: LeakScenario) -> list:
@@ -408,18 +417,13 @@ def validate(tree: ProtocolTree, scenario: LeakScenario) -> list:
 
 def non_revealing(tree: ProtocolTree, scenario: LeakScenario) -> bool:
     """True iff at every node, every message a leaker can send, an innocent can too."""
-
-    def visit(node):
-        if node is None:
-            return True
+    for _path, node in _nodes(tree.root):
         for x in scenario.x_support:
+            # read first, so a missing leak law raises wherever it is
             dist = node.law(x, 1)
-            for m in node.alphabet:
-                if dist.prob(m) > 0 and node.p_innocent.prob(m) == 0:
-                    return False
-        return all(visit(c) for c in node.children.values())
-
-    return visit(tree.root)
+            if any(dist.prob(m) > 0 and node.p_innocent.prob(m) == 0 for m in node.alphabet):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +518,12 @@ def _posterior_key(weights: Weights, keys: tuple) -> tuple:
     keys are equal posteriors whatever the weights' scale."""
     g = math.gcd(*weights.values())
     return tuple(weights.get(k, 0) // g for k in keys)
+
+
+def _posterior_vector(key: tuple) -> tuple:
+    """The normalized posterior that a ``_posterior_key`` stands for."""
+    total = sum(key)
+    return tuple(Fraction(w, total) for w in key)
 
 
 def iter_prefixes(tree: ProtocolTree, scenario: LeakScenario, budget: Optional[int] = None):
@@ -611,11 +621,10 @@ def prefix_conditionals(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     the normalized conditional vector over scenario outcomes, canonical order.
     The walk keeps the default state budget."""
     keys = scenario.outcome_keys()
-    conditionals = {}
-    for prefix, _node, weights, _scale in iter_prefixes(tree, scenario):
-        total = sum(weights.values())
-        conditionals[prefix] = tuple(Fraction(weights.get(k, 0), total) for k in keys)
-    return conditionals
+    return {
+        prefix: _posterior_vector(_posterior_key(weights, keys))
+        for prefix, _node, weights, _scale in iter_prefixes(tree, scenario)
+    }
 
 
 def simulate(tree: ProtocolTree, scenario: LeakScenario, seed: int):
@@ -666,11 +675,7 @@ def posterior_measure(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     indistinguishable to any observer of the transcript. The vectors are
     built from ``_terminal_masses``' int keys, one per distinct posterior.
     """
-    measure = {}
-    for key, mass in _terminal_masses(tree, scenario).items():
-        total = sum(key)
-        measure[tuple(Fraction(w, total) for w in key)] = mass
-    return measure
+    return {_posterior_vector(key): mass for key, mass in _terminal_masses(tree, scenario).items()}
 
 
 def equivalent(a: ProtocolTree, b: ProtocolTree, scenario: LeakScenario) -> bool:
@@ -883,17 +888,10 @@ def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
 def bit_probability_report(tree: ProtocolTree) -> list:
     """Innocent bit probabilities outside [1/3, 2/3] at positive-innocent nodes."""
     violations = []
-
-    def visit(node, path):
-        if node is None:
-            return
+    for path, node in _nodes(tree.root):
         p0 = node.p_innocent.prob(node.alphabet[0])
         if not (THIRD <= p0 <= TWO_THIRDS):
             violations.append((path, p0))
-        for m in node.alphabet:
-            visit(node.children[m], path + (m,))
-
-    visit(tree.root, ())
     return violations
 
 
@@ -1061,15 +1059,16 @@ def _ignorance_walk(tree: ProtocolTree, scenario: LeakScenario, c_prime: Fractio
         if node is None:
             return None
         child_weights = _children(node, weights)
+        child_scale = scale * node.int_laws[0]
         tallies = () if all(ignoring.values()) else [_Tally(w) for w in child_weights.values()]
         switch = {}
         for x, off in ignoring.items():
             if not off and any(t.compare(i, x, c_prime) == 1 for t in tallies for i in players):
-                fired[x] += Fraction(sum(w for (xx, _), w in weights.items() if xx == x), scale)
+                # x's mass here is the sum of its mass in the children
+                fired[x] += Fraction(sum(t.x_mass.get(x, 0) for t in tallies), child_scale)
                 off = True
             switch[x] = off
         p_leak = {x: node.law(x, not off) for x, off in switch.items()}
-        child_scale = scale * node.int_laws[0]
         children = {
             m: build(node.children[m], child_weights[m], child_scale, switch) for m in node.alphabet
         }

@@ -20,6 +20,7 @@ from .probability import (
     JointDist,
     LOG2_E,
     as_probability,
+    _axes_tuple,
     _log2_ratio,
     _picker,
     fraction_to_jsonable,
@@ -141,16 +142,13 @@ def expected_suspicion(joint: JointDist, player_axis: str, axes: Sequence[str]) 
 
     Returns +inf as soon as any positive-mass point is certainly guilty.
     """
-    axes = (axes,) if isinstance(axes, str) else tuple(axes)
-    return _expected(*_innocence_masses(joint, player_axis, axes))
+    return _expected(*_innocence_masses(joint, player_axis, _axes_tuple(axes)))
 
 
 def _law_matches_innocent_law(joint: JointDist) -> bool:
-    """Exact test: marginal law of A equals law of A given L=0."""
+    """Exact test: marginal law of A equals law of A given L=0, on a joint
+    where some outcome is innocent."""
     marginal = joint.marginal_dist("A")
-    innocent_mass = joint.prob_event({"L": 0})
-    if innocent_mass == 0:
-        return False
     innocent = joint.condition({"L": 0}).marginal_dist("A")
     return marginal.probs == innocent.probs
 
@@ -206,8 +204,7 @@ def check_listener_monotone(
     Equality iff, for every positive-probability y, the innocence posterior
     does not depend on B (exact rational test).
     """
-    y_axes = (y_axes,) if isinstance(y_axes, str) else tuple(y_axes)
-    den, fine = _innocence_masses(joint, player_axis, y_axes + (b_axis,))
+    den, fine = _innocence_masses(joint, player_axis, _axes_tuple(y_axes) + (b_axis,))
     coarse: dict = {}
     for yb, (mass, innocent) in fine.items():
         slot = coarse.setdefault(yb[:-1], [0, 0])

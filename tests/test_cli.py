@@ -17,7 +17,7 @@ from cryptogenography import protocols
 from cryptogenography.cli import _canonical_json, build_parser, main
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.embedding import InnocentChannel
-from cryptogenography.probability import FiniteDist
+from cryptogenography.probability import FiniteDist, fraction_to_jsonable
 from cryptogenography.protocols import LeakScenario, ProtocolNode, ProtocolTree
 
 from genutil import random_protocol, random_scenario
@@ -25,16 +25,18 @@ from genutil import random_protocol, random_scenario
 F = Fraction
 
 
+def write_instance(tmp_path, tree, scenario) -> tuple:
+    p = tmp_path / "protocol.json"
+    s = tmp_path / "scenario.json"
+    p.write_text(json.dumps(tree.to_jsonable()))
+    s.write_text(json.dumps(scenario.to_jsonable()))
+    return str(p), str(s)
+
+
 @pytest.fixture
 def window_files(tmp_path):
     ch = window_channel(F(1, 2), F(2, 3))
-    pi = window_protocol(ch, 2)
-    sc = window_scenario(ch, 2)
-    p = tmp_path / "protocol.json"
-    s = tmp_path / "scenario.json"
-    p.write_text(json.dumps(pi.to_jsonable()))
-    s.write_text(json.dumps(sc.to_jsonable()))
-    return str(p), str(s)
+    return write_instance(tmp_path, window_protocol(ch, 2), window_scenario(ch, 2))
 
 
 @pytest.fixture
@@ -220,6 +222,64 @@ class TestVerify:
         assert run_cli(["verify", "--protocol", protocol, "--scenario", str(scenario)], out) == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: joint table key (0, 0) appears twice\n"
+
+    @staticmethod
+    def count_max_posterior_scans(monkeypatch) -> list:
+        """The cap argument of every ``safety_report`` call, through each
+        module that calls it."""
+        from cryptogenography import cli, suspicion
+
+        caps = []
+
+        def counted(tree, scenario, c, *args, **kwargs):
+            caps.append(c)
+            return protocols.safety_report(tree, scenario, c, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "safety_report", counted)
+        monkeypatch.setattr(suspicion, "safety_report", counted)
+        return caps
+
+    @pytest.mark.parametrize("c, safe", [("3/5", False), ("2/3", True)])
+    def test_c_is_compared_with_the_general_bounds_cap(self, tmp_path, monkeypatch, c, safe):
+        """With the bound's premise holding, its cap is the largest
+        posterior, so verify scans for that maximum once and compares it
+        with --c."""
+        ch = window_channel(F(1, 2), F(2, 3))
+        tree, scenario = window_protocol(ch, 3), window_scenario(ch, 3)
+        protocol, scenario_path = write_instance(tmp_path, tree, scenario)
+        caps = self.count_max_posterior_scans(monkeypatch)
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--protocol", protocol, "--scenario", scenario_path, "--c", c]
+        assert run_cli(argv, out) == 0
+        assert len(caps) == 1
+        data = json.loads(out.read_text())
+        top = fraction_to_jsonable(protocols.safety_report(tree, scenario, 1).max_posterior)
+        assert top == fraction_to_jsonable(F(2, 3))
+        assert data["general_upper_bound"]["c"] == top
+        assert data["safety"] == {"c": c, "safe": safe, "max_posterior": top}
+
+    def test_c_scans_once_when_the_premise_fails(self, tmp_path, monkeypatch):
+        """A scenario whose leak prior depends on the secret skips the
+        bound before it reads a cap; verify then scans for the maximum
+        itself, once."""
+        rng = random.Random(2)
+        scenario = random_scenario(rng, n_players=2)
+        tree = random_protocol(rng, scenario, max_depth=5, stop_prob=0.1)
+        assert tree.length_bound == 5
+        protocol, scenario_path = write_instance(tmp_path, tree, scenario)
+        caps = self.count_max_posterior_scans(monkeypatch)
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--protocol", protocol, "--scenario", scenario_path, "--c", "1/2"]
+        assert run_cli(argv, out) == 0
+        assert len(caps) == 1
+        data = json.loads(out.read_text())
+        assert data["general_upper_bound"]["skipped"].startswith("premise violated")
+        report = protocols.safety_report(tree, scenario, F(1, 2))
+        assert data["safety"] == {
+            "c": "1/2",
+            "safe": report.ok,
+            "max_posterior": fraction_to_jsonable(report.max_posterior),
+        }
 
 
 class TestLeak:

@@ -361,6 +361,15 @@ class TestEquivalenceAudit:
         assert rep.decoded_mass >= F(999999, 1000000)
         assert rep.decoded_mass + rep.undecoded_mass == 1
 
+    def test_empty_protocol_decodes_the_empty_transcript(self):
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        channel = InnocentChannel.iid_uniform(1, ("m1", "m2"))
+        rep = equivalence_audit(ProtocolTree(None), channel, sc, depth_budget=5)
+        assert rep.ok
+        assert (rep.decoded_mass, rep.undecoded_mass) == (1, 0)
+        assert (rep.rounds_used, rep.terminal_paths) == (0, 1)
+        assert rep.per_transcript_mass == {(): 1}
+
     def test_trivial_when_laws_match(self):
         # p_x = p_? everywhere: the composed process is exactly the chatter
         sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))

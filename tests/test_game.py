@@ -45,6 +45,29 @@ class TestGameEvaluation:
         gv = succ_of_protocol(ProtocolTree(None), sc)
         assert gv.succ == F(1, 4)
 
+    def test_protocol_game_is_played_on_the_walk(self, monkeypatch):
+        """succ_of_protocol builds no JointDist, and its value and decisions,
+        in transcript order, are the game on the enumerated joint."""
+        from cryptogenography.protocols import enumerate_joint
+
+        rng = random.Random(44)
+        cases = []
+        for _ in range(20):
+            sc = random_scenario(rng, n_players=2)
+            pi = random_protocol(rng, sc, max_depth=3)
+            cases.append((pi, sc, game_value_from_joint(enumerate_joint(pi, sc), sc.n_players)))
+        built = []
+        init = JointDist.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(JointDist, "__init__", counted)
+        for pi, sc, expected in cases:
+            assert succ_of_protocol(pi, sc).to_jsonable() == expected.to_jsonable()
+        assert built == []
+
     def test_succ_within_unit_interval(self):
         rng = random.Random(123)
         for _ in range(30):

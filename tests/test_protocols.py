@@ -145,6 +145,13 @@ class TestValidate:
         assert issues
         assert any("length_bound" in issue for issue in issues)
 
+    def test_missing_child_is_reported_not_raised(self, coin_scenario):
+        # the tree's depth skips the missing child, so validate can name it
+        u = FiniteDist.uniform((0, 1))
+        tree = ProtocolTree(ProtocolNode(1, (0, 1), u, {0: u, 1: u}, {0: None}))
+        assert tree.length_bound == 1
+        assert validate(tree, coin_scenario) == ["missing children for [1] at ()"]
+
 
 class TestNonRevealing:
     def test_identical_laws(self, coin_scenario):

@@ -271,6 +271,29 @@ class TestBinarize:
         assert equivalent(pi, out, sc)
         assert bit_probability_report(out) == []
 
+    def test_node_with_one_reachable_message_is_spliced_out(self, coin_scenario):
+        u = FiniteDist.uniform((0, 1))
+        point = FiniteDist((0, 1), (F(1), F(0)))
+        inner = leaf_node(1, u, {0: FiniteDist((0, 1), (F(1, 3), F(2, 3))), 1: u})
+        pi = ProtocolTree(ProtocolNode(2, (0, 1), point, {0: point, 1: point}, {0: inner, 1: None}))
+        out = binarize(pi, coin_scenario)
+        assert out.root == inner
+        assert out.length_bound == 1
+        assert equivalent(pi, out, coin_scenario)
+
+    def test_report_names_each_out_of_range_node_by_its_path(self):
+        u = FiniteDist.uniform((0, 1))
+        skewed = FiniteDist((0, 1), (F(1, 4), F(3, 4)))
+        low = leaf_node(1, skewed, {0: skewed, 1: u})
+        fine = leaf_node(1, u, {0: u, 1: u})
+        mid = ProtocolNode(2, (0, 1), u, {0: u, 1: u}, {0: fine, 1: low})
+        root = ProtocolNode(1, (0, 1), skewed, {0: u, 1: u}, {0: mid, 1: low})
+        assert bit_probability_report(ProtocolTree(root)) == [
+            ((), F(1, 4)),
+            ((0, 1), F(1, 4)),
+            ((1,), F(1, 4)),
+        ]
+
     def test_random_protocols(self, coin_scenario):
         rng = random.Random(500)
         for _ in range(60):
@@ -340,6 +363,15 @@ class TestStopAtC:
             done += 1
             assert equivalent(pi, out, sc)
             assert stop_at_c_postcondition(out, sc, c)
+
+    def test_postcondition_refuses_a_crossing_that_never_lands(self):
+        """The n=1 window protocol's in-window posterior, 2/3, crosses the
+        cap 3/5 without any prefix landing on it."""
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 1), window_scenario(ch, 1)
+        assert safety_report(pi, sc, 1).max_posterior == F(2, 3)
+        assert not stop_at_c_postcondition(pi, sc, F(3, 5))
+        assert stop_at_c_postcondition(stop_at_c(binarize(pi, sc), sc, F(3, 5)), sc, F(3, 5))
 
 
 class TestPretendIgnorance:
