@@ -7,7 +7,8 @@ Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
 `leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
-codeword, of a noisy d = 2 codeword of length 37 and of a tie, the JSON
+codeword, of a noisy d = 4 codeword in a later chunk of a streamed book, of
+a noisy d = 2 codeword of length 37 and of a tie, the JSON
 and CSV `capacity` reports of a 3x3 grid, the ``float.hex`` of the
 capacity and game-bound formulas over a fixed grid, and the
 canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the
@@ -138,8 +139,13 @@ def window_cases(workdir) -> dict:
     # a binary codeword whose length fills no whole byte, three bits flipped
     sent = np.random.default_rng(21).integers(1, 3, size=(2**13, 37), dtype=np.uint8)[4321]
     flipped = [3 - int(s) if i in (0, 8, 36) else int(s) for i, s in enumerate(sent)]
+    # a d = 4 codeword with ten symbols changed, past the 2^16 rows of the
+    # decoder's first chunk of this book, so it is drawn into a reused chunk
+    sent = np.random.default_rng(41).integers(1, 5, size=(2**17, 100), dtype=np.uint8)[100003]
+    changed = [int(s) % 4 + 1 if i < 10 else int(s) for i, s in enumerate(sent)]
     decodes = {
         "decode-d3": ({"seed": 12, "h": 14, "n": 70, "d": 3}, noisy, "2/5", "1/2"),
+        "decode-d4": ({"seed": 41, "h": 17, "n": 100, "d": 4}, changed, "1/4", "4/7"),
         "decode-d2-n37": ({"seed": 21, "h": 13, "n": 37, "d": 2}, flipped, "1/2", "2/3"),
         # eight codewords of this book tie on the alternating transcript
         "decode-tie": ({"seed": 16, "h": 14, "n": 16, "d": 2}, [1, 2] * 8, "1/2", "2/3"),

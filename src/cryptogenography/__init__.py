@@ -47,17 +47,6 @@ from .suspicion import (
     indep_capacity,
     fixed_capacity,
 )
-from .coding import (
-    WindowChannel,
-    window_channel,
-    leak_message,
-    posterior_leak,
-    random_codebook,
-    ml_decode,
-    run_indep_experiment,
-    fixed_two_group_run,
-    ratio_bound_check,
-)
 from .game import (
     GameValue,
     succ_of_protocol,
@@ -78,3 +67,25 @@ from .embedding import (
     equivalence_audit,
 )
 from .seeds import derive_seed
+
+# the window codes need numpy, so they load on first use (PEP 562) and the
+# exact layer starts without it
+_CODING_NAMES = frozenset({
+    "WindowChannel",
+    "window_channel",
+    "leak_message",
+    "posterior_leak",
+    "random_codebook",
+    "ml_decode",
+    "run_indep_experiment",
+    "fixed_two_group_run",
+    "ratio_bound_check",
+})
+
+
+def __getattr__(name):
+    if name in _CODING_NAMES:
+        from . import coding
+
+        return getattr(coding, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -18,16 +18,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__, protocols
-from .coding import (
-    Codebook,
-    exact_rate,
-    fixed_capacity,
-    fixed_two_group_run,
-    indep_capacity,
-    ml_decode,
-    run_indep_experiment,
-    window_channel,
-)
 from .embedding import InnocentChannel, compose_run, equivalence_audit
 from .game import best_upper_bound, succ_of_protocol
 from .probability import as_probability, fraction_to_jsonable, label_to_jsonable
@@ -39,7 +29,13 @@ from .protocols import (
     safety_report,
     validate,
 )
-from .suspicion import check_general_upper_bound, check_round_decomposition, check_transcript_bound
+from .suspicion import (
+    check_general_upper_bound,
+    check_round_decomposition,
+    check_transcript_bound,
+    fixed_capacity,
+    indep_capacity,
+)
 
 
 def _canonical_json(obj) -> str:
@@ -209,10 +205,11 @@ def cmd_verify(args) -> int:
         top = general.c  # the exact largest posterior, from safety_report's scan
     except ValueError as exc:
         payload["general_upper_bound"] = {"skipped": str(exc)}
-        top = None
+        # set when the scan ran and only the bound itself was ruled out
+        top = getattr(exc, "max_posterior", None)
     if args.c is not None:
         c = as_probability(args.c)
-        if top is None:  # the premise check raised before handing the cap back
+        if top is None:  # a premise check raised before the scan
             top = safety_report(tree, scenario, 1, budget=args.budget).max_posterior
         payload["safety"] = {
             "c": str(c),
@@ -225,6 +222,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_leak(args) -> int:
+    # numpy loads only for the commands that run the window codes
+    from .coding import exact_rate, fixed_two_group_run, run_indep_experiment
+
     started = time.perf_counter()
     if args.mode == "indep":
         report = run_indep_experiment(
@@ -327,6 +327,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from .coding import Codebook, ml_decode, window_channel
+
     book = Codebook.from_jsonable(_load_json(args.codebook))
     transcript = _load_json(args.transcript)["messages"]
     ch = window_channel(Fraction(args.b), Fraction(args.c))

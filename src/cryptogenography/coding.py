@@ -14,16 +14,18 @@ message m is accepted by exactly a codeword symbols, so a transcript
 becomes a bit patterns per plane, and the mismatch count of a codeword is
 popcount(AND_u OR_k (plane_k XOR pattern_uk)) summed over its words. The
 experiments draw every trial's messages first and decode the whole batch
-in one pass over cache-sized blocks of codewords, keeping per transcript
+in one pass over cache-sized chunks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
 a tie is reported exactly as with one decode at a time.
 
-``random_codebook`` reproduces one ``rng.integers`` draw of the whole book
-from the generator's raw words without building its (count, n) symbol
-matrix: each plane of a block of values is one masked copy into a reused
-row-padded buffer and one flat ``packbits``. The planes are a book's only
-state; ``Codebook.symbols`` is a read-only matrix unpacked from them when
-read, and no experiment or decode reads it.
+A book is its seed: ``random_codebook`` draws nothing. The decoder
+reproduces one ``rng.integers`` draw of the whole book from the
+generator's raw words chunk by chunk, each plane of a block of values one
+masked copy into a reused row-padded buffer and one flat ``packbits``, and
+for a power-of-two d ``Codebook.row`` reads one row in place by jumping the
+stream. ``bit_planes``, ``symbols`` and any other d's ``row`` build the
+planes once and keep them; no decode or experiment at a power-of-two d
+does.
 
 ``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
 in O(1): the sign of one linear int expression orders every pair of
@@ -162,7 +164,7 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 # ---------------------------------------------------------------------------
 # codebooks and ML decoding
 
-# uint64 words per (transcripts x codewords) block of the decoder: 1 MiB per
+# uint64 words per (transcripts x codewords) chunk of the decoder: 1 MiB per
 # scratch buffer, small enough to stay in cache
 _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
@@ -209,6 +211,19 @@ def _symbol_dtype(d: int):
     return np.uint8 if d < 256 else np.uint16
 
 
+def _depth(d: int) -> int:
+    """Bit-planes of a book over {1..d}."""
+    return max(1, (d - 1).bit_length())
+
+
+def _top_bit(d: int):
+    """For a power-of-two d > 1, the bit of a raw B-bit value where its
+    symbol minus one starts (it is the value's top log2 d bits); else None."""
+    if d > 1 and not d & (d - 1):
+        return 8 * np.dtype(_symbol_dtype(d)).itemsize - d.bit_length() + 1
+    return None
+
+
 def _drawn_blocks(seed: int, d: int, n: int, count: int):
     """(block, bit) pairs, in order, of the codewords ``random_codebook``
     draws, from about ``_PLANE_BLOCK_SYMBOLS`` (at least n) raw B-bit values
@@ -216,14 +231,15 @@ def _drawn_blocks(seed: int, d: int, n: int, count: int):
     size = np.dtype(_symbol_dtype(d)).itemsize
     value = np.dtype("<u%d" % size)
     raw = np.random.default_rng(seed).bit_generator.random_raw
-    if d > 1 and not d & (d - 1) and n:
-        # nothing is rejected and a symbol minus one is the top log2 d bits of
-        # v: blocks of 8k whole rows end on a raw word and are read in place
+    top = _top_bit(d)
+    if top is not None and n:
+        # nothing is rejected: blocks of 8k whole rows end on a raw word and
+        # are read in place
         step = -(-max(1, _PLANE_BLOCK_SYMBOLS // n) // 8) * 8
         for start in range(0, count, step):
             rows = min(step, count - start)
             values = raw(-(-rows * n * size // 8)).astype("<u8", copy=False).view(value)
-            yield values[: rows * n].reshape(rows, n), 8 * size - d.bit_length() + 1
+            yield values[: rows * n].reshape(rows, n), top
         return
     floor = (1 << 8 * size) % d
     carried = np.empty(0, dtype=value)
@@ -244,26 +260,20 @@ def _drawn_blocks(seed: int, d: int, n: int, count: int):
         rows_left -= rows
 
 
-def _pack_planes(blocks, d: int, n: int, count: int) -> np.ndarray:
-    """Bit-planes (see ``Codebook.bit_planes``) of count codewords that
-    arrive as consecutive (block, bit) pairs, plane k being bit ``bit + k``
-    of each block, packed through one reused row-padded buffer."""
-    depth = max(1, (d - 1).bit_length())
-    planes = np.empty((depth, -(-n // 64), count), dtype=np.uint64)
-    buf = np.empty((0, 64 * planes.shape[1]), dtype=np.uint8)
-    start = 0
-    for block, bit in blocks:
+def _plane_blocks(seed: int, d: int, n: int, count: int):
+    """Bit-planes (see ``Codebook.bit_planes``) of the codewords of
+    ``_drawn_blocks``, a block at a time: per block one (words, rows) uint64
+    array per plane, packed through one reused row-padded buffer."""
+    buf = np.empty((0, 64 * -(-n // 64)), dtype=np.uint8)
+    for block, bit in _drawn_blocks(seed, d, n, count):
         if len(buf) < len(block):
             buf = np.zeros((len(block), buf.shape[1]), dtype=np.uint8)
-        for k in range(depth):
-            planes[k, :, start : start + len(block)] = _pack_bit(block, bit + k, buf)
-        start += len(block)
-    return planes
+        yield [_pack_bit(block, bit + k, buf) for k in range(_depth(d))]
 
 
 def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
     """(rows, n) symbols in 1..d of a (depth, words, rows) slice of planes;
-    the inverse of ``_pack_planes``."""
+    the inverse of ``_plane_blocks``."""
     dtype = _symbol_dtype(d)
     symbols = np.ones((planes.shape[2], n), dtype=dtype)
     for k, plane in enumerate(planes):
@@ -274,19 +284,24 @@ def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 class Codebook:
-    """2^ceil(h) i.i.d. uniform codewords over {1..d}, regenerable from the seed.
+    """2^ceil(h) i.i.d. uniform codewords over {1..d}: the seed's draw.
 
-    A book holds only its bit-planes (see ``bit_planes``), which the
-    constructor marks read-only. ``symbols`` and ``row`` are unpacked from
-    them, so a book's symbols cannot drift from the planes the decoder reads.
+    Without planes a book holds nothing but its fields. The decoder streams
+    its bit-planes from the seed chunk by chunk, and for a power-of-two d
+    ``row`` reads one row from the generator's raw stream. ``bit_planes``,
+    ``symbols`` and ``row`` at any other d build the planes once and keep
+    them. A book given planes stands for them instead of the seed's draw;
+    either way the kept planes are read-only, and ``symbols`` and ``row``
+    are unpacked from them, so they cannot drift from what the decoder reads.
     """
 
-    def __init__(self, h_bits: float, n: int, d: int, seed: int, planes: np.ndarray):
+    def __init__(self, h_bits: float, n: int, d: int, seed: int, planes: Optional[np.ndarray] = None):
         self.h_bits = h_bits
         self.n = n
         self.d = d
         self.seed = seed
-        planes.flags.writeable = False
+        if planes is not None:
+            planes.flags.writeable = False
         self._planes = planes
 
     def __repr__(self):
@@ -297,34 +312,92 @@ class Codebook:
             return NotImplemented
         if (self.h_bits, self.n, self.d, self.seed) != (other.h_bits, other.n, other.d, other.seed):
             return False
-        return np.array_equal(self._planes, other._planes)
+        if self._planes is None and other._planes is None:
+            return True  # the same seed's draw
+        return np.array_equal(self.bit_planes(), other.bit_planes())
 
     @functools.cached_property
     def symbols(self) -> np.ndarray:
         """Read-only (message_count, n) array of symbols in 1..d, unpacked
         block by block on first read and cached."""
+        planes = self.bit_planes()
         symbols = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
         step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
         for start in range(0, self.message_count, step):
             rows = slice(start, start + step)
-            symbols[rows] = _unpack_planes(self._planes[:, :, rows], self.n, self.d)
+            symbols[rows] = _unpack_planes(planes[:, :, rows], self.n, self.d)
         symbols.flags.writeable = False
         return symbols
 
     @property
     def message_count(self) -> int:
-        return self._planes.shape[2]
+        if self._planes is not None:
+            return self._planes.shape[2]
+        return 1 << math.ceil(self.h_bits)
 
     def row(self, x: int) -> np.ndarray:
-        return _unpack_planes(self._planes[:, :, [x]], self.n, self.d)[0]
+        """Codeword x (negative counts from the end) as symbols in 1..d.
+
+        For a power-of-two d and no kept planes it is read in place: nothing
+        is rejected, so row x is the raw stream's B-bit values x n .. x n +
+        n - 1, and the generator is advanced past the 64-bit words before
+        them."""
+        top = _top_bit(self.d)
+        if self._planes is not None or top is None:
+            return _unpack_planes(self.bit_planes()[:, :, [x]], self.n, self.d)[0]
+        dtype = _symbol_dtype(self.d)
+        size = np.dtype(dtype).itemsize
+        offset = range(self.message_count)[x] * self.n * size  # bytes before the row
+        gen = np.random.default_rng(self.seed).bit_generator
+        gen.advance(offset // 8)
+        skip = offset % 8 // size
+        raw = gen.random_raw(-(-(offset % 8 + self.n * size) // 8))
+        values = raw.astype("<u8", copy=False).view("<u%d" % size)[skip : skip + self.n]
+        return (values >> top).astype(dtype) + 1
 
     def bit_planes(self) -> np.ndarray:
         """(ceil(log2 d), ceil(n/64), message_count) uint64 array: plane k
         holds bit k of every symbol minus one, packed by ``_pack_bit``.
         Words are the middle axis, so a block of codewords is one contiguous
         slice per (plane, word). For d = 2 the single plane is the packed
-        bits themselves."""
+        bits themselves. Built from the seed on first call, as one chunk of
+        the whole book, and kept."""
+        if self._planes is None:
+            if self.n:
+                _, planes = next(self._chunks(self.message_count))
+            else:
+                planes = np.empty((_depth(self.d), 0, self.message_count), dtype=np.uint64)
+            planes.flags.writeable = False
+            self._planes = planes
         return self._planes
+
+    def _chunks(self, width: int):
+        """(start, planes) of consecutive chunks of at most width codewords,
+        in index order, each planes a (depth, words, rows) array valid until
+        the next chunk: slices of kept planes, or else the seed's draw packed
+        into one reused buffer, across the draw's blocks."""
+        count = self.message_count
+        if self._planes is not None or not self.n:
+            planes = self.bit_planes()
+            for start in range(0, count, width):
+                yield start, planes[:, :, start : start + width]
+            return
+        chunk = np.empty((_depth(self.d), -(-self.n // 64), min(width, count)), dtype=np.uint64)
+        start = fill = 0
+        for block in _plane_blocks(self.seed, self.d, self.n, count):
+            done = 0
+            while done < block[0].shape[1]:
+                take = min(chunk.shape[2] - fill, block[0].shape[1] - done)
+                for k, plane in enumerate(block):
+                    chunk[k, :, fill : fill + take] = plane[:, done : done + take]
+                fill += take
+                done += take
+                if fill == chunk.shape[2]:
+                    yield start, chunk
+                    start += fill
+                    fill = 0
+        if fill:
+            yield start, chunk[:, :, :fill]
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
@@ -338,7 +411,8 @@ class Codebook:
 
 def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
     """The book ``default_rng(seed).integers(1, d + 1, size=(2^ceil(h_bits), n),
-    dtype=_symbol_dtype(d))`` draws, packed into bit-planes block by block.
+    dtype=_symbol_dtype(d))`` draws, drawn only when read (see ``Codebook``)
+    and then packed into bit-planes block by block.
 
     numpy takes each symbol by Lemire's method from the next B-bit value v
     (B = 8, or 16 when d >= 256) of the raw 64-bit words read little-endian:
@@ -368,9 +442,7 @@ def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
         raise MemoryError(
             "codebook of 2^%d x %d symbols exceeds the %d-entry budget" % (bits, n, max_entries)
         )
-    count = 1 << bits
-    planes = _pack_planes(_drawn_blocks(seed, d, n, count), d, n, count)
-    return Codebook(float(h_bits), n, d, seed, planes)
+    return Codebook(float(h_bits), n, d, seed)
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:
@@ -385,42 +457,50 @@ def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -
 
 
 def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) -> list:
-    """``ml_decode`` of every row of transcripts, each group of ``_GROUP``
-    in one pass over the codebook's bit-planes.
+    """``ml_decode`` of every row of transcripts in one pass over the
+    codebook, read in chunks of ``_BLOCK_WORDS // max(t, words)`` codewords
+    (t transcripts to a group of at most ``_GROUP``, words per plane of a
+    codeword), so neither a scratch buffer nor a plane of the chunk passes
+    ``_BLOCK_WORDS`` words.
 
-    Mismatches are summed word by word over a block of codewords for the
-    whole group; per transcript the pass keeps the fewest mismatches seen,
-    the first codeword with that count and how many codewords have it.
+    Mismatches are summed word by word over a chunk for a whole group; per
+    transcript the pass keeps the fewest mismatches seen, the first
+    codeword with that count and how many codewords have it.
     """
-    planes = book.bit_planes()
-    depth, words, count = planes.shape
+    total = len(transcripts)
+    if not total:
+        return []
+    depth = _depth(book.d)
+    words = -(-book.n // 64)
     acc_dtype = np.uint16 if book.n < 1 << 16 else np.uint32
-    guesses = []
-    for g0 in range(0, len(transcripts), _GROUP):
-        patterns = _accepted_patterns(transcripts[g0 : g0 + _GROUP], ch, depth)
-        t = patterns.shape[-1]
-        fewest = np.full(t, book.n + 1, dtype=np.int64)
-        first = np.zeros(t, dtype=np.int64)
-        ties = np.zeros(t, dtype=np.int64)
-        rows = max(1, _BLOCK_WORDS // t)
-        scratch = [np.empty(t * rows, dtype=np.uint64) for _ in range(3)]
-        bits_buf = np.empty(t * rows, dtype=np.uint8)
-        misses_buf = np.empty(t * rows, dtype=acc_dtype)
-        for start in range(0, count, rows):
-            width = min(rows, count - start)
-            miss, diff, tmp = (buf[: t * width].reshape(t, width) for buf in scratch)
+    groups = [slice(g0, g0 + _GROUP) for g0 in range(0, total, _GROUP)]
+    patterns = [_accepted_patterns(transcripts[g], ch, depth) for g in groups]
+    fewest = np.full(total, book.n + 1, dtype=np.int64)
+    first = np.zeros(total, dtype=np.int64)
+    ties = np.zeros(total, dtype=np.int64)
+    largest = min(total, _GROUP)
+    rows = max(1, _BLOCK_WORDS // max(largest, words))
+    # miss always; diff only with more than one offset, tmp with more than one plane
+    scratch = [np.empty(largest * rows * need, dtype=np.uint64) for need in (1, ch.a > 1, depth > 1)]
+    bits_buf = np.empty(largest * rows, dtype=np.uint8)
+    misses_buf = np.empty(largest * rows, dtype=acc_dtype)
+    for start, chunk in book._chunks(rows):
+        width = chunk.shape[2]
+        block = chunk[:, :, None, :]
+        for g, pattern in zip(groups, patterns):
+            t = pattern.shape[-1]
+            miss, diff, tmp = (buf[: t * width].reshape(t, width) if len(buf) else None for buf in scratch)
             bits = bits_buf[: t * width].reshape(t, width)
             misses = misses_buf[: t * width].reshape(t, width)
             misses[...] = 0
-            block = planes[:, :, None, start : start + width]
             for w in range(words):
                 for u in range(ch.a):
                     # diff: positions where the codeword symbol is not the
                     # one accepting the message at offset u
                     dst = miss if u == 0 else diff
-                    np.bitwise_xor(block[0, w], patterns[u, 0, w, :, None], out=dst)
+                    np.bitwise_xor(block[0, w], pattern[u, 0, w, :, None], out=dst)
                     for k in range(1, depth):
-                        np.bitwise_xor(block[k, w], patterns[u, k, w, :, None], out=tmp)
+                        np.bitwise_xor(block[k, w], pattern[u, k, w, :, None], out=tmp)
                         np.bitwise_or(dst, tmp, out=dst)
                     if u:
                         np.bitwise_and(miss, diff, out=miss)
@@ -428,12 +508,11 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
             arg = misses.argmin(axis=1)
             low = misses[np.arange(t), arg].astype(np.int64)
             hits = np.count_nonzero(misses == low[:, None], axis=1)
-            better = low < fewest
-            ties = np.where(better, hits, np.where(low == fewest, ties + hits, ties))
-            first = np.where(better, start + arg, first)
-            fewest = np.minimum(fewest, low)
-        guesses += [int(x) if k == 1 else None for x, k in zip(first, ties)]
-    return guesses
+            better = low < fewest[g]
+            ties[g] = np.where(better, hits, np.where(low == fewest[g], ties[g] + hits, ties[g]))
+            first[g] = np.where(better, start + arg, first[g])
+            np.minimum(fewest[g], low, out=fewest[g])
+    return [int(x) if k == 1 else None for x, k in zip(first, ties)]
 
 
 def ml_decode(book: Codebook, transcript, ch: WindowChannel) -> Optional[int]:

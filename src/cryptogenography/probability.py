@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 __all__ = [
     "FiniteDist",
@@ -50,18 +49,29 @@ ONE = Fraction(1)
 LOG2_E = math.log2(math.e)
 
 
+def _scalar_types() -> tuple:
+    """(boolean types, float types), numpy's among them once numpy is loaded:
+    no numpy value exists before, and the exact layer never loads it."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return bool, float
+    return (bool, np.bool_), (float, np.floating)
+
+
 def as_probability(value) -> Fraction:
     """Coerce to an exact Fraction, refusing floats (no silent rounding) and
     booleans (a JSON ``true`` is not probability 1).
 
     A Fraction comes back unchanged once its sign is checked."""
     if type(value) is not Fraction:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError("a probability must be a number, got boolean %r" % (value,))
-        if isinstance(value, (float, np.floating)):
-            raise TypeError(
-                "probabilities must be exact (int, Fraction or string), got float %r" % value
-            )
+        if type(value) is not int:
+            bools, floats = _scalar_types()
+            if isinstance(value, bools):
+                raise TypeError("a probability must be a number, got boolean %r" % (value,))
+            if isinstance(value, floats):
+                raise TypeError(
+                    "probabilities must be exact (int, Fraction or string), got float %r" % value
+                )
         value = Fraction(value)
     if value.numerator < 0:
         raise ValueError("probability must be >= 0, got %s" % value)
@@ -526,9 +536,10 @@ def _integral(what: str, value, floats: bool = False) -> int:
     read from a file goes through here."""
     if type(value) is int:
         return value
-    if floats and isinstance(value, (float, np.floating)) and value.is_integer():
+    bools, inexact = _scalar_types()
+    if floats and isinstance(value, inexact) and value.is_integer():
         return int(value)
-    if not isinstance(value, (bool, np.bool_)):
+    if not isinstance(value, bools):
         try:
             return operator.index(value)
         except TypeError:

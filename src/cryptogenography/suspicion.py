@@ -364,7 +364,8 @@ def check_general_upper_bound(
     Premise: Pr(L_i=1 | X=x) is one constant b across players and secrets.
     The cap c is the largest complete-transcript posterior
     Pr(L_i=1 | T=t, X=x), read from ``safety_report``'s scan, so every
-    posterior is at most c by construction.
+    posterior is at most c by construction. When the cap rules the bound out
+    (c = 1), the ValueError carries that maximum as ``max_posterior``.
     """
     joint = enumerate_joint(tree, scenario, budget=budget)
     n = scenario.n_players
@@ -382,6 +383,10 @@ def check_general_upper_bound(
     if b is None or b == 0:
         raise ValueError("premise violated: no leaking mass")
     c = safety_report(tree, scenario, 1, budget=budget).max_posterior
-    bound = general_upper_bound(b, c, n)
+    try:
+        bound = general_upper_bound(b, c, n)
+    except ValueError as err:
+        err.max_posterior = c
+        raise
     mi = mutual_information(joint, "X", "T")
     return GeneralBoundCheck(b, c, n, bound, mi)

@@ -281,6 +281,24 @@ class TestVerify:
             "max_posterior": fraction_to_jsonable(report.max_posterior),
         }
 
+    def test_c_scans_once_when_the_largest_posterior_is_one(self, tmp_path, monkeypatch):
+        """The revealing protocol's largest posterior is 1, which rules the
+        bound out after its scan; verify reads that scan's maximum from the
+        error instead of scanning again."""
+        sc = LeakScenario.independent(FiniteDist.uniform((0, 1)), 1, F(1, 2))
+        p_inn = FiniteDist((0, 1), (F(1), F(0)))
+        p_leak = FiniteDist((0, 1), (F(1, 2), F(1, 2)))
+        node = ProtocolNode(1, (0, 1), p_inn, {0: p_leak, 1: p_leak}, {0: None, 1: None})
+        protocol, scenario_path = write_instance(tmp_path, ProtocolTree(node), sc)
+        caps = self.count_max_posterior_scans(monkeypatch)
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--protocol", protocol, "--scenario", scenario_path, "--c", "2/3"]
+        assert run_cli(argv, out) == 0
+        assert caps == [1]
+        data = json.loads(out.read_text())
+        assert data["general_upper_bound"]["skipped"] == "need 0 < b <= c < 1, got b=1/2 c=1"
+        assert data["safety"] == {"c": "2/3", "safe": False, "max_posterior": fraction_to_jsonable(F(1))}
+
 
 class TestLeak:
     def test_rate_zero_no_errors(self, tmp_path):
@@ -788,9 +806,10 @@ def leak_peak_rss(args) -> tuple:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
 def test_binary_leak_peak_memory():
-    """The 2^20 x 200 binary book of the window-leak benchmark streams into
-    34 MB of bit-planes; building its 210 MB symbol matrix first peaked at
-    about 270 MB."""
+    """The 2^20 x 200 binary book of the window-leak benchmark is streamed
+    through the decoder and never held: the run peaks near 38 MB. Holding
+    its 34 MB of bit-planes peaked near 71 MB, and building its 210 MB
+    symbol matrix first at about 270 MB."""
     report, maxrss_kib = leak_peak_rss(["--mode", "indep", "--b", "1/2", "--c", "2/3", "--n", "200",
                                         "--rate", "1/10", "--trials", "16", "--seed", "3"])
     assert report["trials"] == 16
@@ -799,8 +818,8 @@ def test_binary_leak_peak_memory():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
 def test_ternary_leak_peak_memory():
-    """A 2^20 x 200 book over d = 3 streams into 67 MB of bit-planes; the
-    run peaks near 105 MB. Drawing its 210 MB symbol matrix in one call, as
+    """A 2^20 x 200 book over d = 3 keeps 67 MB of bit-planes, since each
+    trial reads its codeword through ``row``; the run peaks near 103 MB. Drawing its 210 MB symbol matrix in one call, as
     was once done for every d that is not a power of two, peaked near 700 MB."""
     report, maxrss_kib = leak_peak_rss(["--mode", "indep", "--b", "1/4", "--c", "1/2", "--n", "200",
                                         "--rate", "1/10", "--trials", "8", "--seed", "3"])
@@ -857,6 +876,34 @@ def test_readme_cli_examples_parse():
     assert {shlex.split(line)[1] for line in lines} == set(MINIMAL_ARGV)
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    """verify, game and embed run on the exact layer alone, so numpy, which
+    only the window codes need, is never imported."""
+    ch = window_channel(F(1, 2), F(2, 3))
+    protocol, scenario = write_instance(tmp_path, window_protocol(ch, 2), window_scenario(ch, 2))
+    files = ["--protocol", protocol, "--scenario", scenario]
+    chatter = FiniteDist(("u", "v"), (F(1, 3), F(2, 3)))
+    channel = tmp_path / "channel.json"
+    channel.write_text(json.dumps(InnocentChannel(2, ({1: chatter, 2: chatter},), True).to_jsonable()))
+    argvs = [
+        ["verify", *files, "--c", "2/3"],
+        ["game", *files],
+        ["embed", *files, "--channel", str(channel), "--audit-depth", "40"],
+    ]
+    for i, argv in enumerate(argvs):
+        argv += ["--out", str(tmp_path / ("report-%d.json" % i))]
+    probe = (
+        "import json, sys\n"
+        "from cryptogenography.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], False]
 
 
 class TestEntryPoint:

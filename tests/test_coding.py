@@ -598,6 +598,120 @@ class TestBatchedDecode:
             ml_decode(book, [1, 2, 2, 1, 2], window_channel(F(1, 4), F(1, 2)))
 
 
+@pytest.fixture
+def no_plane_build(monkeypatch):
+    """Fail any build of a book's bit-planes from its seed; planes a book
+    already holds may still be read."""
+    held = Codebook.bit_planes
+
+    def refuse(book):
+        if book._planes is None:
+            raise AssertionError("the book's planes were built")
+        return held(book)
+
+    monkeypatch.setattr(Codebook, "bit_planes", refuse)
+
+
+# per d, a window channel (a, d) = (a, d): b = a / (a + d) with c = 1/2
+STREAM_CHANNELS = {
+    d: window_channel(F(a, a + d), F(1, 2))
+    for d, a in ((2, 1), (3, 2), (4, 3), (5, 2), (256, 1), (257, 3))
+}
+
+
+def vector_decode(book, transcripts, ch):
+    """First codeword with the most in-window matches per transcript, None
+    on a tie, scored on the whole symbol matrix at once."""
+    symbols = book.symbols.astype(np.int64)[None]
+    t = np.asarray(transcripts, dtype=np.int64)[:, None, :]
+    scores = ((t - 1 - (symbols - 1) * ch.a) % ch.d < ch.a).sum(axis=2)
+    best = scores.max(axis=1, keepdims=True)
+    winners = (scores == best).sum(axis=1)
+    return [int(x) if k == 1 else None for x, k in zip(scores.argmax(axis=1), winners)]
+
+
+class TestStreamedDecode:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from(sorted(STREAM_CHANNELS)),
+        h=st.floats(0, 7),
+        n=st.integers(1, 140).filter(lambda n: n % 64),
+        transcripts=st.integers(1, 70),
+        block_words=st.sampled_from([1, 3, 40, 1 << 17]),
+        block_symbols=st.sampled_from([1, 64, 333]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streamed_and_held_books_decode_alike(
+        self, d, h, n, transcripts, block_words, block_symbols, seed
+    ):
+        # small chunks and draw blocks make chunk boundaries, draw blocks
+        # and rows carried between draw blocks misalign; copied rows, noise
+        # and a short n give ties
+        ch = STREAM_CHANNELS[d]
+        held = random_codebook(h, n, d, seed)
+        held.bit_planes()
+        rng = np.random.default_rng(seed)
+        rows = held.symbols[rng.integers(held.message_count, size=transcripts)].astype(np.int64)
+        sent = leak_message(rows, rng.random(rows.shape) < float(ch.b), ch, rng)
+        noise = rng.integers(1, d + 1, size=rows.shape)
+        batch = np.where(rng.random((transcripts, 1)) < 0.3, noise, sent)
+        batch[: transcripts // 4] = rows[: transcripts // 4]
+        lazy = random_codebook(h, n, d, seed)
+        with mock.patch.object(coding, "_BLOCK_WORDS", block_words), \
+                mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block_symbols):
+            got = coding._decode_batch(lazy, batch, ch)
+            assert got == coding._decode_batch(held, batch, ch)
+        assert lazy._planes is None
+        assert got == vector_decode(held, batch, ch)
+
+    @pytest.mark.parametrize("d", [2, 4, 16, 256, 1024])
+    @pytest.mark.parametrize("n", [33, 70])
+    def test_rows_jump_the_stream(self, no_plane_build, d, n):
+        # rows of 33 or 70 symbols are not word-aligned; the draw's blocks
+        # hold ``step`` whole rows each
+        want = one_shot_book(13, n, d, seed=2024)
+        book = random_codebook(13, n, d, seed=2024)
+        step = -(-max(1, coding._PLANE_BLOCK_SYMBOLS // n) // 8) * 8
+        assert 2 * step + 1 < len(want)
+        for x in (0, 1, step - 1, step, step + 1, 2 * step, len(want) - 1, -1, -len(want)):
+            row = book.row(x)
+            assert row.dtype == want.dtype and np.array_equal(row, want[x])
+        for x in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                book.row(x)
+
+    @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(1, 4), F(1, 2))])  # d = 2, 3
+    def test_decode_never_builds_the_planes(self, no_plane_build, b, c):
+        ch = window_channel(b, c)
+        data = {"seed": 5, "h": 12, "n": 100, "d": ch.d}
+        sent = one_shot_book(12, 100, ch.d, seed=5)[3001]
+        book = Codebook.from_jsonable(data)
+        assert book == Codebook.from_jsonable(data)
+        assert ml_decode(book, sent, ch) == 3001
+        assert book._planes is None
+
+    @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(1, 4), F(4, 7))])  # d = 2, 4
+    def test_indep_leak_never_builds_the_planes(self, no_plane_build, b, c):
+        rep = run_indep_experiment(b, c, F(1, 10), 120, 20, seed=9)
+        assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
+
+    def test_decode_peaks_below_half_the_planes(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(coding, "_BLOCK_WORDS", 1 << 12)
+        ch = window_channel(F(1, 2), F(2, 3))
+        sent = random_codebook(16, 200, 2, seed=8).row(40000)
+        planes_bytes = 2**16 * 4 * 8  # one plane of four words per codeword
+        tracemalloc.start()
+        try:
+            guess = ml_decode(random_codebook(16, 200, 2, seed=8), sent, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guess == 40000
+        assert peak < planes_bytes // 2
+
+
 class TestIndepExperiment:
     def test_rate_zero_never_fails(self):
         rep = run_indep_experiment(F(1, 2), F(2, 3), 0, 20, 50, seed=3)
