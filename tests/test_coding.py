@@ -612,7 +612,7 @@ def no_plane_build(monkeypatch):
     monkeypatch.setattr(Codebook, "bit_planes", refuse)
 
 
-# per d, a window channel (a, d) = (a, d): b = a / (a + d) with c = 1/2
+# a window channel per d: b = a / (a + d) and c = 1/2 give exactly (a, d)
 STREAM_CHANNELS = {
     d: window_channel(F(a, a + d), F(1, 2))
     for d, a in ((2, 1), (3, 2), (4, 3), (5, 2), (256, 1), (257, 3))
