@@ -9,6 +9,7 @@ to stderr only. Exit codes: 0 success, 1 runtime failure, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -133,23 +134,32 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read_input(args, flag: str, decode):
+    """(decoded, digest) of the JSON file named by ``--<flag>``. Its bytes
+    are read once: ``decode`` gets their ``json.loads`` and the digest is
+    their sha256, so the config hash describes the bytes that were parsed.
+    A file that cannot be read, or a TypeError or AttributeError while
+    decoding it (JSON of the wrong shape), is a ValueError naming the flag
+    and the path."""
+    path = getattr(args, flag)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError("--%s %s: %s" % (flag, path, exc.strerror or exc)) from exc
+    try:
+        value = decode(json.loads(data))
+    except (TypeError, AttributeError) as exc:
+        raise ValueError("--%s %s: wrong JSON shape: %s" % (flag, path, exc)) from exc
+    return value, hashlib.sha256(data).hexdigest()[:16]
 
 
 def _load_instance(args) -> tuple:
     """(tree, scenario, config) from ``--protocol`` and ``--scenario``; the
     config holds the two files' digests, and each command adds its flags."""
-    tree = ProtocolTree.from_jsonable(_load_json(args.protocol))
-    scenario = LeakScenario.from_jsonable(_load_json(args.scenario))
-    config = {"protocol": _file_digest(args.protocol), "scenario": _file_digest(args.scenario)}
-    return tree, scenario, config
+    tree, tree_digest = _read_input(args, "protocol", ProtocolTree.from_jsonable)
+    scenario, scenario_digest = _read_input(args, "scenario", LeakScenario.from_jsonable)
+    return tree, scenario, {"protocol": tree_digest, "scenario": scenario_digest}
 
 
 def cmd_capacity(args) -> int:
@@ -301,7 +311,7 @@ def cmd_game(args) -> int:
 
 def cmd_embed(args) -> int:
     tree, scenario, config = _load_instance(args)
-    channel = InnocentChannel.from_jsonable(_load_json(args.channel))
+    channel, channel_digest = _read_input(args, "channel", InnocentChannel.from_jsonable)
     run = compose_run(tree, channel, scenario, args.seed, args.max_rounds)
     payload = {
         "command": "embed",
@@ -317,7 +327,7 @@ def cmd_embed(args) -> int:
         audit = equivalence_audit(tree, channel, scenario, args.audit_depth)
         payload["audit"] = audit.to_jsonable()
     config.update(
-        channel=_file_digest(args.channel),
+        channel=channel_digest,
         seed=args.seed,
         max_rounds=args.max_rounds,
         audit_depth=args.audit_depth,
@@ -329,13 +339,13 @@ def cmd_embed(args) -> int:
 def cmd_decode(args) -> int:
     from .coding import Codebook, ml_decode, window_channel
 
-    book = Codebook.from_jsonable(_load_json(args.codebook))
-    transcript = _load_json(args.transcript)["messages"]
+    book, book_digest = _read_input(args, "codebook", Codebook.from_jsonable)
+    transcript, transcript_digest = _read_input(args, "transcript", lambda data: data["messages"])
     ch = window_channel(Fraction(args.b), Fraction(args.c))
     guess = ml_decode(book, transcript, ch)
     config = {
-        "codebook": _file_digest(args.codebook),
-        "transcript": _file_digest(args.transcript),
+        "codebook": book_digest,
+        "transcript": transcript_digest,
         "b": args.b,
         "c": args.c,
     }
@@ -353,6 +363,15 @@ def cmd_decode(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cryptogeno`` parser, its ``--budget`` default the library's
+    ``protocols.DEFAULT_ENUMERATION_BUDGET`` at call time. One parser is
+    built per budget value and shared by every later call, so callers must
+    not change it; parsing reads a parser without changing it."""
+    return _parser(protocols.DEFAULT_ENUMERATION_BUDGET)
+
+
+@functools.cache
+def _parser(budget: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cryptogeno",
         description="capacities, certificates and experiments for deniable leaking",
@@ -363,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--format": dict(choices=("json", "csv"), default="json"),
         "--seed": dict(type=int, default=0),
-        "--budget": dict(type=int, default=protocols.DEFAULT_ENUMERATION_BUDGET),
+        "--budget": dict(type=int, default=budget),
     }
 
     def common(p, *flags):

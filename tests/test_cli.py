@@ -605,6 +605,89 @@ class TestDecode:
         assert not out.exists()
 
 
+def input_files(tmp_path) -> dict:
+    """A well-formed file for each CLI input flag, by flag name."""
+    ch = window_channel(F(1, 2), F(2, 3))
+    objs = {
+        "protocol": window_protocol(ch, 2).to_jsonable(),
+        "scenario": window_scenario(ch, 2).to_jsonable(),
+        "channel": InnocentChannel.iid_uniform(2, ("m1", "m2")).to_jsonable(),
+        "codebook": {"seed": 1, "h": 3, "n": 6, "d": 2},
+        "transcript": {"messages": [1, 2, 1, 1, 2, 2]},
+    }
+    paths = {}
+    for name, obj in objs.items():
+        paths[name] = tmp_path / ("%s.json" % name)
+        paths[name].write_text(json.dumps(obj))
+    return paths
+
+
+def with_field(keys, value):
+    """A spoiler that sets the field at the path ``keys`` of a well-formed
+    file to ``value``."""
+
+    def write(path):
+        data = json.loads(path.read_text())
+        *outer, last = keys
+        node = data
+        for key in outer:
+            node = node[key]
+        node[last] = value
+        path.write_text(json.dumps(data))
+
+    return write
+
+
+# (command, flag, how the flag's file is spoiled): None puts a directory
+# at the path, a str is the file's whole text
+MALFORMED_INPUTS = [
+    pytest.param("verify", "protocol", None, id="verify-protocol-directory"),
+    pytest.param("verify", "protocol", "[]", id="verify-protocol-list"),
+    pytest.param("verify", "scenario", "[]", id="verify-scenario-list"),
+    pytest.param("game", "scenario", with_field(("joint", "table"), 5), id="game-scenario-table-5"),
+    pytest.param("embed", "channel", with_field(("rounds",), 5), id="embed-channel-rounds-5"),
+    pytest.param("embed", "channel", None, id="embed-channel-directory"),
+    pytest.param("decode", "codebook", "[]", id="decode-codebook-list"),
+    pytest.param("decode", "transcript", "[]", id="decode-transcript-list"),
+    pytest.param("decode", "transcript", '"messages"', id="decode-transcript-string"),
+]
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command,flag,spoil", MALFORMED_INPUTS)
+    def test_unreadable_or_misshapen_file_exits_2(self, tmp_path, capsys, command, flag, spoil):
+        """A file that cannot be read, or whose JSON has the wrong shape, is
+        bad input: exit 2, one error line naming the flag, no report."""
+        paths = input_files(tmp_path)
+        if spoil is None:
+            paths[flag].unlink()
+            paths[flag].mkdir()
+        elif isinstance(spoil, str):
+            paths[flag].write_text(spoil)
+        else:
+            spoil(paths[flag])
+        argv = [command]
+        for option in MINIMAL_ARGV[command][::2]:
+            argv += [option, str(paths[option[2:]])]
+        out = tmp_path / "report.json"
+        assert run_cli(argv, out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --%s %s: " % (flag, paths[flag]))
+        assert not out.exists()
+
+    def test_utf8_bom_is_read(self, tmp_path):
+        """Each input is parsed from its bytes, so a UTF-8 byte order mark
+        is accepted; the config hash still describes the file's bytes."""
+        paths = input_files(tmp_path)
+        argv = ["verify", "--protocol", str(paths["protocol"]), "--scenario", str(paths["scenario"])]
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert run_cli(argv, plain) == 0
+        paths["scenario"].write_bytes(b"\xef\xbb\xbf" + paths["scenario"].read_bytes())
+        assert run_cli(argv, marked) == 0
+        plain, marked = json.loads(plain.read_text()), json.loads(marked.read_text())
+        assert plain.pop("config_hash") != marked.pop("config_hash")
+        assert plain == marked
+
+
 def golden_cases(tmp_path):
     """name -> argv of the small runs whose reports are pinned below."""
     from cryptogenography.coding import random_codebook, window
@@ -876,6 +959,29 @@ def test_readme_cli_examples_parse():
     assert {shlex.split(line)[1] for line in lines} == set(MINIMAL_ARGV)
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_budget_flag_does_not_carry_over(self, window_files, tmp_path):
+        protocol, scenario = window_files
+        argv = ["verify", "--protocol", protocol, "--scenario", scenario]
+        assert run_cli(argv + ["--budget", "2"], tmp_path / "small.json") == 1
+        assert run_cli(argv, tmp_path / "default.json") == 0
+        assert json.loads((tmp_path / "default.json").read_text())["all_rounds_hold"] is True
+        assert build_parser().parse_args(argv).budget == protocols.DEFAULT_ENUMERATION_BUDGET
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_help_leaves_the_parser_usable(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_cli(["capacity", "--c", "1/2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["rows"][0]["fixed_capacity"] == pytest.approx(0.557305, abs=1e-6)
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
