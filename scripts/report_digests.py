@@ -129,6 +129,10 @@ def window_cases(workdir) -> dict:
                                   "--trials", "10", "--seed", "4"],
         "leak-fixed": ["leak", "--mode", "fixed", "--l", "10", "--n", "40", "--c", "3/4",
                        "--rate", "1/10", "--trials", "5", "--seed", "7"],
+        # (a, d) = (3, 38): two 2^10 x 200 books, each over two draw blocks,
+        # so the report pins every trial's draw order and its rows
+        "leak-fixed-d38": ["leak", "--mode", "fixed", "--l", "10", "--n", "200", "--c", "3/4",
+                           "--rate", "1", "--trials", "6", "--seed", "5"],
     }
     # the sent codeword is row 9999 of numpy's own one-call draw of the
     # book, so decode finds it only if the package regenerates that stream

@@ -138,9 +138,9 @@ def _read_input(args, flag: str, decode):
     """(decoded, digest) of the JSON file named by ``--<flag>``. Its bytes
     are read once: ``decode`` gets their ``json.loads`` and the digest is
     their sha256, so the config hash describes the bytes that were parsed.
-    A file that cannot be read, or a TypeError or AttributeError while
-    decoding it (JSON of the wrong shape), is a ValueError naming the flag
-    and the path."""
+    A file that cannot be read, a TypeError or AttributeError while
+    decoding it (JSON of the wrong shape) or a KeyError (a missing field) is
+    a ValueError naming the flag and the path."""
     path = getattr(args, flag)
     try:
         with open(path, "rb") as fh:
@@ -151,6 +151,8 @@ def _read_input(args, flag: str, decode):
         value = decode(json.loads(data))
     except (TypeError, AttributeError) as exc:
         raise ValueError("--%s %s: wrong JSON shape: %s" % (flag, path, exc)) from exc
+    except KeyError as exc:
+        raise ValueError("--%s %s: missing field %s" % (flag, path, exc)) from exc
     return value, hashlib.sha256(data).hexdigest()[:16]
 
 

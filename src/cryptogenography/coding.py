@@ -21,11 +21,13 @@ a tie is reported exactly as with one decode at a time.
 A book is its seed: ``random_codebook`` draws nothing. The decoder
 reproduces one ``rng.integers`` draw of the whole book from the
 generator's raw words chunk by chunk, each plane of a block of values one
-masked copy into a reused row-padded buffer and one flat ``packbits``, and
-for a power-of-two d ``Codebook.row`` reads one row in place by jumping the
-stream. ``bit_planes``, ``symbols`` and any other d's ``row`` build the
-planes once and keep them; no decode or experiment at a power-of-two d
-does.
+masked copy into a reused row-padded buffer and one flat ``packbits``; a
+chunk's planes and the decoder's scratch buffers share one budget of
+``_BLOCK_WORDS`` words. ``Codebook.rows`` reads a list of rows: for a
+power-of-two d each in place by jumping the stream, for any other d in one
+pass over the draw up to the largest index. Only ``bit_planes``,
+``symbols`` and books built with planes hold them; no decode or experiment
+at any d does.
 
 ``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
 in O(1): the sign of one linear int expression orders every pair of
@@ -164,8 +166,8 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 # ---------------------------------------------------------------------------
 # codebooks and ML decoding
 
-# uint64 words per (transcripts x codewords) chunk of the decoder: 1 MiB per
-# scratch buffer, small enough to stay in cache
+# uint64 words (1 MiB) of one decoder chunk's planes and scratch buffers
+# together, small enough to stay in cache
 _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
 _GROUP = 64
@@ -287,12 +289,12 @@ class Codebook:
     """2^ceil(h) i.i.d. uniform codewords over {1..d}: the seed's draw.
 
     Without planes a book holds nothing but its fields. The decoder streams
-    its bit-planes from the seed chunk by chunk, and for a power-of-two d
-    ``row`` reads one row from the generator's raw stream. ``bit_planes``,
-    ``symbols`` and ``row`` at any other d build the planes once and keep
-    them. A book given planes stands for them instead of the seed's draw;
-    either way the kept planes are read-only, and ``symbols`` and ``row``
-    are unpacked from them, so they cannot drift from what the decoder reads.
+    its bit-planes from the seed chunk by chunk, and ``rows`` reads the
+    rows it is asked for from the generator's raw stream. Only
+    ``bit_planes`` and ``symbols`` build the planes, once, and keep them. A
+    book given planes stands for them instead of the seed's draw; either way
+    the kept planes are read-only, and ``symbols`` and ``rows`` are unpacked
+    from them, so they cannot drift from what the decoder reads.
     """
 
     def __init__(self, h_bits: float, n: int, d: int, seed: int, planes: Optional[np.ndarray] = None):
@@ -336,24 +338,46 @@ class Codebook:
         return 1 << math.ceil(self.h_bits)
 
     def row(self, x: int) -> np.ndarray:
-        """Codeword x (negative counts from the end) as symbols in 1..d.
+        """Codeword x (negative counts from the end) as symbols in 1..d."""
+        return self.rows([x])[0]
 
-        For a power-of-two d and no kept planes it is read in place: nothing
-        is rejected, so row x is the raw stream's B-bit values x n .. x n +
-        n - 1, and the generator is advanced past the 64-bit words before
-        them."""
-        top = _top_bit(self.d)
-        if self._planes is not None or top is None:
-            return _unpack_planes(self.bit_planes()[:, :, [x]], self.n, self.d)[0]
+    def rows(self, xs) -> np.ndarray:
+        """(len(xs), n) array of codewords xs (in any order, repeats allowed,
+        negative counting from the end) as symbols in 1..d; it keeps nothing.
+
+        Kept planes are unpacked. Otherwise, for a power-of-two d each row is
+        read in place: nothing is rejected, so row x is the raw stream's
+        B-bit values x n .. x n + n - 1, and the generator is advanced past
+        the 64-bit words before them. Any other d draws the book once, block
+        by block, up to the largest row wanted."""
+        xs = np.array([range(self.message_count)[x] for x in xs], dtype=np.int64)
+        if self._planes is not None:
+            return _unpack_planes(self._planes[:, :, xs], self.n, self.d)
         dtype = _symbol_dtype(self.d)
-        size = np.dtype(dtype).itemsize
-        offset = range(self.message_count)[x] * self.n * size  # bytes before the row
-        gen = np.random.default_rng(self.seed).bit_generator
-        gen.advance(offset // 8)
-        skip = offset % 8 // size
-        raw = gen.random_raw(-(-(offset % 8 + self.n * size) // 8))
-        values = raw.astype("<u8", copy=False).view("<u%d" % size)[skip : skip + self.n]
-        return (values >> top).astype(dtype) + 1
+        out = np.empty((len(xs), self.n), dtype=dtype)
+        top = _top_bit(self.d)
+        if top is not None:
+            size = np.dtype(dtype).itemsize
+            for i, x in enumerate(xs):
+                offset = int(x) * self.n * size  # bytes before the row
+                gen = np.random.default_rng(self.seed).bit_generator
+                gen.advance(offset // 8)
+                skip = offset % 8 // size
+                raw = gen.random_raw(-(-(offset % 8 + self.n * size) // 8))
+                values = raw.astype("<u8", copy=False).view("<u%d" % size)[skip : skip + self.n]
+                np.right_shift(values, top, out=out[i], casting="unsafe")
+        else:
+            order = np.argsort(xs)
+            wanted = xs[order]
+            start = done = 0
+            for block, _ in _drawn_blocks(self.seed, self.d, self.n, int(xs.max(initial=-1)) + 1):
+                # the rows wanted from this block, in xs order
+                end = int(np.searchsorted(wanted, start + len(block)))
+                out[order[done:end]] = block[wanted[done:end] - start]
+                start += len(block)
+                done = end
+        out += 1
+        return out
 
     def bit_planes(self) -> np.ndarray:
         """(ceil(log2 d), ceil(n/64), message_count) uint64 array: plane k
@@ -458,10 +482,12 @@ def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -
 
 def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) -> list:
     """``ml_decode`` of every row of transcripts in one pass over the
-    codebook, read in chunks of ``_BLOCK_WORDS // max(t, words)`` codewords
-    (t transcripts to a group of at most ``_GROUP``, words per plane of a
-    codeword), so neither a scratch buffer nor a plane of the chunk passes
-    ``_BLOCK_WORDS`` words.
+    codebook, read in chunks of as many codewords as fit in
+    ``_BLOCK_WORDS`` words (at least one): per codeword a chunk holds its
+    planes and, for each of the t transcripts of the largest group (at most
+    ``_GROUP``), a word in each scratch buffer, a byte of set bits and a
+    mismatch count, so the chunk and every buffer stay within that budget
+    together.
 
     Mismatches are summed word by word over a chunk for a whole group; per
     transcript the pass keeps the fewest mismatches seen, the first
@@ -479,9 +505,11 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
     first = np.zeros(total, dtype=np.int64)
     ties = np.zeros(total, dtype=np.int64)
     largest = min(total, _GROUP)
-    rows = max(1, _BLOCK_WORDS // max(largest, words))
     # miss always; diff only with more than one offset, tmp with more than one plane
-    scratch = [np.empty(largest * rows * need, dtype=np.uint64) for need in (1, ch.a > 1, depth > 1)]
+    needs = (1, ch.a > 1, depth > 1)
+    row_bytes = 8 * depth * words + largest * (8 * sum(needs) + 1 + np.dtype(acc_dtype).itemsize)
+    rows = max(1, 8 * _BLOCK_WORDS // row_bytes)
+    scratch = [np.empty(largest * rows * need, dtype=np.uint64) for need in needs]
     bits_buf = np.empty(largest * rows, dtype=np.uint8)
     misses_buf = np.empty(largest * rows, dtype=acc_dtype)
     for start, chunk in book._chunks(rows):
@@ -528,7 +556,7 @@ def ml_decode(book: Codebook, transcript, ch: WindowChannel) -> Optional[int]:
         raise ValueError("codebook alphabet d=%d does not match the channel's d=%d" % (book.d, ch.d))
     messages = np.asarray(transcript, dtype=object)
     if messages.shape != (book.n,):
-        raise ValueError("transcript length %d does not match n=%d" % (messages.size, book.n))
+        raise ValueError("transcript must be n=%d messages, got shape %s" % (book.n, messages.shape))
     messages = [_integral("transcript messages", m, True) for m in messages]
     if not all(1 <= m <= ch.d for m in messages):
         raise ValueError("transcript messages must be in 1..%d" % ch.d)
@@ -592,17 +620,17 @@ def run_indep_experiment(b, c, rate, n: int, trials: int, seed: int) -> Experime
     if post_in != ch.c:
         raise ArithmeticError("in-window posterior %s differs from c = %s" % (post_in, ch.c))
     bf = float(ch.b)
-    xs = []
-    transcripts = np.empty((trials, n), dtype=_symbol_dtype(ch.d))
+    # each trial's generator draws its codeword index, then its messages;
+    # between the two the book's rows are read in one pass
+    rngs = [np.random.default_rng(derive_seed(seed, trial)) for trial in range(trials)]
+    xs = [int(rng.integers(book.message_count)) for rng in rngs]
+    transcripts = book.rows(xs)
     hits = 0
-    for trial in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, trial))
-        x = int(rng.integers(book.message_count))
-        row = book.row(x).astype(np.int64)
+    for rng, sent in zip(rngs, transcripts):
+        row = sent.astype(np.int64)
         msgs = leak_message(row, rng.random(n) < bf, ch, rng)
         hits += int(np.count_nonzero(in_window(ch, msgs, row)))
-        xs.append(x)
-        transcripts[trial] = msgs
+        sent[...] = msgs  # the transcript takes the codeword's place
     decode_errors, tie_errors = _decode_failures(_decode_batch(book, transcripts, ch), xs)
     return ExperimentReport(
         trials,
@@ -654,23 +682,26 @@ def fixed_two_group_run(
         random_codebook(float(h), n, ch.d, derive_seed(seed, AUX_STREAM_OFFSET + g))
         for g in range(2)
     ]
+    # each trial's generator draws who leaks, then both codeword indices,
+    # then both groups' messages; between the index and message draws each
+    # book's rows are read in one pass
+    rngs = [np.random.default_rng(derive_seed(seed, trial)) for trial in range(trials)]
+    leakers = np.zeros((trials, 2 * n), dtype=bool)
     xs = []
-    transcripts = np.empty((2, trials, n), dtype=_symbol_dtype(ch.d))
+    for trial, rng in enumerate(rngs):
+        leakers[trial, rng.permutation(2 * n)[: 2 * l]] = True
+        xs.append(tuple(int(rng.integers(book.message_count)) for book in books))
+    transcripts = [book.rows([x_pair[g] for x_pair in xs]) for g, book in enumerate(books)]
     consistent = []
-    for trial in range(trials):
-        rng = np.random.default_rng(derive_seed(seed, trial))
-        leakers = np.zeros(2 * n, dtype=bool)
-        leakers[rng.permutation(2 * n)[: 2 * l]] = True
-        x_pair = tuple(int(rng.integers(book.message_count)) for book in books)
+    for trial, rng in enumerate(rngs):
         hits = 0
-        for g, book in enumerate(books):
-            row = book.row(x_pair[g]).astype(np.int64)
-            msgs = leak_message(row, leakers[g * n : (g + 1) * n], ch, rng)
+        for g in range(2):
+            row = transcripts[g][trial].astype(np.int64)
+            msgs = leak_message(row, leakers[trial, g * n : (g + 1) * n], ch, rng)
             hits += int(np.count_nonzero(in_window(ch, msgs, row)))
-            transcripts[g, trial] = msgs
-        xs.append(x_pair)
+            transcripts[g][trial] = msgs  # the transcript takes the codeword's place
         consistent.append(hits)
-    guesses = zip(*(_decode_batch(book, transcripts[g], ch) for g, book in enumerate(books)))
+    guesses = zip(*(_decode_batch(book, sent, ch) for book, sent in zip(books, transcripts)))
     # a trial is a tie if either group ties, else an error if either is wrong
     outcomes = [None if None in pair else pair for pair in guesses]
     decode_errors, tie_errors = _decode_failures(outcomes, xs)

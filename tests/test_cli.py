@@ -578,6 +578,18 @@ class TestDecode:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "messages,shape",
+        # a nested list once read as "length 6" and a scalar as "length 1"
+        [([[1, 1, 1], [1, 1, 1]], "(2, 3)"), (5, "()"), ([1, 2, 1], "(3,)")],
+    )
+    def test_misshapen_transcript_states_its_shape(self, tmp_path, capsys, messages, shape):
+        argv = decode_argv(tmp_path, "shape", {"seed": 1, "h": 3, "n": 6, "d": 2}, messages, "1/2", "2/3")
+        out = tmp_path / "decode.json"
+        assert run_cli(argv, out_path=out) == 2
+        assert capsys.readouterr().err == "error: transcript must be n=6 messages, got shape %s\n" % shape
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             # a fractional n or d used to be truncated and decode against
@@ -638,25 +650,35 @@ def with_field(keys, value):
     return write
 
 
-# (command, flag, how the flag's file is spoiled): None puts a directory
-# at the path, a str is the file's whole text
+# (command, flag, how the flag's file is spoiled, what the error says):
+# None puts a directory at the path, whose error is worded by the platform;
+# a str is the file's whole text
 MALFORMED_INPUTS = [
-    pytest.param("verify", "protocol", None, id="verify-protocol-directory"),
-    pytest.param("verify", "protocol", "[]", id="verify-protocol-list"),
-    pytest.param("verify", "scenario", "[]", id="verify-scenario-list"),
-    pytest.param("game", "scenario", with_field(("joint", "table"), 5), id="game-scenario-table-5"),
-    pytest.param("embed", "channel", with_field(("rounds",), 5), id="embed-channel-rounds-5"),
-    pytest.param("embed", "channel", None, id="embed-channel-directory"),
-    pytest.param("decode", "codebook", "[]", id="decode-codebook-list"),
-    pytest.param("decode", "transcript", "[]", id="decode-transcript-list"),
-    pytest.param("decode", "transcript", '"messages"', id="decode-transcript-string"),
+    pytest.param("verify", "protocol", None, "", id="verify-protocol-directory"),
+    pytest.param("verify", "protocol", "[]", "wrong JSON shape", id="verify-protocol-list"),
+    pytest.param("verify", "scenario", "[]", "wrong JSON shape", id="verify-scenario-list"),
+    pytest.param("game", "scenario", with_field(("joint", "table"), 5), "wrong JSON shape",
+                 id="game-scenario-table-5"),
+    pytest.param("embed", "channel", with_field(("rounds",), 5), "wrong JSON shape",
+                 id="embed-channel-rounds-5"),
+    pytest.param("embed", "channel", None, "", id="embed-channel-directory"),
+    pytest.param("decode", "codebook", "[]", "wrong JSON shape", id="decode-codebook-list"),
+    pytest.param("decode", "transcript", "[]", "wrong JSON shape", id="decode-transcript-list"),
+    pytest.param("decode", "transcript", '"messages"', "wrong JSON shape", id="decode-transcript-string"),
+    # `{}` is the silent protocol, so the protocol's empty object is its root
+    pytest.param("verify", "protocol", '{"root": {}}', "missing field 'alphabet'", id="verify-protocol-empty-root"),
+    pytest.param("verify", "scenario", "{}", "missing field 'joint'", id="verify-scenario-empty"),
+    pytest.param("embed", "channel", "{}", "missing field 'players'", id="embed-channel-empty"),
+    pytest.param("decode", "codebook", "{}", "missing field 'n'", id="decode-codebook-empty"),
+    pytest.param("decode", "transcript", "{}", "missing field 'messages'", id="decode-transcript-empty"),
 ]
 
 class TestInputFiles:
-    @pytest.mark.parametrize("command,flag,spoil", MALFORMED_INPUTS)
-    def test_unreadable_or_misshapen_file_exits_2(self, tmp_path, capsys, command, flag, spoil):
-        """A file that cannot be read, or whose JSON has the wrong shape, is
-        bad input: exit 2, one error line naming the flag, no report."""
+    @pytest.mark.parametrize("command,flag,spoil,reason", MALFORMED_INPUTS)
+    def test_unreadable_or_misshapen_file_exits_2(self, tmp_path, capsys, command, flag, spoil, reason):
+        """A file that cannot be read, whose JSON has the wrong shape or
+        lacks a field is bad input: exit 2, one error line naming the flag
+        and saying why, no report."""
         paths = input_files(tmp_path)
         if spoil is None:
             paths[flag].unlink()
@@ -672,6 +694,7 @@ class TestInputFiles:
         assert run_cli(argv, out) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: --%s %s: " % (flag, paths[flag]))
+        assert reason in err
         assert not out.exists()
 
     def test_utf8_bom_is_read(self, tmp_path):
@@ -901,13 +924,15 @@ def test_binary_leak_peak_memory():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units differ off Linux")
 def test_ternary_leak_peak_memory():
-    """A 2^20 x 200 book over d = 3 keeps 67 MB of bit-planes, since each
-    trial reads its codeword through ``row``; the run peaks near 103 MB. Drawing its 210 MB symbol matrix in one call, as
-    was once done for every d that is not a power of two, peaked near 700 MB."""
+    """A 2^20 x 200 book over d = 3 is streamed, once to read the trials'
+    codewords and once through the decoder, and never held: the run peaks
+    near 39 MB. Keeping its 67 MB of bit-planes for the trials' rows peaked
+    near 103 MB, and drawing its 210 MB symbol matrix in one call near
+    700 MB."""
     report, maxrss_kib = leak_peak_rss(["--mode", "indep", "--b", "1/4", "--c", "1/2", "--n", "200",
                                         "--rate", "1/10", "--trials", "8", "--seed", "3"])
     assert report["trials"] == 8
-    assert maxrss_kib < 160 * 1024
+    assert maxrss_kib < 64 * 1024
 
 
 # the fewest arguments each subcommand parses with

@@ -695,6 +695,61 @@ class TestStreamedDecode:
         rep = run_indep_experiment(b, c, F(1, 10), 120, 20, seed=9)
         assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
 
+    @pytest.mark.parametrize("b,c", [(F(1, 4), F(1, 2)), (F(2, 7), F(1, 2))])  # d = 3, 5
+    def test_indep_leak_over_other_alphabets_never_builds_the_planes(self, no_plane_build, b, c):
+        # a 2^10 x 300 book spans three draw blocks
+        rep = run_indep_experiment(b, c, F(1, 30), 300, 20, seed=9)
+        assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
+
+    def test_fixed_leak_never_builds_the_planes(self, no_plane_build, monkeypatch):
+        # (a, d) = (3, 38): each of the two 2^10 x 200 books spans several
+        # draw blocks
+        monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 15)
+        rep = fixed_two_group_run(10, 200, F(3, 4), 1, 6, seed=5)
+        assert rep.trials == 6 and rep.max_posterior_seen == F(20, 49)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([3, 5, 6, 257]),
+        h=st.floats(0, 7),
+        n=st.integers(0, 90),
+        block=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_rows_match_one_shot_draw(self, d, h, n, block, seed, data):
+        # small draw blocks make rows straddle blocks and raw words; indices
+        # come unsorted, repeated and negative
+        want = one_shot_book(h, n, d, seed)
+        count = len(want)
+        xs = data.draw(st.lists(st.integers(-count, count - 1), max_size=12))
+        book = random_codebook(h, n, d, seed)
+        with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
+            rows = book.rows(xs)
+        assert rows.dtype == want.dtype and rows.shape == (len(xs), n)
+        assert np.array_equal(rows, want[xs])
+        assert book._planes is None
+
+    def test_decode_chunk_and_scratch_share_one_budget(self, monkeypatch):
+        import tracemalloc
+
+        # a 2^12-word budget is 32 KiB; the draw's temporaries for blocks of
+        # 2^12 values and the transcripts' patterns come on top
+        monkeypatch.setattr(coding, "_BLOCK_WORDS", 1 << 12)
+        monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 12)
+        ch = window_channel(F(1, 4), F(1, 2))  # d = 3
+        xs = [5, 9000, 16000, 3, 77, 12345, 4096, 1]
+        sent = one_shot_book(14, 200, 3, seed=8)[xs]
+        book = random_codebook(14, 200, 3, seed=8)
+        tracemalloc.start()
+        try:
+            guesses = coding._decode_batch(book, sent, ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guesses == xs
+        assert peak < 4 * 8 * coding._BLOCK_WORDS
+
     def test_decode_peaks_below_half_the_planes(self, monkeypatch):
         import tracemalloc
 
