@@ -345,37 +345,47 @@ class Codebook:
         """(len(xs), n) array of codewords xs (in any order, repeats allowed,
         negative counting from the end) as symbols in 1..d; it keeps nothing.
 
-        Kept planes are unpacked. Otherwise, for a power-of-two d each row is
-        read in place: nothing is rejected, so row x is the raw stream's
-        B-bit values x n .. x n + n - 1, and the generator is advanced past
-        the 64-bit words before them. Any other d draws the book once, block
-        by block, up to the largest row wanted."""
+        Kept planes are unpacked. Otherwise row x is the accepted B-bit
+        values x n .. x n + n - 1 of the raw stream (see ``random_codebook``).
+        A power-of-two d rejects nothing, so each row is read in place: the
+        generator is advanced past the 64-bit words before it. Any other d
+        draws the stream once, in blocks of ``_PLANE_BLOCK_SYMBOLS`` values,
+        up to the largest row wanted; a block holding none of its values is
+        only counted, without the compress and the product."""
         xs = np.array([range(self.message_count)[x] for x in xs], dtype=np.int64)
         if self._planes is not None:
             return _unpack_planes(self._planes[:, :, xs], self.n, self.d)
         dtype = _symbol_dtype(self.d)
+        size = np.dtype(dtype).itemsize
+        value = np.dtype("<u%d" % size)
         out = np.empty((len(xs), self.n), dtype=dtype)
         top = _top_bit(self.d)
+        firsts = xs * self.n
         if top is not None:
-            size = np.dtype(dtype).itemsize
-            for i, x in enumerate(xs):
-                offset = int(x) * self.n * size  # bytes before the row
+            for i, first in enumerate(firsts):
+                offset = int(first) * size  # bytes before the row
                 gen = np.random.default_rng(self.seed).bit_generator
                 gen.advance(offset // 8)
                 skip = offset % 8 // size
                 raw = gen.random_raw(-(-(offset % 8 + self.n * size) // 8))
-                values = raw.astype("<u8", copy=False).view("<u%d" % size)[skip : skip + self.n]
+                values = raw.astype("<u8", copy=False).view(value)[skip : skip + self.n]
                 np.right_shift(values, top, out=out[i], casting="unsafe")
         else:
-            order = np.argsort(xs)
-            wanted = xs[order]
-            start = done = 0
-            for block, _ in _drawn_blocks(self.seed, self.d, self.n, int(xs.max(initial=-1)) + 1):
-                # the rows wanted from this block, in xs order
-                end = int(np.searchsorted(wanted, start + len(block)))
-                out[order[done:end]] = block[wanted[done:end] - start]
-                start += len(block)
-                done = end
+            raw = np.random.default_rng(self.seed).bit_generator.random_raw
+            floor = (1 << 8 * size) % self.d
+            drawn, last = 0, int(firsts.max(initial=-self.n)) + self.n
+            while drawn < last:  # drawn: accepted values before the block
+                values = raw(-(-_PLANE_BLOCK_SYMBOLS * size // 8)).astype("<u8", copy=False).view(value)
+                accepted = values * self.d >= floor  # the product's low half
+                count = int(np.count_nonzero(accepted))
+                hit = np.flatnonzero((firsts < drawn + count) & (firsts + self.n > drawn))
+                if len(hit):
+                    products = np.multiply(values[accepted], self.d, dtype="<u%d" % (2 * size))
+                    symbols = products >> 8 * size
+                for i in hit:
+                    lo, hi = max(firsts[i], drawn), min(firsts[i] + self.n, drawn + count)
+                    out[i, lo - firsts[i] : hi - firsts[i]] = symbols[lo - drawn : hi - drawn]
+                drawn += count
         out += 1
         return out
 
