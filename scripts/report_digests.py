@@ -6,9 +6,9 @@ Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
 `game` on the silent protocol with a skewed secret (no cap reported),
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
-`leak` at d = 2, 3, 4 and 9 and in fixed mode, `decode` of a noisy d = 3
-codeword, of a noisy d = 4 codeword in a later chunk of a streamed book, of
-a noisy d = 2 codeword of length 37 and of a tie, the JSON
+`leak` at d = 2, 3, 4 and 9 and in fixed mode at d = 3 and 38, `decode`
+of a noisy d = 3 codeword, of a noisy d = 4 codeword in a later chunk of a
+streamed book, of a noisy d = 2 codeword of length 37 and of a tie, the JSON
 and CSV `capacity` reports of a 3x3 grid, the ``float.hex`` of the
 capacity and game-bound formulas over a fixed grid, and the
 canonical JSON of `binarize`, `stop_at_c`, `pretend_ignorance` and the

@@ -350,8 +350,8 @@ class Codebook:
         A power-of-two d rejects nothing, so each row is read in place: the
         generator is advanced past the 64-bit words before it. Any other d
         draws the stream once, in blocks of ``_PLANE_BLOCK_SYMBOLS`` values,
-        up to the largest row wanted; a block holding none of its values is
-        only counted, without the compress and the product."""
+        up to the largest row wanted; a block holding no value of a wanted
+        row is only counted, without the compress and the product."""
         xs = np.array([range(self.message_count)[x] for x in xs], dtype=np.int64)
         if self._planes is not None:
             return _unpack_planes(self._planes[:, :, xs], self.n, self.d)

@@ -706,7 +706,8 @@ class TestStreamedDecode:
         # draw blocks
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 15)
         rep = fixed_two_group_run(10, 200, F(3, 4), 1, 6, seed=5)
-        assert rep.trials == 6 and rep.max_posterior_seen == F(20, 49)
+        assert (rep.trials, rep.decode_errors, rep.tie_errors) == (6, 3, 3)
+        assert rep.max_posterior_seen == F(20, 49)
 
     @settings(max_examples=60, deadline=None)
     @given(
