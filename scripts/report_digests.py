@@ -2,7 +2,10 @@
 """sha256 of the exact reports on a fixed set of instances.
 
 Prints one ``<digest>  <name>`` line per report: `verify --c 3/4` and
-`game` on the n=3 window instance and two seeded deep random protocols,
+`game` on the n=3 window instance, two seeded deep random protocols and
+the n=4 window instance, whose leakage meets the paper's cap with equality,
+one digest of both reports over a seeded batch of small instances (random,
+independent-leaker and fixed-count scenarios in turn),
 `game` on the silent protocol with a skewed secret (no cap reported),
 `embed --audit-depth` (the whole report file) on the one-speaker figure
 instance and the n=2 and n=3 window instances under (1/3, 2/3) chatter,
@@ -77,7 +80,25 @@ def protocol_instances():
     rng = random.Random(34)
     sc = LeakScenario.independent(FiniteDist.uniform((0, 1, 2)), 3, F(1, 3))
     instances["deep-indep"] = (random_protocol(rng, sc, max_depth=4, stop_prob=0.2), sc)
+    # the knife edge: the window protocol's leakage equals the cap
+    instances["window4"] = (window_protocol(ch, 4), window_scenario(ch, 4))
     return instances
+
+
+def batch_instances(count: int, seed: int):
+    """Yield (protocol, scenario) of a seeded batch of small instances: a
+    random scenario, independent leakers and a fixed leaker count in turn."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 2 + k % 2
+        x = FiniteDist.uniform(tuple(range(2 + k % 3 // 2)))
+        if k % 3 == 0:
+            sc = random_scenario(rng, n_players=n)
+        elif k % 3 == 1:
+            sc = LeakScenario.independent(x, n, F(rng.randrange(1, 4), 4))
+        else:
+            sc = LeakScenario.fixed(x, rng.randrange(0, n + 1), n)
+        yield random_protocol(rng, sc, max_depth=3), sc
 
 
 def skewed_instance():
@@ -282,6 +303,12 @@ def main():
             files = instance_files(workdir, pi, sc)
             print("%s  verify-%s" % (cli_digest(workdir, ["verify"] + files + ["--c", "3/4"]), name))
             print("%s  game-%s" % (cli_digest(workdir, ["game"] + files), name))
+        batch = hashlib.sha256()
+        for pi, sc in batch_instances(60, 17):
+            files = instance_files(workdir, pi, sc)
+            batch.update(cli_report(workdir, ["verify"] + files + ["--c", "3/4"]))
+            batch.update(cli_report(workdir, ["game"] + files))
+        print("%s  verify-game-batch" % batch.hexdigest())
         files = instance_files(workdir, *skewed_instance())
         print("%s  game-skewed" % cli_digest(workdir, ["game"] + files))
         for name, (pi, sc, channel, depth) in embed_instances().items():
