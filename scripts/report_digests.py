@@ -155,9 +155,13 @@ def window_cases(workdir) -> dict:
         "leak-fixed-d38": ["leak", "--mode", "fixed", "--l", "10", "--n", "200", "--c", "3/4",
                            "--rate", "1", "--trials", "6", "--seed", "5"],
     }
-    # the sent codeword is row 9999 of numpy's own one-call draw of the
-    # book, so decode finds it only if the package regenerates that stream
-    sent = np.random.default_rng(12).integers(1, 4, size=(2**14, 70), dtype=np.uint8)[9999]
+    # the sent codeword is row 9999 of the book as numpy itself draws it:
+    # at d = 3 block k of R = 1872 rows (a multiple of 8 near 2^17 symbols)
+    # is one call 2^64 k raw words into the seed's stream, so decode finds
+    # it only if the package regenerates that stream
+    rng = np.random.default_rng(12)
+    rng.bit_generator.advance(9999 // 1872 * 2**64)
+    sent = rng.integers(1, 4, size=(1872, 70), dtype=np.uint8)[9999 % 1872]
     ch = window_channel(F(2, 5), F(1, 2))  # a=2, d=3
     noisy = [window(ch, int(s))[0] for s in sent]
     noisy[:10] = [i % 3 + 1 for i in range(10)]
@@ -169,7 +173,7 @@ def window_cases(workdir) -> dict:
     sent = np.random.default_rng(41).integers(1, 5, size=(2**17, 100), dtype=np.uint8)[100003]
     changed = [int(s) % 4 + 1 if i < 10 else int(s) for i, s in enumerate(sent)]
     decodes = {
-        "decode-d3": ({"seed": 12, "h": 14, "n": 70, "d": 3}, noisy, "2/5", "1/2"),
+        "decode-d3": ({"seed": 12, "h": 14, "n": 70, "d": 3, "stream": 2}, noisy, "2/5", "1/2"),
         "decode-d4": ({"seed": 41, "h": 17, "n": 100, "d": 4}, changed, "1/4", "4/7"),
         "decode-d2-n37": ({"seed": 21, "h": 13, "n": 37, "d": 2}, flipped, "1/2", "2/3"),
         # eight codewords of this book tie on the alternating transcript

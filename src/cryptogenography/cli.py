@@ -134,13 +134,14 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_input(args, flag: str, decode):
+def _read_input(args, flag: str, decode, invalid=()):
     """(decoded, digest) of the JSON file named by ``--<flag>``. Its bytes
     are read once: ``decode`` gets their ``json.loads`` and the digest is
     their sha256, so the config hash describes the bytes that were parsed.
     A file that cannot be read, a TypeError or AttributeError while
-    decoding it (JSON of the wrong shape) or a KeyError (a missing field) is
-    a ValueError naming the flag and the path."""
+    decoding it (JSON of the wrong shape), a KeyError (a missing field) or
+    an exception of the types ``invalid`` (a field's value refused) is a
+    ValueError naming the flag and the path."""
     path = getattr(args, flag)
     try:
         with open(path, "rb") as fh:
@@ -153,6 +154,8 @@ def _read_input(args, flag: str, decode):
         raise ValueError("--%s %s: wrong JSON shape: %s" % (flag, path, exc)) from exc
     except KeyError as exc:
         raise ValueError("--%s %s: missing field %s" % (flag, path, exc)) from exc
+    except invalid as exc:
+        raise ValueError("--%s %s: %s" % (flag, path, exc)) from exc
     return value, hashlib.sha256(data).hexdigest()[:16]
 
 
@@ -341,7 +344,7 @@ def cmd_embed(args) -> int:
 def cmd_decode(args) -> int:
     from .coding import Codebook, ml_decode, window_channel
 
-    book, book_digest = _read_input(args, "codebook", Codebook.from_jsonable)
+    book, book_digest = _read_input(args, "codebook", Codebook.from_jsonable, ValueError)
     transcript, transcript_digest = _read_input(args, "transcript", lambda data: data["messages"])
     ch = window_channel(Fraction(args.b), Fraction(args.c))
     guess = ml_decode(book, transcript, ch)
@@ -434,7 +437,7 @@ def _parser(budget: int) -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="regenerate a codebook and ML-decode a transcript")
     common(p)
-    p.add_argument("--codebook", required=True, help="JSON with seed, h, n, d")
+    p.add_argument("--codebook", required=True, help="JSON with seed, h, n, d and stream")
     p.add_argument("--transcript", required=True, help='JSON with "messages": [..]')
     p.add_argument("--b", default="1/2")
     p.add_argument("--c", default="2/3")

@@ -18,16 +18,15 @@ in one pass over cache-sized chunks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
 a tie is reported exactly as with one decode at a time.
 
-A book is its seed: ``random_codebook`` draws nothing. The decoder
-reproduces one ``rng.integers`` draw of the whole book from the
-generator's raw words chunk by chunk, each plane of a block of values one
+A book is its seed: ``random_codebook`` draws nothing. The book is a
+sequence of draw blocks of R rows, block k read from the seed's generator
+advanced to a fixed raw word, so any block can be drawn alone. The decoder
+draws the blocks in order, chunk by chunk, each plane of a block one
 masked copy into a reused row-padded buffer and one flat ``packbits``; a
 chunk's planes and the decoder's scratch buffers share one budget of
-``_BLOCK_WORDS`` words. ``Codebook.rows`` reads a list of rows: for a
-power-of-two d each in place by jumping the stream, for any other d in one
-pass over the draw up to the largest index. Only ``bit_planes``,
-``symbols`` and books built with planes hold them; no decode or experiment
-at any d does.
+``_BLOCK_WORDS`` words. ``Codebook.rows`` draws only the blocks that hold
+a wanted row, at every d. Only ``bit_planes``, ``symbols`` and books built
+with planes hold them; no decode or experiment does.
 
 ``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
 in O(1): the sign of one linear int expression orders every pair of
@@ -84,6 +83,9 @@ __all__ = [
 
 # random_codebook's cap on the symbols of one book
 MAX_CODEBOOK_ENTRIES = 2**28
+# the draw behind a seed, written into a book's JSON: stream 1 was one
+# generator call over the whole book, 2 is seekable draw blocks
+STREAM = 2
 
 
 def exact_rate(value) -> Fraction:
@@ -172,7 +174,9 @@ _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
 _GROUP = 64
 # codebook values drawn and packed, or symbols unpacked, at a time: a
-# block's temporaries then fit in cache
+# block's temporaries then fit in cache. It sets a draw block's rows R, so
+# at a d that rejects values it is part of the stream: changing it draws
+# another book
 _PLANE_BLOCK_SYMBOLS = 1 << 17
 
 
@@ -226,56 +230,59 @@ def _top_bit(d: int):
     return None
 
 
-def _drawn_blocks(seed: int, d: int, n: int, count: int):
-    """(block, bit) pairs, in order, of the codewords ``random_codebook``
-    draws, from about ``_PLANE_BLOCK_SYMBOLS`` (at least n) raw B-bit values
-    each: bit ``bit + k`` of a (rows, n) block is bit k of its symbols - 1."""
+def _reject_floor(d: int) -> int:
+    """2^B mod d, Lemire's rejection threshold: 0 iff no value is rejected."""
+    return (1 << 8 * np.dtype(_symbol_dtype(d)).itemsize) % d
+
+
+def _block_rows(n: int) -> int:
+    """Codewords of one draw block: a multiple of 8 near
+    ``_PLANE_BLOCK_SYMBOLS`` symbols (at least one row)."""
+    return -(-max(1, _PLANE_BLOCK_SYMBOLS // max(n, 1)) // 8) * 8
+
+
+def _drawn_blocks(seed: int, d: int, n: int, count: int, blocks=None):
+    """(block, bit) of draw blocks ``blocks`` (ascending; default all) of
+    the book ``random_codebook`` describes, read by one generator advanced
+    from block start to block start: bit ``bit + k`` of a (rows, n) block
+    is bit k of its symbols - 1."""
     size = np.dtype(_symbol_dtype(d)).itemsize
     value = np.dtype("<u%d" % size)
-    raw = np.random.default_rng(seed).bit_generator.random_raw
+    floor = _reject_floor(d)
     top = _top_bit(d)
-    if top is not None and n:
-        # nothing is rejected: blocks of 8k whole rows end on a raw word and
-        # are read in place
-        step = -(-max(1, _PLANE_BLOCK_SYMBOLS // n) // 8) * 8
-        for start in range(0, count, step):
-            rows = min(step, count - start)
-            values = raw(-(-rows * n * size // 8)).astype("<u8", copy=False).view(value)
-            yield values[: rows * n].reshape(rows, n), top
-        return
-    floor = (1 << 8 * size) % d
-    carried = np.empty(0, dtype=value)
-    rows_left = count
-    while rows_left and n:
-        wanted = min(max(_PLANE_BLOCK_SYMBOLS, n), rows_left * n - len(carried))
-        values = raw(-(-wanted * size // 8)).astype("<u8", copy=False).view(value)
-        # values * d wraps to the low half of the product
-        values = values[values * d >= floor]
-        symbols = np.empty(len(carried) + len(values), dtype=value)
-        symbols[: len(carried)] = carried
-        products = np.multiply(values, d, dtype="<u%d" % (2 * size))
-        np.right_shift(products, 8 * size, out=symbols[len(carried) :], casting="unsafe")
-        rows = min(len(symbols) // n, rows_left)
-        yield symbols[: rows * n].reshape(rows, n), 0
-        # accepted values past the last whole row open the next block
-        carried = symbols[rows * n :]
-        rows_left -= rows
-
-
-def _plane_blocks(seed: int, d: int, n: int, count: int):
-    """Bit-planes (see ``Codebook.bit_planes``) of the codewords of
-    ``_drawn_blocks``, a block at a time: per block one (words, rows) uint64
-    array per plane, packed through one reused row-padded buffer."""
-    buf = np.empty((0, 64 * -(-n // 64)), dtype=np.uint8)
-    for block, bit in _drawn_blocks(seed, d, n, count):
-        if len(buf) < len(block):
-            buf = np.zeros((len(block), buf.shape[1]), dtype=np.uint8)
-        yield [_pack_bit(block, bit + k, buf) for k in range(_depth(d))]
+    rows_per = _block_rows(n)
+    stride = 1 << 64 if floor else rows_per * n * size // 8
+    gen = np.random.default_rng(seed).bit_generator
+    at = 0  # the generator's position, in raw words
+    for k in range(-(-count // rows_per)) if blocks is None else blocks:
+        gen.advance(k * stride - at)
+        at = k * stride
+        rows = min(rows_per, count - k * rows_per)
+        need = rows * n
+        if top is not None:
+            # nothing is rejected: symbol - 1 is the top bits of each value
+            words = -(-need * size // 8)
+            values = gen.random_raw(words).astype("<u8", copy=False).view(value)
+            at += words
+            yield values[:need].reshape(rows, n), top
+            continue
+        symbols = np.empty(need, dtype=value)
+        got = 0
+        while got < need:
+            words = -(-(need - got) * size // 8)
+            values = gen.random_raw(words).astype("<u8", copy=False).view(value)
+            at += words
+            # values * d wraps to the low half of the product
+            values = values[values * d >= floor][: need - got]
+            products = np.multiply(values, d, dtype="<u%d" % (2 * size))
+            np.right_shift(products, 8 * size, out=symbols[got : got + len(values)], casting="unsafe")
+            got += len(values)
+        yield symbols.reshape(rows, n), 0
 
 
 def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
     """(rows, n) symbols in 1..d of a (depth, words, rows) slice of planes;
-    the inverse of ``_plane_blocks``."""
+    the inverse of packing them (see ``Codebook.bit_planes``)."""
     dtype = _symbol_dtype(d)
     symbols = np.ones((planes.shape[2], n), dtype=dtype)
     for k, plane in enumerate(planes):
@@ -286,11 +293,12 @@ def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
 
 
 class Codebook:
-    """2^ceil(h) i.i.d. uniform codewords over {1..d}: the seed's draw.
+    """2^ceil(h) i.i.d. uniform codewords over {1..d}: the seed's draw (see
+    ``random_codebook``).
 
     Without planes a book holds nothing but its fields. The decoder streams
-    its bit-planes from the seed chunk by chunk, and ``rows`` reads the
-    rows it is asked for from the generator's raw stream. Only
+    its bit-planes from the seed's draw blocks chunk by chunk, and ``rows``
+    draws only the blocks holding the rows it is asked for. Only
     ``bit_planes`` and ``symbols`` build the planes, once, and keep them. A
     book given planes stands for them instead of the seed's draw; either way
     the kept planes are read-only, and ``symbols`` and ``rows`` are unpacked
@@ -345,47 +353,20 @@ class Codebook:
         """(len(xs), n) array of codewords xs (in any order, repeats allowed,
         negative counting from the end) as symbols in 1..d; it keeps nothing.
 
-        Kept planes are unpacked. Otherwise row x is the accepted B-bit
-        values x n .. x n + n - 1 of the raw stream (see ``random_codebook``).
-        A power-of-two d rejects nothing, so each row is read in place: the
-        generator is advanced past the 64-bit words before it. Any other d
-        draws the stream once, in blocks of ``_PLANE_BLOCK_SYMBOLS`` values,
-        up to the largest row wanted; a block holding no value of a wanted
-        row is only counted, without the compress and the product."""
+        Kept planes are unpacked. Otherwise row x is row x mod R of draw
+        block x // R (see ``random_codebook``): each block holding a wanted
+        row is drawn once, and no other block is."""
         xs = np.array([range(self.message_count)[x] for x in xs], dtype=np.int64)
         if self._planes is not None:
             return _unpack_planes(self._planes[:, :, xs], self.n, self.d)
-        dtype = _symbol_dtype(self.d)
-        size = np.dtype(dtype).itemsize
-        value = np.dtype("<u%d" % size)
-        out = np.empty((len(xs), self.n), dtype=dtype)
-        top = _top_bit(self.d)
-        firsts = xs * self.n
-        if top is not None:
-            for i, first in enumerate(firsts):
-                offset = int(first) * size  # bytes before the row
-                gen = np.random.default_rng(self.seed).bit_generator
-                gen.advance(offset // 8)
-                skip = offset % 8 // size
-                raw = gen.random_raw(-(-(offset % 8 + self.n * size) // 8))
-                values = raw.astype("<u8", copy=False).view(value)[skip : skip + self.n]
-                np.right_shift(values, top, out=out[i], casting="unsafe")
-        else:
-            raw = np.random.default_rng(self.seed).bit_generator.random_raw
-            floor = (1 << 8 * size) % self.d
-            drawn, last = 0, int(firsts.max(initial=-self.n)) + self.n
-            while drawn < last:  # drawn: accepted values before the block
-                values = raw(-(-_PLANE_BLOCK_SYMBOLS * size // 8)).astype("<u8", copy=False).view(value)
-                accepted = values * self.d >= floor  # the product's low half
-                count = int(np.count_nonzero(accepted))
-                hit = np.flatnonzero((firsts < drawn + count) & (firsts + self.n > drawn))
-                if len(hit):
-                    products = np.multiply(values[accepted], self.d, dtype="<u%d" % (2 * size))
-                    symbols = products >> 8 * size
-                for i in hit:
-                    lo, hi = max(firsts[i], drawn), min(firsts[i] + self.n, drawn + count)
-                    out[i, lo - firsts[i] : hi - firsts[i]] = symbols[lo - drawn : hi - drawn]
-                drawn += count
+        out = np.empty((len(xs), self.n), dtype=_symbol_dtype(self.d))
+        per = _block_rows(self.n)
+        block_of = xs // per
+        wanted = sorted(set(block_of.tolist()))
+        blocks = _drawn_blocks(self.seed, self.d, self.n, self.message_count, wanted)
+        for k, (block, bit) in zip(wanted, blocks):
+            hit = block_of == k
+            out[hit] = block[xs[hit] - k * per] >> bit
         out += 1
         return out
 
@@ -397,10 +378,7 @@ class Codebook:
         bits themselves. Built from the seed on first call, as one chunk of
         the whole book, and kept."""
         if self._planes is None:
-            if self.n:
-                _, planes = next(self._chunks(self.message_count))
-            else:
-                planes = np.empty((_depth(self.d), 0, self.message_count), dtype=np.uint64)
+            _, planes = next(self._chunks(self.message_count))
             planes.flags.writeable = False
             self._planes = planes
         return self._planes
@@ -408,20 +386,24 @@ class Codebook:
     def _chunks(self, width: int):
         """(start, planes) of consecutive chunks of at most width codewords,
         in index order, each planes a (depth, words, rows) array valid until
-        the next chunk: slices of kept planes, or else the seed's draw packed
-        into one reused buffer, across the draw's blocks."""
+        the next chunk: slices of kept planes, or else the seed's draw blocks,
+        each plane packed through one reused row-padded buffer and copied
+        into one reused chunk."""
         count = self.message_count
-        if self._planes is not None or not self.n:
-            planes = self.bit_planes()
+        if self._planes is not None:
             for start in range(0, count, width):
-                yield start, planes[:, :, start : start + width]
+                yield start, self._planes[:, :, start : start + width]
             return
         chunk = np.empty((_depth(self.d), -(-self.n // 64), min(width, count)), dtype=np.uint64)
+        buf = np.empty((0, 64 * chunk.shape[1]), dtype=np.uint8)
         start = fill = 0
-        for block in _plane_blocks(self.seed, self.d, self.n, count):
+        for values, bit in _drawn_blocks(self.seed, self.d, self.n, count):
+            if len(buf) < len(values):
+                buf = np.zeros((len(values), buf.shape[1]), dtype=np.uint8)
+            block = [_pack_bit(values, bit + k, buf) for k in range(len(chunk))]
             done = 0
-            while done < block[0].shape[1]:
-                take = min(chunk.shape[2] - fill, block[0].shape[1] - done)
+            while done < len(values):
+                take = min(chunk.shape[2] - fill, len(values) - done)
                 for k, plane in enumerate(block):
                     chunk[k, :, fill : fill + take] = plane[:, done : done + take]
                 fill += take
@@ -435,18 +417,35 @@ class Codebook:
 
     def to_jsonable(self) -> dict:
         # regeneration contract: codewords are never stored
-        return {"seed": self.seed, "h": self.h_bits, "n": self.n, "d": self.d}
+        return {"seed": self.seed, "h": self.h_bits, "n": self.n, "d": self.d, "stream": STREAM}
 
     @classmethod
     def from_jsonable(cls, data) -> "Codebook":
+        """The book a JSON object names. A missing ``stream`` is stream 1,
+        which is read only where it names the same book as ``STREAM``: at a
+        d that rejects no value (1 or a power of two)."""
         n, d, seed = (_integral("codebook " + key, data[key], True) for key in ("n", "d", "seed"))
-        return random_codebook(data["h"], n, d, seed)
+        stream = _integral("codebook stream", data.get("stream", 1), True)
+        book = random_codebook(data["h"], n, d, seed)
+        if stream not in (1, STREAM):
+            raise ValueError("codebook stream must be 1 or %d, got %d" % (STREAM, stream))
+        if stream == 1 and _reject_floor(d):
+            raise ValueError(
+                "codebook stream 1 names another book than stream %d at d=%d; they agree only "
+                "at d = 1 and at powers of two" % (STREAM, d)
+            )
+        return book
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
-    """The book ``default_rng(seed).integers(1, d + 1, size=(2^ceil(h_bits), n),
-    dtype=_symbol_dtype(d))`` draws, drawn only when read (see ``Codebook``)
-    and then packed into bit-planes block by block.
+    """2^ceil(h_bits) codewords of n symbols over {1..d}, drawn only when
+    read (see ``Codebook``), in draw blocks of R = ``_block_rows(n)`` rows.
+
+    Block k is ``rng.integers(1, d + 1, size=(rows, n), dtype=_symbol_dtype(d))``
+    for ``default_rng(seed)`` advanced k stride raw words. The stride is
+    2^64 at a d that rejects values. At any other d (1 or a power of two) it
+    is a block's R n B / 64 words, so the book is one ``integers`` call: the
+    stream 1 of JSON written without a ``stream`` field.
 
     numpy takes each symbol by Lemire's method from the next B-bit value v
     (B = 8, or 16 when d >= 256) of the raw 64-bit words read little-endian:

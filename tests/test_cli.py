@@ -558,23 +558,54 @@ class TestDecode:
         "book_json,messages,b,c",
         [
             # messages below, above and (on d=2) just past the alphabet
-            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [0] * 6, "1/4", "1/2"),
-            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1, 2, 3, 7, 1, 2], "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3, "stream": 2}, [0] * 6, "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3, "stream": 2}, [1, 2, 3, 7, 1, 2], "1/4", "1/2"),
             ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 3, 1, 2], "1/2", "2/3"),
             # a binary book read through the d=3 channel
             ({"seed": 2, "h": 3, "n": 5, "d": 2}, [1, 2, 2, 1, 2], "1/4", "1/2"),
             # fractional, boolean and string messages used to be truncated
             # or parsed into 1..d and decoded with exit code 0
-            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1.5, 2.5, 1.5, 3.5, 2.5, 1.5], "1/4", "1/2"),
-            ({"seed": 1, "h": 3, "n": 6, "d": 3}, [1, 2, True, 3, 1, 2], "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3, "stream": 2}, [1.5, 2.5, 1.5, 3.5, 2.5, 1.5], "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3, "stream": 2}, [1, 2, True, 3, 1, 2], "1/4", "1/2"),
             ({"seed": 2, "h": 3, "n": 5, "d": 2}, [True] * 5, "1/2", "2/3"),
-            ({"seed": 1, "h": 3, "n": 6, "d": 3}, ["1", "2", "3", "1", "2", "3"], "1/4", "1/2"),
+            ({"seed": 1, "h": 3, "n": 6, "d": 3, "stream": 2}, ["1", "2", "3", "1", "2", "3"], "1/4", "1/2"),
         ],
     )
     def test_invalid_transcript_or_alphabet_exits_2(self, tmp_path, book_json, messages, b, c):
         argv = decode_argv(tmp_path, "bad", book_json, messages, b, c)
         out = tmp_path / "decode.json"
         assert run_cli(argv, out_path=out) == 2
+        assert not out.exists()
+
+    def test_codebook_without_stream_field(self, tmp_path, capsys):
+        """A book written without a ``stream`` field is stream 1, the draw
+        of one generator call: read at d = 2, where it is this package's
+        book, and refused at d = 3, where it is another book."""
+        import numpy as np
+
+        sent = np.random.default_rng(8).integers(1, 3, size=(2**10, 40), dtype=np.uint8)[700]
+        argv = decode_argv(tmp_path, "d2", {"seed": 8, "h": 10, "n": 40, "d": 2},
+                           [int(s) for s in sent], "1/2", "2/3")
+        out = tmp_path / "decode.json"
+        assert run_cli(argv, out_path=out) == 0
+        assert json.loads(out.read_text())["x_hat"] == 700
+        out.unlink()
+        argv = decode_argv(tmp_path, "d3", {"seed": 8, "h": 10, "n": 40, "d": 3}, [1] * 40, "1/4", "1/2")
+        assert run_cli(argv, out_path=out) == 2
+        assert capsys.readouterr().err == (
+            "error: --codebook %s: codebook stream 1 names another book than stream 2 at d=3; "
+            "they agree only at d = 1 and at powers of two\n" % argv[2]
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stream", [0, 3, "2", None])
+    def test_unknown_codebook_stream_names_the_field(self, tmp_path, capsys, stream):
+        book = {"seed": 8, "h": 4, "n": 6, "d": 2, "stream": stream}
+        argv = decode_argv(tmp_path, "stream", book, [1] * 6, "1/2", "2/3")
+        out = tmp_path / "decode.json"
+        assert run_cli(argv, out_path=out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --codebook %s: codebook stream must be " % argv[2])
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -719,7 +750,7 @@ def golden_cases(tmp_path):
     noisy = [window(ch, int(s))[0] for s in random_codebook(8, 70, 3, seed=12).row(37)]
     noisy[:20] = [i % 3 + 1 for i in range(20)]
     indep = ["leak", "--mode", "indep", "--b"]
-    book_d3 = {"seed": 12, "h": 8, "n": 70, "d": 3}
+    book_d3 = {"seed": 12, "h": 8, "n": 70, "d": 3, "stream": 2}
     book_tie = {"seed": 15, "h": 3, "n": 4, "d": 2}
     return {
         "leak-indep-d2": indep + ["1/2", "--c", "2/3", "--n", "70", "--rate", "1/10",
@@ -743,7 +774,7 @@ GOLDEN = {
     "leak-indep-d3": "2474d00b55a54a3748af4efbef9edf760a99eab850d08b016290dae2afac598b",
     "leak-indep-d9": "6d19f817c13ef9d3c4237f74c1c9ed8627124f9747d124c0f13da7ffaf0f6345",
     "leak-fixed": "29ffdd14e89e15497b90d0663b31b62793532722964893b34c8eec3efc3bf2e5",
-    "decode-d3": "0a30c9e5e74dd673bebf3aa608118e7977aee9af6165529e8405b44860810904",
+    "decode-d3": "9facb982afbd8b2dac2f37993672bc6db69c3de502d81c83732b3b9c67e4769a",
     "decode-tie": "d98e2f6edbf241decd745856a66f414e9883dc228566e9dd1c7cf458f53a0f25",
 }
 

@@ -228,7 +228,7 @@ class TestCodebook:
     def test_json_regeneration_contract(self):
         book = random_codebook(4, 10, 3, seed=123)
         data = book.to_jsonable()
-        assert set(data) == {"seed", "h", "n", "d"}
+        assert set(data) == {"seed", "h", "n", "d", "stream"} and data["stream"] == 2
         again = Codebook.from_jsonable(data)
         assert np.array_equal(book.symbols, again.symbols)
 
@@ -247,10 +247,34 @@ class TestCodebook:
 
 
 def one_shot_book(h, n, d, seed):
-    """The whole book drawn by one generator call, as random_codebook once did."""
+    """The whole book drawn by one generator call: random_codebook's book
+    at d = 1 and at powers of two, which reject no raw value."""
     dtype = np.uint8 if d < 256 else np.uint16
     count = 2 ** math.ceil(h)
     return np.random.default_rng(seed).integers(1, d + 1, size=(count, n), dtype=dtype)
+
+
+def block_book(h, n, d, seed):
+    """The book drawn block by block: block k of R rows (R a multiple of 8
+    near _PLANE_BLOCK_SYMBOLS symbols) is one generator call on the seed's
+    generator advanced 2^64 k raw words. random_codebook's book at any d
+    that rejects raw values."""
+    dtype = np.uint8 if d < 256 else np.uint16
+    count = 2 ** math.ceil(h)
+    per = -(-max(1, coding._PLANE_BLOCK_SYMBOLS // max(n, 1)) // 8) * 8
+    blocks = []
+    for start in range(0, count, per):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(start // per * 2**64)
+        blocks.append(rng.integers(1, d + 1, size=(min(per, count - start), n), dtype=dtype))
+    return np.concatenate(blocks)
+
+
+def drawn_book(h, n, d, seed):
+    """random_codebook's book: one_shot_book where d rejects no raw value,
+    else block_book."""
+    rejects = (256 if d < 256 else 65536) % d
+    return (block_book if rejects else one_shot_book)(h, n, d, seed)
 
 
 def reference_pack(bits):
@@ -280,10 +304,9 @@ def no_symbol_matrix(monkeypatch):
 
 
 class TestStreamedCodebook:
-    # with 64 raw values per block, for a d that is not a power of two rows
-    # straddle blocks and 64-bit raw words, and the values accepted past a
-    # block's last whole row are carried into the next block; a power of
-    # two reads whole rows, a multiple of 8 per block, in place. n = 64
+    # with 64 values per block, every block holds 8 rows (at n = 5, 16), so
+    # a book of 64 rows spans several blocks; a power of two reads them in
+    # place, any other d draws each from its own stream offset. n = 64
     # fills whole words and n = 200 whole bytes
     @pytest.mark.parametrize(
         "d", [1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300, 512, 1024, 32768]
@@ -291,7 +314,7 @@ class TestStreamedCodebook:
     @pytest.mark.parametrize("n", [5, 37, 70, 64, 200])
     def test_matches_one_shot_draw(self, monkeypatch, d, n):
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
-        want = one_shot_book(6, n, d, seed=2024)
+        want = drawn_book(6, n, d, seed=2024)
         book = random_codebook(6, n, d, seed=2024)
         assert np.array_equal(book.bit_planes(), reference_planes(want, d))
         assert book.message_count == len(want)
@@ -312,9 +335,43 @@ class TestStreamedCodebook:
     def test_any_block_size_matches_one_shot_draw(self, seed, h, n, d, block):
         with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
             book = random_codebook(h, n, d, seed)
-        want = one_shot_book(h, n, d, seed)
-        assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+            want = drawn_book(h, n, d, seed)
+            assert np.array_equal(book.bit_planes(), reference_planes(want, d))
         assert np.array_equal(book.symbols, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        h=st.floats(0, 6),
+        n=st.integers(0, 90),
+        d=st.sampled_from([1, 2, 4, 8, 128, 256, 512, 32768]),
+        block=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_books_that_reject_nothing_are_one_call_at_any_block_size(self, seed, h, n, d, block, data):
+        # their blocks follow each other in one stream, so the block size
+        # is not part of the book: it stays the one-call draw of stream 1
+        want = one_shot_book(h, n, d, seed)
+        xs = data.draw(st.lists(st.integers(-len(want), len(want) - 1), max_size=6))
+        book = random_codebook(h, n, d, seed)
+        with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
+            assert np.array_equal(book.rows(xs), want[xs])
+            assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+
+    @pytest.mark.parametrize("d", [3, 5, 255, 257, 300])
+    @pytest.mark.parametrize("n", [0, 1, 37])
+    def test_other_books_start_each_block_at_its_own_offset(self, monkeypatch, d, n):
+        # block k is one integers call 2^64 k raw words into the stream,
+        # whatever was rejected in the blocks before it; n = 0 draws
+        # empty rows
+        monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
+        book = random_codebook(7, n, d, seed=11)
+        want = block_book(7, n, d, seed=11)
+        assert len(want) == 128 and coding._block_rows(n) <= 64
+        assert np.array_equal(book.rows(range(128)), want)
+        assert np.array_equal(book.symbols, want)
+        if n:
+            assert not np.array_equal(want, one_shot_book(7, n, d, seed=11))
 
     @pytest.mark.parametrize(
         "n,d,message",
@@ -399,7 +456,7 @@ class TestStreamedCodebook:
         assert rep.trials == 5
         ch = window_channel(F(1, 4), F(1, 2))
         book = random_codebook(4, 30, ch.d, seed=9)
-        want = one_shot_book(4, 30, ch.d, seed=9)
+        want = drawn_book(4, 30, ch.d, seed=9)
         assert book.message_count == len(want)
         assert all(np.array_equal(book.row(x), want[x]) for x in range(-len(want), len(want)))
         assert ml_decode(book, book.row(7), ch) == 7
@@ -416,7 +473,7 @@ class TestStreamedCodebook:
         again = Codebook.from_jsonable(json.loads(json.dumps(book.to_jsonable())))
         assert again == book
         assert (again.h_bits, again.n, again.d, again.seed) == (book.h_bits, n, d, seed)
-        assert np.array_equal(again.symbols, one_shot_book(h, n, d, seed))
+        assert np.array_equal(again.symbols, drawn_book(h, n, d, seed))
 
     @pytest.mark.parametrize(
         "field,value",
@@ -434,6 +491,26 @@ class TestStreamedCodebook:
         # True once drew a 2-codeword book and "3" raised a bare TypeError
         with pytest.raises(ValueError, match="codebook h"):
             random_codebook(h, 4, 2, 0)
+
+    @pytest.mark.parametrize(
+        "stream,message",
+        [(3, "codebook stream must be 1 or 2, got 3"), (0, "codebook stream must be 1 or 2, got 0"),
+         (True, "codebook stream must be an integer, got True"),
+         (1.5, "codebook stream must be an integer, got 1.5"),
+         (1, "codebook stream 1 names another book than stream 2 at d=3")],
+    )
+    def test_from_jsonable_refuses_other_streams(self, stream, message):
+        data = {"seed": 2, "h": 3, "n": 4, "d": 3, "stream": stream}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Codebook.from_jsonable(data)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 256, 32768])
+    def test_stream_1_is_read_where_nothing_is_rejected(self, d):
+        # books written before the stream field name the one-call draw,
+        # which is this book at d = 1 and at powers of two
+        book = Codebook.from_jsonable({"seed": 2, "h": 3, "n": 4, "d": d})
+        assert book == random_codebook(3, 4, d, 2) == Codebook.from_jsonable(book.to_jsonable())
+        assert np.array_equal(book.symbols, one_shot_book(3, 4, d, 2))
 
     def test_from_jsonable_accepts_integral_floats(self):
         data = {"seed": 2.0, "h": 3, "n": 4.0, "d": 2.0}
@@ -644,23 +721,24 @@ class TestStreamedDecode:
     def test_streamed_and_held_books_decode_alike(
         self, d, h, n, transcripts, block_words, block_symbols, seed
     ):
-        # small chunks and draw blocks make chunk boundaries, draw blocks
-        # and rows carried between draw blocks misalign; copied rows, noise
-        # and a short n give ties
+        # small chunks and draw blocks make chunk boundaries and draw blocks
+        # misalign; copied rows, noise and a short n give ties. The draw
+        # block size is part of the book at a d that rejects values, so both
+        # books are read under it
         ch = STREAM_CHANNELS[d]
-        held = random_codebook(h, n, d, seed)
-        held.bit_planes()
-        rng = np.random.default_rng(seed)
-        rows = held.symbols[rng.integers(held.message_count, size=transcripts)].astype(np.int64)
-        sent = leak_message(rows, rng.random(rows.shape) < float(ch.b), ch, rng)
-        noise = rng.integers(1, d + 1, size=rows.shape)
-        batch = np.where(rng.random((transcripts, 1)) < 0.3, noise, sent)
-        batch[: transcripts // 4] = rows[: transcripts // 4]
-        lazy = random_codebook(h, n, d, seed)
-        with mock.patch.object(coding, "_BLOCK_WORDS", block_words), \
-                mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block_symbols):
-            got = coding._decode_batch(lazy, batch, ch)
-            assert got == coding._decode_batch(held, batch, ch)
+        with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block_symbols):
+            held = random_codebook(h, n, d, seed)
+            held.bit_planes()
+            rng = np.random.default_rng(seed)
+            rows = held.symbols[rng.integers(held.message_count, size=transcripts)].astype(np.int64)
+            sent = leak_message(rows, rng.random(rows.shape) < float(ch.b), ch, rng)
+            noise = rng.integers(1, d + 1, size=rows.shape)
+            batch = np.where(rng.random((transcripts, 1)) < 0.3, noise, sent)
+            batch[: transcripts // 4] = rows[: transcripts // 4]
+            lazy = random_codebook(h, n, d, seed)
+            with mock.patch.object(coding, "_BLOCK_WORDS", block_words):
+                got = coding._decode_batch(lazy, batch, ch)
+                assert got == coding._decode_batch(held, batch, ch)
         assert lazy._planes is None
         assert got == vector_decode(held, batch, ch)
 
@@ -683,8 +761,8 @@ class TestStreamedDecode:
     @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(1, 4), F(1, 2))])  # d = 2, 3
     def test_decode_never_builds_the_planes(self, no_plane_build, b, c):
         ch = window_channel(b, c)
-        data = {"seed": 5, "h": 12, "n": 100, "d": ch.d}
-        sent = one_shot_book(12, 100, ch.d, seed=5)[3001]
+        data = {"seed": 5, "h": 12, "n": 100, "d": ch.d, "stream": 2}
+        sent = drawn_book(12, 100, ch.d, seed=5)[3001]
         book = Codebook.from_jsonable(data)
         assert book == Codebook.from_jsonable(data)
         assert ml_decode(book, sent, ch) == 3001
@@ -702,12 +780,12 @@ class TestStreamedDecode:
         assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
 
     def test_fixed_leak_never_builds_the_planes(self, no_plane_build, monkeypatch):
-        # (a, d) = (3, 38): each of the two 2^10 x 200 books spans several
-        # draw blocks
+        # (a, d) = (3, 38): each of the two 2^10 x 200 books spans seven
+        # draw blocks of 168 rows, which at this d are part of the book
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 15)
         rep = fixed_two_group_run(10, 200, F(3, 4), 1, 6, seed=5)
-        assert (rep.trials, rep.decode_errors, rep.tie_errors) == (6, 3, 3)
-        assert rep.max_posterior_seen == F(20, 49)
+        assert (rep.trials, rep.decode_errors, rep.tie_errors) == (6, 4, 1)
+        assert rep.max_posterior_seen == F(10, 21)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -719,13 +797,13 @@ class TestStreamedDecode:
         data=st.data(),
     )
     def test_rows_match_one_shot_draw(self, d, h, n, block, seed, data):
-        # small draw blocks make rows straddle blocks and raw words; indices
-        # come unsorted, repeated and negative
-        want = one_shot_book(h, n, d, seed)
-        count = len(want)
-        xs = data.draw(st.lists(st.integers(-count, count - 1), max_size=12))
-        book = random_codebook(h, n, d, seed)
+        # small draw blocks put the wanted rows in many blocks; indices come
+        # unsorted, repeated and negative
         with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
+            want = drawn_book(h, n, d, seed)
+            count = len(want)
+            xs = data.draw(st.lists(st.integers(-count, count - 1), max_size=12))
+            book = random_codebook(h, n, d, seed)
             rows = book.rows(xs)
         assert rows.dtype == want.dtype and rows.shape == (len(xs), n)
         assert np.array_equal(rows, want[xs])
@@ -740,7 +818,7 @@ class TestStreamedDecode:
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 12)
         ch = window_channel(F(1, 4), F(1, 2))  # d = 3
         xs = [5, 9000, 16000, 3, 77, 12345, 4096, 1]
-        sent = one_shot_book(14, 200, 3, seed=8)[xs]
+        sent = drawn_book(14, 200, 3, seed=8)[xs]
         book = random_codebook(14, 200, 3, seed=8)
         tracemalloc.start()
         try:
@@ -750,6 +828,26 @@ class TestStreamedDecode:
             tracemalloc.stop()
         assert guesses == xs
         assert peak < 4 * 8 * coding._BLOCK_WORDS
+
+    def test_a_row_draws_only_its_block(self, monkeypatch):
+        # the last row of a 2^20 x 200 d = 3 book is in the last of 1,599
+        # draw blocks; that block is drawn alone, not after the ones before
+        drawn = []
+
+        def counted(*args):
+            for block in reader(*args):
+                drawn.append(len(block[0]))
+                yield block
+
+        reader = coding._drawn_blocks
+        monkeypatch.setattr(coding, "_drawn_blocks", counted)
+        book = random_codebook(20, 200, 3, seed=4)
+        per = -(-(coding._PLANE_BLOCK_SYMBOLS // 200) // 8) * 8
+        last = book.rows([-1])[0]
+        assert drawn == [2**20 - 2**20 // per * per]
+        rng = np.random.default_rng(4)
+        rng.bit_generator.advance(2**20 // per * 2**64)
+        assert np.array_equal(last, rng.integers(1, 4, size=(drawn[0], 200), dtype=np.uint8)[-1])
 
     def test_decode_peaks_below_half_the_planes(self, monkeypatch):
         import tracemalloc
