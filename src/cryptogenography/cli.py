@@ -134,14 +134,15 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_input(args, flag: str, decode, invalid=()):
+def _read_input(args, flag: str, decode):
     """(decoded, digest) of the JSON file named by ``--<flag>``. Its bytes
     are read once: ``decode`` gets their ``json.loads`` and the digest is
     their sha256, so the config hash describes the bytes that were parsed.
     A file that cannot be read, a TypeError or AttributeError while
-    decoding it (JSON of the wrong shape), a KeyError (a missing field) or
-    an exception of the types ``invalid`` (a field's value refused) is a
-    ValueError naming the flag and the path."""
+    decoding it (JSON of the wrong shape), a KeyError (a missing field), a
+    ValueError (text that is not JSON, or a field's value refused) or a
+    ZeroDivisionError (a fraction over 0) is a ValueError naming the flag
+    and the path."""
     path = getattr(args, flag)
     try:
         with open(path, "rb") as fh:
@@ -154,7 +155,7 @@ def _read_input(args, flag: str, decode, invalid=()):
         raise ValueError("--%s %s: wrong JSON shape: %s" % (flag, path, exc)) from exc
     except KeyError as exc:
         raise ValueError("--%s %s: missing field %s" % (flag, path, exc)) from exc
-    except invalid as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("--%s %s: %s" % (flag, path, exc)) from exc
     return value, hashlib.sha256(data).hexdigest()[:16]
 
@@ -344,7 +345,7 @@ def cmd_embed(args) -> int:
 def cmd_decode(args) -> int:
     from .coding import Codebook, ml_decode, window_channel
 
-    book, book_digest = _read_input(args, "codebook", Codebook.from_jsonable, ValueError)
+    book, book_digest = _read_input(args, "codebook", Codebook.from_jsonable)
     transcript, transcript_digest = _read_input(args, "transcript", lambda data: data["messages"])
     ch = window_channel(Fraction(args.b), Fraction(args.c))
     guess = ml_decode(book, transcript, ch)

@@ -498,16 +498,21 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
     mismatch count, so the chunk and every buffer stay within that budget
     together.
 
-    Mismatches are summed word by word over a chunk for a whole group; per
-    transcript the pass keeps the fewest mismatches seen, the first
-    codeword with that count and how many codewords have it.
+    Mismatches are summed word by word over a chunk for a whole group, in
+    counts one byte wide below n = 256: pad bits are zero in planes and
+    patterns, so a codeword mismatches at most n positions. Per transcript
+    the pass keeps the fewest mismatches seen, the first codeword with that
+    count and how many codewords have it. A chunk is scored by its minimum
+    first; only the transcripts whose minimum is at most their fewest so far
+    (after the first chunks, rarely any) look for its first codeword and
+    count its ties.
     """
     total = len(transcripts)
     if not total:
         return []
     depth = _depth(book.d)
     words = -(-book.n // 64)
-    acc_dtype = np.uint16 if book.n < 1 << 16 else np.uint32
+    acc_dtype = np.uint8 if book.n < 1 << 8 else np.uint16 if book.n < 1 << 16 else np.uint32
     groups = [slice(g0, g0 + _GROUP) for g0 in range(0, total, _GROUP)]
     patterns = [_accepted_patterns(transcripts[g], ch, depth) for g in groups]
     fewest = np.full(total, book.n + 1, dtype=np.int64)
@@ -542,13 +547,18 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
                     if u:
                         np.bitwise_and(miss, diff, out=miss)
                 np.add(misses, _popcount(miss, bits), out=misses)
-            arg = misses.argmin(axis=1)
-            low = misses[np.arange(t), arg].astype(np.int64)
-            hits = np.count_nonzero(misses == low[:, None], axis=1)
-            better = low < fewest[g]
-            ties[g] = np.where(better, hits, np.where(low == fewest[g], ties[g] + hits, ties[g]))
-            first[g] = np.where(better, start + arg, first[g])
-            np.minimum(fewest[g], low, out=fewest[g])
+            low = misses.min(axis=1)
+            near = np.flatnonzero(low <= fewest[g])
+            if len(near):
+                # a lower minimum restarts the first codeword and the ties,
+                # an equal one adds its ties
+                at = misses[near] == low[near, None]
+                hits = np.count_nonzero(at, axis=1)
+                low, near = low[near], near + g.start
+                better = low < fewest[near]
+                ties[near] = np.where(better, hits, ties[near] + hits)
+                first[near] = np.where(better, start + at.argmax(axis=1), first[near])
+                fewest[near] = low
     return [int(x) if k == 1 else None for x, k in zip(first, ties)]
 
 

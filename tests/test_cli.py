@@ -208,7 +208,9 @@ class TestVerify:
             argv = [command, "--protocol", protocol, "--scenario", str(scenario)]
             assert run_cli(argv, out_path=out) == 2
             assert not out.exists()
-            assert capsys.readouterr().err == "error: axis X support repeats label 1\n"
+            assert capsys.readouterr().err == (
+                "error: --scenario %s: axis X support repeats label 1\n" % scenario
+            )
 
     def test_scenario_repeating_a_table_key_is_rejected(self, window_files, tmp_path, capsys):
         """A scenario table row whose key an earlier row already gave exits
@@ -221,7 +223,7 @@ class TestVerify:
         out = tmp_path / "verify.json"
         assert run_cli(["verify", "--protocol", protocol, "--scenario", str(scenario)], out) == 2
         assert not out.exists()
-        assert capsys.readouterr().err == "error: joint table key (0, 0) appears twice\n"
+        assert capsys.readouterr().err == "error: --scenario %s: joint table key (0, 0) appears twice\n" % scenario
 
     @staticmethod
     def count_max_posterior_scans(monkeypatch) -> list:
@@ -665,6 +667,11 @@ def input_files(tmp_path) -> dict:
     return paths
 
 
+def fraction_json(num, den) -> dict:
+    """A fraction as the JSON files write it, with any denominator."""
+    return {"num": num, "den": den}
+
+
 def with_field(keys, value):
     """A spoiler that sets the field at the path ``keys`` of a well-formed
     file to ``value``."""
@@ -702,14 +709,26 @@ MALFORMED_INPUTS = [
     pytest.param("embed", "channel", "{}", "missing field 'players'", id="embed-channel-empty"),
     pytest.param("decode", "codebook", "{}", "missing field 'n'", id="decode-codebook-empty"),
     pytest.param("decode", "transcript", "{}", "missing field 'messages'", id="decode-transcript-empty"),
+    # a value the file's reader refuses, or text that is not JSON
+    pytest.param("verify", "protocol", with_field(("root", "p_innocent", "probs"), [fraction_json(1, 2), fraction_json(1, 3)]),
+                 "probabilities must sum to exactly 1, got 5/6", id="verify-protocol-law-sum"),
+    pytest.param("verify", "protocol", "{", "Expecting property name", id="verify-protocol-not-json"),
+    pytest.param("verify", "scenario", with_field(("joint", "table", 0, "p"), fraction_json(-1, 4)),
+                 "probability must be >= 0, got -1/4", id="verify-scenario-negative"),
+    pytest.param("game", "scenario", with_field(("joint", "table", 0, "p"), fraction_json(1, 0)),
+                 "Fraction(1, 0)", id="game-scenario-over-zero"),
+    pytest.param("game", "scenario", with_field(("n_players",), 0),
+                 "scenario axes must be ('X',), got ('X', 'L1', 'L2')", id="game-scenario-players"),
+    pytest.param("embed", "channel", with_field(("rounds", 0, 0, "probs"), [fraction_json(1, 3), fraction_json(1, 3)]),
+                 "probabilities must sum to exactly 1, got 2/3", id="embed-channel-law-sum"),
 ]
 
 class TestInputFiles:
     @pytest.mark.parametrize("command,flag,spoil,reason", MALFORMED_INPUTS)
     def test_unreadable_or_misshapen_file_exits_2(self, tmp_path, capsys, command, flag, spoil, reason):
-        """A file that cannot be read, whose JSON has the wrong shape or
-        lacks a field is bad input: exit 2, one error line naming the flag
-        and saying why, no report."""
+        """A file that cannot be read, is not JSON, whose JSON has the
+        wrong shape, lacks a field or holds a refused value is bad input:
+        exit 2, one error line naming the flag and saying why, no report."""
         paths = input_files(tmp_path)
         if spoil is None:
             paths[flag].unlink()
