@@ -2,25 +2,27 @@
 """Run alternating parent/change pairs of the benchmark and write their record.
 
     python scripts/bench_pairs.py PARENT CHANGE --label NAME --workload window-leak \\
-        --seed 13 --seconds 40 --pairs 10 [--claim window-leak:wall_s] [--note TEXT]
+        --seed 13 --seconds 40 --pairs 10 [--claim window-leak:wall_s]
     python scripts/bench_pairs.py --check BENCH_x.json [BENCH_y.json ...]
 
 PARENT and CHANGE are commits of this repository. Each is written by
 ``git archive`` into a fresh directory, ``parent`` and ``change`` side by
-side under ``--workdir``, and nothing else is done to either: every run
-sets PYTHONDONTWRITEBYTECODE=1, so both sides compile their source on every
-run, as a new checkout does. For each workload, pair k runs
+side in a temporary directory (under TMPDIR) that is removed at the end.
+Nothing else is done to either copy, and every run sets
+PYTHONDONTWRITEBYTECODE=1, so both sides compile their source on every run,
+as a new checkout does. For each workload, pair k runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` once in each
-directory, the parent first in odd pairs and the change first in even ones.
+copy, the parent first in odd pairs and the change first in even ones.
 
-``BENCH_<label>.json`` at the repository root (or ``--out``) is rewritten
-after every pair. Per workload it keeps every run unrounded in ``runs``
-(pair, side, attempted, failed and every metric the run reports but its
-error rate) and summarises each metric per side by q1, median and q3,
-rounded to 4 places, and by the pairs the change wins on unrounded values:
-``change_higher_in_pairs`` for a rate (a name ending in ``_per_s``),
-``change_lower_in_pairs`` otherwise, with ``tied_pairs`` next to it. The
-quartile and pair helpers are those of ``check_bench_records.py``.
+``BENCH_<label>.json`` at the repository root is rewritten after every
+pair; its ``notes`` are left empty for the reader's account. Per workload
+it keeps every run unrounded in ``runs`` (pair, side, attempted, failed and
+every metric the run reports but its error rate) and summarises each
+metric per side by q1, median and q3, rounded to 4 places, and by the pairs
+the change wins on unrounded values: ``change_higher_in_pairs`` for a rate
+(a name ending in ``_per_s``), ``change_lower_in_pairs`` otherwise, with
+``tied_pairs`` next to it. The quartile and pair helpers are those of
+``check_bench_records.py``.
 
 ``--claim W:M`` prints whether the change won metric M of workload W in at
 least 9 of every 10 pairs, and whether its median beats the parent's by
@@ -129,19 +131,21 @@ def check(paths) -> int:
 
 
 def verdict(summary, metric) -> bool:
-    """Print whether the change won metric in at least 9 of every 10 pairs
-    and beat the parent's median by more than its quartile spread."""
+    """Print and return whether the change won metric in at least 9 of
+    every 10 pairs, ties counting for neither side, and beat the parent's
+    median by more than the parent's quartile spread."""
     entry = summary[metric]
     key = count_key(metric)
     wins, pairs = entry[key], summary["pairs"]
     parent, change = entry["parent"], entry["change"]
     gain = (change["median"] - parent["median"]) * COUNTS[key]
     spread = parent["q3"] - parent["q1"]
-    print("claim %s: better in %d of %d pairs (%s at least 9 of 10); median %g -> %g, gain %.4g %s "
-          "the parent's quartile spread %.4g" % (metric, wins, pairs, "is" if 10 * wins >= 9 * pairs else "NOT",
-                                                 parent["median"], change["median"], gain,
-                                                 "exceeds" if gain > spread else "does NOT exceed", spread))
-    return 10 * wins >= 9 * pairs and gain > spread
+    often, far = 10 * wins >= 9 * pairs, gain > spread
+    print("claim %s: change better in %d of %d pairs (9 in 10 needed: %s); median %.6g -> %.6g, "
+          "a gain of %.4g against the parent's quartile spread %.4g (%s)"
+          % (metric, wins, pairs, "met" if often else "NOT met", parent["median"], change["median"],
+             gain, spread, "met" if far else "NOT met"))
+    return often and far
 
 
 def prepare(commit, where) -> None:
@@ -154,19 +158,15 @@ def prepare(commit, where) -> None:
 
 
 def run_once(where, workload, seed, seconds) -> dict:
-    """Attempted, failed and the reported metrics (error rate aside) of one
-    benchmark run in the copy where."""
+    """The record ``perfbench/run.py`` writes of one untraced run in the
+    copy where."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds)]
     subprocess.run(argv, cwd=where, env=env, stdout=subprocess.DEVNULL, check=True)
     with open(os.path.join(where, ".perfbench", "records", "%s-seed%d-trace0.json" % (workload, seed))) as fh:
-        record = json.load(fh)
-    run = {"attempted": record["result"]["attempted"], "failed": record["result"]["failed"]}
-    run.update((name, m["value"]) for name, m in record["metrics"].items() if name != "error_rate")
-    run["_versions"] = record["python"], record["numpy"]
-    return run
+        return json.load(fh)
 
 
 def parse_args(argv):
@@ -179,9 +179,6 @@ def parse_args(argv):
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC")
-    parser.add_argument("--note", action="append", default=[])
-    parser.add_argument("--workdir", help="where the two copies go (default: a new temporary directory)")
-    parser.add_argument("--out", help="the record's path (default: BENCH_<label>.json at the repository root)")
     args = parser.parse_args(argv)
     if not args.check:
         if len(args.commits) != 2:
@@ -200,11 +197,7 @@ def main(argv=None) -> int:
         return check(args.check)
     shas = [subprocess.run(["git", "-C", ROOT, "rev-parse", "--verify", commit + "^{commit}"],
                            stdout=subprocess.PIPE, text=True, check=True).stdout.strip() for commit in args.commits]
-    workdir = tempfile.mkdtemp(prefix="bench_pairs-", dir=args.workdir)
-    copies = dict(zip(SIDES, (os.path.join(workdir, side) for side in SIDES)))
-    for side, sha in zip(SIDES, shas):
-        prepare(sha, copies[side])
-    out = args.out or os.path.join(ROOT, "BENCH_%s.json" % args.label)
+    out = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     claimed = dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None
     record = {
         "label": args.label,
@@ -215,25 +208,30 @@ def main(argv=None) -> int:
         "method": METHOD,
         "claimed": claimed,
         "workloads": {},
-        "notes": args.note,
+        "notes": [],
     }
-    for workload in args.workload:
-        runs = []
-        for pair in range(1, args.pairs + 1):
-            for side in SIDES if pair % 2 else SIDES[::-1]:
-                run = run_once(copies[side], workload, args.seed, args.seconds)
-                python, numpy = run.pop("_versions")
-                record["machine"] = "%d CPUs, %s, Python %s, numpy %s" % (
-                    os.cpu_count(), platform.machine(), python, numpy)
-                runs.append({"pair": pair, "side": side, **run})
-                print("%s pair %d %s: %s" % (workload, pair, side, " ".join(
-                    "%s=%.6g" % item for item in run.items())), flush=True)
-            summary = summarise(runs)
-            record["workloads"]["%s-seed%d" % (workload, args.seed)] = {"seed": args.seed, **summary, "runs": runs}
-            with open(out, "w") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
-    print("wrote %s; the copies are in %s" % (out, workdir))
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as workdir:
+        copies = {side: os.path.join(workdir, side) for side in SIDES}
+        for side, sha in zip(SIDES, shas):
+            prepare(sha, copies[side])
+        for workload in args.workload:
+            runs = []
+            for pair in range(1, args.pairs + 1):
+                for side in SIDES if pair % 2 else SIDES[::-1]:
+                    done = run_once(copies[side], workload, args.seed, args.seconds)
+                    record["machine"] = "%d CPUs (%s), Python %s, numpy %s" % (
+                        os.cpu_count(), platform.machine(), done["python"], done["numpy"])
+                    run = {"pair": pair, "side": side, "attempted": done["result"]["attempted"],
+                           "failed": done["result"]["failed"]}
+                    run.update((name, m["value"]) for name, m in done["metrics"].items() if name != "error_rate")
+                    runs.append(run)
+                    print(" ".join("%s=%s" % item for item in run.items()), flush=True)
+                key = "%s-seed%d" % (workload, args.seed)
+                record["workloads"][key] = {"seed": args.seed, **summarise(runs), "runs": runs}
+                with open(out, "w") as fh:
+                    json.dump(record, fh, indent=2)
+                    fh.write("\n")
+    print("wrote %s" % out)
     if claimed:
         runs = record["workloads"]["%s-seed%d" % (claimed["workload"], args.seed)]["runs"]
         return 0 if verdict(summarise(runs, None), claimed["metric"]) else 1

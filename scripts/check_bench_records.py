@@ -49,7 +49,10 @@ def kept_runs(node, path=""):
 
 
 def quartiles(values) -> tuple:
-    """(q1, median, q3) of values, by ``statistics.quantiles(method='inclusive')``."""
+    """(q1, median, q3) of values, by ``statistics.quantiles(method='inclusive')``;
+    each is the value itself when there is only one."""
+    if len(values) == 1:
+        return tuple(values) * 3
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 

@@ -16,7 +16,10 @@ popcount(AND_u OR_k (plane_k XOR pattern_uk)) summed over its words. The
 experiments draw every trial's messages first and decode the whole batch
 in one pass over cache-sized chunks of codewords, keeping per transcript
 the fewest mismatches, the first codeword reaching it and how many do, so
-a tie is reported exactly as with one decode at a time.
+a tie is reported exactly as with one decode at a time. A chunk is scored
+by its minimum first: only a transcript whose chunk minimum reaches its
+fewest so far looks for the first codeword and counts the ties. Counts are
+one byte wide below n = 256, as a codeword mismatches at most n positions.
 
 A book is its seed: ``random_codebook`` draws nothing. The book is a
 sequence of draw blocks of R rows, block k read from the seed's generator
@@ -550,14 +553,16 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
             low = misses.min(axis=1)
             near = np.flatnonzero(low <= fewest[g])
             if len(near):
-                # a lower minimum restarts the first codeword and the ties,
-                # an equal one adds its ties
-                at = misses[near] == low[near, None]
-                hits = np.count_nonzero(at, axis=1)
+                # the codewords at each minimum, marked in the spent bits
+                # buffer; a lower minimum restarts the first codeword and
+                # the ties, an equal one adds its ties
+                at = np.equal(misses, low[:, None], out=bits.view(np.bool_))
+                hits = np.count_nonzero(at, axis=1)[near]
+                arg = at.argmax(axis=1)[near]
                 low, near = low[near], near + g.start
                 better = low < fewest[near]
                 ties[near] = np.where(better, hits, ties[near] + hits)
-                first[near] = np.where(better, start + at.argmax(axis=1), first[near])
+                first[near] = np.where(better, start + arg, first[near])
                 fewest[near] = low
     return [int(x) if k == 1 else None for x, k in zip(first, ties)]
 

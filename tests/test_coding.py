@@ -606,7 +606,8 @@ class TestBatchedDecode:
     @settings(max_examples=80, deadline=None)
     @given(
         channel=st.sampled_from(DECODE_CHANNELS),
-        n=st.sampled_from([1, 5, 13, 63, 65, 130]),
+        # 255 and 256 sit on either side of the one-byte mismatch counts
+        n=st.sampled_from([1, 5, 13, 63, 65, 130, 255, 256]),
         count=st.integers(1, 24),
         duplicates=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
@@ -622,6 +623,52 @@ class TestBatchedDecode:
                 mock.patch.object(coding, "_GROUP", group):
             assert coding._decode_batch(book, transcripts, ch) == want
         assert [ml_decode(book, t, ch) for t in transcripts] == want
+
+    def test_count_of_every_position_does_not_wrap(self):
+        """At n = 256 a codeword can mismatch all 256 positions, one more
+        than a byte holds: codeword 0 misses everywhere and codeword 1
+        everywhere but once, so 1 is decoded, where a byte-wide count would
+        read codeword 0's 256 as 0 and decode 0."""
+        ch = window_channel(F(1, 2), F(2, 3))  # a = 1, d = 2
+        symbols = np.ones((2, 256), dtype=np.uint8)
+        symbols[1, 100] = 2
+        book = Codebook(1.0, 256, 2, 0, reference_planes(symbols, 2))
+        assert ml_decode(book, [2] * 256, ch) == 1
+
+    @pytest.mark.parametrize("block_words", [1, 10, 15])
+    def test_minimum_and_ties_across_later_chunks(self, monkeypatch, block_words):
+        """Codewords of 8 positions, codeword i holding scores[i] ones, in
+        chunks of one to three codewords (here a codeword takes 38 bytes of
+        the chunk budget): a transcript of 2s mismatches codeword i at
+        scores[i] positions, one of 1s at 8 - scores[i]."""
+        ch = window_channel(F(1, 2), F(2, 3))  # a = 1, d = 2
+        widths = []
+        chunks = Codebook._chunks
+
+        def spy(book, width):
+            widths.append(width)
+            return chunks(book, width)
+
+        monkeypatch.setattr(Codebook, "_chunks", spy)
+        monkeypatch.setattr(coding, "_BLOCK_WORDS", block_words)
+        cases = [
+            # the minimum 3 first comes at 3 and again at 6: a tie
+            ([6, 5, 7, 3, 8, 4, 3, 5], [None, 4]),
+            # after that tie a lower 2 at 7 is alone
+            ([6, 5, 7, 3, 8, 4, 3, 2, 7], [7, 4]),
+            # equal minima in earlier chunks are overtaken; the maximum 6
+            # ties across chunks
+            ([3, 3, 5, 2, 6, 2, 6, 1, 4], [7, None]),
+            ([6, 5, 7, 3, 8, 4, 4, 5], [3, 4]),
+        ]
+        for scores, want in cases:
+            symbols = np.array([[1] * k + [2] * (8 - k) for k in scores], dtype=np.uint8)
+            book = Codebook(1.0, 8, 2, 0, reference_planes(symbols, 2))
+            transcripts = np.array([[2] * 8, [1] * 8, [1, 2] * 4])
+            got = coding._decode_batch(book, transcripts, ch)
+            assert got[:2] == want
+            assert got == [brute_force_decode(book, t, ch) for t in transcripts]
+            assert -(-len(scores) // widths[-1]) >= 3  # over three chunks or more
 
     def test_popcount_fallback_without_bitwise_count(self, monkeypatch):
         ch, book, transcripts = decode_case(F(1, 2), F(3, 5), 70, 300, 20, seed=9)
