@@ -506,9 +506,10 @@ def _decode_batch(book: Codebook, transcripts: np.ndarray, ch: WindowChannel) ->
     patterns, so a codeword mismatches at most n positions. Per transcript
     the pass keeps the fewest mismatches seen, the first codeword with that
     count and how many codewords have it. A chunk is scored by its minimum
-    first; only the transcripts whose minimum is at most their fewest so far
-    (after the first chunks, rarely any) look for its first codeword and
-    count its ties.
+    first; only where some transcript's minimum is at most its fewest so far
+    (after the first chunks, rarely) are the group's codewords at their
+    minima marked, in the spent bits buffer, and only such transcripts take
+    their first codeword and ties from the marks.
     """
     total = len(transcripts)
     if not total:
