@@ -8,28 +8,29 @@ probability is exactly c inside the window and exactly 0 outside, which
 makes per-trial safety checks rational identities rather than estimates.
 
 Maximum-likelihood decoding counts, per codeword, the received symbols
-that fall outside its windows. A codebook holds ceil(log2 d) bit-planes of
-its symbols minus one, packed 64 positions to a uint64 word; a received
-message m is accepted by exactly a codeword symbols, so a transcript
-becomes a bit patterns per plane, and the mismatch count of a codeword is
-popcount(AND_u OR_k (plane_k XOR pattern_uk)) summed over its words. The
-experiments draw every trial's messages first and decode the whole batch
-in one pass over cache-sized chunks of codewords, keeping per transcript
-the fewest mismatches, the first codeword reaching it and how many do, so
-a tie is reported exactly as with one decode at a time. A chunk is scored
-by its minimum first: only a transcript whose chunk minimum reaches its
-fewest so far looks for the first codeword and counts the ties. Counts are
-one byte wide below n = 256, as a codeword mismatches at most n positions.
+that fall outside its windows. The decoder reads a codebook as
+ceil(log2 d) bit-planes of its symbols minus one, packed 64 positions to a
+uint64 word; a received message m is accepted by exactly a codeword
+symbols, so a transcript becomes a bit patterns per plane, and the
+mismatch count of a codeword is popcount(AND_u OR_k
+(plane_k XOR pattern_uk)) summed over its words. The experiments draw
+every trial's messages first and decode the whole batch in one pass over
+cache-sized chunks of codewords, keeping per transcript the fewest
+mismatches, the first codeword reaching it and how many do, so a tie is
+reported exactly as with one decode at a time. A chunk is scored by its
+minimum first: only a transcript whose chunk minimum reaches its fewest so
+far looks for the first codeword and counts the ties. Counts are one byte
+wide below n = 256, as a codeword mismatches at most n positions.
 
-A book is its seed: ``random_codebook`` draws nothing. The book is a
-sequence of draw blocks of R rows, block k read from the seed's generator
-advanced to a fixed raw word, so any block can be drawn alone. The decoder
-draws the blocks in order, chunk by chunk, each plane of a block one
-masked copy into a reused row-padded buffer and one flat ``packbits``; a
-chunk's planes and the decoder's scratch buffers share one budget of
-``_BLOCK_WORDS`` words. ``Codebook.rows`` draws only the blocks that hold
-a wanted row, at every d. Only ``bit_planes``, ``symbols`` and books built
-with planes hold them; no decode or experiment does.
+A book is its seed: ``Codebook`` is its four fields (h, n, d, seed), and
+``random_codebook`` draws nothing. The book is a sequence of draw blocks of
+R rows, block k read from the seed's generator advanced to a fixed raw
+word, so any block can be drawn alone. The decoder draws the blocks in
+order, chunk by chunk, each plane of a block one masked copy into a reused
+row-padded buffer and one flat ``packbits``; a chunk's planes and the
+decoder's scratch buffers share one budget of ``_BLOCK_WORDS`` words.
+``Codebook.rows`` draws only the blocks that hold a wanted row, at every
+d, and ``Codebook.symbols`` draws them all; no book keeps what was drawn.
 
 ``ratio_bound_check`` decides the fixed-leaker ratio bound for one (n, l)
 in O(1): the sign of one linear int expression orders every pair of
@@ -92,11 +93,12 @@ STREAM = 2
 
 
 def exact_rate(value) -> Fraction:
-    """Rates must be exact; decimal-looking floats are read via their repr
-    so 0.1 means 1/10, not the nearest binary double."""
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+    """Rates must be exact and >= 0; decimal-looking floats are read via
+    their repr so 0.1 means 1/10, not the nearest binary double."""
+    rate = Fraction(repr(value)) if isinstance(value, float) else Fraction(value)
+    if rate < 0:
+        raise ValueError("rate must be >= 0, got %s" % rate)
+    return rate
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,9 @@ def leak_message(x_symbol, leaking, ch: WindowChannel, rng):
 
 def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
     """Exact Pr(leaking | message, true symbol): 0 outside the window, c inside."""
+    for name, value in (("message", message), ("symbol", x_symbol)):
+        if not 1 <= value <= ch.d:
+            raise ValueError("%s must be in 1..%d, got %r" % (name, ch.d, value))
     if not in_window(ch, message, x_symbol):
         return ZERO
     return (ch.b / ch.a) / (ch.b / ch.a + (1 - ch.b) / ch.d)
@@ -176,10 +181,9 @@ def posterior_leak(message: int, x_symbol: int, ch: WindowChannel) -> Fraction:
 _BLOCK_WORDS = 1 << 17
 # transcripts decoded together in one pass over the codebook
 _GROUP = 64
-# codebook values drawn and packed, or symbols unpacked, at a time: a
-# block's temporaries then fit in cache. It sets a draw block's rows R, so
-# at a d that rejects values it is part of the stream: changing it draws
-# another book
+# codebook values drawn and packed at a time: a block's temporaries then
+# fit in cache. It sets a draw block's rows R, so at a d that rejects
+# values it is part of the stream: changing it draws another book
 _PLANE_BLOCK_SYMBOLS = 1 << 17
 
 
@@ -283,69 +287,36 @@ def _drawn_blocks(seed: int, d: int, n: int, count: int, blocks=None):
         yield symbols.reshape(rows, n), 0
 
 
-def _unpack_planes(planes: np.ndarray, n: int, d: int) -> np.ndarray:
-    """(rows, n) symbols in 1..d of a (depth, words, rows) slice of planes;
-    the inverse of packing them (see ``Codebook.bit_planes``)."""
-    dtype = _symbol_dtype(d)
-    symbols = np.ones((planes.shape[2], n), dtype=dtype)
-    for k, plane in enumerate(planes):
-        packed = np.ascontiguousarray(plane.T).view(np.uint8)
-        bits = np.unpackbits(packed, axis=1, count=n).astype(dtype, copy=False)
-        symbols += bits << k
-    return symbols
-
-
+@dataclass(frozen=True)
 class Codebook:
     """2^ceil(h) i.i.d. uniform codewords over {1..d}: the seed's draw (see
     ``random_codebook``).
 
-    Without planes a book holds nothing but its fields. The decoder streams
-    its bit-planes from the seed's draw blocks chunk by chunk, and ``rows``
-    draws only the blocks holding the rows it is asked for. Only
-    ``bit_planes`` and ``symbols`` build the planes, once, and keep them. A
-    book given planes stands for them instead of the seed's draw; either way
-    the kept planes are read-only, and ``symbols`` and ``rows`` are unpacked
-    from them, so they cannot drift from what the decoder reads.
+    A book is its four fields and holds nothing else. The decoder streams
+    its bit-planes from the seed's draw blocks chunk by chunk, ``rows``
+    draws only the blocks holding the rows it is asked for, and ``symbols``
+    draws every block again on each read.
     """
 
-    def __init__(self, h_bits: float, n: int, d: int, seed: int, planes: Optional[np.ndarray] = None):
-        self.h_bits = h_bits
-        self.n = n
-        self.d = d
-        self.seed = seed
-        if planes is not None:
-            planes.flags.writeable = False
-        self._planes = planes
+    h_bits: float
+    n: int
+    d: int
+    seed: int
 
-    def __repr__(self):
-        return "Codebook(h_bits=%r, n=%r, d=%r, seed=%r)" % (self.h_bits, self.n, self.d, self.seed)
-
-    def __eq__(self, other):
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        if (self.h_bits, self.n, self.d, self.seed) != (other.h_bits, other.n, other.d, other.seed):
-            return False
-        if self._planes is None and other._planes is None:
-            return True  # the same seed's draw
-        return np.array_equal(self.bit_planes(), other.bit_planes())
-
-    @functools.cached_property
+    @property
     def symbols(self) -> np.ndarray:
-        """Read-only (message_count, n) array of symbols in 1..d, unpacked
-        block by block on first read and cached."""
-        planes = self.bit_planes()
-        symbols = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
-        step = max(1, _PLANE_BLOCK_SYMBOLS // max(self.n, 1))
-        for start in range(0, self.message_count, step):
-            rows = slice(start, start + step)
-            symbols[rows] = _unpack_planes(planes[:, :, rows], self.n, self.d)
-        symbols.flags.writeable = False
-        return symbols
+        """(message_count, n) array of every codeword as symbols in 1..d,
+        drawn block by block on each read and not kept."""
+        out = np.empty((self.message_count, self.n), dtype=_symbol_dtype(self.d))
+        start = 0
+        for block, bit in _drawn_blocks(self.seed, self.d, self.n, self.message_count):
+            out[start : start + len(block)] = block >> bit
+            start += len(block)
+        out += 1
+        return out
 
     @property
     def message_count(self) -> int:
-        if self._planes is not None:
-            return self._planes.shape[2]
         return 1 << math.ceil(self.h_bits)
 
     def row(self, x: int) -> np.ndarray:
@@ -356,12 +327,9 @@ class Codebook:
         """(len(xs), n) array of codewords xs (in any order, repeats allowed,
         negative counting from the end) as symbols in 1..d; it keeps nothing.
 
-        Kept planes are unpacked. Otherwise row x is row x mod R of draw
-        block x // R (see ``random_codebook``): each block holding a wanted
-        row is drawn once, and no other block is."""
+        Row x is row x mod R of draw block x // R (see ``random_codebook``):
+        each block holding a wanted row is drawn once, and no other block is."""
         xs = np.array([range(self.message_count)[x] for x in xs], dtype=np.int64)
-        if self._planes is not None:
-            return _unpack_planes(self._planes[:, :, xs], self.n, self.d)
         out = np.empty((len(xs), self.n), dtype=_symbol_dtype(self.d))
         per = _block_rows(self.n)
         block_of = xs // per
@@ -373,30 +341,15 @@ class Codebook:
         out += 1
         return out
 
-    def bit_planes(self) -> np.ndarray:
-        """(ceil(log2 d), ceil(n/64), message_count) uint64 array: plane k
-        holds bit k of every symbol minus one, packed by ``_pack_bit``.
-        Words are the middle axis, so a block of codewords is one contiguous
-        slice per (plane, word). For d = 2 the single plane is the packed
-        bits themselves. Built from the seed on first call, as one chunk of
-        the whole book, and kept."""
-        if self._planes is None:
-            _, planes = next(self._chunks(self.message_count))
-            planes.flags.writeable = False
-            self._planes = planes
-        return self._planes
-
     def _chunks(self, width: int):
         """(start, planes) of consecutive chunks of at most width codewords,
-        in index order, each planes a (depth, words, rows) array valid until
-        the next chunk: slices of kept planes, or else the seed's draw blocks,
-        each plane packed through one reused row-padded buffer and copied
-        into one reused chunk."""
+        in index order, each planes a (ceil(log2 d), ceil(n/64), rows) uint64
+        array valid until the next chunk: plane k holds bit k of every symbol
+        minus one, packed by ``_pack_bit``. Words are the middle axis, so a
+        chunk's codewords are one contiguous slice per (plane, word). Each
+        plane of a draw block is packed through one reused row-padded buffer
+        and copied into one reused chunk."""
         count = self.message_count
-        if self._planes is not None:
-            for start in range(0, count, width):
-                yield start, self._planes[:, :, start : start + width]
-            return
         chunk = np.empty((_depth(self.d), -(-self.n // 64), min(width, count)), dtype=np.uint64)
         buf = np.empty((0, 64 * chunk.shape[1]), dtype=np.uint8)
         start = fill = 0
@@ -441,8 +394,9 @@ class Codebook:
 
 
 def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
-    """2^ceil(h_bits) codewords of n symbols over {1..d}, drawn only when
-    read (see ``Codebook``), in draw blocks of R = ``_block_rows(n)`` rows.
+    """2^ceil(h_bits) codewords of n symbols over {1..d}: a ``Codebook`` of
+    the four checked fields, which draws nothing now and is drawn anew
+    whenever it is read, in draw blocks of R = ``_block_rows(n)`` rows.
 
     Block k is ``rng.integers(1, d + 1, size=(rows, n), dtype=_symbol_dtype(d))``
     for ``default_rng(seed)`` advanced k stride raw words. The stride is

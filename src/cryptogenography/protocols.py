@@ -454,19 +454,23 @@ class _StateBudget:
     """Outcome states charged against one budget: every walk and every
     transformation recursion charges the weights of each prefix it reads,
     internal and terminal. BudgetExceededError once they pass ``budget``
-    (None: DEFAULT_ENUMERATION_BUDGET, read when the budget is made)."""
+    (None: DEFAULT_ENUMERATION_BUDGET, read when the budget is made); its
+    text says how many states and prefixes were read, the last included."""
 
-    __slots__ = ("limit", "states")
+    __slots__ = ("limit", "states", "prefixes")
 
     def __init__(self, budget: Optional[int]):
         self.limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
         self.states = 0
+        self.prefixes = 0
 
     def charge(self, weights) -> None:
         self.states += len(weights)
+        self.prefixes += 1
         if self.states > self.limit:
             raise BudgetExceededError(
-                "enumeration exceeded %d outcome states; raise the budget explicitly" % self.limit
+                "enumeration exceeded %d outcome states (states read: %d, prefixes read: %d); "
+                "raise the budget explicitly" % (self.limit, self.states, self.prefixes)
             )
 
 

@@ -365,6 +365,17 @@ class TestLeak:
         assert not out.exists()
         assert capsys.readouterr().err == "error: %s\n" % message
 
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "indep"], ["--mode", "fixed", "--l", "2", "--c", "1/2"]]
+    )
+    def test_negative_rate_is_named(self, tmp_path, capsys, mode):
+        """A negative rate exits 2 naming the rate, not the codebook size it
+        would have made."""
+        out = tmp_path / "leak.json"
+        assert run_cli(["leak"] + mode + ["--n", "20", "--rate=-1"], out_path=out) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: rate must be >= 0, got -1\n"
+
     def test_fixed_mode(self, tmp_path):
         out = tmp_path / "fixed.json"
         assert run_cli(
@@ -936,7 +947,8 @@ class TestBudgetErrors:
         assert run_cli(["verify", "--protocol", protocol, "--scenario", scenario], out) == 1
         assert json.loads(out.read_text())["error"] == {
             "kind": "budget",
-            "message": "enumeration exceeded 2 outcome states; raise the budget explicitly",
+            "message": "enumeration exceeded 2 outcome states (states read: 16, prefixes read: 1); "
+            "raise the budget explicitly",
         }
         argv = ["game", "--protocol", protocol, "--scenario", scenario]
         assert build_parser().parse_args(argv).budget == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -197,6 +198,17 @@ class TestPosteriorLeak:
                     post = posterior_leak(m, x, ch)
                     assert post == (c if in_window(ch, m, x) else 0)
 
+    @pytest.mark.parametrize(
+        "message,symbol,name",
+        [(3, 1, "message"), (0, 1, "message"), (1, 3, "symbol"), (1, -1, "symbol")],
+    )
+    def test_rejects_values_outside_the_alphabet(self, message, symbol, name):
+        # mod d = 2 a 3 lands in a window and would read c, although
+        # window(ch, 3) raises
+        ch = window_channel(F(1, 2), F(2, 3))
+        with pytest.raises(ValueError, match=r"%s must be in 1\.\.2" % name):
+            posterior_leak(message, symbol, ch)
+
 
 class TestCodebook:
     def test_seed_replay(self):
@@ -233,17 +245,46 @@ class TestCodebook:
         assert np.array_equal(book.symbols, again.symbols)
 
     def test_equality(self):
-        # the dataclass default compared the symbol arrays inside a tuple
-        # comparison and raised "truth value of an array is ambiguous"
+        # a book is its fields, so equal fields are the same draw
         book = random_codebook(3, 5, 2, 1)
         assert book == random_codebook(3, 5, 2, 1)
         assert book != random_codebook(3, 5, 2, 2)
         assert book != random_codebook(3, 6, 2, 1)
-        symbols = book.symbols.copy()
-        symbols[0, 0] = 3 - symbols[0, 0]
-        assert book != Codebook(book.h_bits, 5, 2, 1, reference_planes(symbols, 2))
+        assert book == Codebook(3.0, 5, 2, 1)
+        assert repr(book) == "Codebook(h_bits=3.0, n=5, d=2, seed=1)"
         assert book != "book"
         assert Codebook.from_jsonable(book.to_jsonable()) == book
+
+    def test_equal_books_hash_equal(self):
+        book = random_codebook(3, 5, 2, 1)
+        same = [random_codebook(3.0, 5, 2, 1), Codebook(3.0, 5, 2, 1),
+                Codebook.from_jsonable(book.to_jsonable())]
+        assert all(other == book and hash(other) == hash(book) for other in same)
+        assert len({book, *same, random_codebook(3, 5, 2, 2)}) == 2
+
+    def test_a_book_is_its_four_fields(self, monkeypatch):
+        # nothing read from a book is kept on it: not its symbols, its rows,
+        # the planes the decoder reads, nor what either experiment reads
+        fields = ["d", "h_bits", "n", "seed"]
+        assert sorted(field.name for field in dataclasses.fields(Codebook)) == fields
+        made = []
+        draw = coding.random_codebook
+
+        def recorded(*args):
+            made.append(draw(*args))
+            return made[-1]
+
+        monkeypatch.setattr(coding, "random_codebook", recorded)
+        ch = window_channel(F(1, 4), F(1, 2))  # d = 3
+        book = coding.random_codebook(6, 30, ch.d, 9)
+        assert book.symbols.shape == (64, 30) and book.rows([3, -1]).shape == (2, 30)
+        assert ml_decode(book, book.row(5), ch) == 5
+        run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 40, 5, seed=4)
+        fixed_two_group_run(2, 20, F(1, 2), F(1, 10), 5, seed=4)
+        assert len(made) == 4
+        assert all(sorted(vars(made_book)) == fields for made_book in made)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            book.seed = 10
 
 
 def one_shot_book(h, n, d, seed):
@@ -294,6 +335,30 @@ def reference_planes(symbols, d):
     return np.array([reference_pack(values >> k & 1) for k in range(depth)])
 
 
+def whole_planes(book):
+    """The planes the decoder reads of a whole book, in one chunk."""
+    return next(book._chunks(book.message_count))[1]
+
+
+class CraftedBook:
+    """A book of given symbols, for the decoder only: it reads n, d,
+    message_count and the planes of ``_chunks(width)``, here slices of
+    ``reference_planes``."""
+
+    def __init__(self, symbols, d):
+        self.symbols = np.asarray(symbols, dtype=np.uint8 if d < 256 else np.uint16)
+        self.message_count, self.n = self.symbols.shape
+        self.d = d
+        self.planes = reference_planes(self.symbols, d)
+
+    def row(self, x):
+        return self.symbols[x]
+
+    def _chunks(self, width):
+        for start in range(0, self.message_count, width):
+            yield start, self.planes[:, :, start : start + width]
+
+
 @pytest.fixture
 def no_symbol_matrix(monkeypatch):
     """Fail any read of Codebook.symbols."""
@@ -316,7 +381,7 @@ class TestStreamedCodebook:
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 64)
         want = drawn_book(6, n, d, seed=2024)
         book = random_codebook(6, n, d, seed=2024)
-        assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+        assert np.array_equal(whole_planes(book), reference_planes(want, d))
         assert book.message_count == len(want)
         for x in (0, 1, 11, 12, 37, len(want) - 1, -1):
             row = book.row(x)
@@ -336,8 +401,9 @@ class TestStreamedCodebook:
         with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
             book = random_codebook(h, n, d, seed)
             want = drawn_book(h, n, d, seed)
-            assert np.array_equal(book.bit_planes(), reference_planes(want, d))
-        assert np.array_equal(book.symbols, want)
+            assert np.array_equal(whole_planes(book), reference_planes(want, d))
+            # the draw block size is part of a book that rejects values
+            assert np.array_equal(book.symbols, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,7 +422,7 @@ class TestStreamedCodebook:
         book = random_codebook(h, n, d, seed)
         with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block):
             assert np.array_equal(book.rows(xs), want[xs])
-            assert np.array_equal(book.bit_planes(), reference_planes(want, d))
+            assert np.array_equal(whole_planes(book), reference_planes(want, d))
 
     @pytest.mark.parametrize("d", [3, 5, 255, 257, 300])
     @pytest.mark.parametrize("n", [0, 1, 37])
@@ -388,7 +454,7 @@ class TestStreamedCodebook:
         want = random_codebook(3, 5, int(d), seed=1)
         assert type(book.d) is int and type(book.n) is int
         assert (book.n, book.d) == (want.n, want.d)
-        assert np.array_equal(book.bit_planes(), want.bit_planes())
+        assert np.array_equal(whole_planes(book), whole_planes(want))
 
     @pytest.mark.parametrize(
         "n,d,message",
@@ -422,32 +488,13 @@ class TestStreamedCodebook:
             assert got.shape == want.shape == (-(-n // 64), rows)
             assert np.array_equal(got, want)
 
-    def test_symbols_are_unpacked_once(self):
-        book = random_codebook(4, 9, 4, seed=8)
-        with mock.patch.object(coding, "_unpack_planes", wraps=coding._unpack_planes) as spy:
-            assert book.symbols is book.symbols
-        assert spy.call_count == 1
-
-    def test_symbols_and_planes_are_read_only(self):
-        # an in-place edit could otherwise make the cached matrix and the
-        # planes the decoder reads disagree
-        book = random_codebook(4, 9, 4, seed=8)
-        with pytest.raises(ValueError, match="read-only"):
-            book.symbols[0, 0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            book.bit_planes()[0, 0, 0] = 0
-
-    def test_equality_reads_planes_only(self, no_symbol_matrix):
+    def test_equality_reads_planes_only(self, no_symbol_matrix, monkeypatch):
+        # equality compares the four fields and draws nothing
+        monkeypatch.setattr(coding, "_drawn_blocks", None)
         book = random_codebook(5, 33, 4, seed=1)
         assert book == random_codebook(5, 33, 4, seed=1)
         assert book != random_codebook(5, 33, 4, seed=2)
         assert book != random_codebook(5, 33, 8, seed=1)
-
-    def test_explicit_and_streamed_books_agree(self):
-        book = random_codebook(5, 70, 8, seed=6)
-        planes = reference_planes(one_shot_book(5, 70, 8, seed=6), 8)
-        explicit = Codebook(book.h_bits, 70, 8, 6, planes)
-        assert explicit == book and book == explicit
 
     def test_experiments_never_build_the_symbol_matrix(self, no_symbol_matrix):
         rep = run_indep_experiment(F(1, 2), F(2, 3), F(1, 10), 40, 5, seed=4)
@@ -528,14 +575,12 @@ class TestMlDecode:
 
     def test_three_quarter_match(self):
         ch = window_channel(F(1, 2), F(2, 3))
-        symbols = np.array([[1, 1, 1, 1], [2, 2, 2, 2]], dtype=np.uint8)
-        book = Codebook(1.0, 4, 2, 0, reference_planes(symbols, 2))
+        book = CraftedBook([[1, 1, 1, 1], [2, 2, 2, 2]], 2)
         assert ml_decode(book, np.array([1, 1, 1, 2]), ch) == 0
 
     def test_tie_returns_none(self):
         ch = window_channel(F(1, 2), F(2, 3))
-        symbols = np.array([[1, 2], [2, 1]], dtype=np.uint8)
-        book = Codebook(1.0, 2, 2, 0, reference_planes(symbols, 2))
+        book = CraftedBook([[1, 2], [2, 1]], 2)
         assert ml_decode(book, np.array([1, 1]), ch) is None
 
     @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(2, 5), F(1, 2))])
@@ -545,20 +590,21 @@ class TestMlDecode:
         book = random_codebook(2, n, ch.d, seed=31)
         in_w = float(ch.b / ch.a + (1 - ch.b) / ch.d)
         out_w = float((1 - ch.b) / ch.d)
+        symbols = book.symbols
         for transcript in itertools.product(range(1, ch.d + 1), repeat=n):
             t = np.array(transcript)
             likes = []
             for x in range(book.message_count):
                 like = 1.0
                 for j, m in enumerate(transcript):
-                    like *= in_w if in_window(ch, m, int(book.row(x)[j])) else out_w
+                    like *= in_w if in_window(ch, m, int(symbols[x, j])) else out_w
                 likes.append(like)
             best = max(likes)
             winners = [x for x, v in enumerate(likes) if v == best]
             got = ml_decode(book, t, ch)
             if len(winners) > 1 or [
                 x for x in range(book.message_count)
-                if np.array_equal(book.symbols[x], book.symbols[winners[0]])
+                if np.array_equal(symbols[x], symbols[winners[0]])
             ] != [winners[0]]:
                 # duplicate-row or genuine ties may resolve either way; the
                 # decoder must still pick a maximizer or report a tie
@@ -592,7 +638,7 @@ def decode_case(b, c, n, count, duplicates, seed):
     symbols = rng.integers(1, ch.d + 1, size=(count, n), dtype=np.uint8)
     for _ in range(duplicates):
         symbols[rng.integers(count)] = symbols[rng.integers(count)]
-    book = Codebook(1.0, n, ch.d, seed, reference_planes(symbols, ch.d))
+    book = CraftedBook(symbols, ch.d)
     sent = [
         leak_message(book.row(rng.integers(count)), rng.random(n) < float(ch.b), ch, rng)
         for _ in range(4)
@@ -632,7 +678,7 @@ class TestBatchedDecode:
         ch = window_channel(F(1, 2), F(2, 3))  # a = 1, d = 2
         symbols = np.ones((2, 256), dtype=np.uint8)
         symbols[1, 100] = 2
-        book = Codebook(1.0, 256, 2, 0, reference_planes(symbols, 2))
+        book = CraftedBook(symbols, 2)
         assert ml_decode(book, [2] * 256, ch) == 1
 
     @pytest.mark.parametrize("block_words", [1, 10, 15])
@@ -643,13 +689,13 @@ class TestBatchedDecode:
         scores[i] positions, one of 1s at 8 - scores[i]."""
         ch = window_channel(F(1, 2), F(2, 3))  # a = 1, d = 2
         widths = []
-        chunks = Codebook._chunks
+        chunks = CraftedBook._chunks
 
         def spy(book, width):
             widths.append(width)
             return chunks(book, width)
 
-        monkeypatch.setattr(Codebook, "_chunks", spy)
+        monkeypatch.setattr(CraftedBook, "_chunks", spy)
         monkeypatch.setattr(coding, "_BLOCK_WORDS", block_words)
         cases = [
             # the minimum 3 first comes at 3 and again at 6: a tie
@@ -662,8 +708,7 @@ class TestBatchedDecode:
             ([6, 5, 7, 3, 8, 4, 4, 5], [3, 4]),
         ]
         for scores, want in cases:
-            symbols = np.array([[1] * k + [2] * (8 - k) for k in scores], dtype=np.uint8)
-            book = Codebook(1.0, 8, 2, 0, reference_planes(symbols, 2))
+            book = CraftedBook([[1] * k + [2] * (8 - k) for k in scores], 2)
             transcripts = np.array([[2] * 8, [1] * 8, [1, 2] * 4])
             got = coding._decode_batch(book, transcripts, ch)
             assert got[:2] == want
@@ -685,13 +730,12 @@ class TestBatchedDecode:
 
     def test_bit_planes_of_binary_book_are_its_packed_bits(self):
         book = random_codebook(6, 70, 2, seed=3)
-        planes = book.bit_planes()
+        planes = whole_planes(book)
         assert planes.shape == (1, 2, 64)
         packed = np.packbits(book.symbols - 1, axis=1)
         words = np.zeros((64, 16), dtype=np.uint8)
         words[:, : packed.shape[1]] = packed
         assert np.array_equal(planes[0].T, words.view(np.uint64))
-        assert book.bit_planes() is planes
 
     def test_rejects_messages_outside_alphabet(self):
         ch = window_channel(F(1, 4), F(1, 2))  # d = 3
@@ -720,20 +764,6 @@ class TestBatchedDecode:
         book = random_codebook(3, 5, 2, seed=2)
         with pytest.raises(ValueError, match="does not match"):
             ml_decode(book, [1, 2, 2, 1, 2], window_channel(F(1, 4), F(1, 2)))
-
-
-@pytest.fixture
-def no_plane_build(monkeypatch):
-    """Fail any build of a book's bit-planes from its seed; planes a book
-    already holds may still be read."""
-    held = Codebook.bit_planes
-
-    def refuse(book):
-        if book._planes is None:
-            raise AssertionError("the book's planes were built")
-        return held(book)
-
-    monkeypatch.setattr(Codebook, "bit_planes", refuse)
 
 
 # a window channel per d: b = a / (a + d) and c = 1/2 give exactly (a, d)
@@ -770,28 +800,26 @@ class TestStreamedDecode:
     ):
         # small chunks and draw blocks make chunk boundaries and draw blocks
         # misalign; copied rows, noise and a short n give ties. The draw
-        # block size is part of the book at a d that rejects values, so both
-        # books are read under it
+        # block size is part of the book at a d that rejects values, so the
+        # streamed book and the crafted copy of its symbols are read under it
         ch = STREAM_CHANNELS[d]
         with mock.patch.object(coding, "_PLANE_BLOCK_SYMBOLS", block_symbols):
-            held = random_codebook(h, n, d, seed)
-            held.bit_planes()
+            lazy = random_codebook(h, n, d, seed)
+            held = CraftedBook(lazy.symbols, d)
             rng = np.random.default_rng(seed)
             rows = held.symbols[rng.integers(held.message_count, size=transcripts)].astype(np.int64)
             sent = leak_message(rows, rng.random(rows.shape) < float(ch.b), ch, rng)
             noise = rng.integers(1, d + 1, size=rows.shape)
             batch = np.where(rng.random((transcripts, 1)) < 0.3, noise, sent)
             batch[: transcripts // 4] = rows[: transcripts // 4]
-            lazy = random_codebook(h, n, d, seed)
             with mock.patch.object(coding, "_BLOCK_WORDS", block_words):
                 got = coding._decode_batch(lazy, batch, ch)
                 assert got == coding._decode_batch(held, batch, ch)
-        assert lazy._planes is None
         assert got == vector_decode(held, batch, ch)
 
     @pytest.mark.parametrize("d", [2, 4, 16, 256, 1024])
     @pytest.mark.parametrize("n", [33, 70])
-    def test_rows_jump_the_stream(self, no_plane_build, d, n):
+    def test_rows_jump_the_stream(self, no_symbol_matrix, d, n):
         # rows of 33 or 70 symbols are not word-aligned; the draw's blocks
         # hold ``step`` whole rows each
         want = one_shot_book(13, n, d, seed=2024)
@@ -806,27 +834,26 @@ class TestStreamedDecode:
                 book.row(x)
 
     @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(1, 4), F(1, 2))])  # d = 2, 3
-    def test_decode_never_builds_the_planes(self, no_plane_build, b, c):
+    def test_decode_never_builds_the_planes(self, no_symbol_matrix, b, c):
         ch = window_channel(b, c)
         data = {"seed": 5, "h": 12, "n": 100, "d": ch.d, "stream": 2}
         sent = drawn_book(12, 100, ch.d, seed=5)[3001]
         book = Codebook.from_jsonable(data)
         assert book == Codebook.from_jsonable(data)
         assert ml_decode(book, sent, ch) == 3001
-        assert book._planes is None
 
     @pytest.mark.parametrize("b,c", [(F(1, 2), F(2, 3)), (F(1, 4), F(4, 7))])  # d = 2, 4
-    def test_indep_leak_never_builds_the_planes(self, no_plane_build, b, c):
+    def test_indep_leak_never_builds_the_planes(self, no_symbol_matrix, b, c):
         rep = run_indep_experiment(b, c, F(1, 10), 120, 20, seed=9)
         assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
 
     @pytest.mark.parametrize("b,c", [(F(1, 4), F(1, 2)), (F(2, 7), F(1, 2))])  # d = 3, 5
-    def test_indep_leak_over_other_alphabets_never_builds_the_planes(self, no_plane_build, b, c):
+    def test_indep_leak_over_other_alphabets_never_builds_the_planes(self, no_symbol_matrix, b, c):
         # a 2^10 x 300 book spans three draw blocks
         rep = run_indep_experiment(b, c, F(1, 30), 300, 20, seed=9)
         assert rep.trials == 20 and rep.decode_errors + rep.tie_errors <= 4
 
-    def test_fixed_leak_never_builds_the_planes(self, no_plane_build, monkeypatch):
+    def test_fixed_leak_never_builds_the_planes(self, no_symbol_matrix, monkeypatch):
         # (a, d) = (3, 38): each of the two 2^10 x 200 books spans seven
         # draw blocks of 168 rows, which at this d are part of the book
         monkeypatch.setattr(coding, "_PLANE_BLOCK_SYMBOLS", 1 << 15)
@@ -854,7 +881,6 @@ class TestStreamedDecode:
             rows = book.rows(xs)
         assert rows.dtype == want.dtype and rows.shape == (len(xs), n)
         assert np.array_equal(rows, want[xs])
-        assert book._planes is None
 
     def test_decode_chunk_and_scratch_share_one_budget(self, monkeypatch):
         import tracemalloc

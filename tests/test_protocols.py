@@ -262,6 +262,19 @@ class TestEnumerateJoint:
         with pytest.raises(BudgetExceededError, match="exceeded %d " % (states - 1)):
             list(iter_prefixes(pi, sc, budget=states - 1))
 
+    def test_budget_error_says_how_far_the_walk_got(self):
+        # the states and prefixes read, the one that ran over included
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        walk = [len(w) for _, _, w, _ in iter_prefixes(pi, sc)]
+        budget = sum(walk[:3])
+        with pytest.raises(BudgetExceededError) as err:
+            list(iter_prefixes(pi, sc, budget=budget))
+        assert str(err.value) == (
+            "enumeration exceeded %d outcome states (states read: %d, prefixes read: 4); "
+            "raise the budget explicitly" % (budget, sum(walk[:4]))
+        )
+
     @pytest.mark.parametrize("missing_from", ["innocent", "leak"])
     def test_law_without_an_alphabet_label_raises(self, coin_scenario, missing_from):
         """A law whose support lacks a message of the node's alphabet is a
