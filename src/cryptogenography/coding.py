@@ -296,12 +296,41 @@ class Codebook:
     its bit-planes from the seed's draw blocks chunk by chunk, ``rows``
     draws only the blocks holding the rows it is asked for, and ``symbols``
     draws every block again on each read.
+
+    The fields are checked when the book is made, however it is made: h a
+    finite real >= 0 (kept as a float), n >= 0 and d in 1..65535 integers
+    (ValueError), and at most MAX_CODEBOOK_ENTRIES symbols (read then; an
+    empty codeword counts as one), else MemoryError.
     """
 
     h_bits: float
     n: int
     d: int
     seed: int
+
+    def __post_init__(self):
+        h_bits = self.h_bits
+        if isinstance(h_bits, bool) or not isinstance(h_bits, numbers.Real):
+            raise ValueError("codebook h must be a number, got %r" % (h_bits,))
+        if not 0 <= h_bits < math.inf:
+            raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
+        n = _integral("codebook n", self.n)
+        d = _integral("codebook d", self.d)
+        if not 1 <= d < 1 << 16:
+            raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
+        if n < 0:
+            raise ValueError("codebook n must be >= 0, got %r" % (n,))
+        max_entries = MAX_CODEBOOK_ENTRIES
+        bits = math.ceil(h_bits)
+        # every codeword costs at least one entry, so 2^bits is made only
+        # within the budget: for a large h it would be a huge int
+        if bits >= max_entries.bit_length() or (1 << bits) * max(n, 1) > max_entries:
+            raise MemoryError(
+                "codebook of 2^%d x %d symbols exceeds the %d-entry budget" % (bits, n, max_entries)
+            )
+        object.__setattr__(self, "h_bits", float(h_bits))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
 
     @property
     def symbols(self) -> np.ndarray:
@@ -411,28 +440,11 @@ def random_codebook(h_bits, n: int, d: int, seed: int) -> Codebook:
     masked straight from the raw words; any other d keeps the test and the
     product, and plane k is bit k of (v d) >> B.
 
-    A book of more than MAX_CODEBOOK_ENTRIES symbols (read when the call
-    runs; an empty codeword counts as one) raises MemoryError.
+    ``Codebook`` checks the fields: a book of more than MAX_CODEBOOK_ENTRIES
+    symbols (read when the call runs; an empty codeword counts as one)
+    raises MemoryError.
     """
-    if isinstance(h_bits, bool) or not isinstance(h_bits, numbers.Real):
-        raise ValueError("codebook h must be a number, got %r" % (h_bits,))
-    if not 0 <= h_bits < math.inf:
-        raise ValueError("codebook h must be finite and >= 0, got %r" % (h_bits,))
-    n = _integral("codebook n", n)
-    d = _integral("codebook d", d)
-    if not 1 <= d < 1 << 16:
-        raise ValueError("codebook d must be in 1..65535, got %r" % (d,))
-    if n < 0:
-        raise ValueError("codebook n must be >= 0, got %r" % (n,))
-    max_entries = MAX_CODEBOOK_ENTRIES
-    bits = math.ceil(h_bits)
-    # every codeword costs at least one entry, so 2^bits is made only within
-    # the budget: for a large h it would be a huge int
-    if bits >= max_entries.bit_length() or (1 << bits) * max(n, 1) > max_entries:
-        raise MemoryError(
-            "codebook of 2^%d x %d symbols exceeds the %d-entry budget" % (bits, n, max_entries)
-        )
-    return Codebook(float(h_bits), n, d, seed)
+    return Codebook(h_bits, n, d, seed)
 
 
 def _accepted_patterns(transcripts: np.ndarray, ch: WindowChannel, depth: int) -> np.ndarray:

@@ -11,7 +11,11 @@ scale: a child's weights are the parent's times the node's ``int_laws``
 (each probability times the lcm of the node's law denominators), and
 ``_children`` expands a node into every message's child in one pass. Every
 test a scan makes is scale-free and decided by integer cross-multiplication;
-a ``Fraction`` is made only where a probability leaves the walk.
+a ``Fraction`` is made only where a probability leaves the walk. A node
+built by a caller or read from a file derives its ``int_laws`` from its
+laws on first read; the transformations build every node through ``_node``
+with its int laws already known (the input node's, or computed from the
+bit probabilities), in exactly the form the derivation would give.
 
 The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
 ``_Tally``: one pass over a prefix's int weights (the walk's, or a
@@ -31,7 +35,7 @@ import ast
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -216,9 +220,15 @@ class ProtocolNode:
     def int_laws(self) -> tuple:
         """(scale, innocent, {secret: leak}): each law as its (message, q)
         pairs with q > 0 in the law's support order, q the probability times
-        ``scale``, the lcm of the node's denominators. The one int form of a
-        node's laws. A law whose support lacks an alphabet label, or that
-        puts mass on a label outside the alphabet, is a ValueError."""
+        ``scale``, the lcm of the node's denominators, and the leak pairs in
+        ``p_leak`` order. The one int form of a node's laws. A law whose
+        support lacks an alphabet label, or that puts mass on a label outside
+        the alphabet, is a ValueError.
+
+        Derived here on first read, unless the node was built by ``_node``:
+        the transformations seed the cache there with the int laws they
+        already hold, which must equal this derivation exactly (the
+        canonical scale included, never a multiple of it)."""
         laws = (self.p_innocent, *self.p_leak.values())
         scale = math.lcm(*(law._int_view()[0] for law in laws))
         ints = []
@@ -339,6 +349,15 @@ def _match_str_key(key: str):
     return key
 
 
+def _node(speaker: int, alphabet: tuple, p_innocent, p_leak, children, int_laws) -> ProtocolNode:
+    """The one builder of a transformed node: a ``ProtocolNode`` whose
+    ``int_laws`` cache holds ``int_laws``, which the caller knows to be what
+    the derivation gives for these laws."""
+    node = ProtocolNode(speaker, alphabet, p_innocent, p_leak, children)
+    node.__dict__["int_laws"] = int_laws
+    return node
+
+
 @dataclass(frozen=True)
 class ProtocolTree:
     """A whole protocol: root node (None means the empty protocol) and a length bound."""
@@ -455,7 +474,8 @@ class _StateBudget:
     transformation recursion charges the weights of each prefix it reads,
     internal and terminal. BudgetExceededError once they pass ``budget``
     (None: DEFAULT_ENUMERATION_BUDGET, read when the budget is made); its
-    text says how many states and prefixes were read, the last included."""
+    text says how many states and prefixes were read, the last included,
+    and it carries ``limit``, ``states`` and ``prefixes`` as attributes."""
 
     __slots__ = ("limit", "states", "prefixes")
 
@@ -468,10 +488,12 @@ class _StateBudget:
         self.states += len(weights)
         self.prefixes += 1
         if self.states > self.limit:
-            raise BudgetExceededError(
+            err = BudgetExceededError(
                 "enumeration exceeded %d outcome states (states read: %d, prefixes read: %d); "
                 "raise the budget explicitly" % (self.limit, self.states, self.prefixes)
             )
+            err.limit, err.states, err.prefixes = self.limit, self.states, self.prefixes
+            raise err
 
 
 class _Tally:
@@ -732,6 +754,7 @@ def safety_report(
 # ---------------------------------------------------------------------------
 # binarize: bit alphabets with innocent bit probabilities in [1/3, 2/3]
 
+BITS = (0, 1)
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -747,12 +770,24 @@ def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
     bounded and are left as single bits; they do not occur in non-revealing
     protocols. A doubling chain longer than MAX_DOUBLING_ROUNDS digits (read
     when the chain is built) raises BudgetExceededError.
+
+    A node that is already a bit node (``_is_bit_node``) keeps its law
+    objects and int laws: the bit tree would rebuild the same laws, since a
+    law over (0, 1) sends 1 with its share of one.
     """
     xs = scenario.x_support
 
     def convert(node):
         if node is None:
             return None
+        if _is_bit_node(node, xs):
+            scale, innocent, leak = node.int_laws
+            children = {m: convert(node.children[m]) for m in BITS}
+            # keyed by the scenario's secrets, as the rebuilt node would be
+            p_leak = dict(zip(xs, node.p_leak.values()))
+            int_laws = (scale, innocent, dict(zip(xs, leak.values())))
+            kept = _node(node.speaker, BITS, node.p_innocent, p_leak, children, int_laws)
+            return _range_fix(kept)
         live = [
             m
             for m in node.alphabet
@@ -789,18 +824,48 @@ def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
     return ProtocolTree(root)
 
 
+def _is_bits(labels: tuple) -> bool:
+    """True iff ``labels`` is (0, 1) as ints: 0 == False == 0.0, but only
+    the ints are the labels binarize writes."""
+    return labels == BITS and type(labels[0]) is int and type(labels[1]) is int
+
+
+def _is_bit_node(node: ProtocolNode, xs: tuple) -> bool:
+    """True iff ``node`` is what binarize would build for it: alphabet (0, 1)
+    with both messages live, every law over exactly (0, 1), and a leak law
+    for each secret of ``xs`` and no other, in that order."""
+    if not (_is_bits(node.alphabet) and tuple(node.p_leak) == xs):
+        return False
+    if not all(_is_bits(law.support) for law in (node.p_innocent, *node.p_leak.values())):
+        return False
+    _scale, innocent, leak = node.int_laws
+    return len({m for pairs in (innocent, *leak.values()) for m, _q in pairs}) == 2
+
+
 def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> ProtocolNode:
     """A node over {0, 1} from the innocent and per-secret probabilities of
-    sending 1."""
-
-    def law(p):
+    sending 1, with its int laws computed from those probabilities: over the
+    lcm of their denominators, (0, (den - num) up) and (1, num up) where
+    positive."""
+    probs = (p_one, *leak_one.values())
+    scale = math.lcm(*(p.denominator for p in probs))
+    laws = []
+    ints = []
+    for p in probs:
         num, den = p.numerator, p.denominator
         if not 0 <= num <= den:
             raise ValueError("bit probability must be in [0, 1], got %s" % (p,))
-        return FiniteDist._from_ints((0, 1), den, (den - num, num))
-
-    leak = {x: law(p) for x, p in leak_one.items()}
-    return ProtocolNode(speaker, (0, 1), law(p_one), leak, {0: child0, 1: child1})
+        up = scale // den
+        laws.append(FiniteDist._from_ints(BITS, den, (den - num, num)))
+        ints.append(tuple((m, q) for m, q in ((0, (den - num) * up), (1, num * up)) if q))
+    return _node(
+        speaker,
+        BITS,
+        laws[0],
+        dict(zip(leak_one, laws[1:])),
+        {0: child0, 1: child1},
+        (scale, ints[0], dict(zip(leak_one, ints[1:]))),
+    )
 
 
 def _leaves(shape):
@@ -971,7 +1036,8 @@ def stop_at_c(tree: ProtocolTree, scenario: LeakScenario, c) -> ProtocolTree:
         if below is None:
             below = {m: (w, None) for m, w in _children(node, weights).items()}
         children = {m: transform(node.children[m], w, landed, t) for m, (w, t) in below.items()}
-        result = replace(node, children=children)
+        result = _node(node.speaker, node.alphabet, node.p_innocent, node.p_leak, children,
+                       node.int_laws)
         memo[key] = (source, result)
         return result
 
@@ -1076,10 +1142,30 @@ def _ignorance_walk(tree: ProtocolTree, scenario: LeakScenario, c_prime: Fractio
         children = {
             m: build(node.children[m], child_weights[m], child_scale, switch) for m in node.alphabet
         }
-        return ProtocolNode(node.speaker, node.alphabet, node.p_innocent, p_leak, children)
+        int_laws = _muted_int_laws(node, switch)
+        return _node(node.speaker, node.alphabet, node.p_innocent, p_leak, children, int_laws)
 
     ignoring = dict.fromkeys(scenario.x_support, False)
     return build(tree.root, scenario.weights, scenario.scale, ignoring), fired
+
+
+def _muted_int_laws(node: ProtocolNode, switch: Mapping) -> tuple:
+    """The int laws of ``node`` rebuilt with each secret of ``switch`` that
+    is on playing the innocent law and every other its own leak law, keyed
+    in ``switch`` order. The pairs are ``node``'s; a law left out can only
+    lower the scale, to the lcm of the laws kept, and the pairs follow it."""
+    scale, innocent, leak = node.int_laws
+    kept = [node.p_leak[x] for x, off in switch.items() if not off]
+    if len(kept) < len(leak):
+        low = math.lcm(*(law._int_view()[0] for law in (node.p_innocent, *kept)))
+        if low != scale:
+            down = scale // low
+            innocent = tuple((m, q // down) for m, q in innocent)
+            leak = {
+                x: tuple((m, q // down) for m, q in leak[x]) for x, off in switch.items() if not off
+            }
+            scale = low
+    return scale, innocent, {x: innocent if off else leak[x] for x, off in switch.items()}
 
 
 def pretend_ignorance(tree: ProtocolTree, scenario: LeakScenario, c_prime) -> ProtocolTree:
