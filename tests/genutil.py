@@ -74,14 +74,17 @@ def random_scenario(rng, n_players=2, n_x=2):
     return LeakScenario(n_players, JointDist(axes, table, axis_supports=supports))
 
 
-def random_protocol(rng, scenario, max_depth=3, stop_prob=0.4, non_revealing_only=True):
-    """Random binary-message protocol tree for the given scenario."""
+def random_protocol(
+    rng, scenario, max_depth=3, stop_prob=0.4, non_revealing_only=True, alphabet=(0, 1)
+):
+    """Random protocol tree for the given scenario, every node over
+    ``alphabet`` (binary messages by default)."""
     xs = scenario.x_support
 
     def node(depth):
         speaker = rng.randrange(1, scenario.n_players + 1)
         while True:
-            p_innocent = random_rational_dist(rng, (0, 1), max_weight=4)
+            p_innocent = random_rational_dist(rng, alphabet, max_weight=4)
             if not non_revealing_only:
                 break
             if all(p > 0 for p in p_innocent.probs):
@@ -89,21 +92,21 @@ def random_protocol(rng, scenario, max_depth=3, stop_prob=0.4, non_revealing_onl
         p_leak = {}
         for x in xs:
             while True:
-                d = random_rational_dist(rng, (0, 1), max_weight=4)
+                d = random_rational_dist(rng, alphabet, max_weight=4)
                 if not non_revealing_only:
                     break
                 if all(
-                    d.prob(m) == 0 or p_innocent.prob(m) > 0 for m in (0, 1)
+                    d.prob(m) == 0 or p_innocent.prob(m) > 0 for m in alphabet
                 ):
                     break
             p_leak[x] = d
         children = {}
-        for m in (0, 1):
+        for m in alphabet:
             if depth >= max_depth or rng.random() < stop_prob:
                 children[m] = None
             else:
                 children[m] = node(depth + 1)
-        return ProtocolNode(speaker, (0, 1), p_innocent, p_leak, children)
+        return ProtocolNode(speaker, alphabet, p_innocent, p_leak, children)
 
     return ProtocolTree(node(1))
 

@@ -540,6 +540,20 @@ class TestStreamedCodebook:
             random_codebook(h, 4, 2, 0)
 
     @pytest.mark.parametrize(
+        "fields,error,message",
+        [((-1.0, 5, 2, 1), ValueError, "codebook h must be finite and >= 0, got -1.0"),
+         ((40.0, 100, 2, 0), MemoryError, "codebook of 2^40 x 100 symbols exceeds"),
+         ((3.0, 5, 0, 1), ValueError, "codebook d must be in 1..65535, got 0"),
+         ((3.0, -1, 2, 1), ValueError, "codebook n must be >= 0, got -1"),
+         ((True, 5, 2, 1), ValueError, "codebook h must be a number, got True")],
+    )
+    def test_a_book_built_directly_checks_its_fields(self, fields, error, message):
+        # once a shift error, a book of 2^40 messages and a ZeroDivisionError
+        # from rows: only random_codebook and from_jsonable checked
+        with pytest.raises(error, match=re.escape(message)):
+            Codebook(*fields)
+
+    @pytest.mark.parametrize(
         "stream,message",
         [(3, "codebook stream must be 1 or 2, got 3"), (0, "codebook stream must be 1 or 2, got 0"),
          (True, "codebook stream must be an integer, got True"),

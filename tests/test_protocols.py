@@ -275,6 +275,20 @@ class TestEnumerateJoint:
             "raise the budget explicitly" % (budget, sum(walk[:4]))
         )
 
+    def test_budget_error_carries_its_counts(self, monkeypatch):
+        # the numbers of the text as attributes, from a transformation's budget
+        ch = window_channel(F(1, 2), F(2, 3))
+        pi, sc = window_protocol(ch, 2), window_scenario(ch, 2)
+        monkeypatch.setattr(protocols, "DEFAULT_ENUMERATION_BUDGET", 10)
+        with pytest.raises(BudgetExceededError) as err:
+            pretend_ignorance(pi, sc, F(3, 4))
+        e = err.value
+        assert e.limit == 10 and e.states > 10 and 1 <= e.prefixes < e.states
+        assert str(e) == (
+            "enumeration exceeded 10 outcome states (states read: %d, prefixes read: %d); "
+            "raise the budget explicitly" % (e.states, e.prefixes)
+        )
+
     @pytest.mark.parametrize("missing_from", ["innocent", "leak"])
     def test_law_without_an_alphabet_label_raises(self, coin_scenario, missing_from):
         """A law whose support lacks a message of the node's alphabet is a

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -217,6 +218,18 @@ class TestBinarize:
         node = leaf_node(1, u, {0: p0, 1: p0})
         out = binarize(ProtocolTree(node), coin_scenario)
         assert out.root == node
+        # the bit node keeps its own law objects rather than equal rebuilt ones
+        assert out.root.p_innocent is node.p_innocent
+        assert all(out.root.p_leak[x] is node.p_leak[x] for x in (0, 1))
+
+    def test_bool_labelled_bits_are_written_as_ints(self, coin_scenario):
+        # False == 0 and True == 1, but binarize writes the int labels 0 and 1
+        bits = (False, True)
+        p0 = FiniteDist(bits, (F(1, 3), F(2, 3)))
+        node = leaf_node(1, FiniteDist.uniform(bits), {0: p0, 1: p0})
+        out = binarize(ProtocolTree(node), coin_scenario).root
+        labels = [out.alphabet, out.p_innocent.support, *(law.support for law in out.p_leak.values())]
+        assert all(type(m) is int for m in itertools.chain(*labels))
 
     def test_ternary_half_quarter_quarter(self, coin_scenario):
         p_inn = FiniteDist(("a", "b", "c"), (F(1, 2), F(1, 4), F(1, 4)))
@@ -536,6 +549,44 @@ def test_stop_at_c_sharing_repeats():
     second = stop_at_c(pi, sc, F(3, 5))
     assert len(kept) == 3 and equivalent(first, second, sc)
     assert distinct_nodes(first) == distinct_nodes(second) == 57
+
+
+def assert_seeded_int_laws(tree):
+    """Every node of a transformation's output was built with its int laws,
+    and they are exactly those the node would derive from its laws."""
+    for _path, node in protocols._nodes(tree.root):
+        assert "int_laws" in vars(node)
+        seeded = vars(node)["int_laws"]
+        assert seeded == ProtocolNode.int_laws.func(node)
+        assert list(seeded[2]) == list(node.p_leak)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), ("a", "b", "c")])
+def test_transformed_nodes_carry_their_int_laws(alphabet):
+    rng = random.Random(1729)
+    caps = [F(3, 5), F(2, 3), F(3, 4), F(4, 5)]
+    gadgets = rescaled = 0
+    for k in range(40):
+        sc = random_scenario(rng, n_players=1 + k % 3, n_x=2 + k % 2)
+        pi = random_protocol(rng, sc, max_depth=3, alphabet=alphabet)
+        binary = binarize(pi, sc)
+        assert_seeded_int_laws(binary)
+        c = caps[k % len(caps)]
+        try:
+            stopped = stop_at_c(binary, sc, c)
+            muted = pretend_ignorance(pi, sc, c)
+        except ValueError:
+            continue  # prior above c
+        assert_seeded_int_laws(stopped)
+        assert_seeded_int_laws(muted)
+        gadgets += len(list(protocols._nodes(stopped.root))) > len(list(protocols._nodes(binary.root)))
+        # a muted secret's own law can be the only one with some denominator
+        rescaled += any(
+            out.int_laws[0] < node.int_laws[0]
+            for (_p, out), (_q, node) in zip(protocols._nodes(muted.root), protocols._nodes(pi.root))
+        )
+    # both the gadgets and the lowered scales were exercised
+    assert gadgets and rescaled
 
 
 def transform_golden_batch():
