@@ -12,10 +12,12 @@ each chatter message with probability |g-cell intersect alpha| / |alpha|.
 
 All interval arithmetic is exact; intervals are half-open [lo, hi), held
 as ints (lo, hi, den) in lowest terms, and compared and intersected by
-cross-multiplication. The audit carries each state's masses as ints over
-one denominator, multiplies them by int step factors and compares
-conditionals by cross-multiplication; the leaker step law and the
-reported masses are Fractions.
+cross-multiplication. The audit keeps each state's opening masses as ints
+grouped by commitment class, with one int factor per class over one
+denominator; each chatter message multiplies the class factors by int step
+factors, the masses are multiplied out only at a message boundary, and
+conditionals are compared by cross-multiplication. The leaker step law and
+the reported masses are Fractions.
 """
 
 from __future__ import annotations
@@ -439,18 +441,48 @@ class AuditReport:
         }
 
 
-def _merge_state(states: dict, key, entries: dict, den: int) -> None:
-    """Add ``entries`` (int masses over ``den``) into ``states[key]``, over
-    the lcm of the two denominators, divided by the gcd of the result."""
+def _multiplied_out(groups: dict, factors: dict, up: int) -> dict:
+    """A state's entries as opening entries: each class's opening entries
+    times its factor and ``up``, for the classes in ``factors``."""
+    return {cls: {k: w * f * up for k, w in groups[cls].items()} for cls, f in factors.items()}
+
+
+def _open_state(states: dict, key, groups: dict, den: int) -> None:
+    """Store the opening entries ``groups`` ({class: {(x, lvec): int}} over
+    ``den``) at ``key``, every class factor 1. A state already there is
+    multiplied out and added, over the lcm of the two denominators; the
+    result is divided by its gcd."""
     if key in states:
-        old, old_den = states[key]
+        old_groups, old_factors, old_den = states[key]
         common = math.lcm(old_den, den)
-        merged = {k: w * (common // old_den) for k, w in old.items()}
-        for k, w in entries.items():
-            merged[k] = merged.get(k, 0) + w * (common // den)
-        entries, den = merged, common
-    g = math.gcd(den, *entries.values())
-    states[key] = ({k: w // g for k, w in entries.items()}, den // g) if g > 1 else (entries, den)
+        merged = _multiplied_out(old_groups, old_factors, common // old_den)
+        up = common // den
+        for cls, entries in groups.items():
+            slot = merged.setdefault(cls, {})
+            for k, w in entries.items():
+                slot[k] = slot.get(k, 0) + w * up
+        groups, den = merged, common
+    g = math.gcd(den, *(w for entries in groups.values() for w in entries.values()))
+    if g > 1:
+        groups = {cls: {k: w // g for k, w in entries.items()} for cls, entries in groups.items()}
+        den //= g
+    states[key] = (groups, dict.fromkeys(groups, 1), den)
+
+
+def _carry_state(states: dict, key, groups: dict, factors: dict, den: int) -> None:
+    """Store a state reached within a protocol message: its opening entries
+    kept, its class factors and ``den`` over their gcd. Where another path
+    already reached ``key`` (a chatter law with one possible message keeps
+    the interval, so states of one prefix can meet), both are multiplied
+    out and added (``_open_state``)."""
+    if key in states:
+        _open_state(states, key, _multiplied_out(groups, factors, 1), den)
+        return
+    g = math.gcd(den, *factors.values())
+    if g > 1:
+        factors = {cls: f // g for cls, f in factors.items()}
+        den //= g
+    states[key] = (groups, factors, den)
 
 
 def equivalence_audit(
@@ -471,12 +503,18 @@ def equivalence_audit(
     its protocol probability and falls short by at most the total undecoded
     mass.
 
-    Each state's masses are ints over one denominator. Per chatter
-    message, the innocent factor p_k / L (the law as ints over the lcm L
-    of its denominators) and each commitment's leaker factor
-    |cell & alpha| / |alpha| (from ``_leaker_law``) become ints over one
-    step denominator, so every step is an int multiplication; intervals
-    are ints too, and only the reported masses are Fractions.
+    A state holds its opening entries (the masses when the speaker's node
+    was reached) grouped by class, innocent (None) or the committed
+    protocol message, with one int factor per class and one denominator:
+    within one protocol message every entry of a class moves by the same
+    step factor. Per chatter message, the innocent factor p_k / L (the law
+    as ints over the lcm L of its denominators) and each commitment's
+    leaker factor |cell & alpha| / |alpha| (from ``_leaker_law``) become
+    ints over one step denominator and multiply the class factors; the
+    entries are multiplied out only at a message boundary, where the
+    collapse reads each of them anyway, or where two paths reach one state
+    (``_carry_state``). Intervals are ints too, and only the reported
+    masses are Fractions.
 
     Raises BudgetExceededError when the budget runs out first.
     """
@@ -502,21 +540,24 @@ def equivalence_audit(
         if node is None:
             transcript_mass[prefix] = Fraction(total, scale)
 
-    def fresh_entries(node, base, den):
+    def fresh_groups(node, base, den):
         # the speaker commits to a protocol message when leaking
         law_scale, _innocent, leak = node.int_laws
-        entries = {}
-        for (x, lvec), w in base.items():
-            if lvec[node.speaker - 1]:
-                for a, q in leak[x]:
-                    entries[(x, lvec, a)] = w * q
+        speaker = node.speaker - 1
+        groups: dict = {}
+        for key, w in base.items():
+            if key[1][speaker]:
+                for a, q in leak[key[0]]:
+                    groups.setdefault(a, {})[key] = w * q
             else:
-                entries[(x, lvec, None)] = w * law_scale
-        return entries, den * law_scale
+                groups.setdefault(None, {})[key] = w * law_scale
+        return groups, den * law_scale
 
-    # state key: (pi prefix, interval); value: ({(x, lvec, commitment): int}, den),
-    # each mass an int over the state's one denominator
-    states = {((), UNIT): fresh_entries(tree.root, scenario.weights, scenario.scale)}
+    # state key: (pi prefix, interval); value: ({class: {(x, lvec): int}},
+    # {class: int}, den), an entry's mass its opening int times its class
+    # factor over the state's one denominator
+    states: dict = {}
+    _open_state(states, ((), UNIT), *fresh_groups(tree.root, scenario.weights, scenario.scale))
     f_cache = {(): f_partition(tree.root.p_innocent)}
 
     rounds_used = 0
@@ -525,19 +566,19 @@ def equivalence_audit(
             break
         rounds_used = r + 1
         new_states: dict = {}
-        for (prefix, interval), (entries, den) in states.items():
+        for (prefix, interval), (groups, factors, den) in states.items():
             node = reference[prefix][2]
             f_cells = f_cache[prefix]
             law = channel.law(node.speaker, r)
             g_cells = g_partition(interval, law)
-            # a committed entry only reaches a state through a positive
-            # overlap, so a commitment whose alpha (f-cell & interval) is
-            # empty has no entries here
+            # a committed class only reaches a state through a positive
+            # overlap, so its alpha (f-cell & interval) is not empty
             leaker_laws = {}
             for commit, f_cell in f_cells.items():
-                alpha = f_cell.intersect(interval)
-                if alpha is not None:
-                    leaker_laws[commit] = _leaker_law(alpha, g_cells)
+                if commit in factors:
+                    alpha = f_cell.intersect(interval)
+                    if alpha is not None:
+                        leaker_laws[commit] = _leaker_law(alpha, g_cells)
             law_den, law_probs = law._int_view()
             for message, p in zip(law.support, law_probs):
                 if not p:
@@ -547,24 +588,28 @@ def equivalence_audit(
                 # p / law_den for innocents, the leaker law's for commitments
                 steps = [(k, lk[message][0]) for k, lk in leaker_laws.items() if message in lk]
                 step_den = math.lcm(law_den, *(q.denominator for _k, q in steps))
-                factor = {k: q.numerator * (step_den // q.denominator) for k, q in steps}
-                factor[None] = p * (step_den // law_den)
-                moved = {key: w * factor[key[2]] for key, w in entries.items() if key[2] in factor}
+                step = {k: q.numerator * (step_den // q.denominator) for k, q in steps}
+                step[None] = p * (step_den // law_den)
+                moved = {cls: f * step[cls] for cls, f in factors.items() if cls in step}
                 if not moved:
                     continue
                 moved_den = den * step_den
                 emitted = _emitted(f_cells, cell)
                 if emitted is None:
-                    _merge_state(new_states, (prefix, cell), moved, moved_den)
+                    _carry_state(new_states, (prefix, cell), groups, moved, moved_den)
                     continue
                 # message boundary: collapse commitments and check that the
                 # conditional is proportional to the protocol's own
                 terminal_paths += 1
                 new_prefix = prefix + (emitted,)
                 collapsed: dict = {}
-                for (x, lvec, commit), w2 in moved.items():
-                    assert commit is None or commit == emitted
-                    collapsed[(x, lvec)] = collapsed.get((x, lvec), 0) + w2
+                for cls, f in moved.items():
+                    if cls is not None and cls != emitted:
+                        raise ArithmeticError(
+                            "commitment %r reached the boundary of %r at %r" % (cls, emitted, cell)
+                        )
+                    for k, w in groups[cls].items():
+                        collapsed[k] = collapsed.get(k, 0) + w * f
                 total = sum(collapsed.values())
                 ref, ref_total, child = reference[new_prefix]
                 # both sides hold positive ints only, so equal key sets plus
@@ -580,11 +625,13 @@ def equivalence_audit(
                     decoded[new_prefix] = decoded.get(new_prefix, ZERO) + Fraction(total, moved_den)
                     continue
                 f_cache[new_prefix] = f_partition(child.p_innocent)
-                entries2, den2 = fresh_entries(child, collapsed, moved_den)
-                _merge_state(new_states, (new_prefix, UNIT), entries2, den2)
+                _open_state(new_states, (new_prefix, UNIT), *fresh_groups(child, collapsed, moved_den))
         states = new_states
 
-    undecoded = sum(Fraction(sum(e.values()), den) for e, den in states.values())
+    undecoded = sum(
+        Fraction(sum(sum(groups[cls].values()) * f for cls, f in factors.items()), den)
+        for groups, factors, den in states.values()
+    )
     decoded_total = sum(decoded.values()) if decoded else ZERO
     mass_ok = all(
         p_ref - undecoded <= decoded.get(t, ZERO) <= p_ref for t, p_ref in transcript_mass.items()

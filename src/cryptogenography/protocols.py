@@ -14,8 +14,11 @@ test a scan makes is scale-free and decided by integer cross-multiplication;
 a ``Fraction`` is made only where a probability leaves the walk. A node
 built by a caller or read from a file derives its ``int_laws`` from its
 laws on first read; the transformations build every node through ``_node``
-with its int laws already known (the input node's, or computed from the
-bit probabilities), in exactly the form the derivation would give.
+with its int laws already known (the input node's, or ``_bit_node``'s from
+one reduced int ratio per bit law), in exactly the form the derivation
+would give. Their steps (binarize's shares, the doubling chain, the
+stop-at-c gadget) are int ratios read from the input's ``int_laws`` and
+tallies, with every inequality decided by cross-multiplication.
 
 The deniability posterior Pr(L_i=1 | X=x, prefix) has one implementation,
 ``_Tally``: one pass over a prefix's int weights (the walk's, or a
@@ -755,7 +758,6 @@ def safety_report(
 # binarize: bit alphabets with innocent bit probabilities in [1/3, 2/3]
 
 BITS = (0, 1)
-HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
 
@@ -773,7 +775,8 @@ def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
 
     A node that is already a bit node (``_is_bit_node``) keeps its law
     objects and int laws: the bit tree would rebuild the same laws, since a
-    law over (0, 1) sends 1 with its share of one.
+    law over (0, 1) sends 1 with its share of one. Every share is read from
+    the node's ``int_laws`` as an int ratio.
     """
     xs = scenario.x_support
 
@@ -788,37 +791,35 @@ def binarize(tree: ProtocolTree, scenario: LeakScenario) -> ProtocolTree:
             int_laws = (scale, innocent, dict(zip(xs, leak.values())))
             kept = _node(node.speaker, BITS, node.p_innocent, p_leak, children, int_laws)
             return _range_fix(kept)
-        live = [
-            m
-            for m in node.alphabet
-            if node.p_innocent.prob(m) > 0 or any(node.p_leak[x].prob(m) > 0 for x in xs)
-        ]
+        _scale, innocent, leak = node.int_laws
+        # {message: int mass} of the innocent law, then of each secret's
+        masses = [dict(innocent)] + [dict(leak[x]) for x in xs]
+        live = [m for m in node.alphabet if any(m in mass for mass in masses)]
         if not live:
             raise ValueError("node with no reachable message")
         if len(live) == 1:
             # the message carries no information; splice it out
             return convert(node.children[live[0]])
-        order = _huffman_merge_order(node, live)
-        return emit_bits(node, order)
+        order = _huffman_merge_order(node, live, masses[0])
+        return emit_bits(node, order, masses)
 
-    def emit_bits(node, shape):
+    def emit_bits(node, shape, masses):
         if not isinstance(shape, tuple):
             return convert(node.children[shape])
         left, right = shape
         lab_left = _leaves(left)
         lab_right = _leaves(right)
 
-        def share_of_one(dist, default):
-            one = sum(dist.prob(m) for m in lab_right)
-            total = one + sum(dist.prob(m) for m in lab_left)
-            return one / total if total > 0 else default
+        def share_of_one(mass, default):
+            one = sum(mass.get(m, 0) for m in lab_right)
+            total = one + sum(mass.get(m, 0) for m in lab_left)
+            return (one, total) if total else default
 
-        p_one = share_of_one(node.p_innocent, HALF)
-        leak_one = {x: share_of_one(node.p_leak[x], p_one) for x in xs}
-        child0 = emit_bits(node, left)
-        child1 = emit_bits(node, right)
-        bit_node = _bit_node(node.speaker, p_one, leak_one, child0, child1)
-        return _range_fix(bit_node)
+        p_one = share_of_one(masses[0], (1, 2))
+        ratios = [p_one] + [share_of_one(mass, p_one) for mass in masses[1:]]
+        child0 = emit_bits(node, left, masses)
+        child1 = emit_bits(node, right, masses)
+        return _range_fix(_bit_node(node.speaker, xs, ratios, child0, child1))
 
     root = convert(tree.root)
     return ProtocolTree(root)
@@ -842,19 +843,23 @@ def _is_bit_node(node: ProtocolNode, xs: tuple) -> bool:
     return len({m for pairs in (innocent, *leak.values()) for m, _q in pairs}) == 2
 
 
-def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> ProtocolNode:
-    """A node over {0, 1} from the innocent and per-secret probabilities of
-    sending 1, with its int laws computed from those probabilities: over the
-    lcm of their denominators, (0, (den - num) up) and (1, num up) where
+def _bit_node(speaker: int, secrets, ratios, child0, child1) -> ProtocolNode:
+    """A node over {0, 1} from one (num, den) int pair per law, the
+    probability num / den of sending 1: the innocent law's first, then one
+    per secret of ``secrets`` in order. Each pair is reduced once, and the
+    laws and int laws are built from the reduced pairs: the int laws over
+    the lcm of their denominators, (0, (den - num) up) and (1, num up) where
     positive."""
-    probs = (p_one, *leak_one.values())
-    scale = math.lcm(*(p.denominator for p in probs))
+    reduced = []
+    for num, den in ratios:
+        if not 0 <= num <= den:
+            raise ValueError("bit probability must be in [0, 1], got %d/%d" % (num, den))
+        g = math.gcd(num, den)
+        reduced.append((num // g, den // g))
+    scale = math.lcm(*(den for _num, den in reduced))
     laws = []
     ints = []
-    for p in probs:
-        num, den = p.numerator, p.denominator
-        if not 0 <= num <= den:
-            raise ValueError("bit probability must be in [0, 1], got %s" % (p,))
+    for num, den in reduced:
         up = scale // den
         laws.append(FiniteDist._from_ints(BITS, den, (den - num, num)))
         ints.append(tuple((m, q) for m, q in ((0, (den - num) * up), (1, num * up)) if q))
@@ -862,9 +867,9 @@ def _bit_node(speaker: int, p_one, leak_one: Mapping, child0, child1) -> Protoco
         speaker,
         BITS,
         laws[0],
-        dict(zip(leak_one, laws[1:])),
+        dict(zip(secrets, laws[1:])),
         {0: child0, 1: child1},
-        (scale, ints[0], dict(zip(leak_one, ints[1:]))),
+        (scale, ints[0], dict(zip(secrets, ints[1:]))),
     )
 
 
@@ -874,8 +879,9 @@ def _leaves(shape):
     return (shape,)
 
 
-def _huffman_merge_order(node, live):
-    """Deterministic Huffman merge over innocent weights; ties break on age."""
+def _huffman_merge_order(node, live, innocent: Mapping):
+    """Deterministic Huffman merge over the innocent int masses ``innocent``;
+    ties break on age."""
     import heapq
 
     if len(live) == 2 and tuple(live) == tuple(node.alphabet):
@@ -883,7 +889,7 @@ def _huffman_merge_order(node, live):
         return (live[0], live[1])
     heap = []
     for i, m in enumerate(live):
-        heapq.heappush(heap, (node.p_innocent.prob(m), i, m))
+        heapq.heappush(heap, (innocent.get(m, 0), i, m))
     counter = len(live)
     while len(heap) > 1:
         w1, _, s1 = heapq.heappop(heap)
@@ -894,11 +900,13 @@ def _huffman_merge_order(node, live):
 
 
 def _range_fix(bit_node: ProtocolNode) -> ProtocolNode:
-    p0 = bit_node.p_innocent.prob(0)
-    if THIRD <= p0 <= TWO_THIRDS or p0 == 0 or p0 == 1:
+    """``bit_node``, or its doubling chain when its innocent probability of
+    0 is outside [1/3, 2/3] (and neither 0 nor 1), decided on its int laws."""
+    scale, innocent, _leak = bit_node.int_laws
+    zero = dict(innocent).get(0, 0)
+    if zero in (0, scale) or scale <= 3 * zero <= 2 * scale:
         return bit_node
-    rare = 0 if p0 < THIRD else 1
-    return _doubling_chain(bit_node, rare)
+    return _doubling_chain(bit_node, 0 if 3 * zero < scale else 1)
 
 
 def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
@@ -910,47 +918,44 @@ def _doubling_chain(bit_node: ProtocolNode, rare) -> ProtocolNode:
     common value; once the rare posterior reaches 1/3 the bit is revealed
     outright. Innocent digit probabilities are exactly 1/2 and the final
     reveal lands in [1/3, 2/3).
-    """
-    common = 1 - rare
-    p_r = bit_node.p_innocent.prob(rare)
-    child_rare = bit_node.children[rare]
-    child_common = bit_node.children[common]
-    leak_rare_bit = {x: law.prob(rare) for x, law in bit_node.p_leak.items()}
 
-    def reach(pr, t):  # Pr(only zero digits while the number may lie below t)
-        return pr + (1 - pr) * (t - p_r) / (1 - p_r)
+    In the node's int laws over S, let the innocent law put a on the rare
+    bit and a leak law b. After j zero digits the number may lie below
+    2^-j, and Pr(only zero digits so far) is reach(b, j) over S 2^j (S - a);
+    every probability below is an int ratio of these.
+    """
+    scale, innocent, leak = bit_node.int_laws
+    a = dict(innocent).get(rare, 0)
+    rare_mass = [dict(pairs).get(rare, 0) for pairs in leak.values()]
+
+    def reach(b, j):
+        return (b << j) * (scale - a) + (scale - b) * (scale - (a << j))
 
     levels = 0
-    while p_r * (2**levels) < THIRD:
+    while (3 * a << levels) < scale:  # p_rare 2^levels < 1/3
         levels += 1
         if levels > MAX_DOUBLING_ROUNDS:
+            g = math.gcd(a, scale)
             raise BudgetExceededError(
-                "doubling scheme needs more than %d rounds for innocent bit probability %s"
-                % (MAX_DOUBLING_ROUNDS, p_r)
+                "doubling scheme needs more than %d rounds for innocent bit probability %d/%d"
+                % (MAX_DOUBLING_ROUNDS, a // g, scale // g)
             )
 
-    # reveal node after `levels` zero digits
-    scale = Fraction(1, 2**levels)
-    inn_rare = p_r * (2**levels)
-
-    def one(p):  # the probability of sending 1, from that of the rare bit
-        return p if rare else 1 - p
-
-    reveal_leak = {}
-    for x, pr in leak_rare_bit.items():
-        r = reach(pr, scale)
-        reveal_leak[x] = one(pr / r if r > 0 else inn_rare)
-    children = (child_common, child_rare) if rare else (child_rare, child_common)
-    node = _bit_node(bit_node.speaker, one(inn_rare), reveal_leak, *children)
+    # reveal node after `levels` zero digits: Pr(rare bit | only zero digits)
+    if rare:
+        ratios = [(a << levels, scale)]
+        ratios += [((b << levels) * (scale - a), reach(b, levels)) for b in rare_mass]
+    else:
+        ratios = [(scale - (a << levels), scale)]
+        ratios += [((scale - b) * (scale - (a << levels)), reach(b, levels)) for b in rare_mass]
+    speaker, secrets = bit_node.speaker, tuple(leak)
+    child_common = bit_node.children[1 - rare]
+    node = _bit_node(speaker, secrets, ratios, bit_node.children[0], bit_node.children[1])
     for j in range(levels - 1, -1, -1):
-        two_j = Fraction(1, 2**j)
-        leak_one = {}
-        for x, pr in leak_rare_bit.items():
-            r = reach(pr, two_j)
-            said_one = (1 - pr) * (two_j / 2) / (1 - p_r)
-            leak_one[x] = said_one / r if r > 0 else HALF
-        # digit 1 proves the common bit; digit 0 keeps doubling
-        node = _bit_node(bit_node.speaker, HALF, leak_one, node, child_common)
+        # digit 1 proves the common bit, sent with (S - b) / (2^(j+1) (S - a));
+        # digit 0 keeps doubling
+        ratios = [(1, 2)] + [(scale * (scale - b), 2 * reach(b, j)) for b in rare_mass]
+        node = _bit_node(speaker, secrets, ratios, node, child_common)
     return node
 
 
@@ -1066,30 +1071,48 @@ def _first_problem(node, weights, tally, pairs, c, landed):
 
 
 def _insert_gadget(node, tally, problem, below, c):
+    """Split ``node`` into two bits so that the problem's (player, x) lands
+    exactly on c after ``m_star``, all in int ratios.
+
+    With c_star and c_low the pair's posteriors after ``m_star`` and the
+    other message, the mixing weight is q = (c - c_low) / (c_star - c_low)
+    and the safe sender forwards into the inner bit with probability
+    fwd = p (1 - q) / (q (1 - p)), p = Pr(m_star | X=x, prefix). A problem
+    without 0 < p < q < 1 raises ArithmeticError."""
     i, x, m_star = problem
     m_low = next(m for m in node.alphabet if m != m_star)
-    star_tally = below[m_star][1]
-    c_star = star_tally.posterior(i, x)
-    c_low = below[m_low][1].posterior(i, x)
+    star, low = below[m_star][1], below[m_low][1]
+    scale, innocent, leak = node.int_laws
+    # c_star = ls / xs and c_low = ll / xl
+    xs, ls = star.x_mass[x], star.leak_mass.get((i, x), 0)
+    xl, ll = low.x_mass[x], low.leak_mass.get((i, x), 0)
+    qn = (c.numerator * xl - c.denominator * ll) * xs
+    qd = c.denominator * (ls * xl - ll * xs)
+    if qd < 0:
+        qn, qd = -qn, -qd
     # the children's weights carry the node's law scale on top of the tally's
-    p_star = Fraction(star_tally.x_mass[x], tally.x_mass[x] * node.int_laws[0])
-    q = (c - c_low) / (c_star - c_low)
-    assert 0 < p_star < q < 1
-    fwd = p_star * (1 - q) / (q * (1 - p_star))
-    assert 0 < fwd < 1
-
-    def two_step(dist):
-        hi = dist.prob(m_star)
-        lo = dist.prob(m_low)
-        go = hi + lo * fwd
-        inner = hi / go if go > 0 else HALF
-        return go, inner
-
-    go_inn, inner_inn = two_step(node.p_innocent)
-    steps = {xx: two_step(dist) for xx, dist in node.p_leak.items()}
-    low, star = node.children[m_low], node.children[m_star]
-    inner = _bit_node(node.speaker, inner_inn, {xx: s[1] for xx, s in steps.items()}, low, star)
-    return _bit_node(node.speaker, go_inn, {xx: s[0] for xx, s in steps.items()}, low, inner)
+    pn, pd = xs, tally.x_mass[x] * scale
+    if not (0 < qd and 0 < pn and pn * qd < qn * pd and qn < qd):
+        raise ArithmeticError(
+            "gadget needs 0 < p < q < 1, got p = %d/%d and q = %d/%d" % (pn, pd, qn, qd)
+        )
+    fn, fd = pn * (qd - qn), qn * (pd - pn)
+    if not 0 < fn < fd:
+        raise ArithmeticError("gadget needs 0 < fwd < 1, got fwd = %d/%d" % (fn, fd))
+    # per law, with hi and lo its masses on m_star and m_low over scale: the
+    # outer bit sends 1 (go on) with (hi + lo fwd) / scale, the inner bit
+    # sends 1 (m_star) with hi / (hi + lo fwd)
+    go, inner = [], []
+    for pairs in (innocent, *leak.values()):
+        mass = dict(pairs)
+        hi = mass.get(m_star, 0) * fd
+        mixed = hi + mass.get(m_low, 0) * fn
+        go.append((mixed, scale * fd))
+        inner.append((hi, mixed))
+    low_child, star_child = node.children[m_low], node.children[m_star]
+    secrets = tuple(leak)
+    inner_node = _bit_node(node.speaker, secrets, inner, low_child, star_child)
+    return _bit_node(node.speaker, secrets, go, low_child, inner_node)
 
 
 def stop_at_c_postcondition(tree: ProtocolTree, scenario: LeakScenario, c) -> bool:

@@ -479,6 +479,22 @@ class TestEquivalenceAudit:
         assert rep.conditional_mismatches > 0
         assert not rep.ok
 
+    def test_commitment_at_another_boundary_is_an_arithmetic_error(self, monkeypatch):
+        """A leaker committed to a1 whose chatter is read as emitting a2 is
+        refused with the values, also under ``python -O``."""
+        from cryptogenography import embedding
+
+        emitted = embedding._emitted
+
+        def swapped(f_cells, cell):
+            message = emitted(f_cells, cell)
+            return {"a1": "a2", "a2": "a1"}.get(message)
+
+        pi, channel, sc, _ = figure_instance()
+        monkeypatch.setattr(embedding, "_emitted", swapped)
+        with pytest.raises(ArithmeticError, match="commitment 'a(1|2)' reached the boundary of 'a(2|1)'"):
+            equivalence_audit(pi, channel, sc, depth_budget=40)
+
     def test_decoded_masses_never_exceed_protocol_masses(self):
         pi, channel, sc, _ = figure_instance()
         rep = equivalence_audit(pi, channel, sc, depth_budget=40)
@@ -579,24 +595,94 @@ def reference_audit(tree, channel, scenario, depth_budget):
     )
 
 
+def audit_report(tree, channel, scenario, depth):
+    """The audit's report, also when it stops short of the decoded target."""
+    try:
+        return equivalence_audit(tree, channel, scenario, depth)
+    except BudgetExceededError as err:
+        return err.report
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32),
-    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    chatter_laws(sizes=(3,), non_dyadic=True),
     st.lists(chatter_laws(sizes=(2, 3), non_dyadic=True), min_size=2, max_size=2),
     st.integers(min_value=0, max_value=12),
 )
-def test_audit_matches_fraction_reference(seed, n_players, laws, depth):
+def test_audit_matches_fraction_reference(seed, n_players, three_labels, laws, depth):
     rng = random.Random(seed)
     scenario = random_scenario(rng, n_players=n_players)
     tree = random_protocol(rng, scenario, max_depth=2)
+    laws = [three_labels, *laws]
     channel = InnocentChannel(n_players, ({p: laws[p - 1] for p in range(1, n_players + 1)},))
-    try:
-        report = equivalence_audit(tree, channel, scenario, depth)
-    except BudgetExceededError as err:
-        report = err.report
+    report = audit_report(tree, channel, scenario, depth)
     want = reference_audit(tree, channel, scenario, depth)
     assert report.to_jsonable() == want.to_jsonable()
+
+
+def count_state_meetings(monkeypatch):
+    """Patch the audit to record each state carried within a protocol
+    message that another path of the same round can reach: one that some
+    path reached already, or an unshrunk [0, 1), which is where the message
+    boundaries open the states of a prefix."""
+    from cryptogenography import embedding
+
+    carry = embedding._carry_state
+    meetings = []
+
+    def counting(states, key, *rest):
+        meetings.extend([key] if key in states or key[1] == UNIT else [])
+        carry(states, key, *rest)
+
+    monkeypatch.setattr(embedding, "_carry_state", counting)
+    return meetings
+
+
+def test_interval_states_never_meet_under_one_law_per_player(monkeypatch):
+    """With one chatter law per player, each with two or more possible
+    messages, every chatter message shrinks the interval, so the states of
+    one prefix lie in disjoint cells of one nested partition: no two paths
+    reach one interval state, and the lazy class factors are never
+    multiplied out before a boundary."""
+    meetings = count_state_meetings(monkeypatch)
+    rng = random.Random(31)
+    checked = 0
+    while checked < 25:
+        n_players = 1 + checked % 3
+        scenario = random_scenario(rng, n_players=n_players)
+        tree = random_protocol(rng, scenario, max_depth=2)
+        laws = {p: FiniteDist(("u", "v", "w"), (F(1, 3), F(1, 6), F(1, 2))) if p % 2 else
+                FiniteDist(("u", "v"), (F(2, 5), F(3, 5))) for p in range(1, n_players + 1)}
+        if not protocols.non_revealing(tree, scenario):
+            continue
+        audit_report(tree, InnocentChannel(n_players, (laws,)), scenario, 10)
+        checked += 1
+    assert meetings == []
+
+
+def test_meeting_interval_states_are_added_exactly(monkeypatch):
+    """A chatter law with one possible message keeps the interval: player
+    2's point-mass rounds carry the (0,) and (1,) states over unshrunk while
+    player 1's chatter opens them anew, so two paths meet there. The audit
+    multiplies both out and adds them, as the Fraction reference does."""
+    meetings = count_state_meetings(monkeypatch)
+    sc = LeakScenario.fixed(FiniteDist.uniform((0, 1)), 1, 2)
+    pq = FiniteDist((0, 1), (F(1, 3), F(2, 3)))
+    pl = {0: FiniteDist((0, 1), (F(2, 3), F(1, 3))), 1: FiniteDist((0, 1), (F(1, 6), F(5, 6)))}
+    second = ProtocolNode(2, (0, 1), pq, pl, {0: None, 1: None})
+    # the root's halves take one or more quarter splits to decide, so it
+    # emits in rounds of both parities, before and after a carried state
+    half = FiniteDist.uniform((0, 1))
+    tree = ProtocolTree(ProtocolNode(1, (0, 1), half, pl, {0: second, 1: second}))
+    quarter = FiniteDist(("u", "v"), (F(1, 4), F(3, 4)))
+    point = FiniteDist(("u", "v"), (F(1), F(0)))
+    channel = InnocentChannel(2, ({1: quarter, 2: point}, {1: quarter, 2: quarter}))
+    report = audit_report(tree, channel, sc, 16)
+    assert meetings
+    assert report.to_jsonable() == reference_audit(tree, channel, sc, 16).to_jsonable()
+    assert report.ok
 
 
 class TestIntervalEvolution:

@@ -386,6 +386,18 @@ class TestStopAtC:
         assert not stop_at_c_postcondition(pi, sc, F(3, 5))
         assert stop_at_c_postcondition(stop_at_c(binarize(pi, sc), sc, F(3, 5)), sc, F(3, 5))
 
+    def test_out_of_order_problem_is_an_arithmetic_error(self):
+        """A problem naming the message that lowers the posterior has
+        c_star = 1/5 < c < c_low = 4/5, so q = 1/3 lies below
+        p = Pr(m_star | X=s) = 1/2: the gadget refuses it with the values,
+        also under ``python -O``."""
+        pi, sc = self.make_jump_node()
+        children = protocols._children(pi.root, sc.weights)
+        below = {m: (w, protocols._Tally(w)) for m, w in children.items()}
+        tally = protocols._Tally(sc.weights)
+        with pytest.raises(ArithmeticError, match=r"0 < p < q < 1, got p = 5/10 and q = 25/75"):
+            protocols._insert_gadget(pi.root, tally, (1, "s", 0), below, F(3, 5))
+
 
 class TestPretendIgnorance:
     def test_already_safe_unchanged_behavior(self, coin_scenario):
@@ -587,6 +599,148 @@ def test_transformed_nodes_carry_their_int_laws(alphabet):
         )
     # both the gadgets and the lowered scales were exercised
     assert gadgets and rescaled
+
+
+# Fraction reference: the gadget and doubling-chain formulas on Fractions,
+# building plain nodes whose int laws derive on first read
+
+
+def ref_bit_node(speaker, p_one, leak_one, child0, child1):
+    def law(p):
+        return FiniteDist((0, 1), (1 - p, p))
+
+    p_leak = {x: law(p) for x, p in leak_one.items()}
+    return ProtocolNode(speaker, (0, 1), law(p_one), p_leak, {0: child0, 1: child1})
+
+
+def ref_insert_gadget(node, tally, problem, below, c):
+    i, x, m_star = problem
+    m_low = next(m for m in node.alphabet if m != m_star)
+    star_tally = below[m_star][1]
+    c_star = star_tally.posterior(i, x)
+    c_low = below[m_low][1].posterior(i, x)
+    # the children's weights carry the node's law scale on top of the tally's
+    p_star = F(star_tally.x_mass[x], tally.x_mass[x] * node.int_laws[0])
+    q = (c - c_low) / (c_star - c_low)
+    assert 0 < p_star < q < 1
+    fwd = p_star * (1 - q) / (q * (1 - p_star))
+    assert 0 < fwd < 1
+
+    def two_step(dist):
+        hi, lo = dist.prob(m_star), dist.prob(m_low)
+        go = hi + lo * fwd
+        return go, hi / go
+
+    go_inn, inner_inn = two_step(node.p_innocent)
+    steps = {xx: two_step(dist) for xx, dist in node.p_leak.items()}
+    low, star = node.children[m_low], node.children[m_star]
+    inner = ref_bit_node(node.speaker, inner_inn, {xx: s[1] for xx, s in steps.items()}, low, star)
+    return ref_bit_node(node.speaker, go_inn, {xx: s[0] for xx, s in steps.items()}, low, inner)
+
+
+def ref_doubling_chain(bit_node, rare):
+    common = 1 - rare
+    p_r = bit_node.p_innocent.prob(rare)
+    leak_rare_bit = {x: law.prob(rare) for x, law in bit_node.p_leak.items()}
+
+    def reach(pr, t):  # Pr(only zero digits while the number may lie below t)
+        return pr + (1 - pr) * (t - p_r) / (1 - p_r)
+
+    def one(p):  # the probability of sending 1, from that of the rare bit
+        return p if rare else 1 - p
+
+    levels = 0
+    while p_r * 2**levels < F(1, 3):
+        levels += 1
+        if levels > protocols.MAX_DOUBLING_ROUNDS:
+            raise BudgetExceededError("doubling scheme needs more than %d rounds" % levels)
+    inn_rare = p_r * 2**levels
+    reveal = {x: one(pr / reach(pr, F(1, 2**levels))) for x, pr in leak_rare_bit.items()}
+    node = ref_bit_node(bit_node.speaker, one(inn_rare), reveal, *(bit_node.children[m] for m in (0, 1)))
+    for j in range(levels - 1, -1, -1):
+        two_j = F(1, 2**j)
+        leak_one = {}
+        for x, pr in leak_rare_bit.items():
+            said_one = (1 - pr) * (two_j / 2) / (1 - p_r)
+            leak_one[x] = said_one / reach(pr, two_j)
+        node = ref_bit_node(bit_node.speaker, F(1, 2), leak_one, node, bit_node.children[common])
+    return node
+
+
+def reference_steps(monkeypatch, transform, *args):
+    """``transform(*args)`` with the gadget and the doubling chain on the
+    Fraction reference."""
+    with monkeypatch.context() as patch:
+        patch.setattr(protocols, "_insert_gadget", ref_insert_gadget)
+        patch.setattr(protocols, "_doubling_chain", ref_doubling_chain)
+        return transform(*args)
+
+
+def assert_same_nodes(got, want):
+    """Node by node: the same speakers, alphabets and laws (leak laws in the
+    same order), and ``got``'s seeded int laws exactly those that ``want``'s
+    laws derive."""
+    for (path, node), (want_path, ref) in zip(
+        protocols._nodes(got.root), protocols._nodes(want.root), strict=True
+    ):
+        assert path == want_path
+        assert (node.speaker, node.alphabet, node.p_innocent) == (ref.speaker, ref.alphabet, ref.p_innocent)
+        assert list(node.p_leak.items()) == list(ref.p_leak.items())
+        assert vars(node)["int_laws"] == ProtocolNode.int_laws.func(ref)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), ("a", "b", "c")])
+def test_int_steps_match_fraction_reference(monkeypatch, alphabet):
+    rng = random.Random(4242)
+    caps = [F(3, 5), F(2, 3), F(3, 4), F(4, 5)]
+    gadgets = chains = 0
+    for k in range(40):
+        sc = random_scenario(rng, n_players=1 + k % 3, n_x=2 + k % 2)
+        pi = random_protocol(rng, sc, max_depth=3, alphabet=alphabet)
+        binary = binarize(pi, sc)
+        assert_same_nodes(binary, reference_steps(monkeypatch, binarize, pi, sc))
+        chains += binary.length_bound > pi.length_bound * (len(alphabet) - 1)
+        c = caps[k % len(caps)]
+        try:
+            stopped = stop_at_c(binary, sc, c)
+        except ValueError:
+            continue  # prior above c
+        assert_same_nodes(stopped, reference_steps(monkeypatch, stop_at_c, binary, sc, c))
+        gadgets += len(list(protocols._nodes(stopped.root))) > len(list(protocols._nodes(binary.root)))
+    assert gadgets and chains
+
+
+def test_hand_computed_gadget_matches_fraction_reference(monkeypatch):
+    pi, sc = TestStopAtC().make_jump_node()
+    out = stop_at_c(pi, sc, F(3, 5))
+    assert_same_nodes(out, reference_steps(monkeypatch, stop_at_c, pi, sc, F(3, 5)))
+    # posterior 1/2 -> 4/5 after bit 1: q = 2/3, p = 1/2, fwd = 1/2; the
+    # outer bit goes on with 3/5 innocently and 9/10 when leaking
+    assert out.root.p_innocent.prob(1) == F(3, 5)
+    assert out.root.p_leak["s"].prob(1) == F(9, 10)
+
+
+@pytest.mark.parametrize(
+    "p_one, levels",
+    [
+        (F(1, 10), 2),
+        (F(14, 15), 3),
+        (F(1, 7), 2),
+        (F(1, 3 * 2**10), 10),
+        (F(3 * 2**64 - 1, 3 * 2**64), 64),
+    ],
+)
+def test_rare_bits_match_fraction_reference(monkeypatch, p_one, levels):
+    # every doubling depth down to MAX_DOUBLING_ROUNDS, on either side,
+    # with leak laws at both ends, at the innocent law and in between
+    sc = LeakScenario.fixed(FiniteDist.uniform(range(5)), 1, 2)
+    leaks = [F(0), F(1), p_one, F(1, 2), 1 - p_one]
+    law = {p: FiniteDist((0, 1), (1 - p, p)) for p in [p_one] + leaks}
+    pi = ProtocolTree(leaf_node(2, law[p_one], {x: law[p] for x, p in enumerate(leaks)}))
+    out = binarize(pi, sc)
+    assert out.length_bound == levels + 1 <= protocols.MAX_DOUBLING_ROUNDS + 1
+    assert_same_nodes(out, reference_steps(monkeypatch, binarize, pi, sc))
+    assert equivalent(pi, out, sc)
 
 
 def transform_golden_batch():
