@@ -180,6 +180,20 @@ class FiniteDist:
         return law
 
     @classmethod
+    def _from_coprime_ints(cls, support: tuple, den: int, ints: tuple) -> "FiniteDist":
+        """``_from_ints`` for ints that are each coprime to ``den``, so
+        already reduced: each probability is made without a gcd, as
+        ``Fraction._from_coprime_ints`` (Python 3.12+) makes one."""
+        probs = []
+        for n in ints:
+            p = object.__new__(Fraction)
+            p._numerator, p._denominator = n, den
+            probs.append(p)
+        law = object.__new__(cls)
+        law._fill(support, tuple(probs), ints)
+        return law
+
+    @classmethod
     def uniform(cls, labels: Iterable) -> "FiniteDist":
         labels = tuple(labels)
         return cls(labels, tuple(Fraction(1, len(labels)) for _ in labels))

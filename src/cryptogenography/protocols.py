@@ -861,7 +861,7 @@ def _bit_node(speaker: int, secrets, ratios, child0, child1) -> ProtocolNode:
     ints = []
     for num, den in reduced:
         up = scale // den
-        laws.append(FiniteDist._from_ints(BITS, den, (den - num, num)))
+        laws.append(FiniteDist._from_coprime_ints(BITS, den, (den - num, num)))
         ints.append(tuple((m, q) for m, q in ((0, (den - num) * up), (1, num * up)) if q))
     return _node(
         speaker,

@@ -406,6 +406,18 @@ class TestJointDistIntForm:
         assert law._int_view() == ref._int_view()
         assert law.prob(support[-1]) == ref.prob(support[-1])
 
+    @pytest.mark.parametrize(
+        "nums, den", [((7, 3), 10), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((4, 7, 4), 15)]
+    )
+    def test_law_from_coprime_ints_is_the_fraction_built_law(self, nums, den):
+        support = tuple(range(len(nums)))
+        law = FiniteDist._from_coprime_ints(support, den, nums)
+        ref = FiniteDist(support, tuple(F(n, den) for n in nums))
+        assert law == ref and hash(law.probs) == hash(ref.probs)
+        assert law._int_view() == ref._int_view()
+        for p, q in zip(law.probs, ref.probs):
+            assert (type(p), p.numerator, p.denominator, str(p)) == (F, q.numerator, q.denominator, str(q))
+
     def test_marginal_law_keeps_zero_mass_labels_and_reduces(self):
         table = {(0, "a"): 2, (2, "a"): 2, (2, "b"): 4}
         j = JointDist(("X", "Y"), table, axis_supports=((0, 1, 2), ("a", "b")), den=8)

@@ -699,6 +699,8 @@ def test_int_steps_match_fraction_reference(monkeypatch, alphabet):
         pi = random_protocol(rng, sc, max_depth=3, alphabet=alphabet)
         binary = binarize(pi, sc)
         assert_same_nodes(binary, reference_steps(monkeypatch, binarize, pi, sc))
+        # a Huffman bit tree is at most len(alphabet) - 1 bits deep, so a
+        # deeper output holds a doubling chain
         chains += binary.length_bound > pi.length_bound * (len(alphabet) - 1)
         c = caps[k % len(caps)]
         try:
