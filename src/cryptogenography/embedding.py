@@ -12,12 +12,12 @@ each chatter message with probability |g-cell intersect alpha| / |alpha|.
 
 All interval arithmetic is exact; intervals are half-open [lo, hi), held
 as ints (lo, hi, den) in lowest terms, and compared and intersected by
-cross-multiplication. The audit keeps each state's opening masses as ints
-grouped by commitment class, with one int factor per class over one
-denominator; each chatter message multiplies the class factors by int step
-factors, the masses are multiplied out only at a message boundary, and
-conditionals are compared by cross-multiplication. The leaker step law and
-the reported masses are Fractions.
+cross-multiplication. The audit holds each state as one int factor per
+commitment class over one denominator, a class's mass being its factor
+times a per-prefix int total; each chatter message multiplies the factors
+by int step factors, and every boundary test is an int cross-multiplication
+of factors against the protocol's int laws. The leaker step law and the
+reported masses are Fractions.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .probability import (
     FiniteDist,
     ZERO,
     ONE,
+    _add_over_lcm,
     _integral,
     _over_lcm,
     _sample,
@@ -46,6 +47,7 @@ from .protocols import (
     BudgetExceededError,
     LeakScenario,
     ProtocolTree,
+    _children,
     iter_prefixes,
     non_revealing,
 )
@@ -441,48 +443,31 @@ class AuditReport:
         }
 
 
-def _multiplied_out(groups: dict, factors: dict, up: int) -> dict:
-    """A state's entries as opening entries: each class's opening entries
-    times its factor and ``up``, for the classes in ``factors``."""
-    return {cls: {k: w * f * up for k, w in groups[cls].items()} for cls, f in factors.items()}
-
-
-def _open_state(states: dict, key, groups: dict, den: int) -> None:
-    """Store the opening entries ``groups`` ({class: {(x, lvec): int}} over
-    ``den``) at ``key``, every class factor 1. A state already there is
-    multiplied out and added, over the lcm of the two denominators; the
-    result is divided by its gcd."""
+def _open_state(states: dict, key, factors: dict, den: int) -> None:
+    """Store the class factors ``factors`` ({class: int}) over ``den`` at
+    ``key``. A state already there has the same prefix, and so the same
+    class totals: the two are added class by class over the lcm of their
+    denominators. The result is divided by its gcd."""
     if key in states:
-        old_groups, old_factors, old_den = states[key]
+        old, old_den = states[key]
         common = math.lcm(old_den, den)
-        merged = _multiplied_out(old_groups, old_factors, common // old_den)
-        up = common // den
-        for cls, entries in groups.items():
-            slot = merged.setdefault(cls, {})
-            for k, w in entries.items():
-                slot[k] = slot.get(k, 0) + w * up
-        groups, den = merged, common
-    g = math.gcd(den, *(w for entries in groups.values() for w in entries.values()))
-    if g > 1:
-        groups = {cls: {k: w // g for k, w in entries.items()} for cls, entries in groups.items()}
-        den //= g
-    states[key] = (groups, dict.fromkeys(groups, 1), den)
-
-
-def _carry_state(states: dict, key, groups: dict, factors: dict, den: int) -> None:
-    """Store a state reached within a protocol message: its opening entries
-    kept, its class factors and ``den`` over their gcd. Where another path
-    already reached ``key`` (a chatter law with one possible message keeps
-    the interval, so states of one prefix can meet), both are multiplied
-    out and added (``_open_state``)."""
-    if key in states:
-        _open_state(states, key, _multiplied_out(groups, factors, 1), den)
-        return
+        up_old, up = common // old_den, common // den
+        merged = {cls: f * up_old for cls, f in old.items()}
+        for cls, f in factors.items():
+            merged[cls] = merged.get(cls, 0) + f * up
+        factors, den = merged, common
     g = math.gcd(den, *factors.values())
     if g > 1:
         factors = {cls: f // g for cls, f in factors.items()}
         den //= g
-    states[key] = (groups, factors, den)
+    states[key] = (factors, den)
+
+
+def _carry_state(states: dict, key, factors: dict, den: int) -> None:
+    """Store a state reached within a protocol message, as ``_open_state``
+    stores one at a boundary. A chatter law with one possible message keeps
+    the interval, so two paths of one prefix can meet here too."""
+    _open_state(states, key, factors, den)
 
 
 def equivalence_audit(
@@ -498,23 +483,30 @@ def equivalence_audit(
     the call runs) within the round budget; (ii) at every message boundary
     and at every complete decode, the conditional law of (X, L) given the
     chatter path equals the protocol's conditional given the decoded
-    transcript, decided by cross-multiplying the two int weightings against
-    each other's totals; (iii) each decoded transcript's mass never exceeds
-    its protocol probability and falls short by at most the total undecoded
+    transcript; (iii) each decoded transcript's mass never exceeds its
+    protocol probability and falls short by at most the total undecoded
     mass.
 
-    A state holds its opening entries (the masses when the speaker's node
-    was reached) grouped by class, innocent (None) or the committed
-    protocol message, with one int factor per class and one denominator:
-    within one protocol message every entry of a class moves by the same
-    step factor. Per chatter message, the innocent factor p_k / L (the law
-    as ints over the lcm L of its denominators) and each commitment's
-    leaker factor |cell & alpha| / |alpha| (from ``_leaker_law``) become
-    ints over one step denominator and multiply the class factors; the
-    entries are multiplied out only at a message boundary, where the
-    collapse reads each of them anyway, or where two paths reach one state
-    (``_carry_state``). Intervals are ints too, and only the reported
-    masses are Fractions.
+    A state is ``(prefix, interval) -> ({class: int}, den)``: one factor
+    per commitment class, innocent (None) or the committed protocol message.
+    A prefix opens proportional to the protocol's weights w there, so a
+    class's mass is its factor times the prefix's class total over ``den``:
+    T_None = Σ w·L over innocents and T_a = Σ w·q_a(x) over leakers, with L
+    the node's int law scale and q its leak int laws. Per chatter message,
+    the chatter law's p_k and each commitment's |cell & alpha| / |alpha|
+    (``_leaker_law``) become ints over one step denominator and multiply the
+    factors. A boundary emitting a matches iff the protocol's child weights
+    are the parent's times the node's int law for a, key set included
+    (checked once per prefix), the innocent class is present exactly when
+    innocents exist and p_a > 0 (p the innocent int law), class a exactly
+    when T_a exists, and, with both present, L·f_None == p_a·f_a. The child
+    opens with every factor equal to the mass Σ f_c·T_c, and two paths that
+    reach one state add over the lcm (``_open_state``, ``_carry_state``).
+
+    A collapse that is not proportional to the protocol's has no class
+    form, so after a mismatch the child opens proportional to the protocol
+    all the same: the first mismatch is counted exactly, and later counts
+    of a failing report may differ from an audit on (x, lvec) masses.
 
     Raises BudgetExceededError when the budget runs out first.
     """
@@ -523,42 +515,52 @@ def equivalence_audit(
     if not non_revealing(tree, scenario):
         raise ValueError("the protocol must be non-revealing to hide among innocents")
 
-    decoded: dict = {}
-    mismatches = 0
-    terminal_paths = 0
+    mismatches = terminal_paths = 0
 
     if tree.root is None:
         return AuditReport(ONE, ZERO, 0, 1, 0, True, {(): ONE})
 
-    # the protocol's own weights at every prefix with their total and node,
-    # and the probability of every complete transcript, from one walk
+    # the protocol's own weights and node at every prefix, and the
+    # probability of every complete transcript, from one walk
     reference = {}
     transcript_mass = {}
     for prefix, node, weights, scale in iter_prefixes(tree, scenario):
-        total = sum(weights.values())
-        reference[prefix] = (weights, total, node)
+        reference[prefix] = (weights, node)
         if node is None:
-            transcript_mass[prefix] = Fraction(total, scale)
+            transcript_mass[prefix] = Fraction(sum(weights.values()), scale)
 
-    def fresh_groups(node, base, den):
-        # the speaker commits to a protocol message when leaking
-        law_scale, _innocent, leak = node.int_laws
+    tables: dict = {}
+
+    def table(prefix):
+        # (node, f-cells, class totals, their sum, L, p, {a: child check})
+        weights, node = reference[prefix]
+        law_scale, innocent, leak = node.int_laws
         speaker = node.speaker - 1
-        groups: dict = {}
-        for key, w in base.items():
+        totals: dict = {}
+        for key, w in weights.items():
             if key[1][speaker]:
                 for a, q in leak[key[0]]:
-                    groups.setdefault(a, {})[key] = w * q
+                    totals[a] = totals.get(a, 0) + w * q
             else:
-                groups.setdefault(None, {})[key] = w * law_scale
-        return groups, den * law_scale
+                totals[None] = totals.get(None, 0) + w * law_scale
+        children_ok = {}
+        for a, expected in _children(node, weights).items():
+            got = reference.get(prefix + (a,), ({},))[0]
+            got_total, expected_total = sum(got.values()), sum(expected.values())
+            children_ok[a] = got.keys() == expected.keys() and all(
+                w * got_total == got[k] * expected_total for k, w in expected.items()
+            )
+        tables[prefix] = entry = (node, f_partition(node.p_innocent), totals,
+                                  sum(totals.values()), law_scale, dict(innocent), children_ok)
+        return entry
 
-    # state key: (pi prefix, interval); value: ({class: {(x, lvec): int}},
-    # {class: int}, den), an entry's mass its opening int times its class
-    # factor over the state's one denominator
+    # state key: (pi prefix, interval); value: ({class: int}, den), a
+    # class's mass its factor times the prefix's class total over den
     states: dict = {}
-    _open_state(states, ((), UNIT), *fresh_groups(tree.root, scenario.weights, scenario.scale))
-    f_cache = {(): f_partition(tree.root.p_innocent)}
+    root_totals, root_sum = table(())[2:4]
+    _open_state(states, ((), UNIT), dict.fromkeys(root_totals, 1), root_sum)
+    # transcript -> (int, den): its decoded mass, summed over the lcm
+    decoded: dict = {}
 
     rounds_used = 0
     for r in range(depth_budget):
@@ -566,9 +568,8 @@ def equivalence_audit(
             break
         rounds_used = r + 1
         new_states: dict = {}
-        for (prefix, interval), (groups, factors, den) in states.items():
-            node = reference[prefix][2]
-            f_cells = f_cache[prefix]
+        for (prefix, interval), (factors, den) in states.items():
+            node, f_cells, totals, _sum, law_scale, innocent, children_ok = tables[prefix]
             law = channel.law(node.speaker, r)
             g_cells = g_partition(interval, law)
             # a committed class only reaches a state through a positive
@@ -596,42 +597,40 @@ def equivalence_audit(
                 moved_den = den * step_den
                 emitted = _emitted(f_cells, cell)
                 if emitted is None:
-                    _carry_state(new_states, (prefix, cell), groups, moved, moved_den)
+                    _carry_state(new_states, (prefix, cell), moved, moved_den)
                     continue
                 # message boundary: collapse commitments and check that the
                 # conditional is proportional to the protocol's own
                 terminal_paths += 1
-                new_prefix = prefix + (emitted,)
-                collapsed: dict = {}
-                for cls, f in moved.items():
+                for cls in moved:
                     if cls is not None and cls != emitted:
                         raise ArithmeticError(
                             "commitment %r reached the boundary of %r at %r" % (cls, emitted, cell)
                         )
-                    for k, w in groups[cls].items():
-                        collapsed[k] = collapsed.get(k, 0) + w * f
-                total = sum(collapsed.values())
-                ref, ref_total, child = reference[new_prefix]
-                # both sides hold positive ints only, so equal key sets plus
-                # cross-multiplied equality on them is the whole test. Over a
-                # positive total the products alone already catch a key that
-                # collapsed lacks; the key test keeps ref[k] from being read
-                # at a key that only collapsed holds
-                if collapsed.keys() != ref.keys() or any(
-                    w * ref_total != ref[k] * total for k, w in collapsed.items()
+                f_none, f_a = moved.get(None), moved.get(emitted)
+                p_a = innocent.get(emitted, 0)
+                if not (
+                    children_ok.get(emitted, False)
+                    and (f_none is not None) == (None in totals and p_a > 0)
+                    and (f_a is not None) == (emitted in totals)
+                    and (f_none is None or f_a is None or law_scale * f_none == p_a * f_a)
                 ):
                     mismatches += 1
-                if child is None:
-                    decoded[new_prefix] = decoded.get(new_prefix, ZERO) + Fraction(total, moved_den)
+                mass = sum(f * totals[cls] for cls, f in moved.items())
+                new_prefix = prefix + (emitted,)
+                if reference[new_prefix][1] is None:
+                    _add_over_lcm(decoded, new_prefix, mass, moved_den)
                     continue
-                f_cache[new_prefix] = f_partition(child.p_innocent)
-                _open_state(new_states, (new_prefix, UNIT), *fresh_groups(child, collapsed, moved_den))
+                child = tables.get(new_prefix) or table(new_prefix)
+                opened = dict.fromkeys(child[2], mass)
+                _open_state(new_states, (new_prefix, UNIT), opened, moved_den * child[3])
         states = new_states
 
     undecoded = sum(
-        Fraction(sum(sum(groups[cls].values()) * f for cls, f in factors.items()), den)
-        for groups, factors, den in states.values()
+        Fraction(sum(tables[prefix][2][cls] * f for cls, f in factors.items()), den)
+        for (prefix, _interval), (factors, den) in states.items()
     )
+    decoded = {t: Fraction(mass, den) for t, (mass, den) in decoded.items()}
     decoded_total = sum(decoded.values()) if decoded else ZERO
     mass_ok = all(
         p_ref - undecoded <= decoded.get(t, ZERO) <= p_ref for t, p_ref in transcript_mass.items()

@@ -86,6 +86,16 @@ def _over_lcm(fracs: Sequence) -> tuple:
     return den, tuple(p.numerator * (den // p.denominator) for p in fracs)
 
 
+def _add_over_lcm(sums: dict, key, num: int, den: int) -> None:
+    """Add num / den to ``sums[key]``, an (int, den) pair, as ints over the
+    lcm of the two denominators; one Fraction is made per key at the end."""
+    if key in sums:
+        old, old_den = sums[key]
+        common = math.lcm(old_den, den)
+        num, den = old * (common // old_den) + num * (common // den), common
+    sums[key] = (num, den)
+
+
 def _picker(idx):
     """key -> tuple(key[i] for i in idx) for tuple keys, as one C call."""
     if len(idx) == 1:

@@ -39,7 +39,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -47,6 +47,7 @@ from .probability import (
     FiniteDist,
     JointDist,
     ZERO,
+    _add_over_lcm,
     _integral,
     _sample,
     _unique,
@@ -684,14 +685,7 @@ def _terminal_masses(tree: ProtocolTree, scenario: LeakScenario) -> dict:
     sums: dict = {}
     for _prefix, node, weights, scale in iter_prefixes(tree, scenario):
         if node is None:
-            key = _posterior_key(weights, keys)
-            mass = sum(weights.values())
-            if key in sums:
-                total, den = sums[key]
-                lcm = math.lcm(den, scale)
-                sums[key] = (total * (lcm // den) + mass * (lcm // scale), lcm)
-            else:
-                sums[key] = (mass, scale)
+            _add_over_lcm(sums, _posterior_key(weights, keys), sum(weights.values()), scale)
     return {key: Fraction(total, den) for key, (total, den) in sums.items()}
 
 
@@ -843,13 +837,21 @@ def _is_bit_node(node: ProtocolNode, xs: tuple) -> bool:
     return len({m for pairs in (innocent, *leak.values()) for m, _q in pairs}) == 2
 
 
+@lru_cache(maxsize=1024)
+def _bit_law(num: int, den: int) -> FiniteDist:
+    """The law over {0, 1} that sends 1 with probability num / den, for a
+    reduced pair: one shared law per ratio, since the transformations of
+    different trees keep needing the same few ratios."""
+    return FiniteDist._from_coprime_ints(BITS, den, (den - num, num))
+
+
 def _bit_node(speaker: int, secrets, ratios, child0, child1) -> ProtocolNode:
     """A node over {0, 1} from one (num, den) int pair per law, the
     probability num / den of sending 1: the innocent law's first, then one
-    per secret of ``secrets`` in order. Each pair is reduced once, and the
-    laws and int laws are built from the reduced pairs: the int laws over
-    the lcm of their denominators, (0, (den - num) up) and (1, num up) where
-    positive."""
+    per secret of ``secrets`` in order. Each pair is reduced once; the laws
+    are ``_bit_law``'s shared ones for the reduced pairs, and the int laws
+    are over the lcm of their denominators, (0, (den - num) up) and
+    (1, num up) where positive."""
     reduced = []
     for num, den in ratios:
         if not 0 <= num <= den:
@@ -861,7 +863,7 @@ def _bit_node(speaker: int, secrets, ratios, child0, child1) -> ProtocolNode:
     ints = []
     for num, den in reduced:
         up = scale // den
-        laws.append(FiniteDist._from_coprime_ints(BITS, den, (den - num, num)))
+        laws.append(_bit_law(num, den))
         ints.append(tuple((m, q) for m, q in ((0, (den - num) * up), (1, num * up)) if q))
     return _node(
         speaker,

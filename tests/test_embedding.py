@@ -20,6 +20,7 @@ from cryptogenography.embedding import (
     interpret_step,
 )
 from cryptogenography import protocols
+from cryptogenography.coding import window_channel, window_protocol, window_scenario
 from cryptogenography.probability import FiniteDist
 from cryptogenography.protocols import (
     BudgetExceededError,
@@ -458,6 +459,24 @@ class TestEquivalenceAudit:
         assert rep.conditional_mismatches > 0
         assert not rep.ok
 
+    def test_innocents_missing_from_a_boundary_is_a_mismatch(self, monkeypatch):
+        """The presence test for the innocent class: a carried state that
+        lost its innocent factor reaches boundaries where the protocol gives
+        the innocent outcomes positive mass, and each such boundary is
+        counted, though the leaking classes there are in proportion."""
+        from cryptogenography import embedding
+
+        carry = embedding._carry_state
+
+        def losing_innocents(states, key, factors, den):
+            carry(states, key, {cls: f for cls, f in factors.items() if cls is not None}, den)
+
+        pi, channel, sc, _ = figure_instance()
+        monkeypatch.setattr(embedding, "_carry_state", losing_innocents)
+        rep = audit_report(pi, channel, sc, 40)
+        assert rep.conditional_mismatches > 0
+        assert not rep.ok
+
     def test_key_only_the_chatter_reaches_is_a_mismatch(self, monkeypatch):
         """The key-set test: when the reference lacks an (x, lvec) that the
         chatter brings to a boundary, the audit counts a mismatch there
@@ -680,6 +699,65 @@ def test_meeting_interval_states_are_added_exactly(monkeypatch):
     assert meetings
     assert report.to_jsonable() == reference_audit(tree, channel, sc, 16).to_jsonable()
     assert report.ok
+
+
+def node_at(tree, prefix):
+    node = tree.root
+    for m in prefix:
+        node = node.children[m]
+    return node
+
+
+def test_audit_states_hold_class_factors_only(monkeypatch):
+    """Every state the audit stores, at a boundary or within a protocol
+    message, is ({class: int}, int): each class is None or a message of
+    the prefix's node, each factor and the denominator are positive ints,
+    and no class is an (x, lvec) outcome."""
+    from cryptogenography import embedding
+
+    stored = []
+    for name in ("_open_state", "_carry_state"):
+        def spy(states, key, *rest, store=getattr(embedding, name)):
+            store(states, key, *rest)
+            stored.append((key, states[key]))
+
+        monkeypatch.setattr(embedding, name, spy)
+    ch = window_channel(F(1, 2), F(2, 3))
+    chatter = FiniteDist(("u", "v"), (F(1, 3), F(2, 3)))
+    instances = [figure_instance()[:3]]
+    instances.append((window_protocol(ch, 2), InnocentChannel(2, ({1: chatter, 2: chatter},)),
+                      window_scenario(ch, 2)))
+    rng = random.Random(5)
+    for n_players in (1, 2, 3):
+        scenario = random_scenario(rng, n_players=n_players)
+        channel = InnocentChannel(n_players, ({p: chatter for p in range(1, n_players + 1)},))
+        instances.append((random_protocol(rng, scenario, max_depth=2), channel, scenario))
+    for tree, channel, scenario in instances:
+        del stored[:]
+        audit_report(tree, channel, scenario, 12)
+        assert stored
+        for (prefix, interval), value in stored:
+            assert type(value) is tuple and len(value) == 2
+            factors, den = value
+            assert type(factors) is dict and factors
+            assert type(den) is int and den > 0
+            alphabet = node_at(tree, prefix).alphabet
+            for cls, f in factors.items():
+                assert cls is None or cls in alphabet
+                assert cls not in scenario.weights
+                assert type(f) is int and f > 0
+
+
+@pytest.mark.parametrize("n, depth", [(2, 40), (3, 16)])
+def test_window_audit_matches_fraction_reference(n, depth):
+    """The window instance (b = 1/2, c = 2/3) under (1/3, 2/3) chatter: the
+    whole report equals the Fraction reference's."""
+    ch = window_channel(F(1, 2), F(2, 3))
+    tree, scenario = window_protocol(ch, n), window_scenario(ch, n)
+    chatter = FiniteDist(("u", "v"), (F(1, 3), F(2, 3)))
+    channel = InnocentChannel(n, ({p: chatter for p in range(1, n + 1)},))
+    report = audit_report(tree, channel, scenario, depth)
+    assert report.to_jsonable() == reference_audit(tree, channel, scenario, depth).to_jsonable()
 
 
 class TestIntervalEvolution:

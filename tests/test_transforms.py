@@ -244,6 +244,18 @@ class TestBinarize:
         assert equivalent(pi, out, coin_scenario)
         assert bit_probability_report(out) == []
 
+    def test_equal_bit_ratios_share_one_law_across_trees(self, coin_scenario):
+        """binarize builds one law per reduced bit ratio: two different
+        trees whose root bits need the same ratio hold one law object."""
+        p_inn = FiniteDist(("a", "b", "c"), (F(1, 2), F(1, 4), F(1, 4)))
+        p0 = FiniteDist(("a", "b", "c"), (F(1, 4), F(1, 2), F(1, 4)))
+        p1 = FiniteDist(("a", "b", "c"), (F(1, 6), F(1, 3), F(1, 2)))
+        first = binarize(ProtocolTree(leaf_node(1, p_inn, {0: p0, 1: p_inn})), coin_scenario)
+        second = binarize(ProtocolTree(leaf_node(2, p_inn, {0: p1, 1: p0})), coin_scenario)
+        assert first.root.p_innocent == FiniteDist.uniform((0, 1))
+        assert second.root.p_innocent is first.root.p_innocent
+        assert second.root.p_leak[1] is first.root.p_leak[0]
+
     def rare_bit_protocol(self):
         p_inn = FiniteDist((0, 1), (F(1, 10), F(9, 10)))
         p0 = FiniteDist((0, 1), (F(1, 2), F(1, 2)))
