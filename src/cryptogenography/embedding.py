@@ -503,10 +503,10 @@ def equivalence_audit(
     opens with every factor equal to the mass Σ f_c·T_c, and two paths that
     reach one state add over the lcm (``_open_state``, ``_carry_state``).
 
-    A collapse that is not proportional to the protocol's has no class
-    form, so after a mismatch the child opens proportional to the protocol
-    all the same: the first mismatch is counted exactly, and later counts
-    of a failing report may differ from an audit on (x, lvec) masses.
+    A collapse not proportional to the protocol's has no class form, so
+    after a mismatch the child opens proportional to the protocol anyway:
+    the first mismatch is counted exactly, later counts of a failing report
+    may differ from an audit on (x, lvec) masses, and tests pin only > 0.
 
     Raises BudgetExceededError when the budget runs out first.
     """
