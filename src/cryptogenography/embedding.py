@@ -15,9 +15,9 @@ as ints (lo, hi, den) in lowest terms, and compared and intersected by
 cross-multiplication. The audit holds each state as one int factor per
 commitment class over one denominator, a class's mass being its factor
 times a per-prefix int total; each chatter message multiplies the factors
-by int step factors, and every boundary test is an int cross-multiplication
-of factors against the protocol's int laws. The leaker step law and the
-reported masses are Fractions.
+by int step factors, a leaker's from its int step law, and every boundary
+test is an int cross-multiplication of factors against the protocol's int
+laws. Only the reported masses are Fractions.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .probability import (
     ZERO,
     ONE,
     _add_over_lcm,
+    _count,
     _integral,
     _over_lcm,
     _sample,
@@ -204,7 +205,7 @@ class InnocentChannel:
 
     @classmethod
     def from_jsonable(cls, data: Mapping) -> "InnocentChannel":
-        players = _integral("channel players", data["players"], True)
+        players = _count("channel players", data["players"])
 
         def law_of(entry):
             return _integral("channel player", entry["player"], True), FiniteDist(
@@ -291,27 +292,26 @@ def _emitted(f_cells: Mapping, cell: Interval):
     return None
 
 
-def _leaker_law(alpha: Interval, g_cells: Mapping) -> dict:
+def _leaker_law(alpha: Interval, g_cells: Mapping) -> tuple:
     """A leaking speaker's next chatter message given the alpha interval:
-    message -> (|cell & alpha| / |alpha|, cell & alpha), for every g-cell
+    (den, {message: n}), |cell & alpha| / |alpha| = n / den, for every g-cell
     that meets alpha. ``compose_run`` samples it; the audit expands it."""
     lo, hi, den = alpha._ints
-    width = hi - lo
+    common = math.lcm(*(cell._ints[2] for cell in g_cells.values()))
     law = {}
     for message, cell in g_cells.items():
-        overlap = cell.intersect(alpha)
-        if overlap is not None:
-            olo, ohi, oden = overlap._ints
-            law[message] = (Fraction((ohi - olo) * den, width * oden), overlap)
-    return law
+        clo, chi, cden = cell._ints
+        span = min(chi * den, hi * cden) - max(clo * den, lo * cden)
+        if span > 0:
+            law[message] = span * (common // cden)
+    return (hi - lo) * common, law
 
 
 def embed_leaker_step(rng, alpha: Interval, g_cells: Mapping):
     """One chatter message from a leaking speaker, lazily conditioned on the
     never-materialized uniform point alpha. Returns (message, new alpha)."""
-    law = _leaker_law(alpha, g_cells)
-    message = _sample(rng, ((m, q) for m, (q, _overlap) in law.items()))
-    return message, law[message][1]
+    message = _sample(rng, _leaker_law(alpha, g_cells)[1].items())
+    return message, g_cells[message].intersect(alpha)
 
 
 def informativeness_estimate(channel: InnocentChannel, player: int, horizon: int) -> Fraction:
@@ -491,17 +491,18 @@ def equivalence_audit(
     per commitment class, innocent (None) or the committed protocol message.
     A prefix opens proportional to the protocol's weights w there, so a
     class's mass is its factor times the prefix's class total over ``den``:
-    T_None = Σ w·L over innocents and T_a = Σ w·q_a(x) over leakers, with L
-    the node's int law scale and q its leak int laws. Per chatter message,
-    the chatter law's p_k and each commitment's |cell & alpha| / |alpha|
-    (``_leaker_law``) become ints over one step denominator and multiply the
-    factors. A boundary emitting a matches iff the protocol's child weights
-    are the parent's times the node's int law for a, key set included
-    (checked once per prefix), the innocent class is present exactly when
-    innocents exist and p_a > 0 (p the innocent int law), class a exactly
-    when T_a exists, and, with both present, L·f_None == p_a·f_a. The child
-    opens with every factor equal to the mass Σ f_c·T_c, and two paths that
-    reach one state add over the lcm (``_open_state``, ``_carry_state``).
+    T_None = Σ w·L over innocents and T_a = Σ w·q_a(x) over leakers (L the
+    node's int law scale, q its leak int laws), summed from the ``_children``
+    expansion that the child check reads. Per chatter message, the chatter
+    law's p_k and each commitment's n / den from ``_leaker_law`` go over the
+    lcm of their denominators and multiply the factors. A boundary emitting
+    a matches iff the protocol's child weights are the parent's times the
+    node's int law for a, key set included (checked once per prefix), the
+    innocent class is present exactly when innocents exist and p_a > 0 (p
+    the innocent int law), class a exactly when T_a exists, and, with both
+    present, L·f_None == p_a·f_a. The child opens with every factor equal to
+    the mass Σ f_c·T_c, and two paths that reach one state add over the lcm
+    (``_open_state``, ``_carry_state``).
 
     A collapse not proportional to the protocol's has no class form, so
     after a mismatch the child opens proportional to the protocol anyway:
@@ -534,17 +535,15 @@ def equivalence_audit(
     def table(prefix):
         # (node, f-cells, class totals, their sum, L, p, {a: child check})
         weights, node = reference[prefix]
-        law_scale, innocent, leak = node.int_laws
+        law_scale, innocent, _leak = node.int_laws
         speaker = node.speaker - 1
         totals: dict = {}
-        for key, w in weights.items():
-            if key[1][speaker]:
-                for a, q in leak[key[0]]:
-                    totals[a] = totals.get(a, 0) + w * q
-            else:
-                totals[None] = totals.get(None, 0) + w * law_scale
         children_ok = {}
         for a, expected in _children(node, weights).items():
+            # leakers add into class a, innocents (over every child) into None
+            for key, v in expected.items():
+                cls = a if key[1][speaker] else None
+                totals[cls] = totals.get(cls, 0) + v
             got = reference.get(prefix + (a,), ({},))[0]
             got_total, expected_total = sum(got.values()), sum(expected.values())
             children_ok[a] = got.keys() == expected.keys() and all(
@@ -574,22 +573,22 @@ def equivalence_audit(
             g_cells = g_partition(interval, law)
             # a committed class only reaches a state through a positive
             # overlap, so its alpha (f-cell & interval) is not empty
-            leaker_laws = {}
+            alpha_laws = {}
             for commit, f_cell in f_cells.items():
                 if commit in factors:
                     alpha = f_cell.intersect(interval)
                     if alpha is not None:
-                        leaker_laws[commit] = _leaker_law(alpha, g_cells)
+                        alpha_laws[commit] = _leaker_law(alpha, g_cells)
             law_den, law_probs = law._int_view()
             for message, p in zip(law.support, law_probs):
                 if not p:
                     continue
                 cell = g_cells[message]
                 # this message's step factors as ints over one denominator:
-                # p / law_den for innocents, the leaker law's for commitments
-                steps = [(k, lk[message][0]) for k, lk in leaker_laws.items() if message in lk]
-                step_den = math.lcm(law_den, *(q.denominator for _k, q in steps))
-                step = {k: q.numerator * (step_den // q.denominator) for k, q in steps}
+                # p / law_den for innocents, n / d of its law for a commitment
+                steps = [(k, d, ns[message]) for k, (d, ns) in alpha_laws.items() if message in ns]
+                step_den = math.lcm(law_den, *(d for _k, d, _n in steps))
+                step = {k: n * (step_den // d) for k, d, n in steps}
                 step[None] = p * (step_den // law_den)
                 moved = {cls: f * step[cls] for cls, f in factors.items() if cls in step}
                 if not moved:

@@ -518,16 +518,19 @@ def _sample(rng, weighted):
     """One exact draw from (label, weight) pairs, weights exact and >= 0.
 
     The positive weights are scaled to integers over their common
-    denominator; one ``rng.randrange`` over their total picks the label by
-    integer cumulative sums, so a zero-weight label is never drawn. Every
-    draw from an exact law (``simulate``, ``compose_run``) goes through here.
+    denominator and divided by their gcd; one ``rng.randrange`` over their
+    total picks the label by integer cumulative sums, so a zero-weight label
+    is never drawn and a draw depends only on the weights' ratios: int
+    weights draw as the law they are proportional to. Every draw from an
+    exact law (``simulate``, ``compose_run``) goes through here.
     """
     pairs = [(label, w) for label, w in weighted if w > 0]
     if not pairs:
         raise ValueError("nothing to draw: no label has positive weight")
     labels, weights = zip(*pairs)
     ints = _over_lcm(weights)[1]
-    r = rng.randrange(sum(ints))
+    g = math.gcd(*ints)
+    r = rng.randrange(sum(ints) // g) * g
     for label, n in zip(labels, ints):
         if r < n:
             return label
@@ -569,6 +572,16 @@ def _integral(what: str, value, floats: bool = False) -> int:
         except TypeError:
             pass
     raise ValueError("%s must be an integer, got %r" % (what, value))
+
+
+def _count(what: str, value) -> int:
+    """A count read from a file: ``_integral`` with integral floats, and a
+    ValueError below 0, where a length bound would silently stand for the
+    tree's depth and a crowd size for none."""
+    n = _integral(what, value, True)
+    if n < 0:
+        raise ValueError("%s must be an integer >= 0, got %r" % (what, value))
+    return n
 
 
 def label_to_jsonable(label):

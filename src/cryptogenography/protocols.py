@@ -48,6 +48,7 @@ from .probability import (
     JointDist,
     ZERO,
     _add_over_lcm,
+    _count,
     _integral,
     _sample,
     _unique,
@@ -185,7 +186,7 @@ class LeakScenario:
     def from_jsonable(cls, data: Mapping) -> "LeakScenario":
         joint = JointDist.from_jsonable(data["joint"])
         joint.axis_supports = _read_scenario_supports(joint.axis_supports)
-        return cls(_integral("scenario n_players", data["n_players"], True), joint)
+        return cls(_count("scenario n_players", data["n_players"]), joint)
 
 
 def _read_scenario_supports(supports: tuple) -> tuple:
@@ -384,7 +385,7 @@ class ProtocolTree:
         root = data.get("root")
         return cls(
             None if root is None else ProtocolNode.from_jsonable(root),
-            _integral("protocol length_bound", data.get("length_bound", 0), True),
+            _count("protocol length_bound", data.get("length_bound", 0)),
         )
 
 

@@ -728,6 +728,8 @@ MALFORMED_INPUTS = [
                  "probability must be >= 0, got -1/4", id="verify-scenario-negative"),
     pytest.param("game", "scenario", with_field(("joint", "table", 0, "p"), fraction_json(1, 0)),
                  "Fraction(1, 0)", id="game-scenario-over-zero"),
+    pytest.param("verify", "protocol", with_field(("length_bound",), -4),
+                 "protocol length_bound must be an integer >= 0, got -4", id="verify-protocol-negative-bound"),
     pytest.param("game", "scenario", with_field(("n_players",), 0),
                  "scenario axes must be ('X',), got ('X', 'L1', 'L2')", id="game-scenario-players"),
     pytest.param("embed", "channel", with_field(("rounds", 0, 0, "probs"), [fraction_json(1, 3), fraction_json(1, 3)]),

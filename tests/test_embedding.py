@@ -21,7 +21,7 @@ from cryptogenography.embedding import (
 )
 from cryptogenography import protocols
 from cryptogenography.coding import window_channel, window_protocol, window_scenario
-from cryptogenography.probability import FiniteDist
+from cryptogenography.probability import FiniteDist, _sample
 from cryptogenography.protocols import (
     BudgetExceededError,
     LeakScenario,
@@ -266,6 +266,27 @@ class TestLeakerStep:
         g2 = g_partition(Interval(F(0), F(3, 5)), law)
         assert g2["m1"].intersect(alpha).length / alpha.length == F(9, 10)
 
+    @settings(max_examples=300, deadline=None)
+    @given(ref_intervals(), ref_intervals(), chatter_laws(), st.integers(0, 2**32))
+    def test_draws_as_the_fraction_law(self, working, share, law, seed):
+        """The step draws the message and new alpha that ``_sample`` draws,
+        with the same seed, from the Fraction law |cell & alpha| / |alpha|
+        over the g-cells, and leaves the generator in the same state: so
+        ``compose_run``'s stream does not depend on the law's int form."""
+        span = ref_length(working)
+        alpha = (working[0] + share[0] * span, working[0] + share[1] * span)
+        ref_law = {}
+        for m, cell in ref_partition(working, law).items():
+            overlap = ref_intersect(cell, alpha)
+            if overlap is not None:
+                ref_law[m] = (ref_length(overlap) / ref_length(alpha), overlap)
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        want = _sample(ref_rng, ((m, q) for m, (q, _overlap) in ref_law.items()))
+        g = g_partition(Interval(*working), law)
+        message, new_alpha = embed_leaker_step(rng, Interval(*alpha), g)
+        assert message == want and same_interval(new_alpha, ref_law[want][1])
+        assert rng.getstate() == ref_rng.getstate()
+
     def test_matching_laws_reduce_to_innocent_chatter(self):
         # when the leaker's protocol law equals the innocent one, the lazy
         # alpha induces exactly the chatter law, message for message
@@ -425,8 +446,8 @@ class TestEquivalenceAudit:
         exact_law = embedding._leaker_law
 
         def uniform_law(alpha, g_cells):
-            law = exact_law(alpha, g_cells)
-            return {m: (F(1, len(law)), overlap) for m, (_q, overlap) in law.items()}
+            _den, law = exact_law(alpha, g_cells)
+            return len(law), dict.fromkeys(law, 1)
 
         pi, channel, sc, _ = figure_instance()
         assert equivalence_audit(pi, channel, sc, depth_budget=80).ok
@@ -446,10 +467,10 @@ class TestEquivalenceAudit:
         exact_law = embedding._leaker_law
 
         def dropping_law(alpha, g_cells):
-            law = exact_law(alpha, g_cells)
+            den, law = exact_law(alpha, g_cells)
             if len(law) > 1:
                 law.pop(list(law)[-1])
-            return law
+            return den, law
 
         pi, channel, sc, _ = figure_instance()
         monkeypatch.setattr(embedding, "_leaker_law", dropping_law)
@@ -803,6 +824,7 @@ class TestChannelJson:
             (("players",), "2"),
             (("rounds", 0, "player"), True),
             (("rounds", 0, "player"), 1.5),
+            (("players",), -3),
         ],
     )
     def test_integer_fields_do_not_truncate(self, path, value):

@@ -444,7 +444,8 @@ class TestPosteriors:
 class TestProtocolJson:
     @pytest.mark.parametrize(
         "field, value",
-        [("speaker", 1.7), ("speaker", True), ("speaker", "1"), ("length_bound", "2"), ("length_bound", 0.5)],
+        [("speaker", 1.7), ("speaker", True), ("speaker", "1"), ("length_bound", "2"), ("length_bound", 0.5),
+         ("length_bound", -4)],
     )
     def test_integer_fields_do_not_truncate(self, field, value):
         law = FiniteDist.uniform((0, 1))
@@ -461,7 +462,7 @@ class TestProtocolJson:
         data["length_bound"] = 1.0
         assert ProtocolTree.from_jsonable(data) == pi
 
-    @pytest.mark.parametrize("value", [1.5, True, "1"])
+    @pytest.mark.parametrize("value", [1.5, True, "1", -2])
     def test_scenario_n_players_does_not_truncate(self, value):
         data = LeakScenario.fixed(FiniteDist.uniform((0, 1)), 1, 1).to_jsonable()
         data["n_players"] = value
